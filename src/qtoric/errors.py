@@ -84,3 +84,8 @@ class SearchBoundExceeded(QtoricError):
 
 class InputError(QtoricError):
     """Malformed input file or argument."""
+
+
+class InternalError(QtoricError):
+    """An internal consistency check failed: a defect in qtoric, not in
+    the input."""

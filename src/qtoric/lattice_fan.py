@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import lp
 from .linalg import (Matrix, int_rank, int_solve, mat_inverse, rank,
@@ -97,21 +98,12 @@ def gamma_contains(gamma: QLattice, x) -> tuple | None:
     if not grows:
         return None
     # common denominator scaling must be shared between matrix and target
-    den = 1
-    for row in grows + [target]:
-        for v in row:
-            den = den * v.denominator // _gcd(den, v.denominator)
+    den = lcm(*(v.denominator for row in grows + [target] for v in row))
     A = [[int(v * den) for v in row] for row in grows]
     b = [int(v * den) for v in target]
     # solve c . A = b  (c integral), i.e. A^T c = b
     At = [list(col) for col in zip(*A)]
     return int_solve(At, b)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _normalize_cones(cones) -> frozenset:

@@ -10,6 +10,7 @@ of the blow-up example) depend on this normalization bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import Singular
 from .scalars import Scalar
@@ -141,12 +142,19 @@ def _rref(rows):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = Scalar.one() / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        # columns left of c are zero in rows r and below, so only the
+        # nonzero entries of the pivot row (at c or right of it) change
+        prow = rows[r]
+        inv = Scalar.one() / prow[c]
+        nz = [j for j in range(c, ncols) if not prow[j].is_zero()]
+        for j in nz:
+            prow[j] = inv * prow[j]
         for i in range(nrows):
             if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                row = rows[i]
+                f = row[c]
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -288,6 +296,31 @@ def hnf(M) -> tuple:
     return A, U
 
 
+def int_det(M) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every intermediate entry is an integer minor."""
+    A = [list(map(int, r)) for r in M]
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            sel = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if sel is None:
+                return 0
+            A[k], A[sel] = A[sel], A[k]
+            sign = -sign
+        akk, rk = A[k][k], A[k]
+        for i in range(k + 1, n):
+            ri = A[i]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * akk - aik * rk[j]) // prev
+        prev = akk
+    return sign * A[-1][-1] if n else 1
+
+
 def int_rank(M) -> int:
     H, _ = hnf(M)
     return sum(1 for row in H if any(x != 0 for x in row))
@@ -354,17 +387,9 @@ def rational_to_int_rows(rows):
     out = []
     for r in rows:
         fr = [Q(x) for x in r]
-        L = 1
-        for x in fr:
-            L = L * x.denominator // _gcd(L, x.denominator)
+        L = lcm(*(x.denominator for x in fr))
         out.append([int(x * L) for x in fr])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def fraction_matrix_kernel_int(rows) -> list:

@@ -28,13 +28,17 @@ class LPResult:
 
 
 def _pivot(T, basis, r, c):
-    m = len(T)
-    piv = T[r][c]
-    T[r] = [v / piv for v in T[r]]
-    for i in range(m):
-        if i != r and T[i][c] != 0:
-            f = T[i][c]
-            T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+    """Pivot on T[r][c]; only the columns where row r is nonzero change."""
+    prow = T[r]
+    piv = prow[c]
+    nz = [j for j, v in enumerate(prow) if v]
+    for j in nz:
+        prow[j] = prow[j] / piv
+    for i, row in enumerate(T):
+        f = row[c]
+        if i != r and f:
+            for j in nz:
+                row[j] = row[j] - f * prow[j]
     basis[r] = c
 
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .errors import (NotRational, NotUnimodular, OutOfDomain, OutOfZone,
-                     SingularBlock, UnsupportedField)
-from .linalg import Matrix, det, hnf, mat_inverse
+from .errors import (InternalError, NotRational, NotUnimodular, OutOfDomain,
+                     OutOfZone, SingularBlock, UnsupportedField)
+from .linalg import Matrix, det, hnf, int_det, mat_inverse
 from .scalars import Scalar, Sign, Witness, sign_at
 
 Q = Fraction
@@ -25,8 +25,7 @@ Q = Fraction
 def _check_unimodular(H: Matrix):
     if not H.is_integer():
         raise NotUnimodular("H must have integer entries")
-    d = det(H)
-    if abs(d.as_fraction()) != 1:
+    if abs(int_det(H.to_int_rows())) != 1:
         raise NotUnimodular("H must have determinant +-1")
 
 
@@ -266,7 +265,9 @@ def torus_equiv_2d(a, b) -> Matrix | None:
             Ma, Mb = ma[ia], mb[hit]
             W = _mat_mul2(Mb, _mat_adj2(Ma))
             H = _moebius_to_H(W)
-            assert act_2d_quad(qa, H).equals_value(qb)
+            if not act_2d_quad(qa, H).equals_value(qb):
+                raise InternalError("continued-fraction match does not map "
+                                    "a to b")
             return H
     return None
 
@@ -278,7 +279,8 @@ def _bezout_to_zero(a: Fraction):
     if p == 0:
         return ((1, 0), (0, 1))
     g, r, s = _xgcd(q, p)
-    assert g == 1
+    if g != 1:
+        raise InternalError(f"{a} is not in lowest terms")
     # r*q + s*p = 1
     return ((r, -p), (s, q))
 
@@ -293,7 +295,9 @@ def _xgcd(a, b):
 def _int_inverse_2x2(m):
     (a, b), (c, d) = m
     dt = a * d - b * c
-    assert abs(dt) == 1
+    if abs(dt) != 1:
+        raise InternalError(f"determinant {dt} of a convergent matrix is "
+                            "not +-1")
     return ((d * dt, -b * dt), (-c * dt, a * dt))
 
 
@@ -412,10 +416,10 @@ def wps_weights(a, b) -> tuple:
         raise OutOfDomain("weights need a < 0 and b < 0")
     p, q = abs(fa.numerator), fa.denominator
     r, s = abs(fb.numerator), fb.denominator
-    alpha = _lcm(q, s)
+    alpha = lcm(q, s)
     g = gcd(s * p, q * r)
-    beta = _lcm(s * p // g, p)
-    gamma = _lcm(q * r // g, r)
+    beta = lcm(s * p // g, p)
+    gamma = lcm(q * r // g, r)
     return alpha, beta, gamma
 
 
@@ -428,12 +432,8 @@ def wps_weights_chart_oracle(a, b) -> tuple:
     charts = [(fa, fb), (-fb / fa, 1 / fa), (1 / fb, -fa / fb)]
     out = []
     for u, v in charts:
-        out.append(_lcm(u.denominator, v.denominator))
+        out.append(lcm(u.denominator, v.denominator))
     return tuple(out)
-
-
-def _lcm(x, y):
-    return x * y // gcd(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +498,7 @@ def hopf_equiv(pair1, pair2, w: Witness) -> dict:
 # ---------------------------------------------------------------------------
 
 def _hbar_denominator_lcm(hbar: Matrix) -> int:
-    L = 1
-    for r in hbar.rows:
-        for x in r:
-            L = _lcm(L, x.as_fraction().denominator)
-    return L
+    return lcm(*(x.as_fraction().denominator for r in hbar.rows for x in r))
 
 
 def _marked_canonical_rational(hbar: Matrix):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .calibration import CalibratedFan, induced_fan, kernel_rank
 from .errors import DomainMismatch, SearchBoundExceeded
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import Matrix, det, int_solve, solve_right
+from .linalg import Matrix, det, int_det, int_solve, solve_right
 from .scalars import Scalar, Sign, Witness, sign_at
 
 
@@ -213,7 +213,7 @@ def check_cal_iso(m: CalMorphism, src: CalibratedFan, dst: CalibratedFan,
     n = len(H_int)
     if len(H_int[0]) != n:
         return CheckResult.invalid("H_not_square")
-    dH = _int_det(H_int)
+    dH = int_det(H_int)
     if abs(dH) != 1:
         return CheckResult.invalid("H_not_unimodular")
     if sorted(m.s.values()) != sorted(dst.cal.J) or \
@@ -232,12 +232,6 @@ def is_marked_iso(m: CalMorphism, src: CalibratedFan, dst: CalibratedFan,
     if any(m.s[j] != j for j in src.cal.J):
         return CheckResult.invalid("s_not_identity")
     return CheckResult.valid()
-
-
-def _int_det(rows):
-    from fractions import Fraction
-    M = Matrix([[Scalar.from_fraction(Fraction(x)) for x in r] for r in rows])
-    return int(det(M).as_fraction())
 
 
 def compose(m1: CalMorphism, m2: CalMorphism) -> CalMorphism:

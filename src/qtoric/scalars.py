@@ -418,28 +418,37 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
 
 class Scalar:
     """Canonical fraction of two polynomials over Q in the declared
-    parameters.  Immutable; equality is canonical-form equality."""
+    parameters.  Immutable; equality is canonical-form equality.
 
-    __slots__ = ("num", "den")
+    A scalar without parameters keeps its value as one Fraction in ``q``
+    and computes with it directly; ``num``/``den`` are then built on demand
+    as constant polynomials.  A parametric scalar has ``q = None`` and
+    keeps its canonical ``num``/``den``, also when its value is constant
+    (its ``params`` record the parameters it was computed from)."""
+
+    __slots__ = ("q", "_num", "_den")
 
     def __init__(self, num: Poly, den: Poly, _canonical=False):
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
-        if _canonical:
-            self.num = num
-            self.den = den
+        if not num.params and not den.params:
+            self.q = num.const_value() / den.const_value()
             return
-        num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
+        if not _canonical:
+            num, den = _canonicalize(num, den)
+        self.q = None
+        self._num = num
+        self._den = den
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_fraction(c, params=None) -> "Scalar":
         c = _as_fraction(c)
-        p = params or {}
-        return Scalar(Poly.const(c, p), Poly.const(1, p), _canonical=True)
+        if not params:
+            return _rational(c)
+        return Scalar(Poly.const(c, params), Poly.const(1, params),
+                      _canonical=True)
 
     @staticmethod
     def of_param(p: Parameter) -> "Scalar":
@@ -461,24 +470,39 @@ class Scalar:
             return x
         if isinstance(x, Parameter):
             return Scalar.of_param(x)
-        return Scalar.from_fraction(x)
+        return _rational(_as_fraction(x))
+
+    @property
+    def num(self) -> Poly:
+        return self._num if self.q is None else Poly.const(self.q)
+
+    @property
+    def den(self) -> Poly:
+        return self._den if self.q is None else Poly.const(1)
 
     @property
     def params(self) -> dict:
-        return _merge_params(self.num.params, self.den.params)
+        if self.q is not None:
+            return {}
+        return _merge_params(self._num.params, self._den.params)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        if self.q is not None:
+            return not self.q
+        return self._num.is_zero()
 
     def is_rational(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        return self.q is not None or (self._num.is_const()
+                                      and self._den.is_const())
 
     def as_fraction(self) -> Fraction:
+        if self.q is not None:
+            return self.q
         if not self.is_rational():
             raise UnsupportedEntries(f"{self} is not rational")
-        return self.num.const_value() / self.den.const_value()
+        return self._num.const_value() / self._den.const_value()
 
     def is_integer(self) -> bool:
         return self.is_rational() and self.as_fraction().denominator == 1
@@ -487,22 +511,34 @@ class Scalar:
 
     def __add__(self, other):
         other = Scalar.coerce(other)
+        if self.q is not None and other.q is not None:
+            return _rational(self.q + other.q)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, _canonical=True)
+        if self.q is not None:
+            return _rational(-self.q)
+        return Scalar(-self._num, self._den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
+        other = Scalar.coerce(other)
+        if self.q is not None and other.q is not None:
+            return _rational(self.q - other.q)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
+        other = Scalar.coerce(other)
+        if self.q is not None and other.q is not None:
+            return _rational(other.q - self.q)
+        return other + (-self)
 
     def __mul__(self, other):
         other = Scalar.coerce(other)
+        if self.q is not None and other.q is not None:
+            return _rational(self.q * other.q)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -511,12 +547,18 @@ class Scalar:
         other = Scalar.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
+        if self.q is not None and other.q is not None:
+            return _rational(self.q / other.q)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
 
     def __pow__(self, e: int):
+        if self.q is not None:
+            if e < 0 and not self.q:
+                raise ZeroDivisionError("scalar division by zero")
+            return _rational(self.q ** e)
         if e < 0:
             return Scalar.one() / self ** (-e)
         out = Scalar.one()
@@ -530,20 +572,29 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_fraction(other)
+            other = _rational(_as_fraction(other))
         if not isinstance(other, Scalar):
             return NotImplemented
+        if self.q is not None and other.q is not None:
+            return self.q == other.q
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self.q is None:
+            return hash((self._num, self._den))
+        # the hash of (Poly.const(q), Poly.const(1)), as for a parametric
+        # scalar of the same constant value
+        terms = frozenset({(_ONE_MONO, self.q)}) if self.q else frozenset()
+        return hash((terms, _ONE_TERMS))
 
     # -- display -------------------------------------------------------------
 
     def __str__(self):
-        if self.den.is_const() and self.den.const_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        if self.q is not None:
+            return str(self.q)
+        if self._den.is_const() and self._den.const_value() == 1:
+            return str(self._num)
+        return f"({self._num})/({self._den})"
 
     def __repr__(self):
         return str(self)
@@ -619,8 +670,17 @@ def _canonicalize(num: Poly, den: Poly):
     return num, den
 
 
-_ZERO = Scalar(Poly.const(0, {}), Poly.const(1, {}), _canonical=True)
-_ONE = Scalar(Poly.const(1, {}), Poly.const(1, {}), _canonical=True)
+def _rational(q: Fraction) -> Scalar:
+    """Parameter-free scalar of value q (a Fraction)."""
+    s = _new(Scalar)
+    s.q = q
+    return s
+
+
+_new = object.__new__
+_ONE_TERMS = frozenset({(_ONE_MONO, Q(1))})
+_ZERO = _rational(Q(0))
+_ONE = _rational(Q(1))
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +747,11 @@ class Witness:
 
     def eval_scalar(self, s: Scalar, bits=None):
         """Interval [lo, hi] containing the value of s at this witness."""
+        if s.q is not None:
+            return s.q, s.q
         bits = bits or self.precision
-        nlo, nhi = self._eval_poly(s.num, bits)
-        dlo, dhi = self._eval_poly(s.den, bits)
+        nlo, nhi = self._eval_poly(s._num, bits)
+        dlo, dhi = self._eval_poly(s._den, bits)
         if dlo <= 0 <= dhi:
             raise Indeterminate(f"denominator of {s} straddles zero")
         cands = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
@@ -698,11 +760,14 @@ class Witness:
     def approx(self, s: Scalar) -> Fraction:
         """Midpoint rational approximation (exact when no quadratic parameter
         occurs in s)."""
+        if s.q is not None:
+            return s.q
         lo, hi = self.eval_scalar(s)
         return lo if lo == hi else (lo + hi) / 2
 
     def is_exact_for(self, s: Scalar) -> bool:
-        return not (s.num.has_quadratic() or s.den.has_quadratic())
+        return s.q is not None or not (s._num.has_quadratic()
+                                       or s._den.has_quadratic())
 
 
 def sign_at(s: Scalar, w: Witness) -> Sign:

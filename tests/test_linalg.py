@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoric.errors import Singular
-from qtoric.linalg import (Matrix, det, hnf, int_kernel, int_rank, int_solve,
-                           kernel_basis, mat_inverse, rank)
+from qtoric.linalg import (Matrix, _rref, det, hnf, int_det, int_kernel,
+                           int_rank, int_solve, kernel_basis, mat_inverse,
+                           rank)
 from qtoric.scalars import Parameter, Scalar
 
 A = Parameter("a")
@@ -143,3 +146,110 @@ def test_int_kernel_saturated():
     # kernel of [2, -2] over Z is spanned by (1,1), not (2,2)
     ker = int_kernel([[2, -2]])
     assert sorted(map(tuple, ker)) == [(1, 1)]
+
+
+def test_int_det_matches_scalar_det():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        M = [[rng.choice([0, 0, 0, 1, -1, 2, rng.randint(-40, 40)])
+              for _ in range(n)] for _ in range(n)]
+        assert int_det(M) == det(Matrix(M)).as_fraction()
+    assert int_det([]) == 1
+    assert int_det([[0, 1], [1, 0]]) == -1
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+
+
+# -- sparse elimination against the dense reference --------------------------
+
+def _dense_rref(rows):
+    """Leftmost-pivot rref that rewrites every column on each pivot."""
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if not rows[i][c].is_zero()),
+                   None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = Scalar.one() / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _dense_kernel(M):
+    red, pivots = _dense_rref(M.rows)
+    out = []
+    for f in (c for c in range(M.ncols) if c not in pivots):
+        v = [ZERO] * M.ncols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        out.append(tuple(v))
+    return out
+
+
+def _same(a, b):
+    """Equal entry by entry, in value, display and representation."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert len(x) == len(y)
+        for u, v in zip(x, y):
+            assert u == v and str(u) == str(v) and u.q == v.q
+
+
+SPARSE = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, Q(1, 2), Q(-3, 4), 5])
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(1, 6))
+    return Matrix([[draw(SPARSE) for _ in range(n)] for _ in range(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rref_and_kernel_match_dense_reference(M):
+    red, pivots = _rref(M.rows)
+    dred, dpivots = _dense_rref(M.rows)
+    assert pivots == dpivots
+    _same(red, dred)
+    _same(kernel_basis(M), _dense_kernel(M))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(square=True))
+def test_inverse_matches_dense_reference(M):
+    n = M.nrows
+    aug = [list(M.rows[i]) + list(Matrix.identity(n).rows[i])
+           for i in range(n)]
+    red, pivots = _dense_rref(aug)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(Singular):
+            mat_inverse(M)
+        return
+    _same(mat_inverse(M).rows, [r[n:] for r in red[:n]])
+
+
+def test_sparse_rref_on_parametric_matrices_matches_values():
+    rng = random.Random(21)
+    for _ in range(40):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        pool = [SA, SB, ZERO, ZERO, ZERO, ONE, Scalar.from_fraction(Q(-1, 2))]
+        M = Matrix([[rng.choice(pool) for _ in range(n)] for _ in range(m)])
+        red, pivots = _rref(M.rows)
+        dred, dpivots = _dense_rref(M.rows)
+        assert pivots == dpivots
+        assert [list(map(str, r)) for r in red] == \
+            [list(map(str, r)) for r in dred]

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtoric.errors import Indeterminate
-from qtoric.scalars import Parameter, Scalar, Sign, Witness, sign_at
+from qtoric.calibration import Calibration, kernel_rank
+from qtoric.errors import Indeterminate, UnsupportedField
+from qtoric.lattice_fan import QLattice, gamma_rank
+from qtoric.moduli import scalar_to_quad
+from qtoric.scalars import Parameter, Poly, Scalar, Sign, Witness, sign_at
 
 A = Parameter("a")
 B = Parameter("b")
@@ -116,3 +121,101 @@ def test_witness_approx_exact_for_transcendental():
     assert W.approx(s) == 3 * Q(-7, 3) + 1
     assert W.is_exact_for(s)
     assert not W.is_exact_for(ST)
+
+
+# -- the parameter-free fast path ---------------------------------------------
+
+FRACTIONS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+def poly_form(q, params=None):
+    """The same constant as a scalar on the polynomial path."""
+    return Scalar.from_fraction(q, params or {"a": A})
+
+
+@settings(max_examples=200, deadline=None)
+@given(FRACTIONS, FRACTIONS, st.integers(-3, 3))
+def test_rational_arithmetic_is_fraction_arithmetic(x, y, e):
+    X, Y = Scalar.from_fraction(x), Scalar.from_fraction(y)
+    results = [(X + y, x + y), (x + Y, x + y), (X - Y, x - y), (x - Y, x - y),
+               (X * Y, x * y), (3 * X, 3 * x), (-X, -x)]
+    if y:
+        results += [(X / Y, x / y), (x / Y, x / y)]
+    if x or e >= 0:
+        results.append((X ** e, x ** e))
+    for got, want in results:
+        assert got.q == want and got.as_fraction() == want
+        assert got.params == {} and got.is_rational()
+        assert got.is_zero() == (want == 0)
+        assert got == want and got == Scalar.from_fraction(want)
+        assert sign_at(got, W).value == (want > 0) - (want < 0)
+        assert W.eval_scalar(got) == (want, want) and W.approx(got) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(FRACTIONS)
+def test_rational_display_and_hash_match_polynomial_form(x):
+    X, P = Scalar.from_fraction(x), poly_form(x)
+    assert X.q is not None and P.q is None
+    assert X == P and P == X
+    assert str(X) == str(P) == str(Poly.const(x))
+    assert X.sort_key() == P.sort_key()
+    assert hash(X) == hash(P) == hash((Poly.const(x), Poly.const(1)))
+    assert X.num == Poly.const(x) and X.den == Poly.const(1)
+
+
+def parametric(rng):
+    while True:
+        s = rand_scalar(rng)
+        if not s.is_rational():
+            return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(FRACTIONS, st.integers(0, 10 ** 6))
+def test_mixed_operations_match_polynomial_path(x, seed):
+    p = parametric(random.Random(seed))
+    X, P = Scalar.from_fraction(x), poly_form(x, p.params)
+    pairs = [(X + p, P + p), (p + X, p + P), (X - p, P - p), (p - X, p - P),
+             (X * p, P * p), (p * X, p * P), (X / p, P / p)]
+    if x:
+        pairs.append((p / X, p / P))
+    for fast, slow in pairs:
+        assert fast == slow and str(fast) == str(slow)
+        assert hash(fast) == hash(slow) and fast.params == slow.params
+
+
+@settings(max_examples=100, deadline=None)
+@given(FRACTIONS)
+def test_collapsed_parametric_constant_keeps_params(x):
+    c = (SA + x) - SA
+    assert c.q is None and c.params == {"a": A}
+    assert c.is_rational() and c.as_fraction() == x
+    X = Scalar.from_fraction(x)
+    assert c == X and X == c and c == x
+    assert hash(c) == hash(X) and str(c) == str(X)
+    # readers of params see the parameter the value was computed from
+    with pytest.raises(UnsupportedField):
+        scalar_to_quad(c)
+    assert scalar_to_quad(X).u == x
+
+
+def test_collapsed_constants_in_lattice_ranks():
+    two = (SA + 2) - SA
+    images_c = [[1, 0], [0, 1], [two, 1]]
+    images_q = [[1, 0], [0, 1], [2, 1]]
+    gc_, gq = QLattice(2, images_c), QLattice(2, images_q)
+    assert gc_.param_names() == ["a"] and gq.param_names() == []
+    assert gamma_rank(gc_) == gamma_rank(gq) == 2
+    kc = kernel_rank(Calibration(gc_, images_c, [], [1, 2, 3]))
+    kq = kernel_rank(Calibration(gq, images_q, [], [1, 2, 3]))
+    assert kc == kq == (1, [(-2, -1, 1)])
+
+
+def test_rational_zero_division():
+    with pytest.raises(ZeroDivisionError):
+        Scalar.one() / Scalar.zero()
+    with pytest.raises(ZeroDivisionError):
+        Scalar.zero() ** -1
+    with pytest.raises(ZeroDivisionError):
+        SA / Scalar.zero()
