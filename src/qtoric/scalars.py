@@ -556,8 +556,6 @@ class Scalar:
 
     def __pow__(self, e: int):
         if self.q is not None:
-            if e < 0 and not self.q:
-                raise ZeroDivisionError("scalar division by zero")
             return _rational(self.q ** e)
         if e < 0:
             return Scalar.one() / self ** (-e)
@@ -760,8 +758,6 @@ class Witness:
     def approx(self, s: Scalar) -> Fraction:
         """Midpoint rational approximation (exact when no quadratic parameter
         occurs in s)."""
-        if s.q is not None:
-            return s.q
         lo, hi = self.eval_scalar(s)
         return lo if lo == hi else (lo + hi) / 2
 
