@@ -239,36 +239,11 @@ class FanProperties:
 
 
 def _is_complete(fan: QuantumFan) -> bool:
-    """Simplicial completeness: all maximal cones of dimension d, every
-    (d-1)-face in exactly two maximal cones, facet graph connected."""
-    d = fan.dim
+    """Simplicial completeness: all maximal cones of dimension d and a
+    pseudomanifold combinatorial type."""
     maxc = fan.maximal_cones()
-    if not maxc or any(len(c) != d for c in maxc):
-        return False
-    facet_count: dict = {}
-    for c in maxc:
-        for i in c:
-            f = c - {i}
-            facet_count[f] = facet_count.get(f, 0) + 1
-    if any(v != 2 for v in facet_count.values()):
-        return False
-    # connectivity of the facet-adjacency graph
-    adj = {tuple(sorted(c)): set() for c in maxc}
-    for f in facet_count:
-        touching = [c for c in maxc if f <= c]
-        for c1, c2 in itertools.combinations(touching, 2):
-            adj[tuple(sorted(c1))].add(tuple(sorted(c2)))
-            adj[tuple(sorted(c2))].add(tuple(sorted(c1)))
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(adj)
+    return (all(len(c) == fan.dim for c in maxc)
+            and CombType.of_fan(fan).is_pseudomanifold())
 
 
 def _is_gamma_complete(fan: QuantumFan) -> bool:

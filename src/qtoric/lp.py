@@ -129,11 +129,7 @@ def max_min_slack(A_eq, b_eq, slack_cols):
     m = len(A_eq)
     n = len(A_eq[0]) if m else 0
     # variables: y_0..y_{n-1}, t
-    A = []
-    for i in range(m):
-        row = list(map(Q, A_eq[i]))
-        tcoef = sum(row[j] for j in slack_cols)
-        A.append(row + [tcoef])
+    A = [[*row, sum(row[j] for j in slack_cols)] for row in A_eq]
     c = [Q(0)] * n + [Q(-1)]
     res = solve_lp(A, b_eq, c)
     if res.status == "infeasible":
@@ -165,9 +161,9 @@ def in_convex_hull(points, target=None, strict=False, exact=True):
     if not points:
         return False
     dim = len(points[0])
-    tgt = [Q(0)] * dim if target is None else list(map(Q, target))
+    tgt = [Q(0)] * dim if target is None else list(target)
     n = len(points)
-    A = [[Q(points[j][i]) for j in range(n)] for i in range(dim)]
+    A = [[points[j][i] for j in range(n)] for i in range(dim)]
     A.append([Q(1)] * n)
     b = tgt + [Q(1)]
     if not strict:
@@ -187,8 +183,8 @@ def interiors_intersect(points1, points2, exact=True):
     # lambda (n1), mu (n2):  sum l_i p_i - sum m_j q_j = 0, suml = 1, summ = 1
     A = []
     for i in range(dim):
-        A.append([Q(points1[j][i]) for j in range(n1)] +
-                 [-Q(points2[j][i]) for j in range(n2)])
+        A.append([points1[j][i] for j in range(n1)] +
+                 [-points2[j][i] for j in range(n2)])
     A.append([Q(1)] * n1 + [Q(0)] * n2)
     A.append([Q(0)] * n1 + [Q(1)] * n2)
     b = [Q(0)] * dim + [Q(1), Q(1)]
@@ -210,9 +206,8 @@ def cones_relint_intersect(gen1, gen2, exact=True):
     A = []
     rhs = []
     for i in range(dim):
-        row = [Q(gen1[j][i]) for j in range(n1)] + \
-              [-Q(gen2[j][i]) for j in range(n2)]
+        row = [gen1[j][i] for j in range(n1)] + \
+              [-gen2[j][i] for j in range(n2)]
         A.append(row)
-        rhs.append(-(sum(Q(gen1[j][i]) for j in range(n1)) -
-                     sum(Q(gen2[j][i]) for j in range(n2))))
+        rhs.append(-sum(row))
     return feasible(A, rhs)

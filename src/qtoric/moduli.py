@@ -9,6 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import (InternalError, NotRational, NotUnimodular, OutOfDomain,
                      OutOfZone, SingularBlock, UnsupportedField)
@@ -51,80 +52,12 @@ def torus_act(hbar: Matrix, H: Matrix) -> Matrix:
 # quadratic numbers and continued fractions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Quad:
-    """u + v*sqrt(D) with rational u, v and squarefree-ish integer payload
-    (P + sqrt(N))/Q with Q | N - P^2 for the continued-fraction walk."""
+class Quad(NamedTuple):
+    """u + v*sqrt(D) with rational u, v and squarefree integer D, so equal
+    values have equal fields; v = D = 0 for rationals."""
     u: Fraction
     v: Fraction
-    D: Fraction  # 0 for rationals
-
-    def is_rational(self):
-        return self.v == 0
-
-    def value_floor(self):
-        if self.v == 0:
-            return self.u.numerator // self.u.denominator
-        # floor(u + sign(v) * sqrt(v^2 D)) by refining an isqrt bracket;
-        # exact because u + v sqrt(D) is irrational when v != 0
-        w = self.v * self.v * self.D
-        s = 1 if self.v > 0 else -1
-        p, q = w.numerator, w.denominator
-        bits = 64
-        while True:
-            scale = 1 << bits
-            nint = isqrt(p * q * scale * scale)
-            slo = Q(nint, q * scale)
-            shi = Q(nint + 1, q * scale)
-            xlo = self.u + (slo if s > 0 else -shi)
-            xhi = self.u + (shi if s > 0 else -slo)
-            if xlo.__floor__() == xhi.__floor__():
-                return xlo.__floor__()
-            bits *= 2
-            if bits > 1 << 16:
-                raise UnsupportedField("floor did not stabilize")
-
-    def __sub__(self, k: int):
-        return Quad(self.u - k, self.v, self.D)
-
-    def inverse(self):
-        den = self.u * self.u - self.v * self.v * self.D
-        if den == 0:
-            raise ZeroDivisionError("inverse of zero quadratic")
-        return Quad(self.u / den, -self.v / den, self.D)
-
-    def key(self):
-        return (self.u, self.v, self.D)
-
-    def _common_D(self, other: "Quad"):
-        if self.D == other.D or other.v == 0:
-            return self.D
-        if self.v == 0:
-            return other.D
-        raise UnsupportedField("mixed quadratic fields")
-
-    def add(self, other: "Quad") -> "Quad":
-        return Quad(self.u + other.u, self.v + other.v,
-                    self._common_D(other))
-
-    def mul(self, other: "Quad") -> "Quad":
-        D = self._common_D(other)
-        return Quad(self.u * other.u + self.v * other.v * D,
-                    self.u * other.v + self.v * other.u, D)
-
-    def div(self, other: "Quad") -> "Quad":
-        D = self._common_D(other)
-        den = other.u * other.u - other.v * other.v * D
-        if den == 0:
-            raise ZeroDivisionError("division by zero quadratic")
-        conj = Quad(other.u / den, -other.v / den, D)
-        return self.mul(conj)
-
-    def equals_value(self, other: "Quad") -> bool:
-        if self.v == 0 and other.v == 0:
-            return self.u == other.u
-        return (self.u == other.u and self.v == other.v
-                and self.D == other.D)
+    D: int
 
 
 def _squarefree_core(n: int):
@@ -156,45 +89,53 @@ def scalar_to_quad(x: Scalar) -> Quad:
         raise UnsupportedField(
             "2d equivalence supports rational and quadratic scalars only")
     if not quad:
-        return Quad(x.as_fraction(), Q(0), Q(0))
+        return Quad(x.as_fraction(), Q(0), 0)
     p = quad[0]
     coeffs = x.affine_coefficients([p.name])
     u, v = coeffs[0], coeffs[1]
     if v == 0:
-        return Quad(u, Q(0), Q(0))
+        return Quad(u, Q(0), 0)
     # v sqrt(p/q) = (v/q) sqrt(pq); pull the square part out of pq
     D = p.D
     s, core = _squarefree_core(D.numerator * D.denominator)
-    return Quad(u, v * s / D.denominator, Q(core))
+    return Quad(u, v * s / D.denominator, core)
 
 
-def continued_fraction_walk(x: Quad, max_steps=512):
-    """Complete quotients (as Quad keys) and convergent matrices of the
-    continued fraction of x; stops at the first repeated complete quotient.
+def _surd(x: Quad):
+    """Integers (P, Q, m) with x = (P + sqrt(D m^2))/Q and Q | D m^2 - P^2,
+    for irrational x = u + v sqrt(D)."""
+    C = lcm(x.u.denominator, x.v.denominator)
+    A, B = int(x.u * C), int(x.v * C)
+    if B < 0:
+        A, B, C = -A, -B, -C
+    # x = (A + sqrt(D B^2))/C; scale by k so that Ck divides k^2 (D B^2 - A^2)
+    k = abs(C) // gcd(C, x.D * B * B - A * A)
+    return A * k, C * k, B * k
 
-    Returns (states, mats) with states[k] the k-th complete quotient and
-    mats[k] the matrix M with x = M . states[k] (Moebius action)."""
-    states = [x]
-    mats = [((1, 0), (0, 1))]
-    seen = {x.key(): 0}
-    cur = x
+
+def _cf_step(P, Q, N, s, M):
+    """One step x = k + 1/x' of the continued fraction of x = (P + sqrt N)/Q,
+    s = isqrt(N): returns x' as (P', Q') and the convergent matrix
+    M [[k, 1], [1, 0]], so that M . x = M' . x' (Moebius action)."""
+    k = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+    P = k * Q - P
+    (a, b), (c, d) = M
+    return P, (N - P * P) // Q, ((a * k + b, a), (c * k + d, c))
+
+
+def continued_fraction_walk(P: int, Q: int, N: int):
+    """Walk the continued fraction of x = (P + sqrt N)/Q, with N not a
+    square and Q | N - P^2, to its first reduced complete quotient
+    (P', Q'): 0 < P' <= s and s - P' < Q' <= s + P' for s = isqrt(N).
+
+    Returns (P', Q', M) with x = M . (P' + sqrt N)/Q'.  Lagrange's theorem
+    makes the walk finite; by Galois' theorem the expansion is purely
+    periodic from the reduced quotient on."""
+    s = isqrt(N)
     M = ((1, 0), (0, 1))
-    for _ in range(max_steps):
-        k = cur.value_floor()
-        frac = cur - k
-        if frac.is_rational() and frac.u == 0:
-            return states, mats, None
-        nxt = frac.inverse()
-        # x = M . cur, cur = k + 1/nxt: new M' = M * [[k,1],[1,0]]
-        (a, bb), (c, d) = M
-        M = ((a * k + bb, a), (c * k + d, c))
-        cur = nxt
-        if cur.key() in seen:
-            return states, mats + [M], seen[cur.key()]
-        seen[cur.key()] = len(states)
-        states.append(cur)
-        mats.append(M)
-    raise UnsupportedField("continued fraction did not cycle")
+    while not (0 < P <= s and s - P < Q <= s + P):
+        P, Q, M = _cf_step(P, Q, N, s, M)
+    return P, Q, M
 
 
 def _moebius_to_H(mat):
@@ -227,86 +168,47 @@ def act_2d(a_scalar: Scalar, H: Matrix) -> Scalar:
     return (r + s * a) / denominator
 
 
-def act_2d_quad(a: Quad, H: Matrix) -> Quad:
-    """The same action on normalized quadratic values (used to verify
-    witnesses across different discriminant representations)."""
-    p, r = (x.as_fraction() for x in H.rows[0])
-    q, s = (x.as_fraction() for x in H.rows[1])
-    num = Quad(r, Q(0), a.D).add(Quad(s, Q(0), a.D).mul(a))
-    den = Quad(p, Q(0), a.D).add(Quad(q, Q(0), a.D).mul(a))
-    return num.div(den)
-
-
 def torus_equiv_2d(a, b) -> Matrix | None:
     """GL_2(Z) equivalence of two scalars under the standard action:
     rationals are all equivalent (via 0, Bezout); quadratic irrationals are
-    equivalent iff their continued fractions share a complete quotient;
-    mixed cases are inequivalent.  Returns a witnessing H or None."""
+    equivalent iff b's reduced continued-fraction cycle contains a's first
+    reduced complete quotient; mixed cases are inequivalent.  Returns a
+    witnessing H, checked by act_2d(a, H) = b, or None."""
     qa, qb = scalar_to_quad(a), scalar_to_quad(b)
-    if qa.is_rational() != qb.is_rational():
+    if (qa.v == 0) != (qb.v == 0) or qa.D != qb.D:
         return None
-    if qa.is_rational():
-        Ha = _bezout_to_zero(qa.u)
-        Hb = _bezout_to_zero(qb.u)
-        # a . Ha = 0 and b . Hb = 0, so H = Ha Hb^{-1} sends a to b
-        Hbinv = _int_inverse_2x2(Hb)
-        return _mat_to_matrix(_mat_mul_entries(Ha, Hbinv))
-    if qa.D != qb.D:
-        return None
-    sa, ma, loop_a = continued_fraction_walk(qa)
-    sb, mb, loop_b = continued_fraction_walk(qb)
-    if loop_a is None or loop_b is None:
-        return None
-    keys_b = {s.key(): k for k, s in enumerate(sb)}
-    for ia, st in enumerate(sa):
-        hit = keys_b.get(st.key())
-        if hit is not None:
-            # a = Ma . t, b = Mb . t  =>  b = Mb Ma^{-1} . a
-            Ma, Mb = ma[ia], mb[hit]
-            W = _mat_mul2(Mb, _mat_adj2(Ma))
-            H = _moebius_to_H(W)
-            if not act_2d_quad(qa, H).equals_value(qb):
-                raise InternalError("continued-fraction match does not map "
-                                    "a to b")
-            return H
-    return None
+    if qa.v == 0:
+        # a . Ha = 0 and b . Hb = 0 with det Hb = 1, so H = Ha adj(Hb)
+        H = Matrix(_mat_mul2(_bezout_to_zero(qa.u),
+                             _mat_adj2(_bezout_to_zero(qb.u))))
+    else:
+        # a = (Pa + sqrt N)/Qa and b = (Pb + sqrt N)/Qb over one N, so
+        # equal complete quotients have equal (P, Q)
+        (Pa, Qa, ma), (Pb, Qb, mb) = _surd(qa), _surd(qb)
+        m = lcm(ma, mb)
+        N = qa.D * m * m
+        Pa, Qa, Ma = continued_fraction_walk(Pa * m // ma, Qa * m // ma, N)
+        P, Q, Mb = continued_fraction_walk(Pb * m // mb, Qb * m // mb, N)
+        s = isqrt(N)
+        start = (P, Q)
+        while (P, Q) != (Pa, Qa):
+            P, Q, Mb = _cf_step(P, Q, N, s, Mb)
+            if (P, Q) == start:
+                return None
+        # a = Ma . t and b = Mb . t, so b = Mb Ma^{-1} . a
+        H = _moebius_to_H(_mat_mul2(Mb, _mat_adj2(Ma)))
+    c = act_2d(a, H)
+    if c != b and scalar_to_quad(c) != qb:
+        raise InternalError("equivalence witness does not map a to b")
+    return H
 
 
 def _bezout_to_zero(a: Fraction):
     """H with a . H = 0: for a = p/q reduced, ps + rq = 1 gives
-    H = [[r, -p], [s, q]]."""
+    H = [[r, -p], [s, q]] of determinant 1."""
     p, q = a.numerator, a.denominator
-    if p == 0:
-        return ((1, 0), (0, 1))
-    g, r, s = _xgcd(q, p)
-    if g != 1:
-        raise InternalError(f"{a} is not in lowest terms")
-    # r*q + s*p = 1
-    return ((r, -p), (s, q))
-
-
-def _xgcd(a, b):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _xgcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def _int_inverse_2x2(m):
-    (a, b), (c, d) = m
-    dt = a * d - b * c
-    if abs(dt) != 1:
-        raise InternalError(f"determinant {dt} of a convergent matrix is "
-                            "not +-1")
-    return ((d * dt, -b * dt), (-c * dt, a * dt))
-
-
-def _mat_mul_entries(m1, m2):
-    return _mat_mul2(m1, m2)
-
-
-def _mat_to_matrix(m):
-    return Matrix([[m[0][0], m[0][1]], [m[1][0], m[1][1]]])
+    s = pow(p, -1, q)
+    return (((1 - s * p) // q, -p), (s, q))
 
 
 # ---------------------------------------------------------------------------

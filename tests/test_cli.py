@@ -205,6 +205,13 @@ def test_moduli_cli(capsys):
     code, rep = run(capsys, ["moduli-equiv-2d", "--a", "sqrt:2",
                              "--b", "sqrt:3"])
     assert code == 1
+    # the continued fraction of sqrt(9999991) has period 8096: no step cap
+    code, rep = run(capsys, ["moduli-equiv-2d", "--a", "sqrt:9999991",
+                             "--b", "1+sqrt:9999991"])
+    assert code == 0 and rep["equivalent"] and rep["verified"] is True
+    code, rep = run(capsys, ["moduli-equiv-2d", "--a", "sqrt:10",
+                             "--b", "(1/2)*sqrt:10"])
+    assert code == 1 and rep == {"equivalent": False}
     code, rep = run(capsys, ["p2-orbit", "--a", "-2", "--b", "-3"])
     assert code == 0 and rep["isotropy"] == "trivial"
     code, rep = run(capsys, ["moduli-act", "--hbar", '[["1/2"]]',

@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
-from conftest import EMPTY_WITNESS, random_circle_fan, random_complete_fan
+from conftest import (EMPTY_WITNESS, random_bipyramid_fan, random_circle_fan,
+                      random_complete_fan)
 
 from qtoric.lattice_fan import (CombType, QLattice, QuantumFan,
                                 comb_equivalent, comb_type, d_realizable,
                                 fan_from_max_cones, fan_properties,
                                 gamma_contains, gamma_rank, standardize_fan,
-                                validate_fan)
+                                validate_fan, _is_complete)
 from qtoric.linalg import Matrix
 from qtoric.morphism import check_fan_iso
 from qtoric.scalars import Parameter, Scalar, Witness
@@ -241,3 +243,70 @@ def test_complete_fans_facet_pairing():
                 f = c - {i}
                 facets[f] = facets.get(f, 0) + 1
         assert all(v == 2 for v in facets.values())
+
+
+def _ridge_pairing_complete(fan):
+    """Reference: maximal cones of dimension d, every (d-1)-face in exactly
+    two of them, facet-adjacency graph connected (searched directly)."""
+    d = fan.dim
+    maxc = fan.maximal_cones()
+    if not maxc or any(len(c) != d for c in maxc):
+        return False
+    count = {}
+    for c in maxc:
+        for i in c:
+            count[c - {i}] = count.get(c - {i}, 0) + 1
+    if any(v != 2 for v in count.values()):
+        return False
+    seen, stack = {maxc[0]}, [maxc[0]]
+    while stack:
+        cur = stack.pop()
+        for c in maxc:
+            if c not in seen and len(c & cur) == d - 1:
+                seen.add(c)
+                stack.append(c)
+    return len(seen) == len(maxc)
+
+
+def _poset_fan(dim, nrays, max_cones):
+    rays = [[1] * dim for _ in range(nrays)]
+    return fan_from_max_cones(QLattice(dim, rays), rays, max_cones)
+
+
+def test_is_complete_matches_ridge_pairing_reference():
+    rng = random.Random(23)
+    fans = []
+    for _ in range(8):
+        fans.append(random_circle_fan(rng, rng.randint(3, 7)))
+        fans.append(random_bipyramid_fan(rng, rng.randint(3, 5)))
+        fans.append(random_complete_fan(rng, rng.choice([1, 2, 3])))
+    for fan in list(fans):
+        maxc = [sorted(c) for c in fan.maximal_cones()]
+        # one maximal cone dropped: a ridge lies in one cone only
+        fans.append(_poset_fan(fan.dim, fan.nrays, maxc[1:]))
+        # an extra lower-dimensional maximal cone on a new ray
+        fans.append(_poset_fan(fan.dim, fan.nrays + 1,
+                               maxc + [[fan.nrays + 1]]))
+    fans += [
+        # two disjoint circles: every ridge paired, ridge graph disconnected
+        _poset_fan(2, 6, [[1, 2], [2, 3], [3, 1], [4, 5], [5, 6], [6, 4]]),
+        # octahedron boundary plus a disjoint tetrahedron boundary in R^3
+        _poset_fan(3, 10, [list(c) for c in itertools.product(
+            [1, 2], [3, 4], [5, 6])] + [list(c) for c in
+                                        itertools.combinations(
+                                            [7, 8, 9, 10], 3)]),
+        # a circle of 2-cones in R^3: a pseudomanifold of the wrong dimension
+        _poset_fan(3, 4, [[1, 2], [2, 3], [3, 4], [4, 1]]),
+        # a 1-dimensional pair of cones next to a 2-cone
+        _poset_fan(2, 4, [[1], [2], [3, 4]]),
+        # a ridge in three maximal cones
+        _poset_fan(2, 4, [[1, 2], [1, 3], [1, 4], [2, 3], [3, 4]]),
+        _poset_fan(1, 2, [[1], [2]]),
+        _poset_fan(1, 3, [[1], [2], [3]]),
+    ]
+    results = []
+    for fan in fans:
+        got = _is_complete(fan)
+        assert got == _ridge_pairing_complete(fan), fan.cones
+        results.append(got)
+    assert True in results and False in results

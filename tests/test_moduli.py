@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtoric import moduli
 from qtoric.errors import (NotRational, NotUnimodular, OutOfDomain,
                            OutOfZone, SingularBlock, UnsupportedField)
 from qtoric.linalg import Matrix
 from qtoric.moduli import (act_2d, cal_torus_orbit_maximal, hopf_equiv,
-                           p2_orbit, p2_sigma, p2_tau, torus_act,
-                           torus_equiv_2d, wps_weights,
+                           p2_orbit, p2_sigma, p2_tau, scalar_to_quad,
+                           torus_act, torus_equiv_2d, wps_weights,
                            wps_weights_chart_oracle)
 from qtoric.scalars import Parameter, Scalar, Witness
 
@@ -162,6 +165,128 @@ def test_equiv_2d_transitive_with_witnesses():
 def test_equiv_2d_rejects_transcendental():
     with pytest.raises(UnsupportedField):
         torus_equiv_2d(SA, SB)
+
+
+def _sqrt(D):
+    return Scalar.of_param(Parameter(f"r{D}", "quadratic", D))
+
+
+def _min_poly_discriminant(x: Scalar):
+    """Discriminant B^2 - 4AC of the primitive integer minimal polynomial
+    A X^2 + B X + C of an irrational u + v sqrt(D): a GL_2(Z) invariant."""
+    u, v, D = scalar_to_quad(x)
+    b, c = -2 * u, u * u - v * v * D
+    L = lcm(b.denominator, c.denominator)
+    A, B, C = L, int(b * L), int(c * L)
+    g = gcd(gcd(A, B), C)
+    return (B * B - 4 * A * C) // (g * g)
+
+
+def test_equiv_2d_same_discriminant_inequivalent():
+    # sqrt 10 and sqrt(10)/2 both have discriminant 40, whose two classes
+    # (x^2 - 10 y^2 and 2 x^2 - 5 y^2) keep them apart: b's reduced cycle
+    # returns to its start without meeting a's reduced quotient
+    r10 = _sqrt(10)
+    assert _min_poly_discriminant(r10) == _min_poly_discriminant(r10 / 2)
+    assert torus_equiv_2d(r10, r10 / 2) is None
+    assert torus_equiv_2d(r10 / 2, r10) is None
+    # sqrt(10)/5 = 1/(sqrt(10)/2) is in the class of sqrt(10)/2
+    H = torus_equiv_2d(r10 / 2, r10 / 5)
+    assert H is not None and act_2d(r10 / 2, H) == r10 / 5
+
+
+def test_equiv_2d_match_deep_in_long_period(monkeypatch):
+    # sqrt(1000003) has period 458; b is the complete quotient halfway
+    # through it, so the walk of b's cycle meets a's first reduced quotient
+    # only after about half a period
+    D = 1000003
+    s = isqrt(D)
+    P, Qn = 0, 1
+    for _ in range(229):
+        k = (s + P) // Qn
+        P = k * Qn - P
+        Qn = (D - P * P) // Qn
+    r = _sqrt(D)
+    b = (P + r) / Qn
+    steps = []
+    step = moduli._cf_step
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(moduli, "_cf_step", counted)
+    H = torus_equiv_2d(r, b)
+    assert H is not None and act_2d(r, H) == b
+    assert len(steps) >= 229
+
+
+def test_equiv_2d_across_square_classes_of_one_field():
+    # sqrt 2 and sqrt(8)/2 are one number written with two parameters
+    r2, r8 = _sqrt(2), _sqrt(8)
+    H = torus_equiv_2d(r2, 1 + r8 / 2)
+    assert H is not None
+    assert scalar_to_quad(act_2d(r2, H)) == scalar_to_quad(1 + r8 / 2)
+
+
+def _elementary_product(draws):
+    M = Matrix.identity(2)
+    for i, e in draws:
+        E = [[1, 0], [0, 1]]
+        E[i][1 - i] = e
+        M = M * Matrix(E)
+    return M
+
+
+fractions = st.builds(Q, st.integers(-20, 20), st.integers(1, 12))
+nonzero = fractions.filter(lambda x: x != 0)
+# squarefree, so that scalar_to_quad keeps D as it is
+discriminants = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 21, 94, 151,
+                                 1000003])
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=discriminants, u=fractions, v=nonzero, u2=fractions, v2=nonzero,
+       draws=st.lists(st.tuples(st.integers(0, 1), st.integers(-4, 4)),
+                      max_size=5),
+       flip=st.booleans())
+def test_equiv_2d_randomized_against_invariants(D, u, v, u2, v2, draws,
+                                                flip):
+    r = _sqrt(D)
+    a = u + v * r
+    H = _elementary_product(draws)
+    if flip:
+        H = H * Matrix([[0, 1], [1, 0]])
+    b = act_2d(a, H)
+    H2 = torus_equiv_2d(a, b)
+    assert H2 is not None and act_2d(a, H2) == b
+    # an unrelated b2 of the same field: discriminants of the primitive
+    # minimal polynomials are GL_2(Z) invariants
+    b2 = u2 + v2 * r
+    H3 = torus_equiv_2d(a, b2)
+    if _min_poly_discriminant(a) != _min_poly_discriminant(b2):
+        assert H3 is None
+    elif H3 is not None:
+        assert act_2d(a, H3) == b2
+    assert torus_equiv_2d(a, Scalar.from_fraction(u2)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=discriminants, u=fractions, v=nonzero)
+def test_continued_fraction_walk_is_a_continued_fraction(D, u, v):
+    # v < 0 starts the walk at a negative Q
+    x = u + v * _sqrt(D)
+    P, Qn, m = moduli._surd(scalar_to_quad(x))
+    P2, Q2, M = moduli.continued_fraction_walk(P, Qn, D * m * m)
+    s = isqrt(D * m * m)
+    assert 0 < P2 <= s and s - P2 < Q2 <= s + P2
+    # x = M . y, and every partial quotient after the first is positive, so
+    # after n >= 1 steps the bottom row (q_n, q_n-1) of M is nonnegative and
+    # nondecreasing
+    y = (P2 + m * _sqrt(D)) / Q2
+    assert act_2d(y, moduli._moebius_to_H(M)) == x
+    (_, _), (q1, q0) = M
+    assert M == ((1, 0), (0, 1)) or 0 <= q0 <= q1
 
 
 def test_p2_orbit_full_isotropy():
