@@ -8,11 +8,13 @@ Exit codes: 0 on Valid/true, 1 on Invalid/false, 2 on input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import isqrt
 
 from . import atlas as atlas_mod
 from . import gale_lvmb as gl
@@ -52,10 +54,13 @@ _SQRT_RE = re.compile(r"sqrt:(\d+(?:/\d+)?)")
 
 
 def _cli_scalar(text: str, params: dict, witness_vals: dict) -> Scalar:
-    """Parse a command-line scalar; sqrt:D literals declare quadratic
-    parameters on the fly (positive root at the witness)."""
+    """Parse a command-line scalar: sqrt:D is the root of a rational square
+    D, else it declares a quadratic parameter (positive root at the witness)."""
     def sub(mt):
         d = Q(mt.group(1))
+        root = Q(isqrt(d.numerator), isqrt(d.denominator))
+        if root * root == d:
+            return f"({root})"
         name = f"sqrt{d.numerator}_{d.denominator}"
         if name not in params:
             p = Parameter(name, "quadratic", d)
@@ -324,7 +329,19 @@ SINGLE_FILE_COMMANDS = {
     "lvmb-to-fan": cmd_lvmb_to_fan,
 }
 
+ARGS_COMMANDS = {
+    "comb-equiv": cmd_comb_equiv,
+    "morphism-check": cmd_morphism_check,
+    "cal-morphism-check": cmd_cal_morphism_check,
+    "moduli-act": cmd_moduli_act,
+    "moduli-equiv-2d": cmd_moduli_equiv_2d,
+    "p2-orbit": cmd_p2_orbit,
+    "wps-weights": cmd_wps_weights,
+    "hopf-equiv": cmd_hopf_equiv,
+}
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qtoric",
@@ -399,24 +416,7 @@ def main(argv=None) -> int:
             _emit([{"file": f, "report": payload}
                    for f, (payload, _) in zip(args.files, results)])
             return max(code for _, code in results)
-        if args.command == "comb-equiv":
-            payload, code = cmd_comb_equiv(args)
-        elif args.command == "morphism-check":
-            payload, code = cmd_morphism_check(args)
-        elif args.command == "cal-morphism-check":
-            payload, code = cmd_cal_morphism_check(args)
-        elif args.command == "moduli-act":
-            payload, code = cmd_moduli_act(args)
-        elif args.command == "moduli-equiv-2d":
-            payload, code = cmd_moduli_equiv_2d(args)
-        elif args.command == "p2-orbit":
-            payload, code = cmd_p2_orbit(args)
-        elif args.command == "wps-weights":
-            payload, code = cmd_wps_weights(args)
-        elif args.command == "hopf-equiv":
-            payload, code = cmd_hopf_equiv(args)
-        else:  # pragma: no cover
-            raise InputError(f"unknown command {args.command}")
+        payload, code = ARGS_COMMANDS[args.command](args)
         _emit(payload)
         return code
     except Indeterminate as e:

@@ -1,7 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
-from qtoric.cli import main
+import pytest
+
+import qtoric
+from qtoric.cli import _cli_scalar, build_parser, main
 from qtoric.io import load_fan_file
+from qtoric.scalars import Scalar
 
 P2DEF = {
     "version": 1,
@@ -22,6 +31,13 @@ BLOWUP = {
     "gamma": [["1", "0"], ["0", "1"]],
     "rays": [["1", "0"], ["0", "1"], ["-1", "-1"], ["-1", "0"], ["0", "-1"]],
     "cones": [[1, 2], [2, 4], [3, 4], [3, 5], [1, 5]],
+}
+
+P2STD = {
+    "dim": 2, "params": [], "witness": {},
+    "gamma": [["1", "0"], ["0", "1"]],
+    "rays": [["1", "0"], ["0", "1"], ["-1", "-1"]],
+    "cones": [[1, 2], [2, 3], [3, 1]],
 }
 
 BROKEN = {
@@ -49,6 +65,14 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def fresh(*args):
+    """A new interpreter running `python *args` with qtoric importable."""
+    src = os.path.dirname(os.path.dirname(qtoric.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -259,3 +283,94 @@ def test_indeterminate_exit_code(capsys):
     code, rep = run(capsys, ["p2-orbit", "--a", "sqrt:2-577/408",
                              "--b", "-1"])
     assert code == 0 and rep["isotropy"] == "Z2(sigma.tau)"
+
+
+def test_square_sqrt_literal_is_its_root(capsys):
+    code, rep = run(capsys, ["moduli-equiv-2d", "--a", "sqrt:4", "--b", "2"])
+    assert code == 0 and rep["equivalent"]
+    assert rep["H"] == [["1", "0"], ["0", "1"]]
+    assert run(capsys, ["p2-orbit", "--a=-sqrt:9", "--b", "-1"]) == \
+        run(capsys, ["p2-orbit", "--a", "-3", "--b", "-1"])
+    for text, value in [("3*sqrt:1/4", Fraction(3, 2)), ("sqrt:0", 0),
+                        ("sqrt:49/9-1", Fraction(4, 3))]:
+        params, wvals = {}, {}
+        assert _cli_scalar(text, params, wvals) == Scalar.from_fraction(value)
+        assert params == {} and wvals == {}
+
+
+def test_nonsquare_sqrt_literal_declares_a_parameter():
+    params, wvals = {}, {}
+    x = _cli_scalar("1+sqrt:8/9", params, wvals)
+    (p,) = params.values()
+    assert p.kind == "quadratic" and p.D == Fraction(8, 9)
+    assert wvals == {p: 1} and x.params == {p.name: p}
+    assert not x.is_rational()
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "qtoric":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for _ in range(2):
+        code, rep = run(capsys, ["wps-weights", "--a", "-2", "--b", "-3"])
+        assert code == 0 and rep["weights"] == [1, 2, 3]
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    proc = fresh("-c", """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import qtoric.cli
+print(len(built))
+""")
+    assert proc.returncode == 0 and proc.stdout.split() == ["0"]
+
+
+# first call, its exit code, second call; upper-case words name input files
+SHARED_PARSER_CASES = {
+    "iso-then-morphism": (
+        ["morphism-check", "--morphism", "ID", "--iso", "BLOWUP", "P2"], 1,
+        ["morphism-check", "--morphism", "ID", "BLOWUP", "P2"]),
+    "precision-then-default": (
+        ["p2-orbit", "--a", "sqrt:2-577/408", "--b", "-1",
+         "--precision", "8", "--precision-cap", "8"], 3,
+        ["p2-orbit", "--a", "sqrt:2-577/408", "--b", "-1"]),
+    "batch-then-single": (
+        ["validate", "BLOWUP", "P2", "--jobs", "2"], 0, ["validate", "P2"]),
+    "usage-error-then-good": (
+        ["p2-orbit", "--a", "-2"], 2, ["p2-orbit", "--a", "-2", "--b", "-3"]),
+    "no-command-then-good": ([], 2, ["comb-type", "BLOWUP"]),
+    "schema-then-command": (
+        ["--schema"], 0, ["wps-weights", "--a", "-2", "--b", "-3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_PARSER_CASES))
+def test_shared_parser_keeps_no_state(case, tmp_path, capsys):
+    files = {"BLOWUP": _write(tmp_path, "blowup.json", BLOWUP),
+             "P2": _write(tmp_path, "p2.json", P2STD),
+             "ID": _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]})}
+    first, first_code, second = SHARED_PARSER_CASES[case]
+    try:
+        code = main([files.get(a, a) for a in first])
+    except SystemExit as e:
+        code = e.code
+    capsys.readouterr()
+    assert code == first_code
+    second = [files.get(a, a) for a in second]
+    code, rep = run(capsys, second)
+    proc = fresh("-m", "qtoric.cli", *second)
+    assert (code, rep) == (proc.returncode, json.loads(proc.stdout))
