@@ -422,7 +422,8 @@ def main(argv=None) -> int:
     except Indeterminate as e:
         _emit({"error": {"code": "Indeterminate", "message": str(e)}})
         return EXIT_INDETERMINATE
-    except (QtoricError, OSError, ValueError, KeyError) as e:
+    except (QtoricError, OSError, ValueError, KeyError,
+            ZeroDivisionError) as e:
         _emit({"error": {"code": type(e).__name__, "message": str(e)}})
         return EXIT_INPUT
 

@@ -9,7 +9,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import NamedTuple
 
 from .errors import (InternalError, NotRational, NotUnimodular, OutOfDomain,
                      OutOfZone, SingularBlock, UnsupportedField)
@@ -52,35 +51,14 @@ def torus_act(hbar: Matrix, H: Matrix) -> Matrix:
 # quadratic numbers and continued fractions
 # ---------------------------------------------------------------------------
 
-class Quad(NamedTuple):
-    """u + v*sqrt(D) with rational u, v and squarefree integer D, so equal
-    values have equal fields; v = D = 0 for rationals."""
-    u: Fraction
-    v: Fraction
-    D: int
-
-
-def _squarefree_core(n: int):
-    """(s, c) with n = s^2 * c and c squarefree (trial division)."""
-    s, c = 1, 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            s *= d ** (e // 2)
-            if e % 2:
-                c *= d
-        d += 1
-    return s, c * n
-
-
-def scalar_to_quad(x: Scalar) -> Quad:
-    """Interpret a constant scalar of the supported field as u + v sqrt(D)
-    with D a squarefree integer (so equal values get equal keys);
-    raises UnsupportedField for anything else."""
+def quadratic_surd(x: Scalar):
+    """A constant scalar of the supported field as an intrinsic key: the
+    Fraction x for rational x; for irrational x = u + v sqrt(D) the unique
+    integers (P, Q, N) with x = (P + sqrt N)/Q, Q | N - P^2 and
+    N = B^2 - 4AC, the discriminant of x's primitive integer minimal
+    polynomial A X^2 + B X + C with A > 0.  N is a GL_2(Z) invariant and
+    equal values get equal keys whatever parameter names their field.
+    Raises UnsupportedField for anything else."""
     x = Scalar.coerce(x)
     params = x.params
     quad = [p for p in params.values() if p.kind == "quadratic"]
@@ -89,28 +67,19 @@ def scalar_to_quad(x: Scalar) -> Quad:
         raise UnsupportedField(
             "2d equivalence supports rational and quadratic scalars only")
     if not quad:
-        return Quad(x.as_fraction(), Q(0), 0)
+        return x.as_fraction()
     p = quad[0]
-    coeffs = x.affine_coefficients([p.name])
-    u, v = coeffs[0], coeffs[1]
+    u, v = x.affine_coefficients([p.name])
     if v == 0:
-        return Quad(u, Q(0), 0)
-    # v sqrt(p/q) = (v/q) sqrt(pq); pull the square part out of pq
-    D = p.D
-    s, core = _squarefree_core(D.numerator * D.denominator)
-    return Quad(u, v * s / D.denominator, core)
-
-
-def _surd(x: Quad):
-    """Integers (P, Q, m) with x = (P + sqrt(D m^2))/Q and Q | D m^2 - P^2,
-    for irrational x = u + v sqrt(D)."""
-    C = lcm(x.u.denominator, x.v.denominator)
-    A, B = int(x.u * C), int(x.v * C)
-    if B < 0:
-        A, B, C = -A, -B, -C
-    # x = (A + sqrt(D B^2))/C; scale by k so that Ck divides k^2 (D B^2 - A^2)
-    k = abs(C) // gcd(C, x.D * B * B - A * A)
-    return A * k, C * k, B * k
+        return u
+    # X^2 - 2u X + (u^2 - v^2 D) times the lcm A of its denominators is
+    # primitive: were a prime p to divide A, B and C, A/p would clear them
+    b, c = -2 * u, u * u - v * v * p.D
+    A = lcm(b.denominator, c.denominator)
+    B, C = int(b * A), int(c * A)
+    N = B * B - 4 * A * C
+    # x is the larger root (-B + sqrt N)/(2A) iff v > 0
+    return (-B, 2 * A, N) if v > 0 else (B, -2 * A, N)
 
 
 def _cf_step(P, Q, N, s, M):
@@ -174,21 +143,22 @@ def torus_equiv_2d(a, b) -> Matrix | None:
     equivalent iff b's reduced continued-fraction cycle contains a's first
     reduced complete quotient; mixed cases are inequivalent.  Returns a
     witnessing H, checked by act_2d(a, H) = b, or None."""
-    qa, qb = scalar_to_quad(a), scalar_to_quad(b)
-    if (qa.v == 0) != (qb.v == 0) or qa.D != qb.D:
+    sa, sb = quadratic_surd(a), quadratic_surd(b)
+    if isinstance(sa, Fraction) != isinstance(sb, Fraction):
         return None
-    if qa.v == 0:
+    if isinstance(sa, Fraction):
         # a . Ha = 0 and b . Hb = 0 with det Hb = 1, so H = Ha adj(Hb)
-        H = Matrix(_mat_mul2(_bezout_to_zero(qa.u),
-                             _mat_adj2(_bezout_to_zero(qb.u))))
+        H = Matrix(_mat_mul2(_bezout_to_zero(sa),
+                             _mat_adj2(_bezout_to_zero(sb))))
+    elif sa[2] != sb[2]:
+        # the discriminant N is a GL_2(Z) invariant
+        return None
     else:
-        # a = (Pa + sqrt N)/Qa and b = (Pb + sqrt N)/Qb over one N, so
-        # equal complete quotients have equal (P, Q)
-        (Pa, Qa, ma), (Pb, Qb, mb) = _surd(qa), _surd(qb)
-        m = lcm(ma, mb)
-        N = qa.D * m * m
-        Pa, Qa, Ma = continued_fraction_walk(Pa * m // ma, Qa * m // ma, N)
-        P, Q, Mb = continued_fraction_walk(Pb * m // mb, Qb * m // mb, N)
+        # a and b are written over one N, so equal complete quotients have
+        # equal (P, Q)
+        Pa, Qa, Ma = continued_fraction_walk(*sa)
+        P, Q, Mb = continued_fraction_walk(*sb)
+        N = sa[2]
         s = isqrt(N)
         start = (P, Q)
         while (P, Q) != (Pa, Qa):
@@ -198,7 +168,7 @@ def torus_equiv_2d(a, b) -> Matrix | None:
         # a = Ma . t and b = Mb . t, so b = Mb Ma^{-1} . a
         H = _moebius_to_H(_mat_mul2(Mb, _mat_adj2(Ma)))
     c = act_2d(a, H)
-    if c != b and scalar_to_quad(c) != qb:
+    if c != b and quadratic_surd(c) != sb:
         raise InternalError("equivalence witness does not map a to b")
     return H
 

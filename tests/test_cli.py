@@ -91,6 +91,16 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 2 and "error" in payload
 
 
+@pytest.mark.parametrize("argv", [
+    ["moduli-equiv-2d", "--a", "1/0", "--b", "2"],
+    ["moduli-equiv-2d", "--a", "sqrt:4/0", "--b", "2"],
+    ["wps-weights", "--a", "1/0", "--b", "2"],
+])
+def test_zero_denominator_is_an_input_error(argv, capsys):
+    code, payload = run(capsys, argv)
+    assert code == 2 and payload["error"]["code"] == "ZeroDivisionError"
+
+
 def test_schema_flag(capsys):
     code, payload = run(capsys, ["--schema"])
     assert code == 0 and payload["version"] == 1

@@ -11,7 +11,7 @@ from qtoric.errors import (NotRational, NotUnimodular, OutOfDomain,
                            OutOfZone, SingularBlock, UnsupportedField)
 from qtoric.linalg import Matrix
 from qtoric.moduli import (act_2d, cal_torus_orbit_maximal, hopf_equiv,
-                           p2_orbit, p2_sigma, p2_tau, scalar_to_quad,
+                           p2_orbit, p2_sigma, p2_tau, quadratic_surd,
                            torus_act, torus_equiv_2d, wps_weights,
                            wps_weights_chart_oracle)
 from qtoric.scalars import Parameter, Scalar, Witness
@@ -174,8 +174,9 @@ def _sqrt(D):
 def _min_poly_discriminant(x: Scalar):
     """Discriminant B^2 - 4AC of the primitive integer minimal polynomial
     A X^2 + B X + C of an irrational u + v sqrt(D): a GL_2(Z) invariant."""
-    u, v, D = scalar_to_quad(x)
-    b, c = -2 * u, u * u - v * v * D
+    (p,) = x.params.values()
+    u, v = x.affine_coefficients([p.name])
+    b, c = -2 * u, u * u - v * v * p.D
     L = lcm(b.denominator, c.denominator)
     A, B, C = L, int(b * L), int(c * L)
     g = gcd(gcd(A, B), C)
@@ -226,7 +227,32 @@ def test_equiv_2d_across_square_classes_of_one_field():
     r2, r8 = _sqrt(2), _sqrt(8)
     H = torus_equiv_2d(r2, 1 + r8 / 2)
     assert H is not None
-    assert scalar_to_quad(act_2d(r2, H)) == scalar_to_quad(1 + r8 / 2)
+    assert quadratic_surd(act_2d(r2, H)) == quadratic_surd(1 + r8 / 2)
+
+
+def test_equiv_2d_unequal_discriminants_skip_the_walk(monkeypatch):
+    # the primitive minimal polynomials of a and b have discriminants
+    # 51840155520000 and 792987978956800, a GL_2(Z) invariant, so the pair
+    # is decided without a walk; walked over one common scaled N, it took
+    # 931147 cycle steps
+    r = _sqrt(1000003)
+    a = Q(-3, 5) + Q(16, 9) * r
+    b = Q(5, 8) - Q(20, 11) * r
+    assert _min_poly_discriminant(a) != _min_poly_discriminant(b)
+
+    def walk(*args):
+        raise AssertionError("continued_fraction_walk entered")
+
+    monkeypatch.setattr(moduli, "continued_fraction_walk", walk)
+    assert torus_equiv_2d(a, b) is None
+
+
+def test_equiv_2d_huge_discriminant():
+    # the key of sqrt D is read off its minimal polynomial X^2 - D; finding
+    # the square part of D by trial division would take O(sqrt D) steps
+    r = _sqrt(10000000000000000051)
+    H = torus_equiv_2d(r, 1 + r)
+    assert H is not None and act_2d(r, H) == 1 + r
 
 
 def _elementary_product(draws):
@@ -240,7 +266,7 @@ def _elementary_product(draws):
 
 fractions = st.builds(Q, st.integers(-20, 20), st.integers(1, 12))
 nonzero = fractions.filter(lambda x: x != 0)
-# squarefree, so that scalar_to_quad keeps D as it is
+# squarefree, so that each field is named by one parameter
 discriminants = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 21, 94, 151,
                                  1000003])
 
@@ -271,22 +297,50 @@ def test_equiv_2d_randomized_against_invariants(D, u, v, u2, v2, draws,
     assert torus_equiv_2d(a, Scalar.from_fraction(u2)) is None
 
 
+def _sqrt_ratio(N, D):
+    """The rational m >= 0 with sqrt N = m sqrt D."""
+    r = Q(N) / D
+    m = Q(isqrt(r.numerator), isqrt(r.denominator))
+    assert m * m == r
+    return m
+
+
 @settings(max_examples=60, deadline=None)
 @given(D=discriminants, u=fractions, v=nonzero)
 def test_continued_fraction_walk_is_a_continued_fraction(D, u, v):
     # v < 0 starts the walk at a negative Q
     x = u + v * _sqrt(D)
-    P, Qn, m = moduli._surd(scalar_to_quad(x))
-    P2, Q2, M = moduli.continued_fraction_walk(P, Qn, D * m * m)
-    s = isqrt(D * m * m)
+    P, Qn, N = quadratic_surd(x)
+    P2, Q2, M = moduli.continued_fraction_walk(P, Qn, N)
+    s = isqrt(N)
     assert 0 < P2 <= s and s - P2 < Q2 <= s + P2
     # x = M . y, and every partial quotient after the first is positive, so
     # after n >= 1 steps the bottom row (q_n, q_n-1) of M is nonnegative and
     # nondecreasing
-    y = (P2 + m * _sqrt(D)) / Q2
+    y = (P2 + _sqrt_ratio(N, D) * _sqrt(D)) / Q2
     assert act_2d(y, moduli._moebius_to_H(M)) == x
     (_, _), (q1, q0) = M
     assert M == ((1, 0), (0, 1)) or 0 <= q0 <= q1
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.sampled_from([8, 12, 50, Q(8, 9), Q(5, 4), 4 * 1000003]),
+       u=fractions, v=nonzero,
+       draws=st.lists(st.tuples(st.integers(0, 1), st.integers(-4, 4)),
+                      max_size=5))
+def test_quadratic_surd_is_the_minimal_polynomial_key(D, u, v, draws):
+    r = _sqrt(D)
+    x = u + v * r
+    P, Qn, N = quadratic_surd(x)
+    assert (P + _sqrt_ratio(N, D) * r) / Qn == x
+    assert (N - P * P) % Qn == 0
+    assert N == _min_poly_discriminant(x)
+    # N is a GL_2(Z) invariant
+    assert quadratic_surd(act_2d(x, _elementary_product(draws)))[2] == N
+    # the key depends on the value, not on the parameter naming the field
+    r2, r8 = _sqrt(2), _sqrt(8)
+    assert quadratic_surd(u + v * r2) == quadratic_surd(u + v * r8 / 2)
+    assert quadratic_surd(u + 0 * r) == u
 
 
 def test_p2_orbit_full_isotropy():

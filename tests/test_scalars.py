@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qtoric.calibration import Calibration, kernel_rank
 from qtoric.errors import Indeterminate, UnsupportedField
 from qtoric.lattice_fan import QLattice, gamma_rank
-from qtoric.moduli import scalar_to_quad
+from qtoric.moduli import quadratic_surd
 from qtoric.scalars import Parameter, Poly, Scalar, Sign, Witness, sign_at
 
 A = Parameter("a")
@@ -196,8 +196,8 @@ def test_collapsed_parametric_constant_keeps_params(x):
     assert hash(c) == hash(X) and str(c) == str(X)
     # readers of params see the parameter the value was computed from
     with pytest.raises(UnsupportedField):
-        scalar_to_quad(c)
-    assert scalar_to_quad(X).u == x
+        quadratic_surd(c)
+    assert quadratic_surd(X) == x
 
 
 def test_collapsed_constants_in_lattice_ranks():
