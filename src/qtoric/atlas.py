@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from .calibration import CalibratedFan
 from .errors import EmptyIntersection, Singular
 from .lattice_fan import QuantumFan
-from .linalg import Matrix, mat_inverse, rank
+from .linalg import Matrix, mat_inverse, pivot_columns
 from .scalars import Scalar
 
 
 @dataclass
 class ChartData:
-    cone: tuple            # sorted ray indices of the maximal cone
+    cone: tuple            # ray indices of the maximal cone, in chart order
     A: Matrix              # the chart matrix A_I
     completion: tuple      # canonical basis indices used when |I| < d
     H: Matrix | None = None        # permutation H_I (calibrated case)
@@ -49,37 +49,42 @@ def _ordered(cone):
     return list(cone)
 
 
+def _basis(fan: QuantumFan, cone, completion=None) -> tuple:
+    """(B_I, completion): the columns of B_I are the cone's rays in order,
+    then the canonical vectors e_j for j in the completion, so that
+    B_I = A_I^-1.  Without a given completion, the leftmost pivots of
+    (rays, e_1, ..., e_d) choose it."""
+    rays = [fan.ray(i) for i in _ordered(cone)]
+    eye = Matrix.identity(fan.dim).rows
+    if completion is None:
+        k = len(rays)
+        piv = pivot_columns(rays + list(eye))
+        if piv[:k] != list(range(k)):
+            raise Singular("cone generators do not extend to a basis")
+        completion = tuple(j - k + 1 for j in piv[k:])
+    cols = rays + [eye[j - 1] for j in completion]
+    return Matrix.from_columns(cols), completion
+
+
 def chart_matrix(fan: QuantumFan, cone) -> tuple:
     """A_I for a maximal cone: the exact inverse of the generator matrix,
     completed (when |I| < d) by canonical basis vectors chosen greedily in
     index order.  Returns (A_I, completion indices)."""
-    cone = _ordered(cone)
-    gens = [fan.ray(i) for i in cone]
-    cols = list(gens)
-    completion = []
-    eye = Matrix.identity(fan.dim)
-    for j in range(fan.dim):
-        if len(cols) == fan.dim:
-            break
-        cand = cols + [eye.rows[j]]
-        if rank(Matrix.from_columns(cand)) == len(cand):
-            cols.append(eye.rows[j])
-            completion.append(j + 1)
-    if len(cols) != fan.dim:
-        raise Singular("cone generators do not extend to a basis")
-    return mat_inverse(Matrix.from_columns(cols)), tuple(completion)
+    B, completion = _basis(fan, cone)
+    return mat_inverse(B), completion
 
 
 def gluing_exponents(fan: QuantumFan, cone_from, cone_to) -> Matrix:
-    """Exponent matrix M with z_to = z_from^M, i.e. (A_to A_from^-1)^T.
+    """Exponent matrix M with z_to = z_from^M, i.e. (A_to A_from^-1)^T,
+    computed as (A_to B_from)^T.
 
     Requires two maximal cones with nonempty intersection."""
     if not frozenset(cone_from) & frozenset(cone_to):
         raise EmptyIntersection(
             f"{_ordered(cone_from)} and {_ordered(cone_to)} are disjoint")
-    A_from, _ = chart_matrix(fan, cone_from)
+    B_from, _ = _basis(fan, cone_from)
     A_to, _ = chart_matrix(fan, cone_to)
-    return (A_to * mat_inverse(A_from)).transpose()
+    return (A_to * B_from).transpose()
 
 
 def shared_rows_are_identity(fan: QuantumFan, cone_from, cone_to) -> bool:
@@ -104,12 +109,15 @@ def chart_calibration(cf: CalibratedFan, cone) -> tuple:
     """(H_I, hbar_I): the permutation aligning the cone's calibration
     indices with the leading coordinates, and the chart calibration making
     h_I = A_I h H_I^{-1} standard (h_I = [Id | hbar_I])."""
-    cal, fan = cf.cal, cf.fan
+    A_I, _ = chart_matrix(cf.fan, cone)
+    return _chart_calibration(cf, cone, A_I)
+
+
+def _chart_calibration(cf: CalibratedFan, cone, A_I: Matrix) -> tuple:
+    cal = cf.cal
     n, d = cal.n, cal.d
-    cone = _ordered(cone)
-    A_I, _ = chart_matrix(fan, cone)
     # calibration indices of the cone's rays, in cone order
-    cone_cal_idx = [cf.index_of_ray(ray) for ray in cone]
+    cone_cal_idx = [cf.index_of_ray(ray) for ray in _ordered(cone)]
     rest = [i for i in range(1, n + 1) if i not in cone_cal_idx]
     order = cone_cal_idx + rest
     pos = {src: t + 1 for t, src in enumerate(order)}
@@ -123,19 +131,34 @@ def chart_calibration(cf: CalibratedFan, cone) -> tuple:
     return H_I, hbar
 
 
+def _gluings(fan: QuantumFan, charts) -> dict:
+    """{(I, J): (A_J B_I)^T} over the ordered pairs of distinct
+    intersecting charts, both directions of a pair next to each other."""
+    B = {c.cone: _basis(fan, c.cone, c.completion)[0] for c in charts}
+    out = {}
+    for c1, c2 in itertools.combinations(charts, 2):
+        if frozenset(c1.cone) & frozenset(c2.cone):
+            for src, dst in ((c1, c2), (c2, c1)):
+                out[src.cone, dst.cone] = (dst.A * B[src.cone]).transpose()
+    return out
+
+
+def _cocycle(gluings: dict) -> bool:
+    """M_IJ M_JK = M_IK for every triple of pairwise intersecting cones."""
+    cones = list(dict.fromkeys(I for I, _ in gluings))
+    for I, J, K in itertools.combinations(cones, 3):
+        if (I, J) in gluings and (J, K) in gluings and (I, K) in gluings:
+            if gluings[I, J] * gluings[J, K] != gluings[I, K]:
+                return False
+    return True
+
+
 def cocycle_check(fan: QuantumFan) -> bool:
     """A_IK = A_JK A_IJ symbolically for every triple of pairwise
     intersecting maximal cones (exponent convention included)."""
-    maxc = [frozenset(c) for c in fan.maximal_cones()]
-    for I, J, K in itertools.combinations(maxc, 3):
-        if not (I & J and J & K and I & K):
-            continue
-        M_IJ = gluing_exponents(fan, I, J)
-        M_JK = gluing_exponents(fan, J, K)
-        M_IK = gluing_exponents(fan, I, K)
-        if M_IJ * M_JK != M_IK:
-            return False
-    return True
+    maxc = sorted(tuple(sorted(c)) for c in fan.maximal_cones())
+    charts = [ChartData(c, *chart_matrix(fan, c)) for c in maxc]
+    return _cocycle(_gluings(fan, charts))
 
 
 @dataclass
@@ -209,21 +232,14 @@ def atlas_report(cf_or_fan, cone_orders=None) -> dict:
             for c in sorted(fan.maximal_cones(), key=lambda c: sorted(c))]
     charts = []
     for cone in maxc:
-        A, completion = chart_matrix(fan, cone)
-        chart = ChartData(tuple(cone), A, completion)
+        chart = ChartData(cone, *chart_matrix(fan, cone))
         if cf is not None:
-            chart.H, chart.hbar = chart_calibration(cf, cone)
+            chart.H, chart.hbar = _chart_calibration(cf, cone, chart.A)
         charts.append(chart)
-    gluings = []
-    for c1, c2 in itertools.combinations(maxc, 2):
-        if not (frozenset(c1) & frozenset(c2)):
-            continue
-        for src, dst in ((c1, c2), (c2, c1)):
-            M = gluing_exponents(fan, src, dst)
-            gluings.append({"from": list(src), "to": list(dst),
-                            "exponents": [[str(x) for x in r]
-                                          for r in M.rows]})
+    gluings = _gluings(fan, charts)
     return {"charts": [c.to_json() for c in charts],
-            "gluings": gluings,
-            "cocycle": cocycle_check(fan),
+            "gluings": [{"from": list(src), "to": list(dst),
+                         "exponents": [[str(x) for x in r] for r in M.rows]}
+                        for (src, dst), M in gluings.items()],
+            "cocycle": _cocycle(gluings),
             "irrelevant": build_irrelevant(cf if cf else fan).to_json()}

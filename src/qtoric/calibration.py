@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotGammaComplete
+from .errors import InternalError, NotGammaComplete
 from .lattice_fan import (QLattice, QuantumFan, gamma_contains, gamma_rank,
                           _is_gamma_complete)
-from .linalg import Matrix, int_kernel, mat_inverse, rank, rational_to_int_rows
+from .linalg import (Matrix, int_kernel, mat_inverse, pivot_columns, rank,
+                     rational_to_int_rows)
 from .scalars import Scalar
 
 
@@ -117,7 +118,7 @@ def kernel_rank(cal: Calibration):
     basis = int_kernel(introws)
     a = cal.n - gamma_rank(QLattice(cal.d, cal.images))
     if len(basis) != a:
-        raise AssertionError("kernel rank mismatch (non-independent witness?)")
+        raise InternalError("kernel rank mismatch (non-independent witness?)")
     return a, basis
 
 
@@ -136,33 +137,17 @@ def standardize_calibration(cf: CalibratedFan):
     I' = {1..k, d+1..d+p-k}.  Returns ((fan', cal'), (L, H, s))."""
     cal, fan = cf.cal, cf.fan
     n, d, p = cal.n, cal.d, fan.nrays
-    # pick the lexicographically first independent set among the ray images
-    chosen = []
-    cols = []
-    for i in cal.I:
-        cand = cols + [cal.image(i)]
-        if rank(Matrix.from_columns(cand)) == len(cand):
-            chosen.append(i)
-            cols.append(cal.image(i))
-        if len(chosen) == d:
-            break
-    k = len(chosen)
-    # complete with non-virtual non-ray images, lexicographically first
-    completion = []
-    for i in range(1, n + 1):
-        if len(chosen) + len(completion) == d:
-            break
-        if i in cal.J or i in cal.I:
-            continue
-        cand = cols + [cal.image(i)]
-        if rank(Matrix.from_columns(cand)) == len(cand):
-            completion.append(i)
-            cols.append(cal.image(i))
-    if len(cols) != d:
+    # the lexicographically first independent set among the ray images,
+    # completed by non-virtual non-ray images, lexicographically first
+    others = [i for i in range(1, n + 1) if i not in cal.J and i not in cal.I]
+    candidates = list(cal.I) + others
+    basis_idx = [candidates[j] for j in
+                 pivot_columns([cal.image(i) for i in candidates])]
+    if len(basis_idx) != d:
         raise ValueError("non-virtual images do not span R^d")
-    L = mat_inverse(Matrix.from_columns(cols))
+    L = mat_inverse(Matrix.from_columns([cal.image(i) for i in basis_idx]))
+    chosen = [i for i in basis_idx if i in cal.I]
     # target ordering of the source indices
-    basis_idx = chosen + completion
     rest_rays = [i for i in cal.I if i not in chosen]
     rest_nonvirtual = [i for i in range(1, n + 1)
                        if i not in cal.J and i not in basis_idx

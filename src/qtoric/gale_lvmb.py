@@ -16,10 +16,11 @@ from fractions import Fraction
 from . import lp
 from .calibration import CalibratedFan, Calibration
 from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
-                     RankDeficient, SearchBoundExceeded, Singular)
+                     RankDeficient, SearchBoundExceeded, Singular,
+                     UnsupportedEntries)
 from .lattice_fan import QLattice, QuantumFan, _is_complete
-from .linalg import (Matrix, fraction_matrix_kernel_int, int_rank,
-                     kernel_basis, rank)
+from .linalg import (Matrix, det, fraction_matrix_kernel_int, kernel_basis,
+                     mat_inverse, pivot_columns, rank)
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
 
@@ -83,7 +84,6 @@ def gale_affine(vectors, normalization: str = "pivot") -> GaleData:
     if normalization == "tail":
         width = G.ncols
         tail = Matrix(G.rows[-width:])
-        from .linalg import mat_inverse
         try:
             G = G * mat_inverse(tail)
         except Singular as e:
@@ -290,15 +290,8 @@ def lvmb_to_fan(datum: LVMBDatum) -> CalibratedFan:
     J = [i for i in indis if i != N]
     I = [i for i in range(1, n + 1) if i not in J]
     # standardize: first independent ray rows -> canonical basis
-    chosen = []
-    for i in I:
-        cand = [vbar[j - 1] for j in chosen] + [vbar[i - 1]]
-        if rank(Matrix(cand)) == len(cand):
-            chosen.append(i)
-        if len(chosen) == d:
-            break
+    chosen = [I[j] for j in pivot_columns([vbar[i - 1] for i in I])]
     if len(chosen) == d:
-        from .linalg import mat_inverse
         T = mat_inverse(Matrix([vbar[i - 1] for i in chosen])).transpose()
         vbar = [T.apply(v) for v in vbar]
     v = [tuple(x) for x in vbar[:n]]
@@ -328,19 +321,11 @@ def roundtrip_marked_iso(original: CalibratedFan, recovered: CalibratedFan,
     core: h' = L h exactly, L invertible, identical cone poset and virtual
     data (which implies all five morphism conditions for the index-identity
     correspondence)."""
-    from .errors import UnsupportedEntries
-    from .linalg import det, mat_inverse
     cal, cal2 = original.cal, recovered.cal
     if cal.n != cal2.n or cal.d != cal2.d:
         return CheckResult.invalid("shape")
     # find d independent images to pin L down
-    chosen = []
-    for i in range(1, cal.n + 1):
-        cand = [cal.image(j) for j in chosen] + [cal.image(i)]
-        if rank(Matrix.from_columns(cand)) == len(cand):
-            chosen.append(i)
-        if len(chosen) == cal.d:
-            break
+    chosen = [j + 1 for j in pivot_columns(cal.images)]
     if len(chosen) < cal.d:
         return CheckResult.invalid("degenerate")
     B = Matrix.from_columns([cal.image(i) for i in chosen])
@@ -489,7 +474,6 @@ class ComplexMatrix:
 
     def inverse(self) -> "ComplexMatrix":
         # invert via the real 2n x 2n embedding [[re, -im], [im, re]]
-        from .linalg import mat_inverse
         n = self.re.nrows
         big = []
         for i in range(n):

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp
-from .linalg import (Matrix, int_rank, int_solve, mat_inverse, rank,
-                     rational_to_int_rows, solve_right)
+from .linalg import (Matrix, int_rank, int_solve, mat_inverse, pivot_columns,
+                     rank, rational_to_int_rows, solve_right)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -450,26 +450,8 @@ def standardize_fan(fan: QuantumFan):
     """Standard form: the lexicographically first linearly independent
     subset of the rays is mapped to the canonical basis of the span,
     completed greedily by canonical vectors; returns (fan', L)."""
-    d = fan.dim
-    chosen = []
-    chosen_cols = []
-    for i in range(1, fan.nrays + 1):
-        cand = chosen_cols + [fan.ray(i)]
-        if rank(Matrix.from_columns(cand)) == len(cand):
-            chosen.append(i)
-            chosen_cols.append(fan.ray(i))
-        if len(chosen) == d:
-            break
-    l = len(chosen)
-    cols = list(chosen_cols)
-    eye = Matrix.identity(d)
-    for j in range(d):
-        if len(cols) == d:
-            break
-        cand = cols + [eye.rows[j]]
-        if rank(Matrix.from_columns(cand)) == len(cand):
-            cols.append(eye.rows[j])
-    B = Matrix.from_columns(cols)
+    cols = list(fan.rays) + list(Matrix.identity(fan.dim).rows)
+    B = Matrix.from_columns([cols[j] for j in pivot_columns(cols)])
     L = mat_inverse(B)
     new_rays = [L.apply(v) for v in fan.rays]
     new_gamma = fan.gamma.transform(L)

@@ -167,6 +167,14 @@ def rank(M: Matrix) -> int:
     return len(pivots)
 
 
+def pivot_columns(cols) -> list:
+    """Indices of the leftmost linearly independent columns: column j is
+    picked exactly when it is independent of columns 0..j-1, so the picks
+    are the greedy, lexicographically first basis of the span."""
+    _, pivots = _rref(Matrix.from_columns(cols).rows)
+    return pivots
+
+
 def det(M: Matrix) -> Scalar:
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
@@ -199,8 +207,8 @@ def mat_inverse(M: Matrix) -> Matrix:
     if M.nrows != M.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = M.nrows
-    aug = [list(M.rows[i]) + list(Matrix.identity(n).rows[i])
-           for i in range(n)]
+    eye = Matrix.identity(n).rows
+    aug = [list(M.rows[i]) + list(eye[i]) for i in range(n)]
     red, pivots = _rref(aug)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise Singular("matrix is symbolically singular")
@@ -290,9 +298,6 @@ def hnf(M) -> tuple:
                 if q:
                     addmul(i, r, -q)
             r += 1
-            if r == m:
-                # reduce remaining columns above earlier pivots: handled above
-                pass
     return A, U
 
 
@@ -355,13 +360,12 @@ def int_solve(M, b) -> tuple | None:
     if m == 0:
         return None
     n = len(A[0])
-    At = [list(col) for col in zip(*A)] + []
+    At = [list(col) for col in zip(*A)]
     # solve x^T M^T = b^T: row-reduce [M^T] with transform, then express b
     H, U = hnf(At)
     # H = U * M^T ; want y with y H = b  =>  x = y U
     y = [0] * len(H)
     rem = list(map(int, b))
-    used = [False] * len(H)
     for i, row in enumerate(H):
         piv = next((j for j, v in enumerate(row) if v != 0), None)
         if piv is None:
@@ -372,7 +376,6 @@ def int_solve(M, b) -> tuple | None:
         y[i] = q
         if q:
             rem = [a - q * v for a, v in zip(rem, row)]
-        used[i] = True
     if any(v != 0 for v in rem):
         return None
     x = [0] * n

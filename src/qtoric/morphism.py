@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .calibration import CalibratedFan, induced_fan, kernel_rank
 from .errors import DomainMismatch, SearchBoundExceeded
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import Matrix, det, int_det, int_solve, solve_right
+from .linalg import Matrix, det, int_det, int_solve, mat_inverse, solve_right
 from .scalars import Scalar, Sign, Witness, sign_at
 
 
@@ -139,7 +139,6 @@ def check_fan_iso(L: Matrix, src: QuantumFan, dst: QuantumFan,
     for g in src.gamma.generators:
         if gamma_contains(dst.gamma, L.apply(g)) is None:
             return CheckResult.invalid("lattice_forward")
-    from .linalg import mat_inverse
     Linv = mat_inverse(L)
     for g in dst.gamma.generators:
         if gamma_contains(src.gamma, Linv.apply(g)) is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import Indeterminate, UnsupportedEntries
 
@@ -347,6 +347,12 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
             cr = _content([c for c in B[: dr + 1] if not c.is_zero()])
             if cr is not None and not cr.is_const():
                 B = [poly_divexact(c, cr) if not c.is_zero() else c for c in B]
+            # the rational content too, or the coefficients grow
+            # exponentially along the sequence
+            coeffs = [x for c in B for x in c.terms.values()]
+            k = Q(gcd(*(x.numerator for x in coeffs)),
+                  lcm(*(x.denominator for x in coeffs)))
+            B = [c.scale(1 / k) for c in B]
     da = _udeg(A)
     prim = _from_univariate(A[: da + 1], v, params) if da >= 0 else Poly.const(1, params)
     cg = _content([c for c in A[: da + 1] if not c.is_zero()])

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import random_bipyramid_fan, random_circle_fan
+from conftest import (random_bipyramid_fan, random_circle_fan,
+                      random_even_calibrated_fan)
 
+import qtoric.atlas as atlas_mod
 from qtoric.atlas import (atlas_report, build_irrelevant, chart_calibration,
                           chart_matrix, cocycle_check, gluing_exponents,
                           shared_rows_are_identity)
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
-from qtoric.errors import EmptyIntersection
+from qtoric.errors import EmptyIntersection, Singular
 from qtoric.gale_lvmb import gale_linear, lemmah_defect
-from qtoric.lattice_fan import QLattice, fan_from_max_cones
+from qtoric.lattice_fan import QLattice, QuantumFan, fan_from_max_cones
 from qtoric.linalg import Matrix, mat_inverse
 from qtoric.scalars import Parameter, Scalar, Witness
 
@@ -50,6 +52,16 @@ def test_chart_matrix_completion_for_low_dimensional_cone():
     assert completion == (1,)
     col = A1.apply(fan.ray(1))
     assert [str(x) for x in col] == ["1", "0"]
+
+
+def test_chart_matrix_dependent_cone_is_singular():
+    fan = QuantumFan(QLattice(2, [[1, 0], [0, 1]]),
+                     [[1, 0], [2, 0], [0, 0]], [[1, 2], [3]])
+    for cone in ((1, 2), (3,)):
+        with pytest.raises(Singular, match="do not extend to a basis"):
+            chart_matrix(fan, cone)
+    with pytest.raises(Singular):
+        gluing_exponents(fan, (1, 2), (2, 1))
 
 
 def test_gluing_exponents_p2():
@@ -136,6 +148,17 @@ def test_cocycle_negative_control():
     assert good and not bad
 
 
+def test_report_cocycle_rejects_a_corrupted_gluing():
+    fan = p2_deformation()
+    charts = [atlas_mod.ChartData(c, *chart_matrix(fan, c))
+              for c in ((1, 2), (2, 3), (3, 1))]
+    gluings = atlas_mod._gluings(fan, charts)
+    assert atlas_mod._cocycle(gluings)
+    shear = Matrix([[ONE, ONE], [ZERO, ONE]])
+    gluings[(1, 2), (3, 1)] = shear * gluings[(1, 2), (3, 1)]
+    assert not atlas_mod._cocycle(gluings)
+
+
 def test_irrelevant_blowup():
     bu = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1]]),
                             [[1, 0], [0, 1], [-1, -1], [-1, 0], [0, -1]],
@@ -189,3 +212,58 @@ def test_atlas_report_shape():
     assert by_cone[(2, 3)]["A"] == [["(-b)/(a)", "1"], ["(1)/(a)", "0"]]
     assert by_cone[(3, 1)]["A"] == [["0", "(1)/(b)"], ["1", "(-a)/(b)"]]
     assert by_cone[(1, 2)]["hbar"] == [["a"], ["b"]]
+
+
+def _report_cases():
+    rng = random.Random(9)
+    p2 = p2_deformation()
+    return [
+        (p2, [(1, 2), (2, 3), (3, 1)]),              # parametric, written
+        (trivial_calibration(p2), [(3, 1)]),           # calibrated
+        (random_even_calibrated_fan(rng, 2), None),    # virtual generators
+        (random_bipyramid_fan(rng, 4), None),          # 3-d
+    ]
+
+
+def _strings(M):
+    return [[str(x) for x in r] for r in M.rows]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_atlas_report_charts_each_maximal_cone_once(monkeypatch, case):
+    target, orders = _report_cases()[case]
+    fan = getattr(target, "fan", target)
+    calls = []
+    real = atlas_mod.chart_matrix
+
+    def counting(fan, cone):
+        calls.append(frozenset(cone))
+        return real(fan, cone)
+
+    monkeypatch.setattr(atlas_mod, "chart_matrix", counting)
+    atlas_report(target, cone_orders=orders)
+    assert sorted(calls, key=sorted) == sorted(fan.maximal_cones(), key=sorted)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_atlas_report_matches_public_per_pair_gluings(case):
+    target, orders = _report_cases()[case]
+    fan = getattr(target, "fan", target)
+    rep = atlas_report(target, cone_orders=orders)
+    cones = [tuple(c["I"]) for c in rep["charts"]]
+    assert all(t in cones for t in orders or [])
+    pairs = [(s, t) for s in cones for t in cones
+             if s != t and set(s) & set(t)]
+    got = [(tuple(g["from"]), tuple(g["to"])) for g in rep["gluings"]]
+    assert sorted(got) == sorted(pairs)
+    for g in rep["gluings"]:
+        M = gluing_exponents(fan, tuple(g["from"]), tuple(g["to"]))
+        assert g["exponents"] == _strings(M)
+    for c in rep["charts"]:
+        A, completion = chart_matrix(fan, tuple(c["I"]))
+        assert c["A"] == _strings(A)
+        assert c["completion"] == list(completion)
+        if isinstance(target, CalibratedFan):
+            _, hbar = chart_calibration(target, tuple(c["I"]))
+            assert c["hbar"] == _strings(hbar)
+    assert rep["cocycle"] is cocycle_check(fan) is True

@@ -4,10 +4,11 @@ from fractions import Fraction as Q
 import pytest
 from conftest import EMPTY_WITNESS, random_even_calibrated_fan
 
+import qtoric.calibration as calibration_mod
 from qtoric.calibration import (CalibratedFan, Calibration, induced_fan,
                                 kernel_rank, standardize_calibration,
                                 trivial_calibration)
-from qtoric.errors import NotGammaComplete
+from qtoric.errors import InternalError, NotGammaComplete
 from qtoric.lattice_fan import (QLattice, QuantumFan, comb_type,
                                 fan_from_max_cones, gamma_rank)
 from qtoric.linalg import Matrix, int_rank
@@ -94,6 +95,14 @@ def test_kernel_rank_nullity():
         assert len(basis) == a
         if basis:
             assert int_rank([list(b) for b in basis]) == a
+
+
+def test_kernel_rank_short_basis_is_an_internal_error(monkeypatch):
+    real = calibration_mod.int_kernel
+    monkeypatch.setattr(calibration_mod, "int_kernel",
+                        lambda rows: real(rows)[:-1])
+    with pytest.raises(InternalError):
+        kernel_rank(classical_p2_calibrated().cal)
 
 
 def test_induced_fan_p2():

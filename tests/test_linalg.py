@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from qtoric.errors import Singular
 from qtoric.linalg import (Matrix, _rref, det, hnf, int_det, int_kernel,
                            int_rank, int_solve, kernel_basis, mat_inverse,
-                           rank)
+                           pivot_columns, rank)
 from qtoric.scalars import Parameter, Scalar
 
 A = Parameter("a")
@@ -253,3 +254,59 @@ def test_sparse_rref_on_parametric_matrices_matches_values():
         assert pivots == dpivots
         assert [list(map(str, r)) for r in red] == \
             [list(map(str, r)) for r in dred]
+
+
+def test_parametric_rref_keeps_gcd_coefficients_small():
+    # Cancelling these entries takes polynomial gcds in a and b whose
+    # pseudo-remainder sequence grows exponentially in coefficient size
+    # unless each remainder is made primitive over Q as well.
+    cols = [[2, 0, 0, SA], [0, Q(-3, 4), SA, Q(1, 2)], [SA * SB, SA, 5, 0],
+            [ONE / SB, 0, SA, 0], [0, 0, SA, SA + ONE]]
+    t0 = time.monotonic()
+    assert rank(Matrix.from_columns(cols)) == 4
+    assert time.monotonic() - t0 < 5.0
+
+
+# -- leftmost pivots against the greedy "first independent columns" loop -----
+
+def _greedy_pivots(cols):
+    """Reference: keep column j when it is independent of those kept."""
+    kept = []
+    for j, c in enumerate(cols):
+        cand = [cols[i] for i in kept] + [c]
+        if rank(Matrix.from_columns(cand)) == len(cand):
+            kept.append(j)
+    return kept
+
+
+PARAMETRIC = st.sampled_from([SA, SB, -SA, SA * SB, SA + ONE, ONE / SB])
+
+
+@st.composite
+def column_lists(draw):
+    """Rational or parametric columns, with zero columns and columns that
+    are combinations of earlier ones mixed in."""
+    entry = SPARSE if draw(st.booleans()) else st.one_of(SPARSE, PARAMETRIC)
+    d = draw(st.integers(1, 4))
+    cols = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["entries", "zero", "combination"]))
+        if kind == "zero":
+            col = [ZERO] * d
+        elif kind == "combination" and cols:
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = Scalar.coerce(draw(entry)), Scalar.coerce(draw(entry))
+            col = [s * x + t * y for x, y in zip(u, v)]
+        else:
+            col = [Scalar.coerce(draw(entry)) for _ in range(d)]
+        cols.append(tuple(col))
+    return d, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_lists())
+def test_pivot_columns_is_the_greedy_basis(case):
+    d, cols = case
+    piv = pivot_columns(cols)
+    assert piv == _greedy_pivots(cols)
+    assert len(piv) == (rank(Matrix.from_columns(cols)) if cols else 0) <= d
