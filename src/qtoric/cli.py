@@ -78,11 +78,17 @@ def _need(ff: FanFile, attr, what):
     return val
 
 
-def _calibrated(ff: FanFile) -> CalibratedFan:
+def _fan_or_calibrated(ff: FanFile):
+    """The file's calibrated fan, or its fan when it has no calibration."""
     fan = _need(ff, "fan", "a fan")
-    if ff.cal is not None:
-        return CalibratedFan(fan, ff.cal)
-    return trivial_calibration(fan)
+    return CalibratedFan(fan, ff.cal) if ff.cal is not None else fan
+
+
+def _calibrated(ff: FanFile) -> CalibratedFan:
+    target = _fan_or_calibrated(ff)
+    if isinstance(target, CalibratedFan):
+        return target
+    return trivial_calibration(target)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +110,9 @@ def cmd_comb_type(ff: FanFile, args):
 
 
 def cmd_standardize(ff: FanFile, args):
-    fan = _need(ff, "fan", "a fan")
-    if ff.cal is not None:
-        std, (L, H, s) = standardize_calibration(CalibratedFan(fan, ff.cal))
+    target = _fan_or_calibrated(ff)
+    if isinstance(target, CalibratedFan):
+        std, (L, H, s) = standardize_calibration(target)
         payload = fan_to_json(ff.params, ff.raw.get("witness", {}),
                               std.fan, std.cal)
         payload["transform"] = {
@@ -114,23 +120,21 @@ def cmd_standardize(ff: FanFile, args):
             "H": [[int(x.as_fraction()) for x in r] for r in H.rows],
             "s": {str(k): v for k, v in s.items()}}
     else:
-        std, L = lf.standardize_fan(fan)
+        std, L = lf.standardize_fan(target)
         payload = fan_to_json(ff.params, ff.raw.get("witness", {}), std)
         payload["transform"] = {"L": [[str(x) for x in r] for r in L.rows]}
     return payload, EXIT_TRUE
 
 
 def cmd_atlas(ff: FanFile, args):
-    fan = _need(ff, "fan", "a fan")
-    target = CalibratedFan(fan, ff.cal) if ff.cal is not None else fan
-    rep = atlas_mod.atlas_report(target, cone_orders=ff.cone_orders())
+    rep = atlas_mod.atlas_report(_fan_or_calibrated(ff),
+                                 cone_orders=ff.cone_orders())
     return rep, EXIT_TRUE
 
 
 def cmd_irrelevant(ff: FanFile, args):
-    fan = _need(ff, "fan", "a fan")
-    target = CalibratedFan(fan, ff.cal) if ff.cal is not None else fan
-    return atlas_mod.build_irrelevant(target).to_json(), EXIT_TRUE
+    return atlas_mod.build_irrelevant(_fan_or_calibrated(ff)).to_json(), \
+        EXIT_TRUE
 
 
 def cmd_gale(ff: FanFile, args):
@@ -398,34 +402,43 @@ def main(argv=None) -> int:
     if not args.command:
         ap.print_help()
         return EXIT_INPUT
+    if args.command in SINGLE_FILE_COMMANDS:
+        handler = SINGLE_FILE_COMMANDS[args.command]
+
+        def run_one(path):
+            return _reported(lambda: handler(load_fan_file(_read(path)),
+                                              args))
+
+        if len(args.files) == 1:
+            payload, code = run_one(args.files[0])
+            _emit(payload)
+            return code
+        jobs = max(1, args.jobs)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_one, args.files))
+        # handlers exit 0 or 1; a failed file (exit 2 or 3) holds its
+        # {"error": ...} in place of a report
+        _emit([{"file": f, **(payload if code >= EXIT_INPUT
+                              else {"report": payload})}
+               for f, (payload, code) in zip(args.files, results)])
+        return max(code for _, code in results)
+    payload, code = _reported(lambda: ARGS_COMMANDS[args.command](args))
+    _emit(payload)
+    return code
+
+
+def _reported(run):
+    """run() -> (payload, exit code), with the input errors and
+    Indeterminate turned into an {"error": {"code", "message"}} payload."""
     try:
-        if args.command in SINGLE_FILE_COMMANDS:
-            handler = SINGLE_FILE_COMMANDS[args.command]
-
-            def run_one(path):
-                ff = load_fan_file(_read(path))
-                return handler(ff, args)
-
-            if len(args.files) == 1:
-                payload, code = run_one(args.files[0])
-                _emit(payload)
-                return code
-            jobs = max(1, args.jobs)
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_one, args.files))
-            _emit([{"file": f, "report": payload}
-                   for f, (payload, _) in zip(args.files, results)])
-            return max(code for _, code in results)
-        payload, code = ARGS_COMMANDS[args.command](args)
-        _emit(payload)
-        return code
+        return run()
     except Indeterminate as e:
-        _emit({"error": {"code": "Indeterminate", "message": str(e)}})
-        return EXIT_INDETERMINATE
+        return ({"error": {"code": "Indeterminate", "message": str(e)}},
+                EXIT_INDETERMINATE)
     except (QtoricError, OSError, ValueError, KeyError,
             ZeroDivisionError) as e:
-        _emit({"error": {"code": type(e).__name__, "message": str(e)}})
-        return EXIT_INPUT
+        return ({"error": {"code": type(e).__name__, "message": str(e)}},
+                EXIT_INPUT)
 
 
 if __name__ == "__main__":

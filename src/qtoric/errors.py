@@ -78,8 +78,9 @@ class RankDeficient(QtoricError):
 
 
 class SearchBoundExceeded(QtoricError):
-    """Exact canonicalization is unavailable and the bounded search was
-    exhausted; the reported representative is heuristic."""
+    """A bounded search hit its bound before it could decide: the
+    calibrated-morphism search past 8 virtual generators, or the LVM
+    weak-hyperbolicity subset cap."""
 
 
 class InputError(QtoricError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .calibration import CalibratedFan, Calibration
+from .calibration import Calibration
 from .errors import InputError
 from .gale_lvmb import LVMBDatum
 from .lattice_fan import QLattice, QuantumFan
@@ -179,12 +179,6 @@ class FanFile:
         self.cal = cal
         self.lvmb = lvmb
         self.raw = raw or {}
-
-    @property
-    def calibrated_fan(self) -> CalibratedFan | None:
-        if self.fan is not None and self.cal is not None:
-            return CalibratedFan(self.fan, self.cal)
-        return None
 
     def cone_orders(self):
         return [tuple(c) for c in self.raw.get("cones", [])]

@@ -13,7 +13,8 @@ from math import gcd, isqrt, lcm
 from .errors import (InternalError, NotRational, NotUnimodular, OutOfDomain,
                      OutOfZone, SingularBlock, UnsupportedField)
 from .linalg import Matrix, det, hnf, int_det, mat_inverse
-from .scalars import Scalar, Sign, Witness, sign_at
+from .scalars import (Poly, Scalar, Sign, Witness, poly_divexact, poly_gcd,
+                      sign_at)
 
 Q = Fraction
 
@@ -191,7 +192,6 @@ class OrbitReport:
     witnesses: dict = field(default_factory=dict)
     isotropy: str = "trivial"
     orbit: list = field(default_factory=list)
-    heuristic: bool = False
 
     def to_json(self):
         out = {"canonical": _jsonable(self.canonical),
@@ -200,8 +200,6 @@ class OrbitReport:
         if self.witnesses:
             out["witnesses"] = {k: _jsonable(v)
                                 for k, v in self.witnesses.items()}
-        if self.heuristic:
-            out["heuristic"] = True
         return out
 
 
@@ -369,126 +367,74 @@ def hopf_equiv(pair1, pair2, w: Witness) -> dict:
 # canonicalization of maximal-length calibrated tori
 # ---------------------------------------------------------------------------
 
-def _hbar_denominator_lcm(hbar: Matrix) -> int:
-    return lcm(*(x.as_fraction().denominator for r in hbar.rows for x in r))
+def _column_coefficients(col):
+    """(D, monos, coeffs, params) for one hbar column: D the monic lcm of
+    the entries' denominators, and D x_i = sum_t coeffs[t][i] monos[t] for
+    every entry x_i.  Left GL_d(Z) leaves D and the monomials unchanged
+    and acts on each coefficient column by the same matrix."""
+    D = Poly.const(1)
+    params = {}
+    for x in col:
+        params.update(x.params)
+        if not x.den.is_const():
+            D = poly_divexact(D * x.den, poly_gcd(D, x.den))
+    nums = [x.num * poly_divexact(D, x.den) for x in col]
+    monos = sorted({m for p in nums for m in p.terms})
+    return D, monos, [[p.terms.get(m, 0) for p in nums] for m in monos], \
+        params
 
 
-def _marked_canonical_rational(hbar: Matrix):
-    """Left-GL_d(Z) canonical form of a rational matrix: HNF of the
-    cleared-denominator matrix, divided back."""
-    L = _hbar_denominator_lcm(hbar)
-    introws = [[int(x.as_fraction() * L) for x in r] for r in hbar.rows]
-    H, U = hnf(introws)
-    rows = [[Q(v, L) for v in r] for r in H]
-    return Matrix([[Scalar.from_fraction(x) for x in r] for r in rows]), U
+def _marked_form(cols, perm, d: int):
+    """Left-GL_d(Z) canonical form of the hbar with the given column data,
+    columns taken in the order perm, and U with U hbar = the form.  The
+    coefficient columns of all columns, stacked and cleared by one integer,
+    have a unique row Hermite normal form; every entry is rebuilt from it.
+    Distinct monomials in the parameters are linearly independent over Q,
+    so U hbar equals the form exactly when U maps the stacked coefficients
+    to the HNF."""
+    blocks = [cols[j] for j in perm]
+    coeffs = [c for b in blocks for c in b[2]]
+    L = lcm(*(x.denominator for c in coeffs for x in c))
+    H, U = hnf([[int(c[i] * L) for c in coeffs] for i in range(d)])
+    rows = [[] for _ in range(d)]
+    t = 0
+    for D, monos, _, params in blocks:
+        for i in range(d):
+            terms = {m: Q(H[i][t + s], L) for s, m in enumerate(monos)
+                     if H[i][t + s]}
+            rows[i].append(Scalar(Poly(terms, params), D))
+        t += len(monos)
+    return Matrix(rows), U
 
 
-def cal_torus_orbit_maximal(hbar: Matrix, mode: str = "full",
-                            bound: int = 2) -> OrbitReport:
+def cal_torus_orbit_maximal(hbar: Matrix, mode: str = "full") -> OrbitReport:
     """Canonical representative of hbar under hbar -> H1^{-1} hbar s
     (full mode: H1 in GL_d(Z) and s a column permutation; marked mode:
-    s = id).  Exact HNF canonicalization for rational entries; bounded
-    search (reported heuristic) for parametric ones."""
+    s = id), for rational and parametric entries alike.  Full mode keeps
+    the least marked form over all s by canonical strings; the isotropy
+    lists the s whose marked form equals hbar's own."""
     if mode not in ("full", "marked"):
         raise ValueError("mode must be 'full' or 'marked'")
     d, k = hbar.nrows, hbar.ncols
-    rational = all(x.is_rational() for r in hbar.rows for x in r)
-    if rational:
-        if mode == "marked":
-            canon, U = _marked_canonical_rational(hbar)
-            iso = _rational_isotropy(hbar, [tuple(range(k))])
-            return OrbitReport(canonical=canon,
-                               witnesses={"H1_inverse": Matrix(U)},
-                               isotropy=iso, orbit=[canon])
-        best = None
-        best_perm = None
-        best_U = None
-        for perm in itertools.permutations(range(k)):
-            permuted = Matrix([[hbar.rows[i][j] for j in perm]
-                               for i in range(d)])
-            canon, U = _marked_canonical_rational(permuted)
-            key = [[str(x) for x in r] for r in canon.rows]
-            if best is None or key < best[0]:
-                best = (key, canon)
-                best_perm = perm
-                best_U = U
-        iso = _rational_isotropy(hbar, list(itertools.permutations(range(k))))
-        return OrbitReport(canonical=best[1],
-                           witnesses={"H1_inverse": Matrix(best_U),
-                                      "s": list(best_perm)},
-                           isotropy=iso, orbit=[best[1]])
-    # parametric: bounded enumeration over small unimodular H1 and perms
-    perms = [tuple(range(k))] if mode == "marked" else \
-        list(itertools.permutations(range(k)))
-    candidates = []
-    for H1 in _small_unimodular(d, bound):
-        H1inv = mat_inverse(H1)
-        for perm in perms:
-            img = H1inv * Matrix([[hbar.rows[i][j] for j in perm]
-                                  for i in range(d)])
-            candidates.append((tuple(str(x) for r in img.rows for x in r),
-                               img, H1, perm))
-    candidates.sort(key=lambda t: t[0])
-    _, canon, H1, perm = candidates[0]
-    return OrbitReport(canonical=canon,
-                       witnesses={"H1": H1, "s": list(perm)},
-                       isotropy="unknown (heuristic)", orbit=[canon],
-                       heuristic=True)
-
-
-def _rational_isotropy(hbar: Matrix, perms) -> str:
-    """Column permutations s admitting H1 with H1^{-1} hbar s = hbar,
-    detected by equality of marked canonical forms."""
-    d, k = hbar.nrows, hbar.ncols
-    base, _ = _marked_canonical_rational(hbar)
+    cols = [_column_coefficients(c) for c in hbar.columns()]
+    perms = list(itertools.permutations(range(k))) if mode == "full" \
+        else [tuple(range(k))]
+    best = base = None
     stab = []
     for perm in perms:
-        permuted = Matrix([[hbar.rows[i][j] for j in perm]
-                           for i in range(d)])
-        canon, _ = _marked_canonical_rational(permuted)
+        canon, U = _marked_form(cols, perm, d)
+        if base is None:
+            base = canon
         if canon == base:
             stab.append(perm)
-    ident = tuple(range(k))
-    nontrivial = [p for p in stab if p != ident]
-    if not nontrivial:
-        return "trivial"
-    return "permutations:" + ";".join(str(list(p)) for p in sorted(stab))
-
-
-def _small_unimodular(d: int, bound: int):
-    """All d x d integer matrices with entries in [-bound, bound] and
-    determinant +-1 (d <= 2 enumerated exhaustively; d >= 3 uses
-    elementary generators products)."""
-    out = []
-    if d == 1:
-        return [Matrix([[1]]), Matrix([[-1]])]
-    if d == 2:
-        rng = range(-bound, bound + 1)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for e in rng:
-                        if a * e - b * c in (1, -1):
-                            out.append(Matrix([[a, b], [c, e]]))
-        return out
-    # products of <= 2 elementary matrices
-    gens = []
-    eye = Matrix.identity(d)
-    gens.append(eye)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            for v in (1, -1):
-                E = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
-                E[i][j] = v
-                gens.append(Matrix(E))
-    seen = set()
-    for g1 in gens:
-        for g2 in gens:
-            M = g1 * g2
-            key = tuple(int(x.as_fraction()) for r in M.rows for x in r)
-            if key not in seen:
-                seen.add(key)
-                out.append(M)
-    return out
+        key = [[str(x) for x in r] for r in canon.rows]
+        if best is None or key < best[0]:
+            best = (key, canon, U, perm)
+    _, canon, U, perm = best
+    witnesses = {"H1_inverse": Matrix(U)}
+    if mode == "full":
+        witnesses["s"] = list(perm)
+    isotropy = "trivial" if len(stab) == 1 else \
+        "permutations:" + ";".join(str(list(p)) for p in sorted(stab))
+    return OrbitReport(canonical=canon, witnesses=witnesses,
+                       isotropy=isotropy, orbit=[canon])

@@ -1,5 +1,6 @@
 """Shared test helpers: random rational fans and calibrations."""
 
+import itertools
 import math
 import random
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from qtoric.atlas import gluing_exponents
 from qtoric.calibration import CalibratedFan, Calibration
 from qtoric.lattice_fan import QLattice, QuantumFan, fan_from_max_cones
 from qtoric.scalars import Parameter, Scalar, Witness
@@ -101,3 +103,28 @@ def plain_witness(**vals) -> Witness:
 
 
 EMPTY_WITNESS = Witness({})
+
+
+def fan_gluings(fan: QuantumFan) -> dict:
+    """{(I, J): gluing_exponents(fan, I, J)} over the ordered pairs of
+    distinct intersecting maximal cones, each in sorted order."""
+    cones = sorted(tuple(sorted(c)) for c in fan.maximal_cones())
+    return {(I, J): gluing_exponents(fan, I, J)
+            for I in cones for J in cones
+            if I != J and set(I) & set(J)}
+
+
+def cocycle_holds(gluings: dict) -> bool:
+    """M_IJ M_JK = M_IK for every ordered triple of pairwise intersecting
+    cones."""
+    cones = list(dict.fromkeys(I for I, _ in gluings))
+    for I, J, K in itertools.permutations(cones, 3):
+        if (I, J) in gluings and (J, K) in gluings and (I, K) in gluings:
+            if gluings[I, J] * gluings[J, K] != gluings[I, K]:
+                return False
+    return True
+
+
+def cocycle_check(fan: QuantumFan) -> bool:
+    """The cocycle condition on the library's own gluing matrices."""
+    return cocycle_holds(fan_gluings(fan))

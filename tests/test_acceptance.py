@@ -9,11 +9,11 @@ from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from math import gcd
 
-from conftest import EMPTY_WITNESS, random_complete_fan, \
+from conftest import EMPTY_WITNESS, cocycle_check, random_complete_fan, \
     random_even_calibrated_fan
 
-from qtoric.atlas import (build_irrelevant, chart_matrix, cocycle_check,
-                          gluing_exponents, shared_rows_are_identity)
+from qtoric.atlas import (build_irrelevant, chart_matrix, gluing_exponents,
+                          shared_rows_are_identity)
 from qtoric.calibration import (CalibratedFan, Calibration, kernel_rank,
                                 standardize_calibration, trivial_calibration)
 from qtoric.gale_lvmb import (build_lvmb, check_lvmb, gale_affine,

@@ -266,6 +266,25 @@ def test_jobs_flag_batch(tmp_path, capsys):
     assert all(item["report"]["valid"] for item in payload)
 
 
+def test_batch_keeps_the_reports_beside_a_failed_file(tmp_path, capsys):
+    good = _write(tmp_path, "good.json", P2DEF)
+    bad = _write(tmp_path, "bad.json", BROKEN)
+    missing = str(tmp_path / "missing.json")
+    code, payload = run(capsys, ["validate", good, missing, bad])
+    # the batch exits with the largest per-file exit
+    assert code == 2
+    assert [item["file"] for item in payload] == [good, missing, bad]
+    assert payload[0] == {"file": good, "report": {"valid": True,
+                                                  "violations": []}}
+    assert set(payload[1]) == {"file", "error"}
+    assert payload[1]["error"]["code"] == "FileNotFoundError"
+    assert "missing.json" in payload[1]["error"]["message"]
+    assert payload[2]["report"]["valid"] is False
+    code, payload = run(capsys, ["validate", good, bad, "--jobs", "2"])
+    assert code == 1 and [item["report"]["valid"] for item in payload] == \
+        [True, False]
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io as _io
     monkeypatch.setattr("sys.stdin", _io.StringIO(json.dumps(P2DEF)))

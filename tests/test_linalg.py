@@ -134,6 +134,46 @@ def test_hnf_properties_randomized():
         assert abs(det(Um).as_fraction()) == 1
 
 
+@st.composite
+def _unimodular_and_matrix(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    M = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+         for _ in range(m)]
+    # zero rows and rows that are combinations of the others
+    for i in range(m):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "combine"]))
+        if kind == "zero":
+            M[i] = [0] * n
+        elif kind == "combine" and m > 1:
+            c = [draw(st.integers(-2, 2)) for _ in range(m)]
+            M[i] = [sum(c[k] * M[k][j] for k in range(m) if k != i)
+                    for j in range(n)]
+    # U: a product of row swaps, sign flips and row additions
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        op = draw(st.sampled_from(["swap", "negate", "add"]))
+        if op == "swap":
+            U[i], U[j] = U[j], U[i]
+        elif op == "negate":
+            U[i] = [-x for x in U[i]]
+        elif i != j:
+            q = draw(st.integers(-5, 5))
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    return U, M
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unimodular_and_matrix())
+def test_hnf_is_invariant_under_left_unimodular(case):
+    U, M = case
+    m, n = len(M), len(M[0])
+    UM = [[sum(U[i][k] * M[k][j] for k in range(m)) for j in range(n)]
+          for i in range(m)]
+    assert abs(int_det(U)) == 1
+    assert hnf(UM)[0] == hnf(M)[0]
+
+
 def test_int_solve_and_kernel():
     assert int_solve([[2]], [3]) is None
     assert int_solve([[2]], [4]) == (2,)

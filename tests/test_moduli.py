@@ -499,6 +499,72 @@ def test_cal_torus_orbit_invariance_randomized():
         assert r1.canonical == r2.canonical
 
 
-def test_cal_torus_orbit_parametric_is_heuristic():
-    rep = cal_torus_orbit_maximal(Matrix([[SA]]), "full")
-    assert rep.heuristic
+def _permuted(hb, perm):
+    return Matrix([[r[j] for j in perm] for r in hb.rows])
+
+
+def test_cal_torus_orbit_parametric_beyond_small_entries():
+    # H1 = [[5, 2], [2, 1]] has an entry outside [-2, 2]
+    hb = Matrix([[1, 0, SA], [0, 1, SB]])
+    moved = Matrix([[5, 2], [2, 1]]) * hb
+    for mode in ("marked", "full"):
+        r1 = cal_torus_orbit_maximal(hb, mode)
+        r2 = cal_torus_orbit_maximal(moved, mode)
+        assert r1.canonical == r2.canonical == hb
+        assert r2.witnesses["H1_inverse"] * moved == hb
+        assert r1.isotropy == r2.isotropy == "trivial"
+        assert "heuristic" not in str(r1.to_json())
+
+
+def test_cal_torus_orbit_parametric_isotropy():
+    # swapping the columns of [[a, a]] fixes it; of [[a, b]] it does not
+    assert cal_torus_orbit_maximal(Matrix([[SA, SA]])).isotropy == \
+        "permutations:[0, 1];[1, 0]"
+    assert cal_torus_orbit_maximal(Matrix([[SA, SB]])).isotropy == "trivial"
+    # -1 * [[a, -a]] swapped is [[a, -a]]
+    assert cal_torus_orbit_maximal(Matrix([[SA, -SA]])).isotropy == \
+        "permutations:[0, 1];[1, 0]"
+    # the stabiliser of hbar itself, not of the least form [[a, a, b]]
+    rep = cal_torus_orbit_maximal(Matrix([[SB, SA, SA]]))
+    assert rep.canonical == Matrix([[SA, SA, SB]])
+    assert rep.isotropy == "permutations:[0, 1, 2];[0, 2, 1]"
+
+
+_ATOMS = [Scalar.one(), SA, SB, SA * SB, ST]
+
+
+@st.composite
+def _orbit_case(draw):
+    d, k = draw(st.sampled_from([(1, 2), (2, 2), (2, 3)]))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = [[draw(small) + draw(small) * draw(st.sampled_from(_ATOMS))
+             for _ in range(k)] for _ in range(d)]
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, k - 1))
+    rows[i][j] = draw(st.sampled_from(
+        [SA / (SB - 2), (1 + SA) / (SA * SB + 1), ST / SA]))
+    # a random unimodular H1: a sign times elementary matrices
+    H1 = Matrix.identity(d).scale(draw(st.sampled_from([1, -1])))
+    for _ in range(draw(st.integers(0, 5)) if d > 1 else 0):
+        E = [[int(x == y) for y in range(d)] for x in range(d)]
+        E[0][1] = draw(st.integers(-4, 4))
+        H1 = H1 * Matrix(E if draw(st.booleans()) else E[::-1])
+    return Matrix(rows), H1, draw(st.permutations(range(k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orbit_case())
+def test_cal_torus_orbit_exact_on_parametric_entries(case):
+    hb, H1, perm = case
+    from qtoric.linalg import mat_inverse
+    moved = mat_inverse(H1) * _permuted(hb, perm)
+    cases = (hb, _permuted(hb, perm), moved)
+    reports = [cal_torus_orbit_maximal(x, "full") for x in cases]
+    assert reports[0].canonical == reports[1].canonical == reports[2].canonical
+    # H1 leaves the stabiliser unchanged; s conjugates it
+    assert reports[1].isotropy == reports[2].isotropy
+    for x, rep in zip(cases, reports):
+        w = rep.witnesses
+        assert w["H1_inverse"] * _permuted(x, w["s"]) == rep.canonical
+    marked = [cal_torus_orbit_maximal(x, "marked")
+              for x in (hb, mat_inverse(H1) * hb)]
+    assert marked[0].canonical == marked[1].canonical
