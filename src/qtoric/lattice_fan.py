@@ -186,9 +186,39 @@ def _rays_at_witness(fan: QuantumFan, w: Witness):
             for i in range(1, fan.nrays + 1)}
 
 
+def _meet_in_common_face(coords, A, B) -> bool:
+    """Is cone(A) & cone(B) = cone(F), F = A & B, at the witness?  True iff
+    sum_{A-F} l_i u_i - sum_{B-F} m_j w_j + sum_F n_f v_f = 0 has no
+    solution with l, m >= 0, sum l + sum m = 1 and n free: a common point
+    with weight off F would, normalised, be one."""
+    F = A & B
+    cols = ([coords[i] for i in sorted(A - F)]
+            + [[-x for x in coords[j]] for j in sorted(B - F)])
+    off = len(cols)
+    for f in sorted(F):
+        cols += [coords[f], [-x for x in coords[f]]]
+    A_eq = [list(row) for row in zip(*cols)]
+    A_eq.append([Q(1)] * off + [Q(0)] * (len(cols) - off))
+    return not lp.feasible(A_eq, [Q(0)] * (len(A_eq) - 1) + [Q(1)])
+
+
 def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     """Report zero generators, dependent cone generators, missing faces and
-    pairs of cones whose relative interiors meet at the witness."""
+    pairs of cones whose relative interiors meet at the witness.
+
+    Overlap is first decided once per pair of maximal cones A, B by the
+    separation lemma for cones meeting in a common face (Cox-Little-Schenck,
+    Toric Varieties, Lemma 1.2.13): one exact LP certifies
+    cone(A) & cone(B) = cone(A & B).  When the generators of A and of B
+    are linearly independent at the witness, a point of that intersection
+    has one support in A and the same one in B, so no face a of A meets a
+    different face b of B in their relative interiors.  Rational fans have
+    independent generators once no cone is dependent; for parametric fans
+    the rank of each maximal cone is taken at the witness values, and a
+    dependent one certifies nothing, not even for pairs of its own faces.
+    Only pairs of cones under no certified pair get their own relative
+    interior LP, so every overlap, duplicated ray directions included, is
+    still reported pair by pair."""
     report = ValidationReport(True)
     for i in range(1, fan.nrays + 1):
         if all(x.is_zero() for x in fan.ray(i)):
@@ -208,12 +238,23 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     if not report.valid:
         return report
     coords = _rays_at_witness(fan, w)
+    maxc = sorted(fan.maximal_cones(), key=sorted)
+    rational = all(x.is_rational() for v in fan.rays for x in v)
+    independent = [A for A in maxc if rational or rank(
+        Matrix.from_columns([coords[i] for i in sorted(A)])) == len(A)]
+    certified = {(A, A) for A in independent}
+    for A, B in itertools.combinations(independent, 2):
+        if _meet_in_common_face(coords, A, B):
+            certified |= {(A, B), (B, A)}
+    above = {c: [A for A in maxc if c <= A] for c in fan.cones}
     cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
     for a, b in itertools.combinations(cones, 2):
         if not a or not b:
             continue
         if a < b or b < a:
             # a simplicial face never meets the parent's relative interior
+            continue
+        if any((A, B) in certified for A in above[a] for B in above[b]):
             continue
         if lp.cones_relint_intersect([coords[i] for i in sorted(a)],
                                      [coords[i] for i in sorted(b)]):
@@ -258,19 +299,21 @@ def _is_gamma_complete(fan: QuantumFan) -> bool:
 
 
 def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
-    """Strictly convex piecewise-linear support function via exact LP on
-    witness values ("polytopal at witness")."""
+    """Is there a strictly convex piecewise-linear support function on the
+    witness values ("polytopal at witness")?
+
+    Such a function takes values w_i at the rays, is linear l_s on each
+    maximal cone s, and needs l_s(v_j) > w_j for every ray j outside s:
+    one system C w > 0.  By Gordan's theorem of the alternative it has a
+    solution iff {y >= 0 : C^T y = 0, sum y = 1} is empty, one exact LP
+    with a row per ray and a column per constraint.  C w > 0 is
+    homogeneous in w, so no margin enters the answer."""
     if not _is_complete(fan):
         return False
-    d = fan.dim
     p = fan.nrays
     maxc = [tuple(sorted(c)) for c in fan.maximal_cones()]
     coords = _rays_at_witness(fan, w)
-    exact = all(w.is_exact_for(x) for v in fan.rays for x in v)
-    # variables: w_i (free, split +/-) for i = 1..p ; slacks per constraint
-    # For each maximal cone s and each j not in s:
-    #   l_s(v_j) - w_j >= margin,  l_s determined by l_s(v_i) = w_i, i in s.
-    # Express l_s(v_j) = sum_i gamma_i w_i where gamma solves V_s gamma = v_j.
+    # l_s(v_j) = sum_i gamma_i w_i, where gamma solves V_s gamma = v_j
     constraints = []
     for s in maxc:
         Vs = Matrix.from_columns([[Scalar.from_fraction(c) for c in coords[i]]
@@ -289,17 +332,9 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
             constraints.append(row)
     if not constraints:
         return True
-    # feasibility of  C w >= margin  with w free:
-    # w = u - v, u,v >= 0; slack t >= 0:  C(u - v) - t = margin
-    m = len(constraints)
-    A = []
-    b = []
-    margin = lp.MARGIN if not exact else Q(1)
-    for k, row in enumerate(constraints):
-        A.append(row + [-x for x in row] +
-                 [Q(-1) if kk == k else Q(0) for kk in range(m)])
-        b.append(margin)
-    return lp.feasible(A, b)
+    A = [list(col) for col in zip(*constraints)]
+    A.append([Q(1)] * len(constraints))
+    return not lp.feasible(A, [Q(0)] * p + [Q(1)])
 
 
 def fan_properties(fan: QuantumFan, w: Witness) -> FanProperties:

@@ -83,14 +83,18 @@ def quadratic_surd(x: Scalar):
     return (-B, 2 * A, N) if v > 0 else (B, -2 * A, N)
 
 
-def _cf_step(P, Q, N, s, M):
+def _cf_step(P, Q, N, s):
     """One step x = k + 1/x' of the continued fraction of x = (P + sqrt N)/Q,
-    s = isqrt(N): returns x' as (P', Q') and the convergent matrix
-    M [[k, 1], [1, 0]], so that M . x = M' . x' (Moebius action)."""
+    s = isqrt(N): returns x' as (P', Q') and the partial quotient k."""
     k = (P + s) // Q if Q > 0 else (P + s + 1) // Q
     P = k * Q - P
+    return P, (N - P * P) // Q, k
+
+
+def _convergent(M, k):
+    """M [[k, 1], [1, 0]]: for x = k + 1/x', M . x = M' . x' (Moebius)."""
     (a, b), (c, d) = M
-    return P, (N - P * P) // Q, ((a * k + b, a), (c * k + d, c))
+    return ((a * k + b, a), (c * k + d, c))
 
 
 def continued_fraction_walk(P: int, Q: int, N: int):
@@ -104,8 +108,17 @@ def continued_fraction_walk(P: int, Q: int, N: int):
     s = isqrt(N)
     M = ((1, 0), (0, 1))
     while not (0 < P <= s and s - P < Q <= s + P):
-        P, Q, M = _cf_step(P, Q, N, s, M)
+        P, Q, k = _cf_step(P, Q, N, s)
+        M = _convergent(M, k)
     return P, Q, M
+
+
+def _advance(P, Q, N, s, M, steps):
+    """M times the convergents of `steps` steps from (P + sqrt N)/Q."""
+    for _ in range(steps):
+        P, Q, k = _cf_step(P, Q, N, s)
+        M = _convergent(M, k)
+    return M
 
 
 def _moebius_to_H(mat):
@@ -156,16 +169,25 @@ def torus_equiv_2d(a, b) -> Matrix | None:
         return None
     else:
         # a and b are written over one N, so equal complete quotients have
-        # equal (P, Q)
+        # equal (P, Q).  Both reduced cycles are walked in lockstep, without
+        # convergents, until one side reaches the other's start: the side
+        # that gets there first has taken the shorter way round one cycle
         Pa, Qa, Ma = continued_fraction_walk(*sa)
-        P, Q, Mb = continued_fraction_walk(*sb)
+        Pb, Qb, Mb = continued_fraction_walk(*sb)
         N = sa[2]
         s = isqrt(N)
-        start = (P, Q)
-        while (P, Q) != (Pa, Qa):
-            P, Q, Mb = _cf_step(P, Q, N, s, Mb)
-            if (P, Q) == start:
+        x, y, steps = (Pa, Qa), (Pb, Qb), 0
+        while y != (Pa, Qa) and x != (Pb, Qb):
+            x = _cf_step(*x, N, s)[:2]
+            y = _cf_step(*y, N, s)[:2]
+            steps += 1
+            if y == (Pb, Qb):
+                # b's whole cycle is walked and misses a's reduced quotient
                 return None
+        if y == (Pa, Qa):
+            Mb = _advance(Pb, Qb, N, s, Mb, steps)
+        else:
+            Ma = _advance(Pa, Qa, N, s, Ma, steps)
         # a = Ma . t and b = Mb . t, so b = Mb Ma^{-1} . a
         H = _moebius_to_H(_mat_mul2(Mb, _mat_adj2(Ma)))
     c = act_2d(a, H)

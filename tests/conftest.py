@@ -1,4 +1,5 @@
-"""Shared test helpers: random rational fans and calibrations."""
+"""Shared test helpers: random rational fans and calibrations, and the
+reference deciders that fast paths are compared against."""
 
 import itertools
 import math
@@ -9,9 +10,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from qtoric import lp
 from qtoric.atlas import gluing_exponents
 from qtoric.calibration import CalibratedFan, Calibration
-from qtoric.lattice_fan import QLattice, QuantumFan, fan_from_max_cones
+from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
+                                _is_complete, fan_from_max_cones)
+from qtoric.linalg import Matrix, rank, solve_right
 from qtoric.scalars import Parameter, Scalar, Witness
 
 Q = Fraction
@@ -128,3 +132,83 @@ def cocycle_holds(gluings: dict) -> bool:
 def cocycle_check(fan: QuantumFan) -> bool:
     """The cocycle condition on the library's own gluing matrices."""
     return cocycle_holds(fan_gluings(fan))
+
+
+def validate_fan_all_pairs(fan: QuantumFan, w: Witness) -> ValidationReport:
+    """Reference validation: the structural checks, then one relative
+    interior LP per pair of cones that are not faces of one another."""
+    report = ValidationReport(True)
+    for i in range(1, fan.nrays + 1):
+        if all(x.is_zero() for x in fan.ray(i)):
+            report.add("zero_generator", {"ray": i})
+    for c in fan.cones:
+        if c and rank(Matrix.from_columns(fan.cone_generators(c))) != len(c):
+            report.add("dependent_cone", {"cone": sorted(c)})
+    for c in fan.cones:
+        for i in c:
+            if (c - {i}) not in fan.cones:
+                report.add("missing_face",
+                           {"cone": sorted(c), "missing": sorted(c - {i})})
+    ray_indices = {i for c in fan.cones for i in c}
+    for i in range(1, fan.nrays + 1):
+        if i not in ray_indices:
+            report.add("missing_face", {"cone": [i], "missing": [i]})
+    if not report.valid:
+        return report
+    coords = {i: [w.approx(x) for x in fan.ray(i)]
+              for i in range(1, fan.nrays + 1)}
+    cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
+    for a, b in itertools.combinations(cones, 2):
+        if not a or not b or a < b or b < a:
+            continue
+        if lp.cones_relint_intersect([coords[i] for i in sorted(a)],
+                                     [coords[i] for i in sorted(b)]):
+            report.add("overlap", {"cones": [sorted(a), sorted(b)]})
+    return report
+
+
+def is_polytopal_primal(fan: QuantumFan, w: Witness) -> bool:
+    """Reference polytopality: is C w >= 1 feasible for the constraints
+    l_s(v_j) - w_j of every maximal cone s and ray j outside it, with w
+    split into u - v and one slack per constraint?"""
+    if not _is_complete(fan):
+        return False
+    p = fan.nrays
+    coords = {i: [w.approx(x) for x in fan.ray(i)] for i in range(1, p + 1)}
+    rows = []
+    for s in (tuple(sorted(c)) for c in fan.maximal_cones()):
+        Vs = Matrix.from_columns([coords[i] for i in s])
+        for j in range(1, p + 1):
+            if j in s:
+                continue
+            gam = solve_right(Vs, coords[j])
+            if gam is None:
+                return False
+            row = [Q(0)] * p
+            for idx, i in enumerate(s):
+                row[i - 1] += gam[idx].as_fraction()
+            row[j - 1] -= 1
+            rows.append(row)
+    m = len(rows)
+    A = [row + [-x for x in row] + [Q(-1) if kk == k else Q(0)
+                                    for kk in range(m)]
+         for k, row in enumerate(rows)]
+    return not rows or lp.feasible(A, [Q(1)] * m)
+
+
+def twisted_prism_fan(eps, diagonals) -> QuantumFan:
+    """Complete fan in R^3 over a triangular prism around the origin whose
+    top triangle is sheared by eps; each side quadrilateral is split along
+    the diagonal chosen by diagonals[i].  The same diagonal on all three
+    sides gives, near eps = 0, a non-regular (non-polytopal) fan."""
+    bottom = [(2, 0, -1), (-1, 2, -1), (-1, -2, -1)]
+    top = [(x - eps * y, eps * x + y, 1) for x, y, _ in bottom]
+    rays = [[Q(c) for c in v] for v in bottom + top]
+    cones = [[1, 2, 3], [4, 5, 6]]
+    for i in range(3):
+        ui, uj, wi, wj = i + 1, (i + 1) % 3 + 1, i + 4, (i + 1) % 3 + 4
+        if diagonals[i]:
+            cones += [[ui, uj, wj], [ui, wj, wi]]
+        else:
+            cones += [[ui, uj, wi], [uj, wj, wi]]
+    return fan_from_max_cones(QLattice(3, rays), rays, cones)

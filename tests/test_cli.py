@@ -246,6 +246,10 @@ def test_moduli_cli(capsys):
     code, rep = run(capsys, ["moduli-equiv-2d", "--a", "sqrt:10",
                              "--b", "(1/2)*sqrt:10"])
     assert code == 1 and rep == {"equivalent": False}
+    # a match deep in one cycle direction: the witness is printable
+    code, rep = run(capsys, ["moduli-equiv-2d", "--a", "17/8*sqrt:4000012-5/4",
+                             "--b=-17/8*sqrt:4000012-19/4"])
+    assert code == 0 and rep["H"] == [["-1", "6"], ["0", "1"]]
     code, rep = run(capsys, ["p2-orbit", "--a", "-2", "--b", "-3"])
     assert code == 0 and rep["isotropy"] == "trivial"
     code, rep = run(capsys, ["moduli-act", "--hbar", '[["1/2"]]',

@@ -2,14 +2,19 @@ import itertools
 import random
 from fractions import Fraction as Q
 
-from conftest import (EMPTY_WITNESS, random_bipyramid_fan, random_circle_fan,
-                      random_complete_fan)
+from conftest import (EMPTY_WITNESS, is_polytopal_primal,
+                      random_bipyramid_fan, random_circle_fan,
+                      random_complete_fan, twisted_prism_fan,
+                      validate_fan_all_pairs)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtoric import lp
 from qtoric.lattice_fan import (CombType, QLattice, QuantumFan,
                                 comb_equivalent, comb_type, d_realizable,
                                 fan_from_max_cones, fan_properties,
                                 gamma_contains, gamma_rank, standardize_fan,
-                                validate_fan, _is_complete)
+                                validate_fan, _is_complete, _is_polytopal)
 from qtoric.linalg import Matrix
 from qtoric.morphism import check_fan_iso
 from qtoric.scalars import Parameter, Scalar, Witness
@@ -310,3 +315,102 @@ def test_is_complete_matches_ridge_pairing_reference():
         assert got == _ridge_pairing_complete(fan), fan.cones
         results.append(got)
     assert True in results and False in results
+
+
+def _fan_variant(rng, d, kind):
+    """A random complete rational fan in R^d, or one spoiled by `kind`:
+    "duplicate" adds a positive multiple of a ray and puts it in place of
+    that ray in one maximal cone; "misplaced" replaces a ray by a random
+    integer vector; "parametric" replaces a ray by c v_j + (a - a0) z, which
+    equals c v_j at the witness a = a0 but not symbolically."""
+    fan = random_complete_fan(rng, d)
+    rays = [list(v) for v in fan.rays]
+    maxc = [sorted(c) for c in fan.maximal_cones()]
+    i = rng.randint(1, len(rays))
+    if kind == "duplicate":
+        c = Q(rng.randint(1, 3), rng.randint(1, 3))
+        rays.append([c * x for x in rays[i - 1]])
+        c = rng.choice([c for c in maxc if i in c])
+        c[c.index(i)] = len(rays)
+    elif kind == "misplaced":
+        rays[i - 1] = [rng.randint(-3, 3) for _ in range(d)]
+    elif kind == "parametric":
+        vj = rays[rng.randint(1, len(rays)) - 1]
+        c = Q(rng.randint(-2, 3), rng.randint(1, 2))
+        z = [rng.randint(-2, 2) for _ in range(d)]
+        rays[i - 1] = [c * x + (SA + Q(7, 3)) * y for x, y in zip(vj, z)]
+    return fan_from_max_cones(QLattice(d, rays), rays, maxc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["complete", "duplicate", "misplaced",
+                             "parametric"]))
+def test_validate_fan_matches_all_pairs_reference(seed, d, kind):
+    fan = _fan_variant(random.Random(seed), d, kind)
+    assert (validate_fan(fan, W).to_json()
+            == validate_fan_all_pairs(fan, W).to_json())
+
+
+def test_validate_fan_dependent_at_the_witness_only():
+    # (1, 0) and (1, a + 7/3) are independent symbolically but equal at
+    # a = -7/3, so the one maximal cone certifies nothing about its faces
+    rays = [[1, 0], [1, SA + Q(7, 3)]]
+    fan = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1]]), rays, [[1, 2]])
+    rep = validate_fan(fan, W)
+    assert rep.violations == [{"kind": "overlap",
+                               "detail": {"cones": [[1], [2]]}}]
+    assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
+
+
+def test_validate_fan_decides_each_pair_of_maximal_cones_once(monkeypatch):
+    calls = []
+    relint = lp.cones_relint_intersect
+    monkeypatch.setattr(lp, "cones_relint_intersect",
+                        lambda *args: calls.append(1) or relint(*args))
+    fan = random_bipyramid_fan(random.Random(5), 5)
+    assert validate_fan(fan, EMPTY_WITNESS).valid
+    assert calls == []
+    # a duplicated ray falls back to the pairs of cones under it
+    rays = [list(v) for v in fan.rays] + [[2 * x for x in fan.rays[0]]]
+    maxc = [sorted(c) for c in fan.maximal_cones()]
+    c = next(c for c in maxc if 1 in c)
+    c[c.index(1)] = len(rays)
+    dup = fan_from_max_cones(QLattice(3, rays), rays, maxc)
+    rep = validate_fan(dup, EMPTY_WITNESS)
+    assert {"kind": "overlap", "detail": {"cones": [[1], [len(rays)]]}} \
+        in rep.violations
+    assert 0 < len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["circle", "bipyramid", "twisted"]))
+def test_is_polytopal_matches_primal_reference(seed, kind):
+    rng = random.Random(seed)
+    if kind == "circle":
+        fan = random_circle_fan(rng, rng.randint(3, 7))
+    elif kind == "bipyramid":
+        fan = random_bipyramid_fan(rng, rng.randint(3, 5))
+    else:
+        fan = twisted_prism_fan(Q(rng.randint(-3, 3), rng.randint(2, 9)),
+                                [rng.random() < 0.8 for _ in range(3)])
+        # off convex position: nudge one ray
+        i = rng.randrange(fan.nrays)
+        rays = [list(v) for v in fan.rays]
+        rays[i] = [x + Q(rng.randint(-1, 1), 8) for x in rays[i]]
+        fan = fan_from_max_cones(fan.gamma, rays,
+                                 [sorted(c) for c in fan.maximal_cones()])
+    assert (_is_polytopal(fan, EMPTY_WITNESS)
+            == is_polytopal_primal(fan, EMPTY_WITNESS))
+
+
+def test_twisted_prism_is_complete_but_not_polytopal():
+    twisted = twisted_prism_fan(0, [False, False, False])
+    assert validate_fan(twisted, EMPTY_WITNESS).valid
+    assert _is_complete(twisted)
+    assert not _is_polytopal(twisted, EMPTY_WITNESS)
+    assert not is_polytopal_primal(twisted, EMPTY_WITNESS)
+    mixed = twisted_prism_fan(0, [False, True, True])
+    assert _is_polytopal(mixed, EMPTY_WITNESS)
+    assert is_polytopal_primal(mixed, EMPTY_WITNESS)

@@ -222,6 +222,32 @@ def test_equiv_2d_match_deep_in_long_period(monkeypatch):
     assert len(steps) >= 229
 
 
+def _witness_bits(H):
+    return max(abs(x.as_fraction().numerator).bit_length()
+               for row in H.rows for x in row)
+
+
+def test_equiv_2d_witness_takes_the_shorter_way_round():
+    # b = -a - 6: a's cycle reaches b's reduced quotient in a few steps,
+    # while b's cycle reaches a's only deep into a long period, where its
+    # convergents had thousands of digits
+    r = _sqrt(4000012)
+    a = Q(17, 8) * r - Q(5, 4)
+    b = -Q(17, 8) * r - Q(19, 4)
+    H = torus_equiv_2d(a, b)
+    assert H == Matrix([[-1, 6], [0, 1]])
+    assert act_2d(a, H) == b
+
+
+def test_equiv_2d_witness_is_short_when_the_period_is_long():
+    r = _sqrt(557626)
+    a = Q(35688059, 35688063) - Q(32, 35688063) * r
+    b = Q(5, 4) - 2 * r
+    H = torus_equiv_2d(a, b)
+    assert H is not None and act_2d(a, H) == b
+    assert _witness_bits(H) <= 32
+
+
 def test_equiv_2d_across_square_classes_of_one_field():
     # sqrt 2 and sqrt(8)/2 are one number written with two parameters
     r2, r8 = _sqrt(2), _sqrt(8)
