@@ -14,7 +14,6 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import isqrt
 
 from . import atlas as atlas_mod
 from . import gale_lvmb as gl
@@ -28,7 +27,7 @@ from .io import (SCHEMA, FanFile, fan_to_json, load_fan_file,
 from .linalg import Matrix
 from .morphism import (CalMorphism, check_cal_morphism, check_fan_iso,
                        check_fan_morphism, find_cal_morphism)
-from .scalars import Parameter, Scalar, Witness
+from .scalars import Parameter, Scalar, Witness, square_class
 
 Q = Fraction
 
@@ -54,19 +53,21 @@ _SQRT_RE = re.compile(r"sqrt:(\d+(?:/\d+)?)")
 
 
 def _cli_scalar(text: str, params: dict, witness_vals: dict) -> Scalar:
-    """Parse a command-line scalar: sqrt:D is the root of a rational square
-    D, else it declares a quadratic parameter (positive root at the witness)."""
+    """Parse a command-line scalar.  sqrt:D is r*sqrt(D_1)*...*sqrt(D_j) when
+    D*D_1*...*D_j is a rational square for declared parameters t_i^2 = D_i
+    (j = 0 when D is a square), else it declares a new quadratic parameter
+    (positive root at the witness), so the declared ones stay
+    multiplicatively independent."""
     def sub(mt):
         d = Q(mt.group(1))
-        root = Q(isqrt(d.numerator), isqrt(d.denominator))
-        if root * root == d:
-            return f"({root})"
-        name = f"sqrt{d.numerator}_{d.denominator}"
-        if name not in params:
-            p = Parameter(name, "quadratic", d)
-            params[name] = p
-            witness_vals[p] = Q(1)
-        return name
+        known = square_class(d, params.values())
+        if known is not None:
+            r, S = known
+            return "*".join([f"({r})"] + [p.name for p in S])
+        p = Parameter(f"sqrt{d.numerator}_{d.denominator}", "quadratic", d)
+        params[p.name] = p
+        witness_vals[p] = Q(1)
+        return p.name
 
     return parse_scalar(_SQRT_RE.sub(sub, text), params)
 
@@ -251,15 +252,8 @@ def cmd_cal_morphism_check(args):
 
 
 def _merge_witness(ff1: FanFile, ff2: FanFile) -> Witness:
-    vals = {}
-    for ff in (ff1, ff2):
-        for name, (p, v) in ff.witness.values.items():
-            if p.kind == "quadratic":
-                vals[p] = Q(v)
-            else:
-                vals[p] = v
-    return Witness(vals, precision=ff1.witness.precision,
-                   cap=ff1.witness.cap)
+    return Witness({p: v for ff in (ff1, ff2)
+                    for p, v in ff.witness.values.values()})
 
 
 # -- moduli commands ----------------------------------------------------------
@@ -291,7 +285,7 @@ def cmd_p2_orbit(args):
     params, wvals = {}, {}
     a = _cli_scalar(args.a, params, wvals)
     b = _cli_scalar(args.b, params, wvals)
-    w = Witness(wvals, precision=args.precision, cap=args.precision_cap)
+    w = Witness(wvals)
     rep = moduli.p2_orbit(a, b, w)
     return rep.to_json(), EXIT_TRUE
 
@@ -381,9 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("p2-orbit")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.add_argument("--precision", type=int, default=128)
-    sp.add_argument("--precision-cap", type=int, default=4096,
-                    dest="precision_cap")
     sp = sub.add_parser("wps-weights")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)

@@ -6,8 +6,9 @@ class QtoricError(Exception):
 
 
 class Indeterminate(QtoricError):
-    """A sign or feasibility decision could not be certified at the witness,
-    even after raising the precision up to the configured cap."""
+    """A decision could not be certified at the witness: a value that is not
+    symbolically zero, or a denominator, vanishes there, or an LP on rounded
+    witness values lands within its strictness margin."""
 
 
 class Singular(QtoricError):

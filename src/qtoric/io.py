@@ -17,7 +17,7 @@ from .errors import InputError
 from .gale_lvmb import LVMBDatum
 from .lattice_fan import QLattice, QuantumFan
 from .linalg import Matrix
-from .scalars import Parameter, Scalar, Witness
+from .scalars import Parameter, Scalar, Witness, square_class
 
 Q = Fraction
 
@@ -31,8 +31,6 @@ SCHEMA = {
                     "D": "positive non-square rational (quadratic only)"}],
         "witness": {"<param>": "exact rational string, or sqrt/-sqrt for "
                                "quadratic parameters"},
-        "precision": "witness precision in bits (default 128)",
-        "precision_cap": "precision cap for sign refinement (default 4096)",
         "gamma": [["scalar strings (one vector per generator)"]],
         "rays": [["scalar strings (one vector per ray)"]],
         "cones": [["1-based ray indices"]],
@@ -206,6 +204,12 @@ def load_fan_file(data) -> FanFile:
                 p["name"], kind, Q(str(D)) if D is not None else None)
         except ValueError as e:
             raise InputError(str(e)) from e
+    quads = [p for p in params.values() if p.kind == "quadratic"]
+    for i, p in enumerate(quads):
+        _require(square_class(p.D, quads[:i]) is None,
+                 f"the root of quadratic parameter {p.name!r} is a rational "
+                 "multiple of a product of earlier ones: declared roots "
+                 "must be multiplicatively independent")
     wvals = {}
     for name, val in (data.get("witness") or {}).items():
         _require(name in params, f"witness for undeclared parameter {name!r}")
@@ -221,9 +225,7 @@ def load_fan_file(data) -> FanFile:
     for name, p in params.items():
         _require(name in (data.get("witness") or {}),
                  f"parameter {name!r} has no witness value")
-    witness = Witness(wvals,
-                      precision=int(data.get("precision", 128)),
-                      cap=int(data.get("precision_cap", 4096)))
+    witness = Witness(wvals)
 
     def vec(v):
         return [parse_scalar(x, params) for x in v]

@@ -2,9 +2,11 @@
 
 Used for geometric feasibility predicates: relative-interior disjointness
 of cones, convex-hull membership, strictly convex support functions.  All
-data are Fractions, so feasibility and optima are exact; predicates that
-run on approximate witness values pass a strictness margin and report
-Indeterminate near the boundary instead of guessing.
+data are Fractions, so feasibility and optima are exact.  For a parametric
+input, though, the data are its rounded Witness.approx values.
+interiors_intersect keeps a strictness margin for that case, the last
+guarded decision on rounded data: near the boundary it reports
+Indeterminate instead of guessing.
 """
 
 from __future__ import annotations
@@ -139,43 +141,22 @@ def max_min_slack(A_eq, b_eq, slack_cols):
     return -res.objective
 
 
-def decide_positive(value, exact: bool, margin=MARGIN):
-    """Turn an exact optimal margin into a boolean, raising Indeterminate
-    when approximate data land within the strictness margin of zero."""
-    if value is None:
-        return False
-    if exact:
-        return value > 0
-    if value > margin:
-        return True
-    if value == 0:
-        return False
-    raise Indeterminate("feasibility within strictness margin at witness")
-
-
-def in_convex_hull(points, target=None, strict=False, exact=True):
-    """Is target (default origin) in the convex hull of the points?
-
-    points: list of Fraction vectors.  strict=True asks for the relative
-    interior with all barycentric weights positive."""
+def in_convex_hull(points):
+    """Is the origin in the convex hull of the points (Fraction vectors)?"""
     if not points:
         return False
     dim = len(points[0])
-    tgt = [Q(0)] * dim if target is None else list(target)
     n = len(points)
     A = [[points[j][i] for j in range(n)] for i in range(dim)]
     A.append([Q(1)] * n)
-    b = tgt + [Q(1)]
-    if not strict:
-        return feasible(A, b)
-    t = max_min_slack(A, b, list(range(n)))
-    return decide_positive(t, exact)
+    return feasible(A, [Q(0)] * dim + [Q(1)])
 
 
 def interiors_intersect(points1, points2, exact=True):
     """Do the convex hulls of two full-dimensional point sets have interior
     points in common?  Decided as a strict feasibility: a common point with
-    all barycentric coordinates positive on both sides."""
+    all barycentric coordinates positive on both sides.  Unless the data
+    are exact, a positive optimum within MARGIN is Indeterminate."""
     if not points1 or not points2:
         return False
     dim = len(points1[0])
@@ -189,10 +170,14 @@ def interiors_intersect(points1, points2, exact=True):
     A.append([Q(0)] * n1 + [Q(1)] * n2)
     b = [Q(0)] * dim + [Q(1), Q(1)]
     t = max_min_slack(A, b, list(range(n1 + n2)))
-    return decide_positive(t, exact)
+    if t is None or t == 0:
+        return False
+    if exact or t > MARGIN:
+        return True
+    raise Indeterminate("feasibility within strictness margin at witness")
 
 
-def cones_relint_intersect(gen1, gen2, exact=True):
+def cones_relint_intersect(gen1, gen2):
     """Do the relative interiors of two simplicial cones intersect?
 
     gen*: lists of Fraction vectors (cone generators).  Solved as the

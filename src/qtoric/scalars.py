@@ -8,15 +8,20 @@ numerator/denominator, denominator free of quadratic parameters and monic
 under the lexicographic order), so equality is structural.
 
 Sign decisions are made against a Witness: an assignment of exact rational
-values to transcendental parameters and of a root choice to quadratic ones,
-certified by interval evaluation at a growing precision.
+values to transcendental parameters and of a root choice +-sqrt(D_i) to
+quadratic ones.  At the witness every scalar lies in the real field
+Q(sqrt(D_1), ..., sqrt(D_k)), where its sign is decided exactly by the
+sign test for towers of quadratic extensions (Basu, Pollack, Roy,
+Algorithms in Real Algebraic Geometry, ch. 10).  A value that is not
+symbolically zero but vanishes at the witness is Indeterminate.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm, prod
 
 from .errors import Indeterminate, UnsupportedEntries
 
@@ -691,18 +696,28 @@ _ONE = _rational(Q(1))
 # witnesses and signs
 # ---------------------------------------------------------------------------
 
+ROOT_BITS = 128   # precision of the rounded roots behind Witness.approx
+
+
 class Sign(enum.Enum):
     NEGATIVE = -1
     ZERO = 0
     POSITIVE = 1
 
 
-def _sqrt_enclosure(D: Fraction, bits: int):
-    """Rational enclosure [lo, hi] of sqrt(D) with hi - lo <= 2^(1-bits)."""
-    scale = 1 << bits
-    n = isqrt(D.numerator * D.denominator * scale * scale)
-    den = D.denominator * scale
-    return Q(n, den), Q(n + 1, den)
+def square_class(D: Fraction, quadratics) -> tuple | None:
+    """(r, S) with sqrt(D) = r * prod(sqrt(p.D) for p in S), S a subset of
+    the quadratic parameters and r >= 0 rational, when D times the product
+    of S's discriminants is a rational square; None when no subset makes
+    it one."""
+    quadratics = list(quadratics)
+    for k in range(len(quadratics) + 1):
+        for S in combinations(quadratics, k):
+            ds = prod((p.D for p in S), start=Q(1))
+            x = D * ds
+            if _is_square(x):
+                return Q(isqrt(x.numerator), isqrt(x.denominator)) / ds, S
+    return None
 
 
 class Witness:
@@ -712,86 +727,98 @@ class Witness:
     The parameters are declared Q-linearly independent together with 1
     (a promise by the caller, used by the integer-lattice routines)."""
 
-    def __init__(self, values: dict, precision: int = 128, cap: int = 4096):
+    def __init__(self, values: dict):
         self.values = {}
+        self._roots = {}
         for p, v in values.items():
             if not isinstance(p, Parameter):
                 raise TypeError("witness keys must be Parameters")
             if p.kind == "quadratic":
                 sign = 1 if _as_fraction(v) >= 0 else -1
                 self.values[p.name] = (p, sign)
+                # the midpoint of the ROOT_BITS-bit enclosure of sqrt(D)
+                n = isqrt(p.D.numerator * p.D.denominator << 2 * ROOT_BITS)
+                self._roots[p.name] = sign * Q(2 * n + 1, p.D.denominator
+                                               << ROOT_BITS + 1)
             else:
                 self.values[p.name] = (p, _as_fraction(v))
-        self.precision = precision
-        self.cap = cap
 
-    def _interval(self, name: str, bits: int):
-        p, v = self.values[name]
-        if p.kind == "quadratic":
-            lo, hi = _sqrt_enclosure(p.D, bits)
-            return (lo, hi) if v > 0 else (-hi, -lo)
-        return (v, v)
+    def specialise(self, s: Scalar) -> Poly:
+        """s with the witness values put in for its transcendental
+        parameters: a polynomial in the quadratic parameters alone, since a
+        canonical denominator has no quadratic parameter."""
+        num, den = self._put(s.num), self._put(s.den).const_value()
+        if not den:
+            raise Indeterminate(f"denominator of {s} vanishes at the witness")
+        return num.scale(1 / den)
 
-    def covers(self, s: Scalar) -> bool:
-        return all(n in self.values for n in s.params)
-
-    def _eval_poly(self, poly: Poly, bits: int):
-        lo, hi = Q(0), Q(0)
+    def _put(self, poly: Poly) -> Poly:
+        terms, params = {}, {}
         for mono, c in poly.terms.items():
-            tlo, thi = Q(c), Q(c)
+            quad = []
             for name, e in mono:
                 if name not in self.values:
                     raise UnsupportedEntries(f"parameter {name} not valued")
-                plo, phi = self._interval(name, bits)
-                for _ in range(e):
-                    cands = (tlo * plo, tlo * phi, thi * plo, thi * phi)
-                    tlo, thi = min(cands), max(cands)
-            lo, hi = lo + tlo, hi + thi
-        return lo, hi
-
-    def eval_scalar(self, s: Scalar, bits=None):
-        """Interval [lo, hi] containing the value of s at this witness."""
-        if s.q is not None:
-            return s.q, s.q
-        bits = bits or self.precision
-        nlo, nhi = self._eval_poly(s._num, bits)
-        dlo, dhi = self._eval_poly(s._den, bits)
-        if dlo <= 0 <= dhi:
-            raise Indeterminate(f"denominator of {s} straddles zero")
-        cands = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
-        return min(cands), max(cands)
+                p, v = self.values[name]
+                if p.kind == "quadratic":
+                    quad.append((name, e))
+                    params[name] = p
+                else:
+                    c = c * v ** e
+            mono = tuple(quad)
+            terms[mono] = terms.get(mono, 0) + c
+        return Poly({m: c for m, c in terms.items() if c}, params)
 
     def approx(self, s: Scalar) -> Fraction:
-        """Midpoint rational approximation (exact when no quadratic parameter
+        """Rational approximation of s at the witness, with each quadratic
+        root rounded to ROOT_BITS bits (exact when no quadratic parameter
         occurs in s)."""
-        lo, hi = self.eval_scalar(s)
-        return lo if lo == hi else (lo + hi) / 2
+        if s.q is not None:
+            return s.q
+        out = Q(0)
+        for mono, c in self.specialise(s).terms.items():
+            for name, _ in mono:
+                c = c * self._roots[name]
+            out += c
+        return out
 
     def is_exact_for(self, s: Scalar) -> bool:
         return s.q is not None or not (s._num.has_quadratic()
                                        or s._den.has_quadratic())
 
 
+def _exact_sign(x: Poly, w: Witness) -> int:
+    """Sign of x, a polynomial in quadratic parameters t_i = +-sqrt(D_i), at
+    the witness's roots.  With x = alpha + beta*t for its last parameter t,
+    the sign is that of alpha or beta*t when they agree (or one is zero),
+    else sign(alpha) * sign(alpha^2 - beta^2 D)."""
+    if x.is_const():
+        c = x.const_value()
+        return (c > 0) - (c < 0)
+    v = max(x.variables())
+    p, root_sign = w.values[v]
+    alpha, beta = _to_univariate(x, v)
+    sa = _exact_sign(alpha, w)
+    sb = _exact_sign(beta, w) * root_sign
+    if sa == 0 or sa == sb:
+        return sb
+    if sb == 0:
+        return sa
+    return sa * _exact_sign(alpha * alpha - (beta * beta).scale(p.D), w)
+
+
 def sign_at(s: Scalar, w: Witness) -> Sign:
-    """Sign of s at the witness: symbolic zero test first, then certified
-    interval evaluation with precision doubling up to the witness cap."""
+    """Sign of s at the witness: symbolic zero test first, then an exact
+    decision in Q(sqrt(D_1), ..., sqrt(D_k)).  Indeterminate when s, or its
+    denominator, is not symbolically zero but vanishes at the witness."""
     s = Scalar.coerce(s)
     if s.is_zero():
         return Sign.ZERO
     if s.is_rational():
         v = s.as_fraction()
         return Sign.POSITIVE if v > 0 else Sign.NEGATIVE
-    bits = w.precision
-    while True:
-        lo, hi = w.eval_scalar(s, bits)
-        if lo > 0:
-            return Sign.POSITIVE
-        if hi < 0:
-            return Sign.NEGATIVE
-        if lo == hi == 0:
-            raise Indeterminate(
-                f"{s} vanishes at the witness but is not symbolically zero")
-        if bits >= w.cap:
-            raise Indeterminate(
-                f"sign of {s} undecided at {bits} bits (cap {w.cap})")
-        bits = min(2 * bits, w.cap)
+    sign = _exact_sign(w.specialise(s), w)
+    if not sign:
+        raise Indeterminate(
+            f"{s} vanishes at the witness but is not symbolically zero")
+    return Sign(sign)

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -16,7 +17,7 @@ from qtoric.calibration import CalibratedFan, Calibration
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
 from qtoric.linalg import Matrix, rank, solve_right
-from qtoric.scalars import Parameter, Scalar, Witness
+from qtoric.scalars import Parameter, Scalar, Sign, Witness
 
 Q = Fraction
 
@@ -107,6 +108,50 @@ def plain_witness(**vals) -> Witness:
 
 
 EMPTY_WITNESS = Witness({})
+
+
+# -- interval evaluation at the witness: the reference for exact signs ------
+
+def _root_enclosure(p: Parameter, root_sign: int, bits: int):
+    """Rational enclosure of +-sqrt(D), width 2^(1-bits) at most."""
+    scale = 1 << bits
+    n = isqrt(p.D.numerator * p.D.denominator * scale * scale)
+    den = p.D.denominator * scale
+    lo, hi = Q(n, den), Q(n + 1, den)
+    return (lo, hi) if root_sign > 0 else (-hi, -lo)
+
+
+def _interval_poly(poly, w: Witness, bits: int):
+    lo, hi = Q(0), Q(0)
+    for mono, c in poly.terms.items():
+        tlo, thi = Q(c), Q(c)
+        for name, e in mono:
+            p, v = w.values[name]
+            plo, phi = (_root_enclosure(p, v, bits) if p.kind == "quadratic"
+                        else (v, v))
+            for _ in range(e):
+                cands = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(cands), max(cands)
+        lo, hi = lo + tlo, hi + thi
+    return lo, hi
+
+
+def interval_sign(s: Scalar, w: Witness, bits: int):
+    """Sign of s at the witness by interval evaluation at the given
+    precision, or None when the interval does not decide it."""
+    if s.q is not None:
+        return Sign((s.q > 0) - (s.q < 0))
+    nlo, nhi = _interval_poly(s.num, w, bits)
+    dlo, dhi = _interval_poly(s.den, w, bits)
+    if dlo <= 0 <= dhi:
+        return None
+    cands = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
+    lo, hi = min(cands), max(cands)
+    if lo > 0:
+        return Sign.POSITIVE
+    if hi < 0:
+        return Sign.NEGATIVE
+    return None
 
 
 def fan_gluings(fan: QuantumFan) -> dict:

@@ -9,6 +9,7 @@ import pytest
 
 import qtoric
 from qtoric.cli import _cli_scalar, build_parser, main
+from qtoric.errors import InputError
 from qtoric.io import load_fan_file
 from qtoric.scalars import Scalar
 
@@ -45,6 +46,14 @@ BROKEN = {
     "gamma": [["1"]],
     "rays": [["1"], ["2"]],
     "cones": [[1], [2]],
+}
+
+# the ray entry 1/(a - 1/2) has a denominator that vanishes at the witness
+VANISH = {
+    "dim": 2, "params": [{"name": "a"}], "witness": {"a": "1/2"},
+    "gamma": [["1", "0"], ["0", "1"]],
+    "rays": [["1", "0"], ["0", "1"], ["-1", "1/(a-1/2)"]],
+    "cones": [[1, 2], [2, 3], [3, 1]],
 }
 
 TORUS_LVMB = {
@@ -304,18 +313,26 @@ def test_float_rejected(tmp_path, capsys):
     assert code == 2
 
 
-def test_indeterminate_exit_code(capsys):
-    # sqrt2 - 577/408 is about -1.5e-6: its sign cannot be certified at the
-    # capped 8-bit precision, so the domain sign test gives up
-    code, rep = run(capsys, ["p2-orbit", "--a", "sqrt:2-577/408",
-                             "--b", "-1", "--precision", "8",
-                             "--precision-cap", "8"])
+def test_indeterminate_exit_code(tmp_path, capsys):
+    # exit 3: a denominator that vanishes at the witness ...
+    code, rep = run(capsys, ["validate",
+                             _write(tmp_path, "vanish.json", VANISH)])
+    assert code == 3 and rep["error"]["code"] == "Indeterminate"
+    # ... or a value: L e_1 = (a - 1/2, 0) has the cone coefficient a - 1/2
+    src = dict(VANISH, rays=P2STD["rays"])
+    dst = dict(src, gamma=[["1", "0"], ["0", "1"], ["a-1/2", "0"]])
+    argv = ["morphism-check", "--morphism",
+            _write(tmp_path, "L.json", {"L": [["a-1/2", "0"], ["0", "1"]]}),
+            _write(tmp_path, "src.json", src), _write(tmp_path, "dst.json", dst)]
+    code, rep = run(capsys, argv)
     assert code == 3
-    assert rep["error"]["code"] == "Indeterminate"
-    # at full precision the sign resolves (sqrt2 < 577/408, so a < 0)
-    code, rep = run(capsys, ["p2-orbit", "--a", "sqrt:2-577/408",
-                             "--b", "-1"])
-    assert code == 0 and rep["isotropy"] == "Z2(sigma.tau)"
+    assert rep["error"]["message"] == \
+        "-a+1/2 vanishes at the witness but is not symbolically zero"
+    # signs are exact: sqrt2 - 577/408 is about -1.5e-6, so a < 0, and
+    # -(sqrt2 - 1)^2000, about -10^-765, is decided as well
+    for a in ("sqrt:2-577/408", "-(sqrt:2-1)^2000"):
+        code, rep = run(capsys, ["p2-orbit", f"--a={a}", "--b", "-1"])
+        assert code == 0 and rep["isotropy"] == "Z2(sigma.tau)"
 
 
 def test_square_sqrt_literal_is_its_root(capsys):
@@ -338,6 +355,37 @@ def test_nonsquare_sqrt_literal_declares_a_parameter():
     assert p.kind == "quadratic" and p.D == Fraction(8, 9)
     assert wvals == {p: 1} and x.params == {p.name: p}
     assert not x.is_rational()
+
+
+def test_dependent_sqrt_literal_reuses_declared_roots(capsys):
+    params, wvals = {}, {}
+    s2, s3 = (_cli_scalar(f"sqrt:{d}", params, wvals) for d in (2, 3))
+    assert _cli_scalar("sqrt:8/9", params, wvals) == Fraction(2, 3) * s2
+    assert _cli_scalar("sqrt:6", params, wvals) == s2 * s3
+    assert _cli_scalar("sqrt:3/2", params, wvals) == s2 * s3 / 2
+    assert _cli_scalar("sqrt:2", params, wvals) == s2
+    assert len(params) == len(wvals) == 2
+    # a = -1 in both, so the orbit is a single point
+    for a in ("sqrt:8-2*sqrt:2-1", "sqrt:6-sqrt:2*sqrt:3-1"):
+        code, rep = run(capsys, ["p2-orbit", f"--a={a}", "--b=-1"])
+        assert code == 0 and rep["isotropy"] == "S3"
+        assert rep["canonical"] == ["-1", "-1"]
+
+
+def test_dependent_quadratic_parameters_rejected(tmp_path, capsys):
+    def with_roots(*Ds):
+        names = [f"t{i}" for i in range(len(Ds))]
+        return dict(P2STD, witness={n: "sqrt" for n in names},
+                    params=[{"name": n, "kind": "quadratic", "D": D}
+                            for n, D in zip(names, Ds)])
+
+    assert load_fan_file(with_roots("2", "3", "5/7")).fan is not None
+    for Ds in (("2", "8"), ("2", "3", "6"), ("1/2", "2"), ("3", "5", "15")):
+        with pytest.raises(InputError, match="multiplicatively independent"):
+            load_fan_file(with_roots(*Ds))
+    code, rep = run(capsys, ["validate", _write(tmp_path, "dep.json",
+                                                 with_roots("2", "8"))])
+    assert code == 2 and rep["error"]["code"] == "InputError"
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):
@@ -377,9 +425,8 @@ SHARED_PARSER_CASES = {
     "iso-then-morphism": (
         ["morphism-check", "--morphism", "ID", "--iso", "BLOWUP", "P2"], 1,
         ["morphism-check", "--morphism", "ID", "BLOWUP", "P2"]),
-    "precision-then-default": (
-        ["p2-orbit", "--a", "sqrt:2-577/408", "--b", "-1",
-         "--precision", "8", "--precision-cap", "8"], 3,
+    "indeterminate-then-good": (
+        ["validate", "VANISH"], 3,
         ["p2-orbit", "--a", "sqrt:2-577/408", "--b", "-1"]),
     "batch-then-single": (
         ["validate", "BLOWUP", "P2", "--jobs", "2"], 0, ["validate", "P2"]),
@@ -395,7 +442,8 @@ SHARED_PARSER_CASES = {
 def test_shared_parser_keeps_no_state(case, tmp_path, capsys):
     files = {"BLOWUP": _write(tmp_path, "blowup.json", BLOWUP),
              "P2": _write(tmp_path, "p2.json", P2STD),
-             "ID": _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]})}
+             "ID": _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]}),
+             "VANISH": _write(tmp_path, "vanish.json", VANISH)}
     first, first_code, second = SHARED_PARSER_CASES[case]
     try:
         code = main([files.get(a, a) for a in first])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qtoric.errors import Singular
 from qtoric.linalg import (Matrix, _rref, det, hnf, int_det, int_kernel,
                            int_rank, int_solve, kernel_basis, mat_inverse,
-                           pivot_columns, rank)
+                           pivot_columns, rank, solve_right)
 from qtoric.scalars import Parameter, Scalar
 
 A = Parameter("a")
@@ -350,3 +350,41 @@ def test_pivot_columns_is_the_greedy_basis(case):
     piv = pivot_columns(cols)
     assert piv == _greedy_pivots(cols)
     assert len(piv) == (rank(Matrix.from_columns(cols)) if cols else 0) <= d
+
+
+@st.composite
+def linear_systems(draw):
+    """(M, b, consistent): rows of M are drawn, or are combinations of two
+    earlier rows; b = M x0 for a drawn x0, except that a combination row
+    may get a nonzero shift of its right-hand side, which makes the system
+    inconsistent."""
+    entry = SPARSE if draw(st.booleans()) else st.one_of(SPARSE, PARAMETRIC)
+
+    def scalar():
+        return Scalar.coerce(draw(entry))
+
+    n = draw(st.integers(1, 4))
+    x0 = [scalar() for _ in range(n)]
+    rows, rhs, consistent = [], [], True
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, len(rows) - 1))
+            s, t, shift = scalar(), scalar(), scalar()
+            rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
+            rhs.append(s * rhs[i] + t * rhs[j] + shift)
+            consistent = consistent and shift.is_zero()
+        else:
+            rows.append([scalar() for _ in range(n)])
+            rhs.append(sum((r * x for r, x in zip(rows[-1], x0)), ZERO))
+    return Matrix(rows), rhs, consistent
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_right_solves_exactly_the_consistent_systems(case):
+    M, b, consistent = case
+    x = solve_right(M, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert all((u - v).is_zero() for u, v in zip(M.apply(x), b))

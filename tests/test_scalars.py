@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interval_sign
 from qtoric.calibration import Calibration, kernel_rank
 from qtoric.errors import Indeterminate, UnsupportedField
 from qtoric.lattice_fan import QLattice, gamma_rank
@@ -18,13 +19,13 @@ SA, SB, ST = Scalar.of_param(A), Scalar.of_param(B), Scalar.of_param(T)
 W = Witness({A: Q(-7, 3), B: Q(-5, 4), T: Q(3, 2)})
 
 
-def rand_scalar(rng, depth=2):
+def rand_scalar(rng, depth=2, leaves=(SA, SB, ST)):
     if depth == 0 or rng.random() < 0.4:
-        pool = [SA, SB, ST, Scalar.from_fraction(Q(rng.randint(-4, 4),
-                                                   rng.randint(1, 4)))]
+        pool = [*leaves, Scalar.from_fraction(Q(rng.randint(-4, 4),
+                                                rng.randint(1, 4)))]
         return rng.choice(pool)
-    x = rand_scalar(rng, depth - 1)
-    y = rand_scalar(rng, depth - 1)
+    x = rand_scalar(rng, depth - 1, leaves)
+    y = rand_scalar(rng, depth - 1, leaves)
     op = rng.choice("+-*/")
     if op == "+":
         return x + y
@@ -56,14 +57,71 @@ def test_sign_non_generic_witness_is_indeterminate():
     w = Witness({A: Q(-1)})
     with pytest.raises(Indeterminate):
         sign_at(SA + 1, w)
+    # a value, or a denominator, that vanishes at the witness
+    w = Witness({A: Q(1, 2), T: Q(1)})
+    for x in (SA - Q(1, 2), ST / (2 * SA - 1), (SA - Q(1, 2)) * ST):
+        with pytest.raises(Indeterminate):
+            sign_at(x, w)
+    with pytest.raises(Indeterminate):
+        w.approx(1 / (SA - Q(1, 2)))
+    # sqrt(8) - 2 sqrt(2) is not symbolically zero in two independent
+    # symbols, but it is zero at the witness
+    T8 = Parameter("t8", "quadratic", 8)
+    with pytest.raises(Indeterminate):
+        sign_at(Scalar.of_param(T8) - 2 * ST, Witness({T: 1, T8: 1}))
 
 
 def test_sign_stable_under_precision_increase():
-    for prec in (64, 128, 256):
-        w = Witness({T: Q(1)}, precision=prec)
-        assert sign_at(ST - 1, w) is Sign.POSITIVE
-        assert sign_at(ST - 2, w) is Sign.NEGATIVE
-        assert sign_at(ST - Q(141421356, 100000000), w) is Sign.POSITIVE
+    w = Witness({T: Q(1)})
+    for x in (ST - 1, ST - 2, ST - Q(141421356, 100000000),
+              ST - Q(577, 408), (ST - 1) ** 40 - Q(1, 10 ** 15)):
+        exact = sign_at(x, w)
+        decided = [interval_sign(x, w, bits) for bits in (64, 128, 256)]
+        assert decided[-1] is exact
+        assert all(d in (None, exact) for d in decided)
+
+
+def test_high_powers_of_small_units_are_decided():
+    # (sqrt2 - 1)^3000 is about 10^-1148, far below any fixed-precision
+    # interval around it
+    for root, e, want in ((1, 2000, Sign.POSITIVE), (1, 3000, Sign.POSITIVE),
+                          (-1, 2001, Sign.NEGATIVE)):
+        w = Witness({T: root})
+        assert sign_at((ST - 1) ** e, w) is want
+        assert sign_at(-(ST - 1) ** e, w) is Sign(-want.value)
+    assert interval_sign((ST - 1) ** 2000, Witness({T: 1}), 4096) is None
+
+
+ROOTS = [T, Parameter("u", "quadratic", 3),
+         Parameter("v", "quadratic", Q(5, 7))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.booleans(), min_size=3,
+                                          max_size=3),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       st.integers(0, 60))
+def test_exact_sign_matches_interval_sign(seed, signs, a, bits):
+    """Wherever interval evaluation decides a sign, the exact sign agrees;
+    values close to zero come from subtracting a rounding of the value."""
+    w = Witness({A: a, **{p: 1 if s else -1 for p, s in zip(ROOTS, signs)}})
+    x = rand_scalar(random.Random(seed), 3,
+                    [SA, *map(Scalar.of_param, ROOTS)])
+    try:
+        near = w.approx(x)
+    except Indeterminate:       # a denominator that vanishes at a
+        return
+    x = x - Q(round(near * 2 ** bits), 2 ** bits)
+    if x.is_zero():
+        assert sign_at(x, w) is Sign.ZERO
+        return
+    try:
+        exact = sign_at(x, w)
+    except Indeterminate:
+        assert interval_sign(x, w, 256) is None
+        return
+    for b in (64, 256):
+        assert interval_sign(x, w, b) in (None, exact)
 
 
 def test_field_axioms_randomized():
@@ -149,7 +207,7 @@ def test_rational_arithmetic_is_fraction_arithmetic(x, y, e):
         assert got.is_zero() == (want == 0)
         assert got == want and got == Scalar.from_fraction(want)
         assert sign_at(got, W).value == (want > 0) - (want < 0)
-        assert W.eval_scalar(got) == (want, want) and W.approx(got) == want
+        assert W.approx(got) == want
 
 
 @settings(max_examples=200, deadline=None)
