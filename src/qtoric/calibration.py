@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, NotGammaComplete
-from .lattice_fan import (QLattice, QuantumFan, gamma_contains, gamma_rank,
-                          _is_gamma_complete)
-from .linalg import (Matrix, int_kernel, mat_inverse, pivot_columns, rank,
+from .lattice_fan import QLattice, QuantumFan, gamma_rank, _is_gamma_complete
+from .linalg import (Matrix, int_kernel, mat_inverse, pivot_columns,
                      rational_to_int_rows)
 from .scalars import Scalar
 
@@ -45,22 +44,6 @@ class Calibration:
     def matrix(self) -> Matrix:
         """The d x n matrix with columns h(e_1)..h(e_n)."""
         return Matrix.from_columns(self.images)
-
-    def is_surjective(self) -> bool:
-        """Z-span of the images equals Gamma (mutual inclusion)."""
-        image_lattice = QLattice(self.d, self.images)
-        for g in self.gamma.generators:
-            if gamma_contains(image_lattice, g) is None:
-                return False
-        for v in self.images:
-            if gamma_contains(self.gamma, v) is None:
-                return False
-        return True
-
-    def spans_without_virtual(self) -> bool:
-        cols = [self.image(i) for i in range(1, self.n + 1)
-                if i not in self.J]
-        return rank(Matrix.from_columns(cols)) == self.d if cols else self.d == 0
 
     def is_maximal(self) -> bool:
         return len(self.J) == self.n - len(self.I)

@@ -63,7 +63,7 @@ def _cli_scalar(text: str, params: dict, witness_vals: dict) -> Scalar:
         known = square_class(d, params.values())
         if known is not None:
             r, S = known
-            return "*".join([f"({r})"] + [p.name for p in S])
+            return "(" + "*".join([f"({r})"] + [p.name for p in S]) + ")"
         p = Parameter(f"sqrt{d.numerator}_{d.denominator}", "quadratic", d)
         params[p.name] = p
         witness_vals[p] = Q(1)

@@ -165,10 +165,6 @@ def _points_at_witness(points, w: Witness):
     return [[w.approx(x) for x in p] for p in points]
 
 
-def _exact_at_witness(points, w: Witness) -> bool:
-    return all(w.is_exact_for(x) for p in points for x in p)
-
-
 def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     """The three admissibility conditions: spanning real affine hulls,
     pairwise interior intersection of the hulls, and the replacement
@@ -176,7 +172,7 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     if not datum.E:
         return CheckResult.invalid("empty_family")
     pts = _points_at_witness(datum.points, w)
-    exact = _exact_at_witness(datum.points, w)
+    exact = all(w.is_exact_for(x) for p in datum.points for x in p)
     for e in sorted(datum.E, key=sorted):
         sub = [datum.point(i) for i in sorted(e)]
         M = Matrix([list(p) + [Scalar.one()] for p in sub])

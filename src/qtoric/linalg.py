@@ -331,12 +331,6 @@ def int_rank(M) -> int:
     return sum(1 for row in H if any(x != 0 for x in row))
 
 
-def int_row_basis(M) -> list:
-    """Nonzero rows of the HNF: a canonical basis of the row lattice."""
-    H, _ = hnf(M)
-    return [row for row in H if any(x != 0 for x in row)]
-
-
 def int_kernel(M) -> list:
     """Z-basis of {x : x integral, M x = 0} for an integer matrix M
     (saturated by construction)."""

@@ -49,10 +49,6 @@ class CalMorphism:
                 "s": {str(k): v for k, v in self.s.items()}}
 
 
-def _nonneg(x: Scalar, w: Witness) -> bool:
-    return x.is_zero() or sign_at(x, w) is Sign.POSITIVE
-
-
 def cone_coefficients(fan: QuantumFan, cone, point, w: Witness):
     """Coefficients of point on the cone's generators when the point lies in
     the cone (unique for simplicial cones), else None.  The zero vector lies
@@ -67,7 +63,7 @@ def cone_coefficients(fan: QuantumFan, cone, point, w: Witness):
     coeffs = solve_right(V, point)
     if coeffs is None:
         return None
-    if all(_nonneg(c, w) for c in coeffs):
+    if all(sign_at(c, w) is not Sign.NEGATIVE for c in coeffs):
         return coeffs
     return None
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from .errors import Indeterminate, UnsupportedEntries
@@ -50,7 +49,8 @@ class Parameter:
             D = _as_fraction(D)
             if D <= 0:
                 raise ValueError("quadratic discriminant must be positive")
-            if _is_square(D):
+            if isqrt(D.numerator * D.denominator) ** 2 == \
+                    D.numerator * D.denominator:
                 raise ValueError("quadratic discriminant must be a non-square")
         elif D is not None:
             raise ValueError("only quadratic parameters carry a discriminant")
@@ -69,13 +69,6 @@ class Parameter:
 
     def __hash__(self):
         return hash((self.name, self.kind, self.D))
-
-
-def _is_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    return isqrt(q.numerator) ** 2 == q.numerator and \
-        isqrt(q.denominator) ** 2 == q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -705,19 +698,61 @@ class Sign(enum.Enum):
     POSITIVE = 1
 
 
+def _coprime_base(nums) -> list:
+    """Pairwise coprime integers > 1 that multiply out to each of nums
+    (positive integers).  Splitting a pair that shares g > 1 into g and the
+    cofactors divides the product of all numbers in play by g, so there
+    are at most log2 of that product splits."""
+    base, todo = [], [x for x in nums if x > 1]
+    while todo:
+        x = todo.pop()
+        b = next((b for b in base if gcd(x, b) > 1), None)
+        if b is None:
+            base.append(x)
+        else:
+            base.remove(b)
+            g = gcd(x, b)
+            todo += [y for y in (g, b // g, x // g) if y > 1]
+    return base
+
+
 def square_class(D: Fraction, quadratics) -> tuple | None:
     """(r, S) with sqrt(D) = r * prod(sqrt(p.D) for p in S), S a subset of
     the quadratic parameters and r >= 0 rational, when D times the product
     of S's discriminants is a rational square; None when no subset makes
-    it one."""
-    quadratics = list(quadratics)
-    for k in range(len(quadratics) + 1):
-        for S in combinations(quadratics, k):
-            ds = prod((p.D for p in S), start=Q(1))
-            x = D * ds
-            if _is_square(x):
-                return Q(isqrt(x.numerator), isqrt(x.denominator)) / ds, S
-    return None
+    it one.  quadratics is iterated twice.
+
+    n/d is a rational square exactly when n*d is a square.  Over a coprime
+    base of these integers a product is a square exactly when each
+    non-square base element occurs to an even power, so S solves a linear
+    system over GF(2) in the exponent parities: no factoring is needed."""
+    if D == 0:
+        return Q(0), ()
+    ints = [x.numerator * x.denominator for x in
+            [p.D for p in quadratics] + [D]]
+    base = [b for b in _coprime_base(ints) if isqrt(b) ** 2 != b]
+
+    def parity(m):
+        v = 0
+        for j, b in enumerate(base):
+            while m % b == 0:
+                m, v = m // b, v ^ 1 << j
+        return v
+
+    pivots = {}   # leading bit -> (parities, mask of the rows summed in)
+    for i, m in enumerate(ints):   # D's row comes last
+        v, mask = parity(m), 1 << i
+        while v and v.bit_length() in pivots:
+            pv, pm = pivots[v.bit_length()]
+            v, mask = v ^ pv, mask ^ pm
+        if v:
+            pivots[v.bit_length()] = (v, mask)
+    if v:
+        return None
+    S = tuple(p for i, p in enumerate(quadratics) if mask >> i & 1)
+    ds = prod((p.D for p in S), start=Q(1))
+    x = D * ds
+    return Q(isqrt(x.numerator), isqrt(x.denominator)) / ds, S
 
 
 class Witness:

@@ -3,7 +3,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -364,12 +366,21 @@ def test_dependent_sqrt_literal_reuses_declared_roots(capsys):
     assert _cli_scalar("sqrt:6", params, wvals) == s2 * s3
     assert _cli_scalar("sqrt:3/2", params, wvals) == s2 * s3 / 2
     assert _cli_scalar("sqrt:2", params, wvals) == s2
+    # a reused root is one factor of the expression around it
+    assert _cli_scalar("1/sqrt:2", params, wvals) == 1 / s2
+    assert _cli_scalar("sqrt:2/sqrt:2", params, wvals) == 1
+    assert _cli_scalar("sqrt:8^2", params, wvals) == 8
+    assert _cli_scalar("1/sqrt:6", params, wvals) == s2 * s3 / 6
+    assert _cli_scalar("sqrt:4^3", params, wvals) == 8
     assert len(params) == len(wvals) == 2
     # a = -1 in both, so the orbit is a single point
     for a in ("sqrt:8-2*sqrt:2-1", "sqrt:6-sqrt:2*sqrt:3-1"):
         code, rep = run(capsys, ["p2-orbit", f"--a={a}", "--b=-1"])
         assert code == 0 and rep["isotropy"] == "S3"
         assert rep["canonical"] == ["-1", "-1"]
+    # b = -1/sqrt2 after a = -sqrt2 is b = -sqrt2/2, not -sqrt2
+    code, rep = run(capsys, ["p2-orbit", "--a=-sqrt:2", "--b=-1/sqrt:2"])
+    assert code == 0 and rep["orbit"][0] == ["-sqrt2_1", "-1/2*sqrt2_1"]
 
 
 def test_dependent_quadratic_parameters_rejected(tmp_path, capsys):
@@ -386,6 +397,14 @@ def test_dependent_quadratic_parameters_rejected(tmp_path, capsys):
     code, rep = run(capsys, ["validate", _write(tmp_path, "dep.json",
                                                  with_roots("2", "8"))])
     assert code == 2 and rep["error"]["code"] == "InputError"
+    # the check is polynomial in the number of roots: 60 primes load at once
+    primes = [n for n in range(2, 300) if all(n % d for d in range(2, n))]
+    start = time.perf_counter()
+    assert load_fan_file(with_roots(*map(str, primes[:60]))).fan is not None
+    with pytest.raises(InputError, match="multiplicatively independent"):
+        load_fan_file(with_roots(*map(str, primes[:59]),
+                                 str(prod(primes[:59]))))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):

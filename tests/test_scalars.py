@@ -1,5 +1,8 @@
 import random
+import time
 from fractions import Fraction as Q
+from itertools import combinations
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from qtoric.calibration import Calibration, kernel_rank
 from qtoric.errors import Indeterminate, UnsupportedField
 from qtoric.lattice_fan import QLattice, gamma_rank
 from qtoric.moduli import quadratic_surd
-from qtoric.scalars import Parameter, Poly, Scalar, Sign, Witness, sign_at
+from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Witness, sign_at,
+                            square_class)
 
 A = Parameter("a")
 B = Parameter("b")
@@ -122,6 +126,53 @@ def test_exact_sign_matches_interval_sign(seed, signs, a, bits):
         return
     for b in (64, 256):
         assert interval_sign(x, w, b) in (None, exact)
+
+
+def _is_square(x):
+    n = x.numerator * x.denominator
+    return isqrt(n) ** 2 == n
+
+
+def _brute_square_class(D, quads):
+    """Reference: the first subset S, by size, with D * prod(S) a square."""
+    for k in range(len(quads) + 1):
+        for S in combinations(quads, k):
+            if _is_square(D * prod((p.D for p in S), start=Q(1))):
+                return S
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(Q(1, 12), 60, max_denominator=12), max_size=6),
+       st.fractions(Q(0), 60, max_denominator=12))
+def test_square_class_matches_subset_search(Ds, D):
+    quads = []
+    for i, d in enumerate(Ds):   # keep an independent set, as both callers do
+        if not _is_square(d) and _brute_square_class(d, quads) is None:
+            quads.append(Parameter(f"t{i}", "quadratic", d))
+    got, want = square_class(D, quads), _brute_square_class(D, quads)
+    assert (got is None) == (want is None)
+    if got is not None:
+        r, S = got
+        assert S == want and r >= 0
+        assert r * r * prod((p.D for p in S), start=Q(1)) == D
+
+
+def test_square_class_is_polynomial_and_needs_no_factoring():
+    # pq, qr, rp for three large primes: dependent, and no small factor
+    p, q, r = 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1
+    pq, qr = (Parameter(n, "quadratic", D)
+              for n, D in (("pq", p * q), ("qr", q * r)))
+    # sqrt(rp)/2 = sqrt(pq) * sqrt(qr) / (2q)
+    assert square_class(Q(r * p, 4), [pq, qr]) == (Q(1, 2 * q), (pq, qr))
+    assert square_class(Q(r), [pq, qr]) is None
+    # forty independent roots and one that is the product of all of them
+    primes = [n for n in range(2, 200) if all(n % d for d in range(2, n))][:40]
+    quads = [Parameter(f"t{n}", "quadratic", n) for n in primes]
+    start = time.perf_counter()
+    assert square_class(Q(prod(primes)), quads) == (Q(1), tuple(quads))
+    assert square_class(Q(prod(primes) * 199), quads) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_field_axioms_randomized():
