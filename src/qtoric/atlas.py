@@ -15,10 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .calibration import CalibratedFan
-from .errors import EmptyIntersection, Singular
-from .lattice_fan import QuantumFan
-from .linalg import Matrix, mat_inverse, pivot_columns
-from .scalars import Scalar
+from .errors import EmptyIntersection
+from .lattice_fan import QuantumFan, _ordered
+from .linalg import Matrix
 
 
 @dataclass
@@ -41,37 +40,12 @@ class ChartData:
         return out
 
 
-def _ordered(cone):
-    """Cones given as sequences keep their written order (the paper's
-    A_<3,1> differs from A_<1,3>); sets are sorted."""
-    if isinstance(cone, (set, frozenset)):
-        return sorted(cone)
-    return list(cone)
-
-
-def _basis(fan: QuantumFan, cone, completion=None) -> tuple:
-    """(B_I, completion): the columns of B_I are the cone's rays in order,
-    then the canonical vectors e_j for j in the completion, so that
-    B_I = A_I^-1.  Without a given completion, the leftmost pivots of
-    (rays, e_1, ..., e_d) choose it."""
-    rays = [fan.ray(i) for i in _ordered(cone)]
-    eye = Matrix.identity(fan.dim).rows
-    if completion is None:
-        k = len(rays)
-        piv = pivot_columns(rays + list(eye))
-        if piv[:k] != list(range(k)):
-            raise Singular("cone generators do not extend to a basis")
-        completion = tuple(j - k + 1 for j in piv[k:])
-    cols = rays + [eye[j - 1] for j in completion]
-    return Matrix.from_columns(cols), completion
-
-
 def chart_matrix(fan: QuantumFan, cone) -> tuple:
     """A_I for a maximal cone: the exact inverse of the generator matrix,
     completed (when |I| < d) by canonical basis vectors chosen greedily in
     index order.  Returns (A_I, completion indices)."""
-    B, completion = _basis(fan, cone)
-    return mat_inverse(B), completion
+    A, _, completion = fan.chart(cone)
+    return A, completion
 
 
 def gluing_exponents(fan: QuantumFan, cone_from, cone_to) -> Matrix:
@@ -82,27 +56,7 @@ def gluing_exponents(fan: QuantumFan, cone_from, cone_to) -> Matrix:
     if not frozenset(cone_from) & frozenset(cone_to):
         raise EmptyIntersection(
             f"{_ordered(cone_from)} and {_ordered(cone_to)} are disjoint")
-    B_from, _ = _basis(fan, cone_from)
-    A_to, _ = chart_matrix(fan, cone_to)
-    return (A_to * B_from).transpose()
-
-
-def shared_rows_are_identity(fan: QuantumFan, cone_from, cone_to) -> bool:
-    """For every shared ray, the exponent-matrix row at the ray's position
-    in the source chart is the identity row of its position in the target
-    chart."""
-    M = gluing_exponents(fan, cone_from, cone_to)
-    src = _ordered(cone_from)
-    dst = _ordered(cone_to)
-    for r in frozenset(cone_from) & frozenset(cone_to):
-        i = src.index(r)
-        j = dst.index(r)
-        row = M.rows[i]
-        for c, x in enumerate(row):
-            expected = Scalar.one() if c == j else Scalar.zero()
-            if not (x - expected).is_zero():
-                return False
-    return True
+    return (fan.chart(cone_to)[0] * fan.chart(cone_from)[1]).transpose()
 
 
 def chart_calibration(cf: CalibratedFan, cone) -> tuple:
@@ -134,12 +88,12 @@ def _chart_calibration(cf: CalibratedFan, cone, A_I: Matrix) -> tuple:
 def _gluings(fan: QuantumFan, charts) -> dict:
     """{(I, J): (A_J B_I)^T} over the ordered pairs of distinct
     intersecting charts, both directions of a pair next to each other."""
-    B = {c.cone: _basis(fan, c.cone, c.completion)[0] for c in charts}
     out = {}
     for c1, c2 in itertools.combinations(charts, 2):
         if frozenset(c1.cone) & frozenset(c2.cone):
             for src, dst in ((c1, c2), (c2, c1)):
-                out[src.cone, dst.cone] = (dst.A * B[src.cone]).transpose()
+                out[src.cone, dst.cone] = \
+                    (dst.A * fan.chart(src.cone)[1]).transpose()
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +48,7 @@ def _read(path: str) -> str:
 def _emit(payload) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 _SQRT_RE = re.compile(r"sqrt:(\d+(?:/\d+)?)")
@@ -387,12 +389,33 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.schema:
-        _emit(SCHEMA)
-        return EXIT_TRUE
-    if not args.command:
+    if not args.schema and not args.command:
         ap.print_help()
         return EXIT_INPUT
+    # literals of any length are read and written: CPython >= 3.10.7 caps
+    # int <-> decimal str conversions at 4300 digits unless told otherwise
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        payload, code = _run(args)
+        _emit(payload)
+    except BrokenPipeError:
+        # the reader left early (qtoric ... | head): point stdout at
+        # devnull so that the interpreter's final flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    return code
+
+
+def _run(args):
+    """(payload, exit code) of the command the arguments name."""
+    if args.schema:
+        return SCHEMA, EXIT_TRUE
     if args.command in SINGLE_FILE_COMMANDS:
         handler = SINGLE_FILE_COMMANDS[args.command]
 
@@ -401,21 +424,17 @@ def main(argv=None) -> int:
                                               args))
 
         if len(args.files) == 1:
-            payload, code = run_one(args.files[0])
-            _emit(payload)
-            return code
+            return run_one(args.files[0])
         jobs = max(1, args.jobs)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_one, args.files))
         # handlers exit 0 or 1; a failed file (exit 2 or 3) holds its
         # {"error": ...} in place of a report
-        _emit([{"file": f, **(payload if code >= EXIT_INPUT
-                              else {"report": payload})}
-               for f, (payload, code) in zip(args.files, results)])
-        return max(code for _, code in results)
-    payload, code = _reported(lambda: ARGS_COMMANDS[args.command](args))
-    _emit(payload)
-    return code
+        return ([{"file": f, **(payload if code >= EXIT_INPUT
+                               else {"report": payload})}
+                 for f, (payload, code) in zip(args.files, results)],
+                max(code for _, code in results))
+    return _reported(lambda: ARGS_COMMANDS[args.command](args))
 
 
 def _reported(run):

@@ -93,32 +93,6 @@ def gale_affine(vectors, normalization: str = "pivot") -> GaleData:
     return GaleData([tuple(r) for r in G.rows])
 
 
-def gale_bilinear_defect(gale: GaleData, vectors) -> Matrix:
-    """sum_i v_i A_i^T as a d x (n-d) matrix; zero iff the bilinear
-    identity sum_i <A_i,t><v_i,s> = 0 holds identically."""
-    vecs = [tuple(Scalar.coerce(x) for x in v) for v in vectors]
-    d = len(vecs[0])
-    w = gale.width
-    out = [[Scalar.zero()] * w for _ in range(d)]
-    for v, A in zip(vecs, gale.vectors):
-        for r in range(d):
-            for c in range(w):
-                out[r][c] = out[r][c] + v[r] * A[c]
-    return Matrix(out)
-
-
-def lemmah_defect(cal: Calibration, gale: GaleData) -> Matrix:
-    """A_top + hbar * A_bottom for a standard calibration: the matrix whose
-    vanishing is the chart-calibration identity
-    0 = <A_i,t> + hbar_i(<A_{d+1},t>,...,<A_n,t>)."""
-    d, n = cal.d, cal.n
-    hmat = cal.matrix()
-    hbar = Matrix([r[d:] for r in hmat.rows])
-    A_top = Matrix([list(gale.vectors[i]) for i in range(d)])
-    A_bot = Matrix([list(gale.vectors[i]) for i in range(d, n)])
-    return A_top + hbar * A_bot
-
-
 # ---------------------------------------------------------------------------
 # LVMB data
 # ---------------------------------------------------------------------------
@@ -402,14 +376,6 @@ def polytope_faces(datum_or_points, w: Witness, m: int | None = None) -> Polytop
     facet_count = n - len(indis)
     return PolytopeFaces(n, m, sorted(faces, key=lambda f: (len(f), sorted(f))),
                          sorted(vertices, key=sorted), facet_count)
-
-
-def lvm_face_oracle(points, m: int, J, w: Witness) -> bool:
-    """Independent LVM-side test: 0 in the hull of the points outside J."""
-    points = [tuple(Scalar.coerce(x) for x in p) for p in points]
-    pts = _points_at_witness(points, w)
-    comp = [pts[i - 1] for i in range(1, len(points) + 1) if i not in J]
-    return lp.in_convex_hull(comp)
 
 
 # ---------------------------------------------------------------------------

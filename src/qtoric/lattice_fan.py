@@ -15,8 +15,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp
+from .errors import Singular
 from .linalg import (Matrix, int_rank, int_solve, mat_inverse, pivot_columns,
-                     rank, rational_to_int_rows, solve_right)
+                     rank, rational_to_int_rows)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -113,6 +114,14 @@ def _normalize_cones(cones) -> frozenset:
     return frozenset(out)
 
 
+def _ordered(cone) -> list:
+    """Cones given as sequences keep their written order (the paper's
+    A_<3,1> differs from A_<1,3>); sets are sorted."""
+    if isinstance(cone, (set, frozenset)):
+        return sorted(cone)
+    return list(cone)
+
+
 class QuantumFan:
     """Ray generators v_1..v_p plus a family of index subsets of {1..p}."""
 
@@ -126,6 +135,7 @@ class QuantumFan:
         for c in self.cones:
             if any(i < 1 or i > len(self.rays) for i in c):
                 raise ValueError("cone index out of range")
+        self._charts = {}
 
     @property
     def dim(self) -> int:
@@ -140,6 +150,26 @@ class QuantumFan:
 
     def cone_generators(self, cone):
         return [self.ray(i) for i in sorted(cone)]
+
+    def chart(self, cone) -> tuple:
+        """(A_I, B_I, completion) for the cone I in chart order (see
+        _ordered).  The columns of B_I are the cone's rays in order, then
+        the canonical vectors e_j for j in the completion, the leftmost
+        pivots of (rays, e_1, ..., e_d); A_I is B_I^-1, so A_I v holds the
+        coordinates of v in the chart.  Computed once per fan and cone
+        order; raises Singular when the rays are dependent."""
+        key = tuple(_ordered(cone))
+        if key not in self._charts:
+            rays = [self.ray(i) for i in key]
+            eye = Matrix.identity(self.dim).rows
+            k = len(rays)
+            piv = pivot_columns(rays + list(eye))
+            if piv[:k] != list(range(k)):
+                raise Singular("cone generators do not extend to a basis")
+            completion = tuple(j - k + 1 for j in piv[k:])
+            B = Matrix.from_columns(rays + [eye[j - 1] for j in completion])
+            self._charts[key] = (mat_inverse(B), B, completion)
+        return self._charts[key]
 
     def maximal_cones(self):
         return [c for c in self.cones
@@ -313,21 +343,20 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     p = fan.nrays
     maxc = [tuple(sorted(c)) for c in fan.maximal_cones()]
     coords = _rays_at_witness(fan, w)
-    # l_s(v_j) = sum_i gamma_i w_i, where gamma solves V_s gamma = v_j
+    # l_s(v_j) = sum_i gamma_i w_i, where gamma = V_s^-1 v_j
     constraints = []
     for s in maxc:
-        Vs = Matrix.from_columns([[Scalar.from_fraction(c) for c in coords[i]]
-                                  for i in s])
+        try:
+            Vinv = mat_inverse(Matrix.from_columns([coords[i] for i in s]))
+        except Singular:
+            return False
         for j in range(1, p + 1):
             if j in s:
                 continue
-            gam = solve_right(Vs, [Scalar.from_fraction(c)
-                                   for c in coords[j]])
-            if gam is None:
-                return False
+            gam = Vinv.apply(coords[j])
             row = [Q(0)] * p
             for idx, i in enumerate(s):
-                row[i - 1] += gam[idx].as_fraction()
+                row[i - 1] += gam[idx].q
             row[j - 1] -= 1
             constraints.append(row)
     if not constraints:

@@ -71,8 +71,6 @@ def quadratic_surd(x: Scalar):
         return x.as_fraction()
     p = quad[0]
     u, v = x.affine_coefficients([p.name])
-    if v == 0:
-        return u
     # X^2 - 2u X + (u^2 - v^2 D) times the lcm A of its denominators is
     # primitive: were a prime p to divide A, B and C, A/p would clear them
     b, c = -2 * u, u * u - v * v * p.D
@@ -313,19 +311,6 @@ def wps_weights(a, b) -> tuple:
     beta = lcm(s * p // g, p)
     gamma = lcm(q * r // g, r)
     return alpha, beta, gamma
-
-
-def wps_weights_chart_oracle(a, b) -> tuple:
-    """Independent oracle: per chart, the minimal positive integer t with
-    t * (chart hbar vector) integral; chart vectors (a,b), (-b/a, 1/a),
-    (1/b, -a/b) in chart order."""
-    fa = Scalar.coerce(a).as_fraction()
-    fb = Scalar.coerce(b).as_fraction()
-    charts = [(fa, fb), (-fb / fa, 1 / fa), (1 / fb, -fa / fb)]
-    out = []
-    for u, v in charts:
-        out.append(lcm(u.denominator, v.denominator))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

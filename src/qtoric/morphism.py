@@ -50,32 +50,31 @@ class CalMorphism:
 
 
 def cone_coefficients(fan: QuantumFan, cone, point, w: Witness):
-    """Coefficients of point on the cone's generators when the point lies in
-    the cone (unique for simplicial cones), else None.  The zero vector lies
-    in every cone with zero coefficients."""
-    point = tuple(Scalar.coerce(x) for x in point)
-    if all(x.is_zero() for x in point):
-        return tuple(Scalar.zero() for _ in cone)
-    if not cone:
-        return None
-    gens = fan.cone_generators(cone)
-    V = Matrix.from_columns(gens)
-    coeffs = solve_right(V, point)
-    if coeffs is None:
-        return None
-    if all(sign_at(c, w) is not Sign.NEGATIVE for c in coeffs):
-        return coeffs
+    """Coefficients of point on the cone's generators, in sorted ray order,
+    when the point lies in the cone, else None: the point's coordinates in
+    the cone's chart, which must be zero on the completion and nonnegative
+    on the rays.  Raises Singular for a cone with dependent generators."""
+    A, _, _ = fan.chart(frozenset(cone))
+    x = A.apply(point)
+    k = len(cone)
+    if all(c.is_zero() for c in x[k:]) and all(
+            sign_at(c, w) is not Sign.NEGATIVE for c in x[:k]):
+        return x[:k]
     return None
 
 
 def containing_cones(fan: QuantumFan, point, w: Witness):
-    """All cones of the fan containing the point, with coefficients."""
-    out = {}
-    for c in fan.cones:
-        coeffs = cone_coefficients(fan, c, point, w)
+    """All cones of the fan containing the point, with coefficients: the
+    faces of a maximal cone holding the point that contain the support of
+    its coordinates there."""
+    inside = []
+    for top in fan.maximal_cones():
+        coeffs = cone_coefficients(fan, top, point, w)
         if coeffs is not None:
-            out[c] = coeffs
-    return out
+            x = dict(zip(sorted(top), coeffs))
+            inside.append((top, {i for i in top if not x[i].is_zero()}, x))
+    return {c: tuple(x[i] for i in sorted(c)) for c in fan.cones
+            for top, support, x in inside if support <= c <= top}
 
 
 def minimal_containing_cone(fan: QuantumFan, point, w: Witness):
@@ -99,11 +98,12 @@ def check_fan_morphism(L: Matrix, src: QuantumFan, dst: QuantumFan,
             return CheckResult.invalid(
                 "lattice", detail=f"L({[str(x) for x in g]}) not in Gamma'")
     images = {i: L.apply(src.ray(i)) for i in range(1, src.nrays + 1)}
+    dst_max = dst.maximal_cones()
     for cone in src.maximal_cones():
         ok = any(
             all(cone_coefficients(dst, c, images[i], w) is not None
                 for i in cone)
-            for c in dst.cones)
+            for c in dst_max)
         if not ok:
             return CheckResult.invalid(
                 "cone_containment", cone=sorted(cone))

@@ -424,22 +424,22 @@ class Scalar:
     """Canonical fraction of two polynomials over Q in the declared
     parameters.  Immutable; equality is canonical-form equality.
 
-    A scalar without parameters keeps its value as one Fraction in ``q``
-    and computes with it directly; ``num``/``den`` are then built on demand
-    as constant polynomials.  A parametric scalar has ``q = None`` and
-    keeps its canonical ``num``/``den``, also when its value is constant
-    (its ``params`` record the parameters it was computed from)."""
+    A scalar whose value is rational keeps it as one Fraction in ``q``,
+    whatever parameters it was computed from, and computes with it
+    directly; ``num``/``den`` are then built on demand as constant
+    polynomials.  Any other scalar has ``q = None`` and keeps its canonical
+    ``num``/``den``."""
 
     __slots__ = ("q", "_num", "_den")
 
     def __init__(self, num: Poly, den: Poly, _canonical=False):
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
-        if not num.params and not den.params:
-            self.q = num.const_value() / den.const_value()
-            return
         if not _canonical:
             num, den = _canonicalize(num, den)
+        if num.is_const() and den.is_const():
+            self.q = num.const_value() / den.const_value()
+            return
         self.q = None
         self._num = num
         self._den = den
@@ -447,12 +447,8 @@ class Scalar:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_fraction(c, params=None) -> "Scalar":
-        c = _as_fraction(c)
-        if not params:
-            return _rational(c)
-        return Scalar(Poly.const(c, params), Poly.const(1, params),
-                      _canonical=True)
+    def from_fraction(c) -> "Scalar":
+        return _rational(_as_fraction(c))
 
     @staticmethod
     def of_param(p: Parameter) -> "Scalar":
@@ -498,15 +494,12 @@ class Scalar:
         return self._num.is_zero()
 
     def is_rational(self) -> bool:
-        return self.q is not None or (self._num.is_const()
-                                      and self._den.is_const())
+        return self.q is not None
 
     def as_fraction(self) -> Fraction:
-        if self.q is not None:
-            return self.q
-        if not self.is_rational():
+        if self.q is None:
             raise UnsupportedEntries(f"{self} is not rational")
-        return self._num.const_value() / self._den.const_value()
+        return self.q
 
     def is_integer(self) -> bool:
         return self.is_rational() and self.as_fraction().denominator == 1
@@ -577,17 +570,14 @@ class Scalar:
             other = _rational(_as_fraction(other))
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.q is not None and other.q is not None:
+        if self.q is not None or other.q is not None:
             return self.q == other.q
-        return self.num == other.num and self.den == other.den
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        if self.q is None:
-            return hash((self._num, self._den))
-        # the hash of (Poly.const(q), Poly.const(1)), as for a parametric
-        # scalar of the same constant value
-        terms = frozenset({(_ONE_MONO, self.q)}) if self.q else frozenset()
-        return hash((terms, _ONE_TERMS))
+        if self.q is not None:
+            return hash(self.q)
+        return hash((self._num, self._den))
 
     # -- display -------------------------------------------------------------
 
@@ -680,7 +670,6 @@ def _rational(q: Fraction) -> Scalar:
 
 
 _new = object.__new__
-_ONE_TERMS = frozenset({(_ONE_MONO, Q(1))})
 _ZERO = _rational(Q(0))
 _ONE = _rational(Q(1))
 
@@ -849,9 +838,8 @@ def sign_at(s: Scalar, w: Witness) -> Sign:
     s = Scalar.coerce(s)
     if s.is_zero():
         return Sign.ZERO
-    if s.is_rational():
-        v = s.as_fraction()
-        return Sign.POSITIVE if v > 0 else Sign.NEGATIVE
+    if s.q is not None:
+        return Sign.POSITIVE if s.q > 0 else Sign.NEGATIVE
     sign = _exact_sign(w.specialise(s), w)
     if not sign:
         raise Indeterminate(

@@ -14,10 +14,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qtoric import lp
 from qtoric.atlas import gluing_exponents
 from qtoric.calibration import CalibratedFan, Calibration
+from qtoric.gale_lvmb import GaleData, _points_at_witness
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
 from qtoric.linalg import Matrix, rank, solve_right
-from qtoric.scalars import Parameter, Scalar, Sign, Witness
+from qtoric.scalars import Parameter, Scalar, Sign, Witness, sign_at
 
 Q = Fraction
 
@@ -257,3 +258,104 @@ def twisted_prism_fan(eps, diagonals) -> QuantumFan:
         else:
             cones += [[ui, uj, wi], [uj, wj, wi]]
     return fan_from_max_cones(QLattice(3, rays), rays, cones)
+
+
+# -- reference containment: one solve per (cone, point) ----------------------
+
+def cone_coefficients_by_solve(fan: QuantumFan, cone, point, w: Witness):
+    """Coefficients of point on the cone's generators when the point lies in
+    the cone (unique for simplicial cones), else None.  The zero vector lies
+    in every cone with zero coefficients."""
+    point = tuple(Scalar.coerce(x) for x in point)
+    if all(x.is_zero() for x in point):
+        return tuple(Scalar.zero() for _ in cone)
+    if not cone:
+        return None
+    V = Matrix.from_columns(fan.cone_generators(cone))
+    coeffs = solve_right(V, point)
+    if coeffs is None:
+        return None
+    if all(sign_at(c, w) is not Sign.NEGATIVE for c in coeffs):
+        return coeffs
+    return None
+
+
+def containing_cones_by_solve(fan: QuantumFan, point, w: Witness):
+    """All cones of the fan containing the point, with coefficients."""
+    out = {}
+    for c in fan.cones:
+        coeffs = cone_coefficients_by_solve(fan, c, point, w)
+        if coeffs is not None:
+            out[c] = coeffs
+    return out
+
+
+def minimal_containing_cone_by_solve(fan: QuantumFan, point, w: Witness):
+    """The unique minimal cone containing the point, or None."""
+    found = containing_cones_by_solve(fan, point, w)
+    if not found:
+        return None
+    best = min(found, key=len)
+    return best, found[best]
+
+
+# -- oracles for identities the library builds in ----------------------------
+
+def shared_rows_are_identity(fan: QuantumFan, cone_from, cone_to) -> bool:
+    """For every shared ray, the exponent-matrix row at the ray's position
+    in the source chart is the identity row of its position in the target
+    chart (cones are sequences in chart order)."""
+    M = gluing_exponents(fan, cone_from, cone_to)
+    src, dst = list(cone_from), list(cone_to)
+    for r in set(src) & set(dst):
+        row = M.rows[src.index(r)]
+        j = dst.index(r)
+        for c, x in enumerate(row):
+            expected = Scalar.one() if c == j else Scalar.zero()
+            if not (x - expected).is_zero():
+                return False
+    return True
+
+
+def gale_bilinear_defect(gale: GaleData, vectors) -> Matrix:
+    """sum_i v_i A_i^T as a d x (n-d) matrix; zero iff the bilinear
+    identity sum_i <A_i,t><v_i,s> = 0 holds identically."""
+    vecs = [tuple(Scalar.coerce(x) for x in v) for v in vectors]
+    d = len(vecs[0])
+    w = gale.width
+    out = [[Scalar.zero()] * w for _ in range(d)]
+    for v, A in zip(vecs, gale.vectors):
+        for r in range(d):
+            for c in range(w):
+                out[r][c] = out[r][c] + v[r] * A[c]
+    return Matrix(out)
+
+
+def lemmah_defect(cal: Calibration, gale: GaleData) -> Matrix:
+    """A_top + hbar * A_bottom for a standard calibration: the matrix whose
+    vanishing is the chart-calibration identity
+    0 = <A_i,t> + hbar_i(<A_{d+1},t>,...,<A_n,t>)."""
+    d, n = cal.d, cal.n
+    hmat = cal.matrix()
+    hbar = Matrix([r[d:] for r in hmat.rows])
+    A_top = Matrix([list(gale.vectors[i]) for i in range(d)])
+    A_bot = Matrix([list(gale.vectors[i]) for i in range(d, n)])
+    return A_top + hbar * A_bot
+
+
+def lvm_face_oracle(points, m: int, J, w: Witness) -> bool:
+    """Independent LVM-side test: 0 in the hull of the points outside J."""
+    points = [tuple(Scalar.coerce(x) for x in p) for p in points]
+    pts = _points_at_witness(points, w)
+    comp = [pts[i - 1] for i in range(1, len(points) + 1) if i not in J]
+    return lp.in_convex_hull(comp)
+
+
+def wps_weights_chart_oracle(a, b) -> tuple:
+    """Independent oracle: per chart, the minimal positive integer t with
+    t * (chart hbar vector) integral; chart vectors (a,b), (-b/a, 1/a),
+    (1/b, -a/b) in chart order."""
+    fa = Scalar.coerce(a).as_fraction()
+    fb = Scalar.coerce(b).as_fraction()
+    charts = [(fa, fb), (-fb / fa, 1 / fa), (1 / fb, -fa / fb)]
+    return tuple(math.lcm(u.denominator, v.denominator) for u, v in charts)

@@ -9,24 +9,21 @@ from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from math import gcd
 
-from conftest import EMPTY_WITNESS, cocycle_check, random_complete_fan, \
-    random_even_calibrated_fan
+from conftest import EMPTY_WITNESS, cocycle_check, gale_bilinear_defect, \
+    lemmah_defect, random_complete_fan, random_even_calibrated_fan, \
+    shared_rows_are_identity, wps_weights_chart_oracle
 
-from qtoric.atlas import (build_irrelevant, chart_matrix, gluing_exponents,
-                          shared_rows_are_identity)
+from qtoric.atlas import build_irrelevant, chart_matrix, gluing_exponents
 from qtoric.calibration import (CalibratedFan, Calibration, kernel_rank,
                                 standardize_calibration, trivial_calibration)
 from qtoric.gale_lvmb import (build_lvmb, check_lvmb, gale_affine,
-                              gale_bilinear_defect, gale_linear,
-                              lemmah_defect, lvmb_to_fan,
-                              roundtrip_marked_iso)
+                              gale_linear, lvmb_to_fan, roundtrip_marked_iso)
 from qtoric.lattice_fan import (QLattice, QuantumFan, comb_type,
                                 d_realizable, fan_from_max_cones,
                                 validate_fan)
 from qtoric.linalg import Matrix
 from qtoric.moduli import (act_2d, p2_orbit, p2_sigma, p2_tau,
-                           torus_equiv_2d, wps_weights,
-                           wps_weights_chart_oracle)
+                           torus_equiv_2d, wps_weights)
 from qtoric.morphism import check_cal_morphism, find_cal_morphism
 from qtoric.scalars import Parameter, Scalar, Witness
 

@@ -3,16 +3,15 @@ from fractions import Fraction as Q
 
 import pytest
 from conftest import (cocycle_check, cocycle_holds, fan_gluings,
-                      random_bipyramid_fan, random_circle_fan,
-                      random_even_calibrated_fan)
+                      lemmah_defect, random_bipyramid_fan, random_circle_fan,
+                      random_even_calibrated_fan, shared_rows_are_identity)
 
 import qtoric.atlas as atlas_mod
 from qtoric.atlas import (atlas_report, build_irrelevant, chart_calibration,
-                          chart_matrix, gluing_exponents,
-                          shared_rows_are_identity)
+                          chart_matrix, gluing_exponents)
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
 from qtoric.errors import EmptyIntersection, Singular
-from qtoric.gale_lvmb import gale_linear, lemmah_defect
+from qtoric.gale_lvmb import gale_linear
 from qtoric.lattice_fan import QLattice, QuantumFan, fan_from_max_cones
 from qtoric.linalg import Matrix, mat_inverse
 from qtoric.scalars import Parameter, Scalar, Witness

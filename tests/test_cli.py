@@ -474,3 +474,59 @@ def test_shared_parser_keeps_no_state(case, tmp_path, capsys):
     code, rep = run(capsys, second)
     proc = fresh("-m", "qtoric.cli", *second)
     assert (code, rep) == (proc.returncode, json.loads(proc.stdout))
+
+
+# the target's maximal cone <1,2> has the dependent rays (1,0) and (2,0)
+DEPENDENT_TARGET = {
+    "dim": 2, "params": [], "witness": {},
+    "gamma": [["1", "0"], ["0", "1"]],
+    "rays": [["1", "0"], ["2", "0"], ["0", "1"], ["-1", "-1"]],
+    "cones": [[1, 2], [3, 4]],
+}
+
+LINE = {
+    "dim": 1, "params": [], "witness": {},
+    "gamma": [["1"]],
+    "rays": [["1"], ["-1"]],
+    "cones": [[1], [2]],
+}
+
+
+def test_dependent_target_cone_is_singular(tmp_path, capsys):
+    src = _write(tmp_path, "line.json", LINE)
+    dst = _write(tmp_path, "dependent.json", DEPENDENT_TARGET)
+    m = _write(tmp_path, "m.json", {"L": [["1"], ["0"]]})
+    for argv in (["morphism-check", "--morphism", m, src, dst],
+                 ["cal-morphism-check", "--search", src, dst]):
+        code, rep = run(capsys, argv)
+        assert code == 2 and rep["error"]["code"] == "Singular"
+
+
+def test_long_literals_are_read_and_written(capsys):
+    limit = sys.get_int_max_str_digits()
+    n = "1" * 5000
+    code = main(["wps-weights", f"--a=-{n}", "--b=-1"])
+    out = capsys.readouterr().out
+    assert code == 0 and f"{n},\n" in out
+    code, rep = run(capsys, ["moduli-equiv-2d", "--a", "1" * 4400,
+                             "--b", "1"])
+    assert code == 0 and rep["equivalent"]
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("args", [
+    ["--schema"],
+    # about 90 kB of output, more than a pipe holds: the writer is still
+    # writing when the reader leaves
+    ["moduli-equiv-2d", "--a", "1" * 90000, "--b", "1"]])
+def test_reader_closing_the_pipe_early(args):
+    src = os.path.dirname(os.path.dirname(qtoric.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "qtoric.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            bufsize=0, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert b"Traceback" not in err and b"Error" not in err

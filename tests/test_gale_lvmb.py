@@ -2,17 +2,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import EMPTY_WITNESS, random_even_calibrated_fan
+from conftest import (EMPTY_WITNESS, gale_bilinear_defect, lemmah_defect,
+                      lvm_face_oracle, random_even_calibrated_fan)
 
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
 from qtoric.errors import (NoIndispensable, NotBalanced, NotEven,
                            RankDeficient)
 from qtoric.gale_lvmb import (LVMBDatum, build_lvmb, check_lvm, check_lvmb,
                               condition_KH, g_lattice, gale_affine,
-                              gale_bilinear_defect, gale_linear,
-                              is_even, lemmah_defect, lvm_face_oracle,
-                              lvmb_to_fan, polytope_faces,
-                              roundtrip_marked_iso)
+                              gale_linear, is_even, lvmb_to_fan,
+                              polytope_faces, roundtrip_marked_iso)
 from qtoric.lattice_fan import QLattice, fan_from_max_cones
 from qtoric.linalg import Matrix
 from qtoric.scalars import Parameter, Scalar, Witness

@@ -123,6 +123,17 @@ def test_non_polytopal_incomplete():
     assert not fan_properties(fan, EMPTY_WITNESS).polytopal
 
 
+def test_singular_maximal_cone_at_witness_is_not_polytopal():
+    # at a = 0 the rays (0, a) and (0, -a) vanish: every maximal cone of
+    # the combinatorially complete fan is singular there
+    fan = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1]]),
+                             [[1, 0], [0, SA], [-1, 0], [0, -SA]],
+                             [[1, 2], [2, 3], [3, 4], [4, 1]])
+    assert _is_complete(fan)
+    assert not _is_polytopal(fan, Witness({A: Q(0)}))
+    assert _is_polytopal(fan, Witness({A: Q(1)}))
+
+
 def test_comb_type_examples():
     D = comb_type(p2_deformation())
     assert D.poset == P2_TYPE.poset

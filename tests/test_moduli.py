@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 
 import pytest
+from conftest import wps_weights_chart_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,7 @@ from qtoric.errors import (NotRational, NotUnimodular, OutOfDomain,
 from qtoric.linalg import Matrix
 from qtoric.moduli import (act_2d, cal_torus_orbit_maximal, hopf_equiv,
                            p2_orbit, p2_sigma, p2_tau, quadratic_surd,
-                           torus_act, torus_equiv_2d, wps_weights,
-                           wps_weights_chart_oracle)
+                           torus_act, torus_equiv_2d, wps_weights)
 from qtoric.scalars import Parameter, Scalar, Witness
 
 A = Parameter("a")

@@ -2,16 +2,22 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import EMPTY_WITNESS, random_circle_fan
+from conftest import (EMPTY_WITNESS, containing_cones_by_solve,
+                      minimal_containing_cone_by_solve, random_circle_fan,
+                      random_complete_fan)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
-from qtoric.errors import DomainMismatch
+from qtoric.errors import DomainMismatch, Indeterminate
 from qtoric.lattice_fan import QLattice, QuantumFan, fan_from_max_cones
 from qtoric.linalg import Matrix
 from qtoric.morphism import (CalMorphism, check_cal_iso, check_cal_morphism,
                              check_fan_iso, check_fan_morphism, compose,
+                             cone_coefficients, containing_cones,
                              find_cal_morphism, identity_morphism,
-                             is_marked_iso, kernel_map)
+                             is_marked_iso, kernel_map,
+                             minimal_containing_cone)
 from qtoric.scalars import Parameter, Scalar, Witness
 
 A = Parameter("a")
@@ -214,3 +220,64 @@ def test_diagram_identity_for_valid_morphisms():
     dst = p2_target(2 * SA, SA)
     m = find_cal_morphism(src, dst, W)
     assert m.L * src.cal.matrix() == dst.cal.matrix() * m.H
+
+
+def outcome(f, *args):
+    try:
+        out = f(*args)
+    except Indeterminate:
+        return "Indeterminate"
+    return list(out.items()) if isinstance(out, dict) else out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(["rational", "transcendental", "quadratic"]))
+def test_containment_by_charts_matches_one_solve_per_cone(seed, kind):
+    """cone_coefficients, containing_cones and minimal_containing_cone
+    against one solve_right per (cone, point), on random complete fans
+    sheared by x (rational, a or t = sqrt 2) with each ray scaled by c or
+    c (3 + x), both positive, sometimes with maximal cones left out so that points
+    fall outside the fan."""
+    rng = random.Random(seed)
+    x = {"rational": Scalar.from_fraction(Q(rng.randint(-2, 2),
+                                              rng.randint(1, 3))),
+         "transcendental": SA, "quadratic": ST}[kind]
+    w = EMPTY_WITNESS if kind == "rational" else W
+    base = random_complete_fan(rng, rng.randint(1, 3))
+    d = base.dim
+    rays = []
+    for v in base.rays:
+        v = list(v)
+        if d > 1:
+            v[0] = v[0] + x * v[-1]
+        scale = Q(rng.randint(1, 4), rng.randint(1, 3)) * (
+            3 + x if rng.random() < 0.3 else 1)
+        rays.append([scale * c for c in v])
+    maxc = [sorted(c) for c in base.maximal_cones()]
+    if len(maxc) > 2 and rng.random() < 0.5:
+        maxc = rng.sample(maxc, rng.randint(1, len(maxc) - 1))
+    fan = fan_from_max_cones(QLattice(d, rays), rays, maxc)
+    cones = sorted(fan.cones, key=sorted)
+    points = [[Scalar.zero()] * d, rng.choice(rays)]
+    L = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+    points.append(L.apply(rng.choice(rays)))
+    for _ in range(2):
+        c = rng.choice(cones)
+        p = [Scalar.zero()] * d
+        for i in c:
+            k = rng.choice([0, 1, Q(1, 2), 3])
+            p = [u + k * v for u, v in zip(p, fan.ray(i))]
+        points.append(p)
+    points.append([-u for u in rng.choice(rays)])
+    points.append([rng.randint(-3, 3) for _ in range(d)])
+    for p in points:
+        found = outcome(containing_cones_by_solve, fan, p, w)
+        assert outcome(containing_cones, fan, p, w) == found
+        assert outcome(minimal_containing_cone, fan, p, w) == \
+            outcome(minimal_containing_cone_by_solve, fan, p, w)
+        # containing_cones_by_solve is cone_coefficients_by_solve on each
+        # cone, so it holds the reference answer for every cone
+        for c in cones if found != "Indeterminate" else ():
+            assert outcome(cone_coefficients, fan, c, p, w) == \
+                dict(found).get(c)

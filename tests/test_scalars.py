@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import interval_sign
 from qtoric.calibration import Calibration, kernel_rank
-from qtoric.errors import Indeterminate, UnsupportedField
+from qtoric.errors import Indeterminate
 from qtoric.lattice_fan import QLattice, gamma_rank
 from qtoric.moduli import quadratic_surd
 from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Witness, sign_at,
@@ -237,9 +237,9 @@ def test_witness_approx_exact_for_transcendental():
 FRACTIONS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 
-def poly_form(q, params=None):
-    """The same constant as a scalar on the polynomial path."""
-    return Scalar.from_fraction(q, params or {"a": A})
+def collapsed(q):
+    """The constant q computed from the parameter a."""
+    return (SA + q) - SA
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,12 +264,13 @@ def test_rational_arithmetic_is_fraction_arithmetic(x, y, e):
 @settings(max_examples=200, deadline=None)
 @given(FRACTIONS)
 def test_rational_display_and_hash_match_polynomial_form(x):
-    X, P = Scalar.from_fraction(x), poly_form(x)
-    assert X.q is not None and P.q is None
-    assert X == P and P == X
+    X = Scalar.from_fraction(x)
+    P = Scalar(Poly.const(x, {"a": A}), Poly.const(1, {"a": A}))
+    assert X.q == P.q == x and P.params == {}
+    assert X == P and P == X and X == x
     assert str(X) == str(P) == str(Poly.const(x))
     assert X.sort_key() == P.sort_key()
-    assert hash(X) == hash(P) == hash((Poly.const(x), Poly.const(1)))
+    assert hash(X) == hash(P) == hash(x)
     assert X.num == Poly.const(x) and X.den == Poly.const(1)
 
 
@@ -280,45 +281,76 @@ def parametric(rng):
             return s
 
 
+def by_polys(op, u, v):
+    """u op v from the num/den polynomials of u and v, then canonicalised."""
+    if op == "+":
+        return Scalar(u.num * v.den + v.num * u.den, u.den * v.den)
+    if op == "-":
+        return Scalar(u.num * v.den - v.num * u.den, u.den * v.den)
+    if op == "*":
+        return Scalar(u.num * v.num, u.den * v.den)
+    return Scalar(u.num * v.den, u.den * v.num)
+
+
 @settings(max_examples=100, deadline=None)
 @given(FRACTIONS, st.integers(0, 10 ** 6))
 def test_mixed_operations_match_polynomial_path(x, seed):
     p = parametric(random.Random(seed))
-    X, P = Scalar.from_fraction(x), poly_form(x, p.params)
-    pairs = [(X + p, P + p), (p + X, p + P), (X - p, P - p), (p - X, p - P),
-             (X * p, P * p), (p * X, p * P), (X / p, P / p)]
+    X = Scalar.from_fraction(x)
+    pairs = [(X + p, by_polys("+", X, p)), (p + X, by_polys("+", p, X)),
+             (X - p, by_polys("-", X, p)), (p - X, by_polys("-", p, X)),
+             (X * p, by_polys("*", X, p)), (p * X, by_polys("*", p, X)),
+             (X / p, by_polys("/", X, p))]
     if x:
-        pairs.append((p / X, p / P))
+        pairs.append((p / X, by_polys("/", p, X)))
     for fast, slow in pairs:
         assert fast == slow and str(fast) == str(slow)
         assert hash(fast) == hash(slow) and fast.params == slow.params
+        assert fast.q == slow.q
 
 
 @settings(max_examples=100, deadline=None)
 @given(FRACTIONS)
-def test_collapsed_parametric_constant_keeps_params(x):
-    c = (SA + x) - SA
-    assert c.q is None and c.params == {"a": A}
-    assert c.is_rational() and c.as_fraction() == x
+def test_collapsed_parametric_constant_is_a_fraction(x):
     X = Scalar.from_fraction(x)
-    assert c == X and X == c and c == x
-    assert hash(c) == hash(X) and str(c) == str(X)
-    # readers of params see the parameter the value was computed from
-    with pytest.raises(UnsupportedField):
-        quadratic_surd(c)
-    assert quadratic_surd(X) == x
+    for c in (collapsed(x), (ST + x) - ST, (SA * SB + x) - SB * SA):
+        assert c.q == x and c.params == {}
+        assert c.is_rational() and c.as_fraction() == x
+        assert c == X and X == c and c == x
+        assert hash(c) == hash(X) and str(c) == str(X)
+        assert quadratic_surd(c) == quadratic_surd(X) == x
+    if x:
+        assert (SA * x) / SA == X and ((SA * x) / SA).q == x
 
 
 def test_collapsed_constants_in_lattice_ranks():
-    two = (SA + 2) - SA
+    two = collapsed(2)
     images_c = [[1, 0], [0, 1], [two, 1]]
     images_q = [[1, 0], [0, 1], [2, 1]]
     gc_, gq = QLattice(2, images_c), QLattice(2, images_q)
-    assert gc_.param_names() == ["a"] and gq.param_names() == []
+    assert gc_ == gq and gc_.param_names() == gq.param_names() == []
     assert gamma_rank(gc_) == gamma_rank(gq) == 2
     kc = kernel_rank(Calibration(gc_, images_c, [], [1, 2, 3]))
     kq = kernel_rank(Calibration(gq, images_q, [], [1, 2, 3]))
     assert kc == kq == (1, [(-2, -1, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_parametric_form_is_never_constant(seed):
+    """No scalar on the polynomial path (q is None) has a constant value,
+    also after cancellations: e - e + c, e*c/e and e/e collapse to q."""
+    rng = random.Random(seed)
+    e, f = rand_scalar(rng, 3), rand_scalar(rng, 3)
+    c = Scalar.from_fraction(Q(rng.randint(-4, 4), rng.randint(1, 4)))
+    values = [e, f, e + f, e - f, e * f, (e + c) - e, (e * f + c) - f * e,
+              (e + f) * (e - f) - e * e + f * f]
+    if not e.is_zero():
+        values += [f / e, (c * e) / e, e / e, (e * f) / e - f]
+    for s in values:
+        if s.q is None:
+            assert not (s.num.is_const() and s.den.is_const()), s
+    assert ((e + c) - e).q == c.q
 
 
 def test_rational_zero_division():
