@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalError, NotGammaComplete
-from .lattice_fan import QLattice, QuantumFan, gamma_rank, _is_gamma_complete
-from .linalg import (Matrix, int_kernel, mat_inverse, pivot_columns,
-                     rational_to_int_rows)
+from .errors import NotGammaComplete
+from .lattice_fan import QLattice, QuantumFan, _is_gamma_complete
+from .linalg import Matrix, mat_inverse, pivot_columns
 from .scalars import Scalar
 
 
@@ -88,21 +87,9 @@ def trivial_calibration(fan: QuantumFan) -> CalibratedFan:
 
 def kernel_rank(cal: Calibration):
     """(a, basis): a = n - rank_Z(Gamma) and a saturated Z-basis of
-    Xi = ker(h) in Z^n."""
-    names = sorted({nm for v in cal.images for x in v for nm in x.params})
-    rows = []
-    for coord in range(cal.d):
-        coeff_rows = [cal.images[i][coord].affine_coefficients(names)
-                      for i in range(cal.n)]
-        # one rational row per basis monomial (1, params...)
-        for k in range(len(names) + 1):
-            rows.append([coeff_rows[i][k] for i in range(cal.n)])
-    introws = rational_to_int_rows(rows)
-    basis = int_kernel(introws)
-    a = cal.n - gamma_rank(QLattice(cal.d, cal.images))
-    if len(basis) != a:
-        raise InternalError("kernel rank mismatch (non-independent witness?)")
-    return a, basis
+    Xi = ker(h) in Z^n, the relations among the images h(e_i)."""
+    basis = QLattice(cal.d, cal.images).relations()
+    return len(basis), basis
 
 
 def induced_fan(cf: CalibratedFan) -> QuantumFan:

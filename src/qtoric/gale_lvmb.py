@@ -16,11 +16,9 @@ from fractions import Fraction
 from . import lp
 from .calibration import CalibratedFan, Calibration
 from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
-                     RankDeficient, SearchBoundExceeded, Singular,
-                     UnsupportedEntries)
+                     RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import QLattice, QuantumFan, _is_complete
-from .linalg import (Matrix, det, fraction_matrix_kernel_int, kernel_basis,
-                     mat_inverse, pivot_columns, rank)
+from .linalg import Matrix, kernel_basis, mat_inverse, pivot_columns, rank
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
 
@@ -284,13 +282,7 @@ def lvmb_to_fan(datum: LVMBDatum) -> CalibratedFan:
 def roundtrip_marked_iso(original: CalibratedFan, recovered: CalibratedFan,
                          w: Witness) -> CheckResult:
     """The linear map carrying the original onto the recovered calibrated
-    fan index-for-index, verified as a marked isomorphism.
-
-    When entries fall outside the affine-linear class supported by the
-    integer-lattice routines, the verification degrades to the structural
-    core: h' = L h exactly, L invertible, identical cone poset and virtual
-    data (which implies all five morphism conditions for the index-identity
-    correspondence)."""
+    fan index-for-index, verified as a marked isomorphism."""
     cal, cal2 = original.cal, recovered.cal
     if cal.n != cal2.n or cal.d != cal2.d:
         return CheckResult.invalid("shape")
@@ -302,19 +294,7 @@ def roundtrip_marked_iso(original: CalibratedFan, recovered: CalibratedFan,
     C = Matrix.from_columns([cal2.image(i) for i in chosen])
     L = C * mat_inverse(B)
     m = CalMorphism(L, Matrix.identity(cal.n), {j: j for j in cal.J})
-    try:
-        return is_marked_iso(m, original, recovered, w)
-    except UnsupportedEntries:
-        pass
-    if det(L).is_zero():
-        return CheckResult.invalid("L_singular")
-    if L * cal.matrix() != cal2.matrix():
-        return CheckResult.invalid("diagram")
-    if cal.J != cal2.J or cal.I != cal2.I:
-        return CheckResult.invalid("marking")
-    if set(original.fan.cones) != set(recovered.fan.cones):
-        return CheckResult.invalid("poset")
-    return CheckResult.valid(structural=True)
+    return is_marked_iso(m, original, recovered, w)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +367,9 @@ def condition_KH(points) -> str:
     is spanned by its integer points, 'H' when it contains no nonzero
     integer point, 'neither' otherwise.
 
-    Entries may be any scalars of the supported field; integer points are
-    the integer solutions of the per-monomial rational system."""
+    Entries may be any scalars of the supported field; the integer points
+    are the integer relations among the vectors (Lambda_i, 1), read off
+    the HNF of the q-lattice they generate."""
     pts = [tuple(Scalar.coerce(x) for x in p) for p in points]
     n = len(pts)
     width = len(pts[0]) if pts else 0
@@ -397,19 +378,11 @@ def condition_KH(points) -> str:
     field_dim = n - rank(Matrix(rows))
     if field_dim == 0:
         return "K"
-    names = sorted({nm for p in pts for x in p for nm in x.params})
-    qrows = []
-    for row in rows:
-        per_monomial = [x.affine_coefficients(names) for x in row]
-        for k in range(len(names) + 1):
-            qrows.append([per_monomial[i][k] for i in range(n)])
-    lattice = fraction_matrix_kernel_int(qrows)
-    int_rank_ = len(lattice)
-    if int_rank_ == field_dim:
+    int_rank = len(QLattice(width + 1,
+                            [p + (Scalar.one(),) for p in pts]).relations())
+    if int_rank == field_dim:
         return "K"
-    if int_rank_ == 0:
-        return "H"
-    return "neither"
+    return "H" if int_rank == 0 else "neither"
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import lp
 from .errors import Singular
-from .linalg import (Matrix, int_rank, int_solve, mat_inverse, pivot_columns,
-                     rank, rational_to_int_rows)
+from .linalg import (Matrix, cleared, hnf_solve, mat_inverse,
+                     monomial_coordinates, pivot_columns, rank, stacked_hnf)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -28,7 +27,16 @@ def _vec(v):
 
 
 class QLattice:
-    """Additive subgroup of R^d given by a generator list."""
+    """Additive subgroup of R^d given by a generator list.
+
+    Its integer questions (Z-rank, membership, the relations among the
+    generators) are all read off one row Hermite normal form, computed on
+    first use: each generator is flattened by monomial_coordinates and
+    cleared by one integer.  Any scalar may enter a generator.  The answers
+    are exact under the promise that the transcendental parameters are
+    algebraically independent and the declared roots multiplicatively
+    independent (checked at load), so distinct reduced monomials are
+    linearly independent over Q."""
 
     def __init__(self, dim: int, generators):
         self.dim = dim
@@ -36,6 +44,7 @@ class QLattice:
         for g in self.generators:
             if len(g) != dim:
                 raise ValueError("generator of wrong dimension")
+        self._basis = None
 
     def __eq__(self, other):
         return (isinstance(other, QLattice) and self.dim == other.dim
@@ -56,55 +65,44 @@ class QLattice:
                 names |= set(x.params)
         return sorted(names)
 
-    def coefficient_rows(self):
-        """Each generator flattened to rational coordinates in the basis
-        (1, params) x (e_1..e_d); raises UnsupportedEntries when an entry
-        is not affine-linear in the parameters."""
-        names = self.param_names()
-        rows = []
-        for g in self.generators:
-            row = []
-            for x in g:
-                row.extend(x.affine_coefficients(names))
-            rows.append(row)
-        return rows, names
+    def basis(self) -> tuple:
+        """(coords, L, H, U): the generators' monomial coordinates and
+        their stacked_hnf."""
+        if self._basis is None:
+            coords = monomial_coordinates(self.generators)
+            self._basis = (coords,
+                           *stacked_hnf(coords, len(self.generators)))
+        return self._basis
+
+    def relations(self) -> list:
+        """Z-basis of the integer relations among the generators, saturated:
+        the rows of U over the zero rows of H."""
+        _, _, H, U = self.basis()
+        return [tuple(u) for h, u in zip(H, U) if not any(h)]
 
     def transform(self, L: Matrix) -> "QLattice":
         return QLattice(L.nrows, [L.apply(g) for g in self.generators])
 
 
 def gamma_rank(gamma: QLattice) -> int:
-    """Minimal number of Z-generators: Z-rank of the coefficient matrix of
-    the generators in the basis {1} u params."""
-    rows, _ = gamma.coefficient_rows()
-    if not rows:
-        return 0
-    return int_rank(rational_to_int_rows(rows))
+    """Minimal number of Z-generators: the nonzero rows of the HNF."""
+    return sum(1 for h in gamma.basis()[2] if any(h))
 
 
 def gamma_contains(gamma: QLattice, x) -> tuple | None:
     """Integer coefficients expressing x in the generators, or None."""
-    x = _vec(x)
-    names = sorted(set(gamma.param_names())
-                   | {n for s in x for n in s.params})
-    grows = []
-    for g in gamma.generators:
-        row = []
-        for e in g:
-            row.extend(e.affine_coefficients(names))
-        grows.append(row)
-    target = []
-    for e in x:
-        target.extend(e.affine_coefficients(names))
-    if not grows:
+    if not gamma.generators:
         return None
-    # common denominator scaling must be shared between matrix and target
-    den = lcm(*(v.denominator for row in grows + [target] for v in row))
-    A = [[int(v * den) for v in row] for row in grows]
-    b = [int(v * den) for v in target]
-    # solve c . A = b  (c integral), i.e. A^T c = b
-    At = [list(col) for col in zip(*A)]
-    return int_solve(At, b)
+    coords, L, H, U = gamma.basis()
+    target = []
+    for (D, monos, _, _), e in zip(coords, _vec(x)):
+        terms = cleared(e, D)
+        if terms is None or not terms.keys() <= set(monos):
+            return None
+        target.extend(terms.get(m, 0) * L for m in monos)
+    if any(v.denominator != 1 for v in target):
+        return None
+    return hnf_solve(H, U, target)
 
 
 def _normalize_cones(cones) -> frozenset:
@@ -253,8 +251,19 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     for i in range(1, fan.nrays + 1):
         if all(x.is_zero() for x in fan.ray(i)):
             report.add("zero_generator", {"ray": i})
+
+    def dependent(c):
+        return rank(Matrix.from_columns(fan.cone_generators(c))) != len(c)
+
+    # faces of a cone with independent generators are independent, so a
+    # rank is taken only of the maximal cones and of faces that lie in
+    # dependent maximal cones alone
+    maxc = sorted(fan.maximal_cones(), key=sorted)
+    above = {c: [A for A in maxc if c <= A] for c in fan.cones}
+    bad = {A for A in maxc if A and dependent(A)}
     for c in fan.cones:
-        if c and rank(Matrix.from_columns(fan.cone_generators(c))) != len(c):
+        if c and all(A in bad for A in above[c]) and (
+                c in bad or dependent(c)):
             report.add("dependent_cone", {"cone": sorted(c)})
     for c in fan.cones:
         for i in c:
@@ -268,7 +277,6 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     if not report.valid:
         return report
     coords = _rays_at_witness(fan, w)
-    maxc = sorted(fan.maximal_cones(), key=sorted)
     rational = all(x.is_rational() for v in fan.rays for x in v)
     independent = [A for A in maxc if rational or rank(
         Matrix.from_columns([coords[i] for i in sorted(A)])) == len(A)]
@@ -276,7 +284,6 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     for A, B in itertools.combinations(independent, 2):
         if _meet_in_common_face(coords, A, B):
             certified |= {(A, B), (B, A)}
-    above = {c: [A for A in maxc if c <= A] for c in fan.cones}
     cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
     for a, b in itertools.combinations(cones, 2):
         if not a or not b:

@@ -1,5 +1,6 @@
 """Exact linear algebra over the scalar field, plus integer-lattice
-routines (Hermite normal form, integer kernels and solves).
+routines (Hermite normal form, integer kernels and solves, and the
+monomial coordinates that turn scalar vectors into integer rows).
 
 The kernel routine uses a fixed deterministic pivot rule: the leftmost
 linearly independent columns are the pivots and every free column receives
@@ -9,13 +10,10 @@ of the blow-up example) depend on this normalization bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import Singular
-from .scalars import Scalar
-
-Q = Fraction
+from .scalars import Poly, Scalar, poly_divexact, poly_gcd
 
 
 def _s(x) -> Scalar:
@@ -349,15 +347,15 @@ def int_kernel(M) -> list:
 def int_solve(M, b) -> tuple | None:
     """One integral solution x of M x = b (M integer matrix, b integer
     vector), or None when none exists."""
-    A = [list(r) for r in M]
-    m = len(A)
-    if m == 0:
+    if not M:
         return None
-    n = len(A[0])
-    At = [list(col) for col in zip(*A)]
-    # solve x^T M^T = b^T: row-reduce [M^T] with transform, then express b
-    H, U = hnf(At)
-    # H = U * M^T ; want y with y H = b  =>  x = y U
+    # solve x^T M^T = b^T: row-reduce M^T with transform, then express b
+    return hnf_solve(*hnf([list(col) for col in zip(*M)]), b)
+
+
+def hnf_solve(H, U, b) -> tuple | None:
+    """One integral x with x A = b, given the row Hermite normal form
+    H = U A of an integer matrix A, or None when none exists."""
     y = [0] * len(H)
     rem = list(map(int, b))
     for i, row in enumerate(H):
@@ -372,26 +370,53 @@ def int_solve(M, b) -> tuple | None:
             rem = [a - q * v for a, v in zip(rem, row)]
     if any(v != 0 for v in rem):
         return None
-    x = [0] * n
+    x = [0] * len(U)
     for i, q in enumerate(y):
         if q:
             x = [a + q * v for a, v in zip(x, U[i])]
     return tuple(x)
 
 
-def rational_to_int_rows(rows):
-    """Scale rational rows to integer rows (each row by its own lcm)."""
+def monomial_coordinates(vectors) -> list:
+    """Rational coordinates of scalar vectors, one block per coordinate j:
+    (D, monos, params, rows), where D is the monic lcm of the denominators
+    of the j-th entries, monos the sorted monomials of D times those
+    entries, and D v_j = sum_t rows[i][t] monos[t] for the i-th vector v.
+    Reduced monomials in algebraically independent transcendental
+    parameters and multiplicatively independent roots are linearly
+    independent over Q, so a Q-linear relation holds among the vectors
+    exactly when it holds among their rows, block by block."""
     out = []
-    for r in rows:
-        fr = [Q(x) for x in r]
-        L = lcm(*(x.denominator for x in fr))
-        out.append([int(x * L) for x in fr])
+    for col in zip(*vectors):
+        D, params = Poly.const(1), {}
+        for x in col:
+            if x.q is None:
+                params.update(x.params)
+                if not x.den.is_const():
+                    D = poly_divexact(D * x.den, poly_gcd(D, x.den))
+        nums = [cleared(x, D) for x in col]
+        monos = sorted({m for t in nums for m in t})
+        out.append((D, monos, params,
+                    [[t.get(m, 0) for m in monos] for t in nums]))
     return out
 
 
-def fraction_matrix_kernel_int(rows) -> list:
-    """Z-basis of {x in Z^n : R x = 0} for rational rows R."""
-    if not rows:
-        return []
-    introws = rational_to_int_rows(rows)
-    return int_kernel(introws)
+def stacked_hnf(blocks, m: int) -> tuple:
+    """(L, H, U) for the m vectors whose monomial coordinates are the given
+    blocks: the least integer L clearing the coordinates, and the row HNF
+    H = U M of the matrix M whose i-th row is L times vector i's
+    coordinates, block after block."""
+    rows = [[c for *_, block in blocks for c in block[i]] for i in range(m)]
+    L = lcm(*(c.denominator for row in rows for c in row))
+    H, U = hnf([[int(c * L) for c in row] for row in rows])
+    return L, H, U
+
+
+def cleared(x: Scalar, D: Poly) -> dict | None:
+    """The terms of the polynomial D x, or None when D x is not one."""
+    if x.q is not None:
+        return D.scale(x.q).terms
+    try:
+        return (x.num * poly_divexact(D, x.den)).terms
+    except ArithmeticError:
+        return None

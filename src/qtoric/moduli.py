@@ -11,10 +11,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import (InternalError, NotRational, NotUnimodular, OutOfDomain,
-                     OutOfZone, SingularBlock, UnsupportedField)
-from .linalg import Matrix, det, hnf, int_det, mat_inverse
-from .scalars import (Poly, Scalar, Sign, Witness, poly_divexact, poly_gcd,
-                      sign_at)
+                     OutOfZone, Singular, SingularBlock, UnsupportedField)
+from .linalg import (Matrix, int_det, mat_inverse, monomial_coordinates,
+                     stacked_hnf)
+from .scalars import Poly, Scalar, Sign, Witness, sign_at
 
 Q = Fraction
 
@@ -42,10 +42,11 @@ def torus_act(hbar: Matrix, H: Matrix) -> Matrix:
     H2 = Matrix([r[d:] for r in H.rows[:d]])
     H3 = Matrix([r[:d] for r in H.rows[d:]])
     H4 = Matrix([r[d:] for r in H.rows[d:]])
-    lead = H1 + hbar * H3
-    if det(lead).is_zero():
-        raise SingularBlock("H1 + hbar*H3 is singular")
-    return mat_inverse(lead) * (H2 + hbar * H4)
+    try:
+        lead_inv = mat_inverse(H1 + hbar * H3)
+    except Singular:
+        raise SingularBlock("H1 + hbar*H3 is singular") from None
+    return lead_inv * (H2 + hbar * H4)
 
 
 # ---------------------------------------------------------------------------
@@ -374,38 +375,21 @@ def hopf_equiv(pair1, pair2, w: Witness) -> dict:
 # canonicalization of maximal-length calibrated tori
 # ---------------------------------------------------------------------------
 
-def _column_coefficients(col):
-    """(D, monos, coeffs, params) for one hbar column: D the monic lcm of
-    the entries' denominators, and D x_i = sum_t coeffs[t][i] monos[t] for
-    every entry x_i.  Left GL_d(Z) leaves D and the monomials unchanged
-    and acts on each coefficient column by the same matrix."""
-    D = Poly.const(1)
-    params = {}
-    for x in col:
-        params.update(x.params)
-        if not x.den.is_const():
-            D = poly_divexact(D * x.den, poly_gcd(D, x.den))
-    nums = [x.num * poly_divexact(D, x.den) for x in col]
-    monos = sorted({m for p in nums for m in p.terms})
-    return D, monos, [[p.terms.get(m, 0) for p in nums] for m in monos], \
-        params
-
-
 def _marked_form(cols, perm, d: int):
-    """Left-GL_d(Z) canonical form of the hbar with the given column data,
-    columns taken in the order perm, and U with U hbar = the form.  The
-    coefficient columns of all columns, stacked and cleared by one integer,
-    have a unique row Hermite normal form; every entry is rebuilt from it.
-    Distinct monomials in the parameters are linearly independent over Q,
+    """Left-GL_d(Z) canonical form of the hbar with the given monomial
+    coordinates (one block per column), columns taken in the order perm,
+    and U with U hbar = the form.  Left GL_d(Z) leaves each column's
+    denominator and monomials unchanged and acts on its coefficients by
+    the same matrix.  The coefficients of all columns, stacked and cleared
+    by one integer, have a unique row Hermite normal form; every entry is
+    rebuilt from it.  Distinct monomials are linearly independent over Q,
     so U hbar equals the form exactly when U maps the stacked coefficients
     to the HNF."""
     blocks = [cols[j] for j in perm]
-    coeffs = [c for b in blocks for c in b[2]]
-    L = lcm(*(x.denominator for c in coeffs for x in c))
-    H, U = hnf([[int(c[i] * L) for c in coeffs] for i in range(d)])
+    L, H, U = stacked_hnf(blocks, d)
     rows = [[] for _ in range(d)]
     t = 0
-    for D, monos, _, params in blocks:
+    for D, monos, params, _ in blocks:
         for i in range(d):
             terms = {m: Q(H[i][t + s], L) for s, m in enumerate(monos)
                      if H[i][t + s]}
@@ -423,7 +407,7 @@ def cal_torus_orbit_maximal(hbar: Matrix, mode: str = "full") -> OrbitReport:
     if mode not in ("full", "marked"):
         raise ValueError("mode must be 'full' or 'marked'")
     d, k = hbar.nrows, hbar.ncols
-    cols = [_column_coefficients(c) for c in hbar.columns()]
+    cols = monomial_coordinates(hbar.rows)
     perms = list(itertools.permutations(range(k))) if mode == "full" \
         else [tuple(range(k))]
     best = base = None

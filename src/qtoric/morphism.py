@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .calibration import CalibratedFan, induced_fan, kernel_rank
-from .errors import DomainMismatch, SearchBoundExceeded
+from .errors import DomainMismatch, SearchBoundExceeded, Singular
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
 from .linalg import Matrix, det, int_det, int_solve, mat_inverse, solve_right
 from .scalars import Scalar, Sign, Witness, sign_at
@@ -126,12 +126,13 @@ def check_fan_iso(L: Matrix, src: QuantumFan, dst: QuantumFan,
     cone poset onto the cone poset."""
     if src.dim != dst.dim or L.nrows != L.ncols or L.nrows != src.dim:
         return CheckResult.invalid("shape")
-    if det(L).is_zero():
+    try:
+        Linv = mat_inverse(L)
+    except Singular:
         return CheckResult.invalid("singular")
     for g in src.gamma.generators:
         if gamma_contains(dst.gamma, L.apply(g)) is None:
             return CheckResult.invalid("lattice_forward")
-    Linv = mat_inverse(L)
     for g in dst.gamma.generators:
         if gamma_contains(src.gamma, Linv.apply(g)) is None:
             return CheckResult.invalid("lattice_backward")

@@ -746,10 +746,7 @@ def square_class(D: Fraction, quadratics) -> tuple | None:
 
 class Witness:
     """Exact rational values for transcendental parameters and root choices
-    for quadratic ones; used only for sign and feasibility decisions.
-
-    The parameters are declared Q-linearly independent together with 1
-    (a promise by the caller, used by the integer-lattice routines)."""
+    for quadratic ones; used only for sign and feasibility decisions."""
 
     def __init__(self, values: dict):
         self.values = {}

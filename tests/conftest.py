@@ -17,7 +17,8 @@ from qtoric.calibration import CalibratedFan, Calibration
 from qtoric.gale_lvmb import GaleData, _points_at_witness
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
-from qtoric.linalg import Matrix, rank, solve_right
+from qtoric.linalg import (Matrix, int_kernel, int_rank, int_solve, rank,
+                           solve_right)
 from qtoric.scalars import Parameter, Scalar, Sign, Witness, sign_at
 
 Q = Fraction
@@ -297,6 +298,75 @@ def minimal_containing_cone_by_solve(fan: QuantumFan, point, w: Witness):
         return None
     best = min(found, key=len)
     return best, found[best]
+
+
+# -- affine-coefficient integer-lattice routines (reference) ------------------
+#
+# Every entry must be affine-linear in the parameters: each vector is
+# flattened over the basis (1, names) x (e_1..e_d), and each routine builds
+# and reduces its own integer matrix.
+
+def _affine_rows(vectors, names):
+    return [[c for x in v for c in Scalar.coerce(x).affine_coefficients(names)]
+            for v in vectors]
+
+
+def _own_lcm_rows(rows):
+    """Rational rows scaled to integer rows, each by its own lcm."""
+    return [[int(x * math.lcm(*(y.denominator for y in r))) for x in r]
+            for r in rows]
+
+
+def _names(vectors):
+    return sorted({n for v in vectors for x in v
+                   for n in Scalar.coerce(x).params})
+
+
+def gamma_rank_affine(gamma: QLattice) -> int:
+    rows = _affine_rows(gamma.generators, _names(gamma.generators))
+    return int_rank(_own_lcm_rows(rows)) if rows else 0
+
+
+def gamma_contains_affine(gamma: QLattice, x):
+    if not gamma.generators:
+        return None
+    names = _names(list(gamma.generators) + [x])
+    A = _affine_rows(gamma.generators, names)
+    (b,) = _affine_rows([x], names)
+    den = math.lcm(*(v.denominator for row in A + [b] for v in row))
+    return int_solve([[int(v * den) for v in col] for col in zip(*A)],
+                     [int(v * den) for v in b])
+
+
+def kernel_rank_affine(cal: Calibration):
+    """(a, basis) from the kernel of the per-monomial rational rows."""
+    names = _names(cal.images)
+    rows = []
+    for coord in range(cal.d):
+        per_image = [cal.images[i][coord].affine_coefficients(names)
+                     for i in range(cal.n)]
+        rows += [[c[k] for c in per_image] for k in range(len(names) + 1)]
+    a = cal.n - gamma_rank_affine(QLattice(cal.d, cal.images))
+    return a, int_kernel(_own_lcm_rows(rows))
+
+
+def condition_KH_affine(points) -> str:
+    pts = [tuple(Scalar.coerce(x) for x in p) for p in points]
+    n = len(pts)
+    rows = [[p[i] for p in pts] for i in range(len(pts[0]))]
+    rows.append([Scalar.one()] * n)
+    field_dim = n - rank(Matrix(rows))
+    if field_dim == 0:
+        return "K"
+    names = _names(pts)
+    qrows = []
+    for row in rows:
+        per_monomial = [x.affine_coefficients(names) for x in row]
+        qrows += [[c[k] for c in per_monomial] for k in range(len(names) + 1)]
+    lattice = int_kernel(_own_lcm_rows(qrows))
+    if len(lattice) == field_dim:
+        return "K"
+    return "H" if not lattice else "neither"
 
 
 # -- oracles for identities the library builds in ----------------------------

@@ -136,6 +136,14 @@ def test_properties_and_comb_type(tmp_path, capsys):
     assert code == 0 and [1, 2] in payload["poset"]
 
 
+def test_properties_of_a_non_affine_lattice(tmp_path, capsys):
+    payload = dict(P2STD, params=[{"name": "a"}], witness={"a": "3/7"},
+                   gamma=[["1", "0"], ["0", "1"], ["a*a", "0"]])
+    code, out = run(capsys, ["properties", _write(tmp_path, "sq.json",
+                                                  payload)])
+    assert code == 0 and out["irrational"] is True
+
+
 def test_comb_equiv(tmp_path, capsys):
     f1 = _write(tmp_path, "f1.json", P2DEF)
     f2 = _write(tmp_path, "f2.json", BLOWUP)

@@ -2,14 +2,19 @@ import itertools
 import random
 from fractions import Fraction as Q
 
-from conftest import (EMPTY_WITNESS, is_polytopal_primal,
+from conftest import (EMPTY_WITNESS, condition_KH_affine,
+                      gamma_contains_affine, gamma_rank_affine,
+                      is_polytopal_primal, kernel_rank_affine,
                       random_bipyramid_fan, random_circle_fan,
-                      random_complete_fan, twisted_prism_fan,
+                      random_complete_fan, rand_fraction, twisted_prism_fan,
                       validate_fan_all_pairs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtoric.lattice_fan as lattice_fan_mod
 from qtoric import lp
+from qtoric.calibration import Calibration, kernel_rank
+from qtoric.gale_lvmb import condition_KH
 from qtoric.lattice_fan import (CombType, QLattice, QuantumFan,
                                 comb_equivalent, comb_type, d_realizable,
                                 fan_from_max_cones, fan_properties,
@@ -59,6 +64,102 @@ def test_gamma_contains_small_coefficient_oracle():
                     found = (c1, c2)
         assert (found is not None) == expected
         assert (gamma_contains(gl, [target]) is not None) == expected
+
+
+def _random_entry(rng):
+    """q0 + q1 a + q2 b + q3 t with t^2 = 2, each q zero half the time."""
+    x = Scalar.zero()
+    for s in (1, SA, SB, ST):
+        if rng.random() < 0.5:
+            x = x + rand_fraction(rng, -4, 4, 3) * s
+    return x
+
+
+def _combination(rng, gens, d, den=1):
+    out = [Scalar.zero()] * d
+    for g in gens:
+        c = Q(rng.randint(-3, 3), den)
+        out = [x + c * y for x, y in zip(out, g)]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([1, 2, 3]))
+def test_lattice_hnf_matches_affine_reference(seed, d):
+    """Rank, membership, kernel bases and (K)/(H) read off one HNF per
+    lattice agree with the per-query affine-coefficient routines, for
+    random generators with repeated and dependent ones among them."""
+    rng = random.Random(seed)
+    gens = [[_random_entry(rng) for _ in range(d)]
+            for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            gens.append(list(rng.choice(gens)))
+        else:
+            gens.append(_combination(rng, gens, d, rng.choice([1, 2])))
+    rng.shuffle(gens)
+    gamma = QLattice(d, gens)
+    assert gamma_rank(gamma) == gamma_rank_affine(gamma)
+    targets = [_combination(rng, gens, d), _combination(rng, gens, d, 2),
+               [_random_entry(rng) for _ in range(d)], [0] * d,
+               [Scalar.of_param(Parameter("c"))] + [0] * (d - 1)]
+    for x in targets:
+        assert gamma_contains(gamma, x) == gamma_contains_affine(gamma, x)
+    cal = Calibration(gamma, gens, [], range(1, len(gens) + 1))
+    assert kernel_rank(cal) == kernel_rank_affine(cal)
+    if d == 1:
+        # the symbolic rank that condition_KH takes first is slow on wider
+        # parametric points, and it is the same code in both
+        assert condition_KH(gens) == condition_KH_affine(gens)
+
+
+def test_non_affine_generators_answer_exactly():
+    e1, e2 = [1, 0], [0, 1]
+    square = QLattice(2, [e1, e2, [SA * SA, 0]])
+    assert gamma_rank(square) == 3
+    assert gamma_contains(square, [SA * SA + 2, 1]) == (2, 1, 1)
+    assert gamma_contains(square, [SA * SA / 2, 0]) is None
+    inverse = QLattice(2, [[1 / SA, 0], e1, e2])
+    assert gamma_rank(inverse) == 3
+    assert gamma_contains(inverse, [1 / (SA + 1), 0]) is None
+    assert gamma_contains(inverse, [3 / SA + 1, -2]) == (3, 1, -2)
+    assert gamma_rank(QLattice(2, [[SA * ST, 0], e1, e2])) == 3
+
+
+def test_lattice_basis_is_computed_once(monkeypatch):
+    calls = []
+    for name in ("monomial_coordinates", "stacked_hnf"):
+        real = getattr(lattice_fan_mod, name)
+        monkeypatch.setattr(lattice_fan_mod, name,
+                            lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    gamma = QLattice(2, [[1, 0], [0, 1], [SA, SB]])
+    assert gamma_rank(gamma) == 3
+    for c in range(3):
+        assert gamma_contains(gamma, [c + SA, c + SB]) == (c, c, 1)
+    assert gamma.relations() == []
+    assert calls == ["monomial_coordinates", "stacked_hnf"]
+
+
+def test_validate_fan_ranks_maximal_cones_and_faces_of_dependent_ones(
+        monkeypatch):
+    # [1, 2, 3] and [3, 4, 6] are dependent; of their proper faces only
+    # [2, 3], [3, 4], [3, 6], [4, 6] and [6] lie in no independent cone,
+    # and of those only [3, 6] is dependent
+    rays = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, -1],
+            [2, 2, 0]]
+    fan = fan_from_max_cones(QLattice.standard(3), rays,
+                             [[1, 2, 3], [1, 2, 4], [1, 3, 5], [3, 4, 6]])
+    ranked = []
+    real = lattice_fan_mod.rank
+    monkeypatch.setattr(lattice_fan_mod, "rank",
+                        lambda M: ranked.append(M.ncols) or real(M))
+    rep = validate_fan(fan, EMPTY_WITNESS)
+    assert sorted(v["detail"]["cone"] for v in rep.violations) == [
+        [1, 2, 3], [3, 4, 6], [3, 6]]
+    assert sorted(ranked) == [1, 2, 2, 2, 2, 3, 3, 3, 3]
+    monkeypatch.undo()
+    assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
 
 
 def test_validate_p1_fan():

@@ -71,6 +71,10 @@ def test_torus_act_errors():
         # H1 + hbar H3 = 1 + a*... choose H making it vanish at hbar = -1
         torus_act(Matrix([[Scalar.from_fraction(-1)]]),
                   Matrix([[1, 0], [1, 1]]))
+    with pytest.raises(SingularBlock):
+        # H1 + hbar H3 = [[1, a], [1, a]], singular for every a
+        torus_act(Matrix([[SA], [SA]]),
+                  Matrix([[1, 0, 0], [1, 0, 1], [0, 1, 0]]))
 
 
 def test_torus_act_group_law_randomized():

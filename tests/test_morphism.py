@@ -121,6 +121,17 @@ def test_fan_iso_examples():
     assert not res4.ok and res4.reason == "diagram"
 
 
+def test_fan_iso_singular_map():
+    fan0 = fan_from_max_cones(QLattice(1, [[1]]), [[1], [-1]], [[1], [2]])
+    assert check_fan_iso(Matrix([[0]]), fan0, fan0,
+                         EMPTY_WITNESS).reason == "singular"
+    fan2 = fan_from_max_cones(QLattice.standard(2),
+                              [[1, 0], [0, 1], [-1, -1]],
+                              [[1, 2], [2, 3], [3, 1]])
+    L = Matrix([[SA, 1], [SA * SA, SA]])
+    assert check_fan_iso(L, fan2, fan2, W).reason == "singular"
+
+
 def test_minus_id_between_opposite_calibrations():
     src = p1_calibrated(SA)
     dst = p1_calibrated(-SA)
