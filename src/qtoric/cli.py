@@ -24,7 +24,7 @@ from .calibration import (CalibratedFan, standardize_calibration,
                           trivial_calibration)
 from .errors import Indeterminate, InputError, QtoricError
 from .io import (SCHEMA, FanFile, fan_to_json, load_fan_file,
-                 load_morphism_file, parse_scalar)
+                 load_morphism_file, parse_scalar, reading)
 from .linalg import Matrix
 from .morphism import (CalMorphism, check_cal_morphism, check_fan_iso,
                        check_fan_morphism, find_cal_morphism)
@@ -262,10 +262,12 @@ def _merge_witness(ff1: FanFile, ff2: FanFile) -> Witness:
 
 def cmd_moduli_act(args):
     params, wvals = {}, {}
-    hbar = Matrix([[_cli_scalar(x, params, wvals) for x in r]
-                   for r in json.loads(args.hbar)])
-    H = Matrix([[Scalar.from_fraction(Q(str(x))) for x in r]
-                for r in json.loads(args.H)])
+    with reading("--hbar"):
+        hbar = Matrix([[_cli_scalar(x, params, wvals) for x in r]
+                       for r in json.loads(args.hbar)])
+    with reading("--H"):
+        H = Matrix([[Scalar.from_fraction(Q(str(x))) for x in r]
+                    for r in json.loads(args.H)])
     out = moduli.torus_act(hbar, H)
     return {"hbar": [[str(x) for x in r] for r in out.rows]}, EXIT_TRUE
 
@@ -300,6 +302,7 @@ def cmd_wps_weights(args):
 def cmd_hopf_equiv(args):
     params, wvals = {}, {}
 
+    @reading("Hopf pair")
     def pair(text):
         vals = [_cli_scalar(x, params, wvals) for x in json.loads(text)]
         if len(vals) != 4:

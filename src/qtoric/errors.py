@@ -16,8 +16,9 @@ class Singular(QtoricError):
 
 
 class UnsupportedEntries(QtoricError):
-    """Entries are not affine-linear in the declared independent parameters,
-    so integer-lattice queries are not available."""
+    """A scalar cannot be used where it stands: Scalar.as_fraction of a
+    value that is not rational (an integer matrix, a weight), or a witness
+    asked for a parameter it gives no value."""
 
 
 class UnsupportedField(QtoricError):

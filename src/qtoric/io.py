@@ -10,6 +10,7 @@ rational approximation whose sign selects the root.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .calibration import Calibration
@@ -187,12 +188,29 @@ def _require(cond, msg):
         raise InputError(msg)
 
 
-def load_fan_file(data) -> FanFile:
+@contextmanager
+def reading(what):
+    """Turn a type or shape error raised while reading input (a number
+    where a list belongs, a list where an object belongs) into an
+    InputError; a context manager, or a decorator of a reader."""
+    try:
+        yield
+    except (TypeError, AttributeError) as e:
+        raise InputError(f"malformed {what}: {e}") from e
+
+
+def _json(data):
     if isinstance(data, (str, bytes)):
         try:
-            data = json.loads(data)
+            return json.loads(data)
         except json.JSONDecodeError as e:
             raise InputError(f"invalid JSON: {e}") from e
+    return data
+
+
+@reading("fan file")
+def load_fan_file(data) -> FanFile:
+    data = _json(data)
     _require(isinstance(data, dict), "fan file must be a JSON object")
     params = {}
     for p in data.get("params", []):
@@ -255,12 +273,9 @@ def load_fan_file(data) -> FanFile:
     return FanFile(params, witness, gamma, fan, cal, lvmb, raw=data)
 
 
+@reading("morphism file")
 def load_morphism_file(data, params: dict):
-    if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise InputError(f"invalid JSON: {e}") from e
+    data = _json(data)
     L = Matrix([[parse_scalar(x, params) for x in r] for r in data["L"]]) \
         if "L" in data else None
     H = Matrix([[parse_scalar(x, params) for x in r] for r in data["H"]]) \

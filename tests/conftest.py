@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qtoric import lp
 from qtoric.atlas import gluing_exponents
 from qtoric.calibration import CalibratedFan, Calibration
+from qtoric.errors import Indeterminate
 from qtoric.gale_lvmb import GaleData, _points_at_witness
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
@@ -241,6 +242,90 @@ def is_polytopal_primal(fan: QuantumFan, w: Witness) -> bool:
                                     for kk in range(m)]
          for k, row in enumerate(rows)]
     return not rows or lp.feasible(A, [Q(1)] * m)
+
+
+def solve_lp_two_phase(A, b, c):
+    """Reference LP: min c.x subject to A x = b, x >= 0, by the two-phase
+    simplex on lp._simplex_core.  Returns (status, objective)."""
+    m = len(A)
+    n = len(A[0]) if m else len(c)
+    A = [list(map(Q, row)) for row in A]
+    b = list(map(Q, b))
+    c = list(map(Q, c))
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+    T = [A[i] + [Q(1) if j == i else Q(0) for j in range(m)] + [b[i]]
+         for i in range(m)]
+    T.append([Q(0)] * n + [Q(1)] * m + [Q(0)])
+    basis = [n + i for i in range(m)]
+    for i in range(m):
+        T[-1] = [a - bb for a, bb in zip(T[-1], T[i])]
+    lp._simplex_core(T, basis, n + m)
+    if T[-1][-1] != 0:
+        return "infeasible", None
+    # drive remaining artificials out of the basis when possible
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if T[i][j] != 0), None)
+            if enter is not None:
+                lp._pivot(T, basis, i, enter)
+    T2 = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in range(m)]
+    obj2 = list(c) + [Q(0)]
+    for i in range(m):
+        if basis[i] < n and obj2[basis[i]] != 0:
+            f = obj2[basis[i]]
+            obj2 = [a - f * v for a, v in zip(obj2, T2[i])]
+    T2.append(obj2)
+    if lp._simplex_core(T2, basis, n) == "unbounded":
+        return "unbounded", None
+    x = [Q(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T2[i][-1]
+    return "optimal", sum(ci * xi for ci, xi in zip(c, x))
+
+
+def max_min_slack(A_eq, b_eq, slack_cols):
+    """Reference: max t s.t. A_eq x = b_eq, x >= 0, x[j] >= t for j in
+    slack_cols, with x[j] = y[j] + t; None when infeasible at t = 0 and
+    10**12 when unbounded."""
+    n = len(A_eq[0]) if A_eq else 0
+    A = [[*row, sum(row[j] for j in slack_cols)] for row in A_eq]
+    status, value = solve_lp_two_phase(A, b_eq, [Q(0)] * n + [Q(-1)])
+    if status == "infeasible":
+        return None
+    if status == "unbounded":
+        return Q(10 ** 12)
+    return -value
+
+
+def interiors_slack(points1, points2):
+    """Reference: the largest t with a common point of both hulls whose
+    barycentric coordinates are all >= t (None when the hulls are
+    disjoint)."""
+    dim = len(points1[0])
+    n1, n2 = len(points1), len(points2)
+    A = [[p[i] for p in points1] + [-q[i] for q in points2]
+         for i in range(dim)]
+    A.append([Q(1)] * n1 + [Q(0)] * n2)
+    A.append([Q(0)] * n1 + [Q(1)] * n2)
+    return max_min_slack(A, [Q(0)] * dim + [Q(1), Q(1)],
+                         list(range(n1 + n2)))
+
+
+def interiors_intersect_by_slack(points1, points2, exact=True):
+    """Reference interior test by the optimal slack t*: yes when t* > 0,
+    and on inexact data Indeterminate when 0 < t* <= MARGIN."""
+    if not points1 or not points2:
+        return False
+    t = interiors_slack(points1, points2)
+    if t is None or t == 0:
+        return False
+    if exact or t > lp.MARGIN:
+        return True
+    raise Indeterminate("feasibility within strictness margin at witness")
 
 
 def twisted_prism_fan(eps, diagonals) -> QuantumFan:

@@ -308,6 +308,49 @@ def test_batch_keeps_the_reports_beside_a_failed_file(tmp_path, capsys):
         [True, False]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rays", [1, 2]),
+    ("params", 5),
+    ("witness", ["a"]),
+    ("calibration", {"n": 3, "images": [["1", "0"], ["0", "1"], ["a", "b"]],
+                     "J": [], "I": 5}),
+    ("lvmb", {"m": 1, "Lambda": 3, "E": []}),
+])
+def test_malformed_fan_file_is_an_input_error(field, value, tmp_path,
+                                              capsys):
+    bad = _write(tmp_path, "bad.json", {**P2DEF, field: value})
+    code, payload = run(capsys, ["validate", bad])
+    assert code == 2 and payload["error"]["code"] == "InputError"
+    good = _write(tmp_path, "good.json", P2DEF)
+    code, payload = run(capsys, ["validate", good, bad, "--jobs", "2"])
+    assert code == 2
+    assert payload[0] == {"file": good, "report": {"valid": True,
+                                                  "violations": []}}
+    assert payload[1]["error"]["code"] == "InputError"
+
+
+def test_malformed_arguments_are_input_errors(tmp_path, capsys):
+    f = _write(tmp_path, "p2.json", P2STD)
+    m = _write(tmp_path, "m.json", {"L": 5})
+    for argv in (["morphism-check", "--morphism", m, f, f],
+                 ["moduli-act", "--hbar", "5", "--H", "[[1,0],[0,1]]"],
+                 ["moduli-act", "--hbar", '[["1"],["2"]]', "--H", "7"],
+                 ["hopf-equiv", "--pair1", "5",
+                  "--pair2", '["1", "0", "0", "1"]']):
+        code, payload = run(capsys, argv)
+        assert code == 2 and payload["error"]["code"] == "InputError", argv
+
+
+def test_type_error_in_a_decider_is_not_an_input_error(tmp_path,
+                                                       monkeypatch):
+    def broken(fan, w):
+        raise TypeError("a defect")
+
+    monkeypatch.setattr("qtoric.lattice_fan.validate_fan", broken)
+    with pytest.raises(TypeError, match="a defect"):
+        main(["validate", _write(tmp_path, "p2.json", P2STD)])
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io as _io
     monkeypatch.setattr("sys.stdin", _io.StringIO(json.dumps(P2DEF)))

@@ -1,10 +1,14 @@
 import itertools
 from fractions import Fraction as Q
 
-from hypothesis import given, settings
+import pytest
+from conftest import interiors_intersect_by_slack, interiors_slack
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtoric import lp
+from qtoric.errors import Indeterminate
+from qtoric.linalg import int_rank
 from qtoric.lp import solve_lp
 
 # Beale's example: the textbook rule (most negative reduced cost, first
@@ -29,12 +33,16 @@ def _counting_pivots(monkeypatch, limit=100):
     return count
 
 
-def test_beale_terminates_at_optimum(monkeypatch):
-    _counting_pivots(monkeypatch)
-    res = solve_lp(BEALE_A, BEALE_B, BEALE_C)
-    assert res.status == "optimal"
-    assert res.objective == Q(-5, 4)
-    assert res.x == [Q(3, 4), 0, 0, 1, 0, 1, 0]
+def _solves(A, b, x):
+    return all(v >= 0 for v in x) and all(
+        sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))
+
+
+def test_beale_terminates_at_a_feasible_point(monkeypatch):
+    count = _counting_pivots(monkeypatch)
+    x = solve_lp(BEALE_A, BEALE_B)
+    assert x is not None and _solves(BEALE_A, BEALE_B, x)
+    assert count[0] > 0
 
 
 def test_beale_from_degenerate_slack_basis(monkeypatch):
@@ -48,14 +56,14 @@ def test_beale_from_degenerate_slack_basis(monkeypatch):
 
 
 def test_infeasible():
-    assert solve_lp([[1, 1]], [-1], [0, 0]).status == "infeasible"
-    assert solve_lp([[1, 0], [1, 0]], [1, 2], [0, 0]).status == "infeasible"
+    assert solve_lp([[1, 1]], [-1]) is None
+    assert solve_lp([[1, 0], [1, 0]], [1, 2]) is None
     assert not lp.feasible([[1, -1], [0, 1]], [2, -1])
 
 
-def test_unbounded():
-    assert solve_lp([[1, -1]], [0], [-1, 0]).status == "unbounded"
-    assert solve_lp([[1, -1, 0]], [1], [0, -1, 0]).status == "unbounded"
+def test_empty_system_is_feasible():
+    assert solve_lp([], []) == []
+    assert lp.feasible([], [])
 
 
 # -- differential test against enumeration of basic solutions ---------------
@@ -96,45 +104,27 @@ def _basic_feasible_solutions(A, b):
             yield x
 
 
-def _brute_force(A, b, c):
-    n = len(c)
-    values = [sum(ci * xi for ci, xi in zip(c, x))
-              for x in _basic_feasible_solutions(A, b)]
-    if not values:
-        return "infeasible", None
-    # unbounded iff some extreme ray d >= 0, A d = 0, sum d = 1 has c.d < 0
-    rays = _basic_feasible_solutions(A + [[1] * n], [0] * len(A) + [1])
-    if any(sum(ci * di for ci, di in zip(c, d)) < 0 for d in rays):
-        return "unbounded", None
-    return "optimal", min(values)
-
-
 ENTRY = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
 
 
 @st.composite
-def small_lps(draw):
+def small_systems(draw):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     A = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
     b = [draw(st.integers(-3, 3)) for _ in range(m)]
-    c = [draw(st.integers(-3, 3)) for _ in range(n)]
-    return A, b, c
+    return A, b
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_lps())
+@given(small_systems())
 def test_solve_lp_matches_basic_solution_enumeration(data):
-    A, b, c = data
-    status, best = _brute_force(A, b, c)
-    res = solve_lp(A, b, c)
-    assert res.status == status
-    if status == "optimal":
-        assert res.objective == best
-        assert all(v >= 0 for v in res.x)
-        for row, bi in zip(A, b):
-            assert sum(a * v for a, v in zip(row, res.x)) == bi
-        assert sum(ci * xi for ci, xi in zip(c, res.x)) == best
+    A, b = data
+    found = next(_basic_feasible_solutions(A, b), None) is not None
+    x = solve_lp(A, b)
+    assert (x is not None) == found
+    if found:
+        assert len(x) == len(A[0]) and _solves(A, b, x)
 
 
 def _dense_pivot(T, basis, r, c):
@@ -162,3 +152,95 @@ def test_sparse_pivot_matches_dense_pivot(m, n, data):
     _dense_pivot(dense, b1, r, c)
     lp._pivot(sparse, b2, r, c)
     assert sparse == dense and b1 == b2
+
+
+# -- interiors as lifted cones, against the optimal-slack reference ----------
+
+COORD = st.integers(-4, 4)
+PUSH = st.sampled_from([0, 1, -1, Q(1, 4), Q(-1, 4), Q(1, 2), Q(-1, 2), 2, -2,
+                        4, -4, lp.MARGIN, -lp.MARGIN])
+
+
+def _full_dimensional(points):
+    return int_rank([[*p, 1] for p in points]) == len(points[0]) + 1
+
+
+@st.composite
+def hull_pairs(draw):
+    """Two full-dimensional point sets in R^d: random, reflected through a
+    point of the first (sharing a vertex when it is one), sharing a facet
+    on x_0 = 0, nested, equal or far apart.  The second set is then pushed
+    along a random direction by a multiple of MARGIN, so the hulls can
+    come within about MARGIN of touching."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "vertex", "facet", "nested",
+                                 "equal", "disjoint"]))
+
+    def points(k, first=COORD):
+        return [[draw(first)] + [draw(COORD) for _ in range(d - 1)]
+                for _ in range(k)]
+
+    if kind == "facet":
+        base = points(d, st.just(0))
+        P = base + points(draw(st.integers(1, 2)), st.integers(1, 4))
+        Q_ = base + points(draw(st.integers(1, 2)), st.integers(-4, -1))
+    else:
+        P = points(draw(st.integers(d + 1, d + 3)))
+        if kind == "random":
+            Q_ = points(draw(st.integers(d + 1, d + 3)))
+        elif kind == "vertex":
+            Q_ = [[2 * v - x for v, x in zip(P[0], p)] for p in P]
+        elif kind == "nested":
+            r = Q(draw(st.integers(1, 5)), 5)
+            c = [sum(col) / Q(len(P)) for col in zip(*P)]
+            Q_ = [[ci + r * (x - ci) for ci, x in zip(c, p)] for p in P]
+        elif kind == "equal":
+            Q_ = P[::-1]
+        else:
+            Q_ = [[x + 9 * (i == 0) for i, x in enumerate(p)] for p in P]
+    assume(_full_dimensional(P) and _full_dimensional(Q_))
+    u = [draw(st.integers(-2, 2)) for _ in range(d)]
+    push = draw(PUSH) * lp.MARGIN
+    P = [[Q(x) for x in p] for p in P]
+    Q_ = [[Q(x) + push * ui for x, ui in zip(q, u)] for q in Q_]
+    return P, Q_
+
+
+def _outcome(decide, P, Q_, exact):
+    try:
+        return decide(P, Q_, exact=exact)
+    except Indeterminate:
+        return "indeterminate"
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_pairs())
+def test_interiors_exact_match_slack_reference(pair):
+    P, Q_ = pair
+    assert lp.interiors_intersect(P, Q_, exact=True) == \
+        interiors_intersect_by_slack(P, Q_, exact=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_pairs())
+def test_interiors_inexact_match_slack_reference(pair):
+    P, Q_ = pair
+    # at t* = MARGIN exactly the reference says Indeterminate and the
+    # lifted test, whose guard is t* >= MARGIN, says yes
+    assume(interiors_slack(P, Q_) != lp.MARGIN)
+    assert _outcome(lp.interiors_intersect, P, Q_, False) == \
+        _outcome(interiors_intersect_by_slack, P, Q_, False)
+
+
+def test_interiors_within_margin_are_indeterminate():
+    P = [[Q(0)], [Q(1)]]
+    sliver = [[1 - lp.MARGIN / 2], [Q(2)]]
+    assert 0 < interiors_slack(P, sliver) < lp.MARGIN
+    assert lp.interiors_intersect(P, sliver, exact=True)
+    with pytest.raises(Indeterminate):
+        lp.interiors_intersect(P, sliver, exact=False)
+    wider = [[1 - 4 * lp.MARGIN], [Q(2)]]
+    assert interiors_slack(P, wider) > lp.MARGIN
+    assert lp.interiors_intersect(P, wider, exact=False)
+    touching = [[Q(1)], [Q(2)]]
+    assert not lp.interiors_intersect(P, touching, exact=False)
