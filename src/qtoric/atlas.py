@@ -160,15 +160,9 @@ def atlas_report(cf_or_fan, cone_orders=None) -> dict:
     cone_orders: optional list of ordered index tuples fixing the chart
     coordinate order of each maximal cone (e.g. the order written in the
     input file); maximal cones not listed fall back to sorted order."""
-    if isinstance(cf_or_fan, CalibratedFan):
-        fan = cf_or_fan.fan
-        cf = cf_or_fan
-    else:
-        fan = cf_or_fan
-        cf = None
-    order_of = {}
-    for t in cone_orders or []:
-        order_of[frozenset(t)] = tuple(t)
+    cf = cf_or_fan if isinstance(cf_or_fan, CalibratedFan) else None
+    fan = cf_or_fan if cf is None else cf.fan
+    order_of = {frozenset(t): tuple(t) for t in cone_orders or []}
     maxc = [order_of.get(frozenset(c), tuple(sorted(c)))
             for c in sorted(fan.maximal_cones(), key=lambda c: sorted(c))]
     charts = []
@@ -183,4 +177,4 @@ def atlas_report(cf_or_fan, cone_orders=None) -> dict:
                          "exponents": [[str(x) for x in r] for r in M.rows]}
                         for (src, dst), M in gluings.items()],
             "cocycle": True,
-            "irrelevant": build_irrelevant(cf if cf else fan).to_json()}
+            "irrelevant": build_irrelevant(cf_or_fan).to_json()}

@@ -126,11 +126,9 @@ def standardize_calibration(cf: CalibratedFan):
     order = basis_idx + rest_rays + rest_nonvirtual + virtual
     pos = {src: t + 1 for t, src in enumerate(order)}
     # H: permutation with H(e_src) = e_{pos[src]}
-    Hcols = []
     eye = Matrix.identity(n)
-    for src in range(1, n + 1):
-        Hcols.append(eye.column(pos[src] - 1))
-    H = Matrix.from_columns(Hcols)
+    H = Matrix.from_columns([eye.column(pos[src] - 1)
+                             for src in range(1, n + 1)])
     new_images = [None] * n
     for src in range(1, n + 1):
         new_images[pos[src] - 1] = L.apply(cal.image(src))
@@ -138,11 +136,7 @@ def standardize_calibration(cf: CalibratedFan):
     new_J = sorted(pos[j] for j in cal.J)
     s = {j: pos[j] for j in cal.J}
     # relabel fan rays: ray k of the new fan is image at new_I[k-1]
-    ray_perm = {}
-    for old_k in range(1, p + 1):
-        src = cal.I[old_k - 1]
-        new_k = new_I.index(pos[src]) + 1
-        ray_perm[old_k] = new_k
+    ray_perm = {k: new_I.index(pos[cal.I[k - 1]]) + 1 for k in range(1, p + 1)}
     new_rays = [None] * p
     for old_k in range(1, p + 1):
         new_rays[ray_perm[old_k] - 1] = L.apply(fan.rays[old_k - 1])

@@ -24,7 +24,8 @@ from .calibration import (CalibratedFan, standardize_calibration,
                           trivial_calibration)
 from .errors import Indeterminate, InputError, QtoricError
 from .io import (SCHEMA, FanFile, fan_to_json, load_fan_file,
-                 load_morphism_file, parse_scalar, reading)
+                 load_morphism_file, parse_scalar, reading,
+                 require_independent_roots)
 from .linalg import Matrix
 from .morphism import (CalMorphism, check_cal_morphism, check_fan_iso,
                        check_fan_morphism, find_cal_morphism)
@@ -54,8 +55,9 @@ def _emit(payload) -> None:
 _SQRT_RE = re.compile(r"sqrt:(\d+(?:/\d+)?)")
 
 
-def _cli_scalar(text: str, params: dict, witness_vals: dict) -> Scalar:
-    """Parse a command-line scalar.  sqrt:D is r*sqrt(D_1)*...*sqrt(D_j) when
+def _cli_scalar(text, params: dict, witness_vals: dict) -> Scalar:
+    """Parse a command-line scalar, or a JSON number inside an argument
+    as in fan files.  sqrt:D is r*sqrt(D_1)*...*sqrt(D_j) when
     D*D_1*...*D_j is a rational square for declared parameters t_i^2 = D_i
     (j = 0 when D is a square), else it declares a new quadratic parameter
     (positive root at the witness), so the declared ones stay
@@ -71,7 +73,9 @@ def _cli_scalar(text: str, params: dict, witness_vals: dict) -> Scalar:
         witness_vals[p] = Q(1)
         return p.name
 
-    return parse_scalar(_SQRT_RE.sub(sub, text), params)
+    if isinstance(text, str):
+        text = _SQRT_RE.sub(sub, text)
+    return parse_scalar(text, params)
 
 
 def _need(ff: FanFile, attr, what):
@@ -200,9 +204,16 @@ def cmd_lvmb_to_fan(ff: FanFile, args):
 
 # -- two-file commands -------------------------------------------------------
 
+def _two_files(args):
+    """The two fan files, their parameters and their merged witness."""
+    ff1, ff2 = (load_fan_file(_read(f)) for f in args.files)
+    values = {p: v for ff in (ff1, ff2) for p, v in ff.witness.values.values()}
+    require_independent_roots(values)
+    return ff1, ff2, {**ff1.params, **ff2.params}, Witness(values)
+
+
 def cmd_comb_equiv(args):
-    ff1 = load_fan_file(_read(args.files[0]))
-    ff2 = load_fan_file(_read(args.files[1]))
+    ff1, ff2 = (load_fan_file(_read(f)) for f in args.files)
     D1 = lf.comb_type(_need(ff1, "fan", "a fan"))
     D2 = lf.comb_type(_need(ff2, "fan", "a fan"))
     perm = lf.comb_equivalent(D1, D2)
@@ -214,28 +225,18 @@ def cmd_comb_equiv(args):
 
 
 def cmd_morphism_check(args):
-    ff1 = load_fan_file(_read(args.files[0]))
-    ff2 = load_fan_file(_read(args.files[1]))
-    params = dict(ff1.params)
-    params.update(ff2.params)
+    ff1, ff2, params, w = _two_files(args)
     L, _, _ = load_morphism_file(_read(args.morphism), params)
     if L is None:
         raise InputError("morphism file lacks L")
-    w = _merge_witness(ff1, ff2)
-    if args.iso:
-        res = check_fan_iso(L, ff1.fan, ff2.fan, w)
-    else:
-        res = check_fan_morphism(L, ff1.fan, ff2.fan, w)
+    check = check_fan_iso if args.iso else check_fan_morphism
+    res = check(L, ff1.fan, ff2.fan, w)
     return res.to_json(), EXIT_TRUE if res.ok else EXIT_FALSE
 
 
 def cmd_cal_morphism_check(args):
-    ff1 = load_fan_file(_read(args.files[0]))
-    ff2 = load_fan_file(_read(args.files[1]))
+    ff1, ff2, params, w = _two_files(args)
     cf1, cf2 = _calibrated(ff1), _calibrated(ff2)
-    w = _merge_witness(ff1, ff2)
-    params = dict(ff1.params)
-    params.update(ff2.params)
     if args.search:
         L = None
         if args.morphism:
@@ -251,11 +252,6 @@ def cmd_cal_morphism_check(args):
         raise InputError("morphism file must carry L and H")
     res = check_cal_morphism(CalMorphism(L, H, s), cf1, cf2, w)
     return res.to_json(), EXIT_TRUE if res.ok else EXIT_FALSE
-
-
-def _merge_witness(ff1: FanFile, ff2: FanFile) -> Witness:
-    return Witness({p: v for ff in (ff1, ff2)
-                    for p, v in ff.witness.values.values()})
 
 
 # -- moduli commands ----------------------------------------------------------

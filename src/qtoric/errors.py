@@ -7,8 +7,7 @@ class QtoricError(Exception):
 
 class Indeterminate(QtoricError):
     """A decision could not be certified at the witness: a value that is not
-    symbolically zero, or a denominator, vanishes there, or an LP on rounded
-    witness values lands within its strictness margin."""
+    symbolically zero, or a denominator, vanishes there."""
 
 
 class Singular(QtoricError):

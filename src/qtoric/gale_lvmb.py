@@ -68,10 +68,7 @@ def gale_affine(vectors, normalization: str = "pivot") -> GaleData:
     them independent)."""
     vecs = [tuple(Scalar.coerce(x) for x in v) for v in vectors]
     d = len(vecs[0]) if vecs else 0
-    total = [Scalar.zero()] * d
-    for v in vecs:
-        total = [t + x for t, x in zip(total, v)]
-    if any(not t.is_zero() for t in total):
+    if any(sum(col, Scalar.zero()) for col in zip(*vecs)):
         raise NotBalanced("input does not sum to zero")
     rows = [[v[i] for v in vecs] for i in range(d)]
     rows.append([Scalar.one()] * len(vecs))
@@ -134,7 +131,7 @@ class LVMBDatum:
 
 
 def _points_at_witness(points, w: Witness):
-    return [[w.approx(x) for x in p] for p in points]
+    return [[w.value(x) for x in p] for p in points]
 
 
 def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
@@ -144,7 +141,6 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     if not datum.E:
         return CheckResult.invalid("empty_family")
     pts = _points_at_witness(datum.points, w)
-    exact = all(w.is_exact_for(x) for p in datum.points for x in p)
     for e in sorted(datum.E, key=sorted):
         sub = [datum.point(i) for i in sorted(e)]
         M = Matrix([list(p) + [Scalar.one()] for p in sub])
@@ -153,7 +149,7 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     for e1, e2 in itertools.combinations(sorted(datum.E, key=sorted), 2):
         p1 = [pts[i - 1] for i in sorted(e1)]
         p2 = [pts[i - 1] for i in sorted(e2)]
-        if not lp.interiors_intersect(p1, p2, exact=exact):
+        if not lp.interiors_intersect(p1, p2):
             return CheckResult.invalid("interiors",
                                        E1=sorted(e1), E2=sorted(e2))
     for e in datum.E:
@@ -218,10 +214,7 @@ def build_lvmb(cf: CalibratedFan) -> LVMBDatum:
     cal, fan = cf.cal, cf.fan
     n, d = cal.n, cal.d
     vbar = list(cal.images)
-    extra = [Scalar.zero()] * d
-    for v in vbar:
-        extra = [e - x for e, x in zip(extra, v)]
-    vbar.append(tuple(extra))
+    vbar.append(tuple(-sum(col, Scalar.zero()) for col in zip(*vbar)))
     gale = gale_affine(vbar)
     m = (n - d) // 2
     E = []
@@ -240,10 +233,7 @@ def lvmb_to_fan(datum: LVMBDatum) -> CalibratedFan:
     calibrated-fan normalization)."""
     N = datum.N
     n = N - 1
-    total = [Scalar.zero()] * (2 * datum.m)
-    for p in datum.points:
-        total = [t + x for t, x in zip(total, p)]
-    if any(not t.is_zero() for t in total):
+    if any(sum(col, Scalar.zero()) for col in zip(*datum.points)):
         raise NotBalanced("configuration does not sum to zero")
     indis = datum.indispensable()
     if N not in indis:

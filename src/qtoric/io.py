@@ -188,6 +188,18 @@ def _require(cond, msg):
         raise InputError(msg)
 
 
+def require_independent_roots(params) -> None:
+    """InputError unless the quadratic parameters' roots are multiplicatively
+    independent, which makes the zero tests of scalars and of their values
+    in Q(sqrt(D_1), ..., sqrt(D_k)) exact."""
+    quads = [p for p in params if p.kind == "quadratic"]
+    for i, p in enumerate(quads):
+        _require(square_class(p.D, quads[:i]) is None,
+                 f"the root of quadratic parameter {p.name!r} is a rational "
+                 "multiple of a product of earlier ones: declared roots "
+                 "must be multiplicatively independent")
+
+
 @contextmanager
 def reading(what):
     """Turn a type or shape error raised while reading input (a number
@@ -222,12 +234,7 @@ def load_fan_file(data) -> FanFile:
                 p["name"], kind, Q(str(D)) if D is not None else None)
         except ValueError as e:
             raise InputError(str(e)) from e
-    quads = [p for p in params.values() if p.kind == "quadratic"]
-    for i, p in enumerate(quads):
-        _require(square_class(p.D, quads[:i]) is None,
-                 f"the root of quadratic parameter {p.name!r} is a rational "
-                 "multiple of a product of earlier ones: declared roots "
-                 "must be multiplicatively independent")
+    require_independent_roots(params.values())
     wvals = {}
     for name, val in (data.get("witness") or {}).items():
         _require(name in params, f"witness for undeclared parameter {name!r}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import lp
 from .errors import Singular
-from .linalg import (Matrix, cleared, hnf_solve, mat_inverse,
+from .linalg import (Matrix, _rref, cleared, hnf_solve, mat_inverse,
                      monomial_coordinates, pivot_columns, rank, stacked_hnf)
 from .scalars import Scalar, Witness
 
@@ -210,7 +210,7 @@ class ValidationReport:
 
 
 def _rays_at_witness(fan: QuantumFan, w: Witness):
-    return {i: [w.approx(x) for x in fan.ray(i)]
+    return {i: [w.value(x) for x in fan.ray(i)]
             for i in range(1, fan.nrays + 1)}
 
 
@@ -278,8 +278,8 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
         return report
     coords = _rays_at_witness(fan, w)
     rational = all(x.is_rational() for v in fan.rays for x in v)
-    independent = [A for A in maxc if rational or rank(
-        Matrix.from_columns([coords[i] for i in sorted(A)])) == len(A)]
+    independent = [A for A in maxc if rational or len(_rref(
+        list(zip(*(coords[i] for i in sorted(A)))))[1]) == len(A)]
     certified = {(A, A) for A in independent}
     for A, B in itertools.combinations(independent, 2):
         if _meet_in_common_face(coords, A, B):
@@ -353,17 +353,18 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     # l_s(v_j) = sum_i gamma_i w_i, where gamma = V_s^-1 v_j
     constraints = []
     for s in maxc:
-        try:
-            Vinv = mat_inverse(Matrix.from_columns([coords[i] for i in s]))
-        except Singular:
+        n = len(s)
+        red, pivots = _rref([[*r, *(Q(int(k == i)) for k in range(n))] for i, r
+                             in enumerate(zip(*(coords[i] for i in s)))])
+        if pivots != list(range(n)):
             return False
+        Vinv = [r[n:] for r in red]
         for j in range(1, p + 1):
             if j in s:
                 continue
-            gam = Vinv.apply(coords[j])
             row = [Q(0)] * p
             for idx, i in enumerate(s):
-                row[i - 1] += gam[idx].q
+                row[i - 1] += sum(a * x for a, x in zip(Vinv[idx], coords[j]))
             row[j - 1] -= 1
             constraints.append(row)
     if not constraints:
@@ -432,21 +433,14 @@ class CombType:
                 ridge[c - {i}] = ridge.get(c - {i}, 0) + 1
         if any(v != 2 for v in ridge.values()):
             return False
-        adj = {tuple(sorted(c)): set() for c in maxc}
-        for f in ridge:
-            touch = [c for c in maxc if f <= c]
-            for c1, c2 in itertools.combinations(touch, 2):
-                adj[tuple(sorted(c1))].add(tuple(sorted(c2)))
-                adj[tuple(sorted(c2))].add(tuple(sorted(c1)))
-        seen = set()
-        stack = [next(iter(adj))]
+        # two maximal cones share a ridge when they share d - 1 rays
+        seen, stack = set(), [maxc[0]]
         while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(adj[cur])
-        return len(seen) == len(adj)
+            c = stack.pop()
+            if c not in seen:
+                seen.add(c)
+                stack.extend(e for e in maxc if len(c & e) == d - 1)
+        return len(seen) == len(maxc)
 
 
 def comb_type(fan: QuantumFan) -> CombType:
@@ -544,9 +538,5 @@ def d_realizable(rays, D: CombType, w: Witness,
         eye = Matrix.identity(d)
         gamma = QLattice(d, [eye.rows[i] for i in range(d)] + list(rays))
     fan = QuantumFan(gamma, rays, D.poset)
-    rep = validate_fan(fan, w)
-    if not rep.valid:
-        return False
-    if D.is_pseudomanifold() and not _is_complete(fan):
-        return False
-    return True
+    return validate_fan(fan, w).valid and (not D.is_pseudomanifold()
+                                           or _is_complete(fan))

@@ -123,7 +123,8 @@ def dot(u, v) -> Scalar:
 
 
 def _rref(rows):
-    """Reduced row echelon form with leftmost pivots.
+    """Reduced row echelon form with leftmost pivots, of Scalars or of
+    witness values (Fractions and Surds).
 
     Returns (rref rows, pivot column list)."""
     rows = [list(r) for r in rows]
@@ -134,7 +135,7 @@ def _rref(rows):
     for c in range(ncols):
         sel = None
         for i in range(r, nrows):
-            if not rows[i][c].is_zero():
+            if rows[i][c]:
                 sel = i
                 break
         if sel is None:
@@ -143,12 +144,12 @@ def _rref(rows):
         # columns left of c are zero in rows r and below, so only the
         # nonzero entries of the pivot row (at c or right of it) change
         prow = rows[r]
-        inv = Scalar.one() / prow[c]
-        nz = [j for j in range(c, ncols) if not prow[j].is_zero()]
+        inv = 1 / prow[c]
+        nz = [j for j in range(c, ncols) if prow[j]]
         for j in nz:
             prow[j] = inv * prow[j]
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
+            if i != r and rows[i][c]:
                 row = rows[i]
                 f = row[c]
                 for j in nz:
@@ -322,26 +323,6 @@ def int_det(M) -> int:
                 ri[j] = (ri[j] * akk - aik * rk[j]) // prev
         prev = akk
     return sign * A[-1][-1] if n else 1
-
-
-def int_rank(M) -> int:
-    H, _ = hnf(M)
-    return sum(1 for row in H if any(x != 0 for x in row))
-
-
-def int_kernel(M) -> list:
-    """Z-basis of {x : x integral, M x = 0} for an integer matrix M
-    (saturated by construction)."""
-    A = [list(r) for r in M]
-    if not A:
-        return []
-    At = [list(col) for col in zip(*A)]
-    H, U = hnf(At)
-    out = []
-    for i, row in enumerate(H):
-        if all(x == 0 for x in row):
-            out.append(tuple(U[i]))
-    return out
 
 
 def int_solve(M, b) -> tuple | None:

@@ -1,26 +1,21 @@
-"""Exact rational feasibility (phase 1 of the simplex, Bland's rule).
+"""Exact feasibility (phase 1 of the simplex, Bland's rule).
 
 Every geometric predicate here asks only whether a point exists:
 relative-interior intersection of cones, convex-hull membership, strictly
 convex support functions.  solve_lp finds x >= 0 with A x = b or reports
 that there is none; no LP has an objective.  Interiors of full-dimensional
 hulls are decided as relative interiors of the cones over the points
-lifted to height 1.  All data are Fractions, so every answer is exact.
-For a parametric input, though, the data are its rounded Witness.approx
-values.  interiors_intersect keeps a strictness margin for that case, the
-last guarded decision on rounded data: near the boundary it reports
-Indeterminate instead of guessing.
+lifted to height 1.  The data are witness values, exact elements of
+K = Q(sqrt(D_1), ..., sqrt(D_k)): Fractions, and Surds when quadratic
+roots occur.  The simplex only adds, multiplies, divides and compares
+them, so over this ordered field every answer is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Indeterminate
-
 Q = Fraction
-
-MARGIN = Q(1, 10 ** 9)
 
 
 def _pivot(T, basis, r, c):
@@ -58,13 +53,14 @@ def _simplex_core(T, basis, ncols):
 
 
 def solve_lp(A, b):
-    """An x >= 0 with A x = b (all Fractions), or None when there is none.
+    """An x >= 0 with A x = b (ints, Fractions or Surds), or None when
+    there is none.
 
     Phase 1 only: minimize the sum of one artificial per row."""
     m = len(A)
     n = len(A[0]) if m else 0
-    A = [list(map(Q, row)) for row in A]
-    b = list(map(Q, b))
+    A = [[Q(v) if isinstance(v, int) else v for v in row] for row in A]
+    b = [Q(v) if isinstance(v, int) else v for v in b]
     for i in range(m):
         if b[i] < 0:
             A[i] = [-v for v in A[i]]
@@ -90,7 +86,7 @@ def feasible(A, b):
 
 
 def in_convex_hull(points):
-    """Is the origin in the convex hull of the points (Fraction vectors)?"""
+    """Is the origin in the convex hull of the points (value vectors)?"""
     if not points:
         return False
     # (0, 1) in the cone over the lifted points (p, 1)
@@ -98,29 +94,15 @@ def in_convex_hull(points):
     return feasible(A, [Q(0)] * len(points[0]) + [Q(1)])
 
 
-def interiors_intersect(points1, points2, exact=True):
+def interiors_intersect(points1, points2):
     """Do the convex hulls of two full-dimensional point sets have interior
     points in common?  That is, are there λ, μ > 0 with Σλ = Σμ = 1 and
     Σ λᵢpᵢ = Σ μⱼqⱼ?  Scaled, these are points of the relative interiors of
-    the cones over the lifted points (p, 1) and (q, 1).  Unless the data are
-    exact, the answer is yes only when λ, μ >= MARGIN is feasible, and
-    Indeterminate when the common points all need a smaller coordinate."""
+    the cones over the lifted points (p, 1) and (q, 1)."""
     if not points1 or not points2:
         return False
-    lifted1 = [[*p, Q(1)] for p in points1]
-    lifted2 = [[*q, Q(1)] for q in points2]
-    if exact:
-        return cones_relint_intersect(lifted1, lifted2)
-    # sum l_i (p_i, 1) = sum m_j (q_j, 1), sum l = 1, with l = MARGIN + y
-    # and m = MARGIN + z for y, z >= 0
-    A = _difference_rows(lifted1, lifted2)
-    A.append([Q(1)] * len(lifted1) + [Q(0)] * len(lifted2))
-    b = [Q(0)] * (len(A) - 1) + [Q(1)]
-    if feasible(A, [bi - MARGIN * sum(row) for row, bi in zip(A, b)]):
-        return True
-    if cones_relint_intersect(lifted1, lifted2):
-        raise Indeterminate("feasibility within strictness margin at witness")
-    return False
+    return cones_relint_intersect([[*p, Q(1)] for p in points1],
+                                  [[*q, Q(1)] for q in points2])
 
 
 def _difference_rows(gen1, gen2):
@@ -132,7 +114,7 @@ def _difference_rows(gen1, gen2):
 def cones_relint_intersect(gen1, gen2):
     """Do the relative interiors of two cones intersect?
 
-    gen*: lists of Fraction vectors (cone generators, not necessarily
+    gen*: lists of value vectors (cone generators, not necessarily
     independent); the relative interior of a cone is the set of its
     generators' combinations with all coefficients positive.  Solved as the
     feasibility of  sum l_i u_i = sum m_j v_j  with  l, m >= 1, which is

@@ -71,7 +71,8 @@ def quadratic_surd(x: Scalar):
     if not quad:
         return x.as_fraction()
     p = quad[0]
-    u, v = x.affine_coefficients([p.name])
+    # canonical form: x = u + v*t over the denominator 1
+    u, v = (x.num.terms.get(m, Q(0)) for m in ((), ((p.name, 1),)))
     # X^2 - 2u X + (u^2 - v^2 D) times the lcm A of its denominators is
     # primitive: were a prime p to divide A, B and C, A/p would clear them
     b, c = -2 * u, u * u - v * v * p.D
@@ -358,15 +359,11 @@ def hopf_equiv(pair1, pair2, w: Witness) -> dict:
     iso1 = _is_real_integer(diff(p1[1], p1[0]))
     out = {"equivalent": direct or switched,
            "isotropy": "Z2" if iso1 else "trivial"}
-    if direct:
-        out["witness"] = {"kind": "direct",
-                          "shift": [str(x) for z in
-                                    (diff(p2[0], p1[0]), diff(p2[1], p1[1]))
-                                    for x in z]}
-    elif switched:
-        out["witness"] = {"kind": "switched",
-                          "shift": [str(x) for z in
-                                    (diff(p2[0], p1[1]), diff(p2[1], p1[0]))
+    if direct or switched:
+        i, j = (0, 1) if direct else (1, 0)
+        out["witness"] = {"kind": "direct" if direct else "switched",
+                          "shift": [str(x) for z in (diff(p2[0], p1[i]),
+                                                     diff(p2[1], p1[j]))
                                     for x in z]}
     return out
 

@@ -7,18 +7,20 @@ non-square rational D.  Scalars are kept in canonical form (coprime
 numerator/denominator, denominator free of quadratic parameters and monic
 under the lexicographic order), so equality is structural.
 
-Sign decisions are made against a Witness: an assignment of exact rational
-values to transcendental parameters and of a root choice +-sqrt(D_i) to
-quadratic ones.  At the witness every scalar lies in the real field
-Q(sqrt(D_1), ..., sqrt(D_k)), where its sign is decided exactly by the
-sign test for towers of quadratic extensions (Basu, Pollack, Roy,
-Algorithms in Real Algebraic Geometry, ch. 10).  A value that is not
-symbolically zero but vanishes at the witness is Indeterminate.
+Sign and feasibility decisions are made against a Witness: an assignment
+of exact rational values to transcendental parameters and of a root choice
++-sqrt(D_i) to quadratic ones.  At the witness every scalar has an exact
+value in the real field K = Q(sqrt(D_1), ..., sqrt(D_k)): a Fraction, or a
+Surd over the products of the roots, whose sign is decided by the sign
+test for towers of quadratic extensions (Basu, Pollack, Roy, Algorithms in
+Real Algebraic Geometry, ch. 10).  A value that is not symbolically zero
+but vanishes at the witness is Indeterminate.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -493,6 +495,9 @@ class Scalar:
             return not self.q
         return self._num.is_zero()
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return self.q is not None
 
@@ -591,34 +596,6 @@ class Scalar:
     def __repr__(self):
         return str(self)
 
-    def sort_key(self):
-        """Deterministic total order key (canonical string)."""
-        return str(self)
-
-    # -- affine-linear coefficient extraction ---------------------------------
-
-    def affine_coefficients(self, names) -> list:
-        """Coefficients of this scalar in the basis (1, *names).
-
-        Requires the scalar to be an affine-linear combination of 1 and the
-        listed parameters with rational coefficients; raises
-        UnsupportedEntries otherwise.
-        """
-        if not self.den.is_const():
-            raise UnsupportedEntries(f"{self}: non-constant denominator")
-        d = self.den.const_value()
-        idx = {n: i + 1 for i, n in enumerate(names)}
-        out = [Q(0)] * (len(names) + 1)
-        for mono, c in self.num.terms.items():
-            if mono == _ONE_MONO:
-                out[0] += c / d
-            elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in idx:
-                out[idx[mono[0][0]]] += c / d
-            else:
-                raise UnsupportedEntries(
-                    f"{self}: entry not affine-linear in the parameters")
-        return out
-
 
 def _canonicalize(num: Poly, den: Poly):
     params = _merge_params(num.params, den.params)
@@ -677,9 +654,6 @@ _ONE = _rational(Q(1))
 # ---------------------------------------------------------------------------
 # witnesses and signs
 # ---------------------------------------------------------------------------
-
-ROOT_BITS = 128   # precision of the rounded roots behind Witness.approx
-
 
 class Sign(enum.Enum):
     NEGATIVE = -1
@@ -746,98 +720,191 @@ def square_class(D: Fraction, quadratics) -> tuple | None:
 
 class Witness:
     """Exact rational values for transcendental parameters and root choices
-    for quadratic ones; used only for sign and feasibility decisions."""
+    for quadratic ones; used only for sign and feasibility decisions.
+
+    The quadratic parameter t^2 = n/d is b/d for the root b = +-sqrt(n*d),
+    so values in K keep integer coefficients over products of the roots."""
 
     def __init__(self, values: dict):
-        self.values = {}
-        self._roots = {}
+        self.values, self._quad, self._roots = {}, {}, []
         for p, v in values.items():
             if not isinstance(p, Parameter):
                 raise TypeError("witness keys must be Parameters")
             if p.kind == "quadratic":
                 sign = 1 if _as_fraction(v) >= 0 else -1
                 self.values[p.name] = (p, sign)
-                # the midpoint of the ROOT_BITS-bit enclosure of sqrt(D)
-                n = isqrt(p.D.numerator * p.D.denominator << 2 * ROOT_BITS)
-                self._roots[p.name] = sign * Q(2 * n + 1, p.D.denominator
-                                               << ROOT_BITS + 1)
+                self._quad[p.name] = (1 << len(self._roots), p.D.denominator)
+                self._roots.append((p.D.numerator * p.D.denominator, sign))
             else:
                 self.values[p.name] = (p, _as_fraction(v))
 
-    def specialise(self, s: Scalar) -> Poly:
-        """s with the witness values put in for its transcendental
-        parameters: a polynomial in the quadratic parameters alone, since a
-        canonical denominator has no quadratic parameter."""
-        num, den = self._put(s.num), self._put(s.den).const_value()
-        if not den:
-            raise Indeterminate(f"denominator of {s} vanishes at the witness")
-        return num.scale(1 / den)
-
-    def _put(self, poly: Poly) -> Poly:
-        terms, params = {}, {}
-        for mono, c in poly.terms.items():
-            quad = []
-            for name, e in mono:
-                if name not in self.values:
-                    raise UnsupportedEntries(f"parameter {name} not valued")
-                p, v = self.values[name]
-                if p.kind == "quadratic":
-                    quad.append((name, e))
-                    params[name] = p
-                else:
-                    c = c * v ** e
-            mono = tuple(quad)
-            terms[mono] = terms.get(mono, 0) + c
-        return Poly({m: c for m, c in terms.items() if c}, params)
-
-    def approx(self, s: Scalar) -> Fraction:
-        """Rational approximation of s at the witness, with each quadratic
-        root rounded to ROOT_BITS bits (exact when no quadratic parameter
-        occurs in s)."""
+    def value(self, s: Scalar):
+        """The exact value of s at the witness: a Fraction when it is
+        rational, else a Surd.  Indeterminate when the denominator (free of
+        quadratic parameters, so rational) vanishes there."""
         if s.q is not None:
             return s.q
-        out = Q(0)
-        for mono, c in self.specialise(s).terms.items():
-            for name, _ in mono:
-                c = c * self._roots[name]
-            out += c
-        return out
+        den = self._put(s._den)
+        if not den:
+            raise Indeterminate(f"denominator of {s} vanishes at the witness")
+        return self._put(s._num) / den
 
-    def is_exact_for(self, s: Scalar) -> bool:
-        return s.q is not None or not (s._num.has_quadratic()
-                                       or s._den.has_quadratic())
+    def _square(self, m: int) -> int:
+        """The square of the product of the roots in the subset m."""
+        return prod(R for i, (R, _) in enumerate(self._roots) if m >> i & 1)
+
+    def _put(self, poly: Poly):
+        """poly at the witness (quadratic exponents are reduced to 1)."""
+        c = {}
+        for mono, x in poly.terms.items():
+            m = 0
+            for name, e in mono:
+                if name in self._quad:
+                    bit, d = self._quad[name]
+                    m, x = m | bit, x / d
+                elif name in self.values:
+                    x = x * self.values[name][1] ** e
+                else:
+                    raise UnsupportedEntries(f"parameter {name} not valued")
+            c[m] = c.get(m, 0) + x
+        L = lcm(*(x.denominator for x in c.values()))
+        return _surd({m: x.numerator * (L // x.denominator)
+                      for m, x in c.items()}, L, self)
 
 
-def _exact_sign(x: Poly, w: Witness) -> int:
-    """Sign of x, a polynomial in quadratic parameters t_i = +-sqrt(D_i), at
-    the witness's roots.  With x = alpha + beta*t for its last parameter t,
-    the sign is that of alpha or beta*t when they agree (or one is zero),
-    else sign(alpha) * sign(alpha^2 - beta^2 D)."""
-    if x.is_const():
-        c = x.const_value()
-        return (c > 0) - (c < 0)
-    v = max(x.variables())
-    p, root_sign = w.values[v]
-    alpha, beta = _to_univariate(x, v)
-    sa = _exact_sign(alpha, w)
-    sb = _exact_sign(beta, w) * root_sign
+@functools.total_ordering
+class Surd:
+    """An irrational element of K = Q(sqrt(D_1), ..., sqrt(D_k)) at a
+    witness w: the sum of c[S]/den times the product of the roots in S over
+    subsets S (bitmasks), with integers c[S] != 0 and den > 0 in lowest
+    terms.  Arithmetic with ints, Fractions and Surds of one witness returns
+    a Fraction whenever the result is rational; comparisons go through the
+    exact sign.  Products of multiplicatively independent roots are
+    linearly independent over Q, so a Surd is never zero and equality is
+    structural."""
+
+    __slots__ = ("c", "den", "w")
+
+    def __init__(self, c: dict, den: int, w: Witness):
+        self.c, self.den, self.w = c, den, w
+
+    def sign(self) -> int:
+        return _sign(self.c, self.w)
+
+    def __add__(self, other):
+        if isinstance(other, Surd):
+            c2, d2 = other.c, other.den
+        else:
+            c2, d2 = {0: other.numerator}, other.denominator
+        L = lcm(self.den, d2)
+        c = {m: x * (L // self.den) for m, x in self.c.items()}
+        for m, x in c2.items():
+            c[m] = c.get(m, 0) + x * (L // d2)
+        return _surd(c, L, self.w)
+
+    def __mul__(self, other):
+        if isinstance(other, Surd):
+            return _surd(_mul(self.c, other.c, self.w),
+                         self.den * other.den, self.w)
+        return _surd({m: x * other.numerator for m, x in self.c.items()},
+                     self.den * other.denominator, self.w)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Surd({m: -x for m, x in self.c.items()}, self.den, self.w)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        return self * (1 / (other if isinstance(other, Surd)
+                            else Fraction(other)))
+
+    def __rtruediv__(self, other):
+        """other/self by conjugates, one root at a time: with b the last
+        root in use, (alpha + beta*b)(alpha - beta*b) = alpha^2 - beta^2*b^2
+        is free of b."""
+        y = self
+        while isinstance(y, Surd):
+            bit = 1 << max(y.c).bit_length() - 1
+            conj = Surd({m: -x if m & bit else x for m, x in y.c.items()},
+                        y.den, y.w)
+            other, y = conj * other, y * conj
+        return other / y
+
+    def __eq__(self, other):
+        return (isinstance(other, Surd) and self.den == other.den
+                and self.c == other.c)
+
+    __hash__ = None
+
+    def __lt__(self, other):
+        d = self if not isinstance(other, Surd) and other == 0 \
+            else self - other
+        return (d.sign() if isinstance(d, Surd) else d) < 0
+
+
+def _surd(c: dict, den: int, w: Witness):
+    """The sum of c[S]/den times the roots in S, den > 0: a Fraction when no
+    root is left, else a Surd in lowest terms."""
+    c = {m: x for m, x in c.items() if x}
+    if c.keys() <= {0}:
+        return Fraction(c.get(0, 0), den)
+    g = gcd(den, *c.values())
+    if g > 1:
+        c = {m: x // g for m, x in c.items()}
+        den //= g
+    return Surd(c, den, w)
+
+
+def _mul(a: dict, b: dict, w: Witness) -> dict:
+    """The product of two coefficient dicts over the roots of w."""
+    out = {}
+    for m1, x1 in a.items():
+        for m2, x2 in b.items():
+            x = x1 * x2 * w._square(m1 & m2) if m1 & m2 else x1 * x2
+            out[m1 ^ m2] = out.get(m1 ^ m2, 0) + x
+    return out
+
+
+def _sign(c: dict, w: Witness) -> int:
+    """Sign of the sum of c[S] times the roots in S (integer c).  With
+    x = alpha + beta*b for the last root b in use, the sign is that of
+    alpha or beta*b when they agree (or one is zero), else
+    sign(alpha) * sign(alpha^2 - beta^2*b^2)."""
+    top = max(c, default=0)
+    if not top:
+        x = c.get(0, 0)
+        return (x > 0) - (x < 0)
+    i = top.bit_length() - 1
+    R, root_sign = w._roots[i]
+    alpha = {m: x for m, x in c.items() if not m >> i & 1}
+    beta = {m ^ 1 << i: x for m, x in c.items() if m >> i & 1}
+    sa = _sign(alpha, w)
+    sb = _sign(beta, w) * root_sign
     if sa == 0 or sa == sb:
         return sb
     if sb == 0:
         return sa
-    return sa * _exact_sign(alpha * alpha - (beta * beta).scale(p.D), w)
+    d = _mul(alpha, alpha, w)
+    for m, x in _mul(beta, beta, w).items():
+        d[m] = d.get(m, 0) - R * x
+    return sa * _sign(d, w)
 
 
 def sign_at(s: Scalar, w: Witness) -> Sign:
-    """Sign of s at the witness: symbolic zero test first, then an exact
-    decision in Q(sqrt(D_1), ..., sqrt(D_k)).  Indeterminate when s, or its
-    denominator, is not symbolically zero but vanishes at the witness."""
+    """Sign of s at the witness: symbolic zero test first, then the exact
+    sign of w.value(s).  Indeterminate when s, or its denominator, is not
+    symbolically zero but vanishes at the witness."""
     s = Scalar.coerce(s)
     if s.is_zero():
         return Sign.ZERO
-    if s.q is not None:
-        return Sign.POSITIVE if s.q > 0 else Sign.NEGATIVE
-    sign = _exact_sign(w.specialise(s), w)
+    v = w.value(s)
+    sign = v.sign() if isinstance(v, Surd) else (v > 0) - (v < 0)
     if not sign:
         raise Indeterminate(
             f"{s} vanishes at the witness but is not symbolically zero")

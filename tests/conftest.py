@@ -13,12 +13,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qtoric import lp
 from qtoric.atlas import gluing_exponents
+from qtoric.errors import UnsupportedEntries
 from qtoric.calibration import CalibratedFan, Calibration
-from qtoric.errors import Indeterminate
 from qtoric.gale_lvmb import GaleData, _points_at_witness
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
-from qtoric.linalg import (Matrix, int_kernel, int_rank, int_solve, rank,
+from qtoric.linalg import (Matrix, hnf, int_solve, rank,
                            solve_right)
 from qtoric.scalars import Parameter, Scalar, Sign, Witness, sign_at
 
@@ -157,6 +157,14 @@ def interval_sign(s: Scalar, w: Witness, bits: int):
     return None
 
 
+def approx(s: Scalar, w: Witness, bits: int = 256) -> Fraction:
+    """A rational near s at the witness: the midpoint of its interval
+    evaluation (a canonical denominator is exact there)."""
+    nlo, nhi = _interval_poly(s.num, w, bits)
+    dlo, _ = _interval_poly(s.den, w, bits)
+    return (nlo + nhi) / (2 * dlo)
+
+
 def fan_gluings(fan: QuantumFan) -> dict:
     """{(I, J): gluing_exponents(fan, I, J)} over the ordered pairs of
     distinct intersecting maximal cones, each in sorted order."""
@@ -203,7 +211,7 @@ def validate_fan_all_pairs(fan: QuantumFan, w: Witness) -> ValidationReport:
             report.add("missing_face", {"cone": [i], "missing": [i]})
     if not report.valid:
         return report
-    coords = {i: [w.approx(x) for x in fan.ray(i)]
+    coords = {i: [w.value(x) for x in fan.ray(i)]
               for i in range(1, fan.nrays + 1)}
     cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
     for a, b in itertools.combinations(cones, 2):
@@ -222,7 +230,7 @@ def is_polytopal_primal(fan: QuantumFan, w: Witness) -> bool:
     if not _is_complete(fan):
         return False
     p = fan.nrays
-    coords = {i: [w.approx(x) for x in fan.ray(i)] for i in range(1, p + 1)}
+    coords = {i: [w.value(x) for x in fan.ray(i)] for i in range(1, p + 1)}
     rows = []
     for s in (tuple(sorted(c)) for c in fan.maximal_cones()):
         Vs = Matrix.from_columns([coords[i] for i in s])
@@ -246,12 +254,16 @@ def is_polytopal_primal(fan: QuantumFan, w: Witness) -> bool:
 
 def solve_lp_two_phase(A, b, c):
     """Reference LP: min c.x subject to A x = b, x >= 0, by the two-phase
-    simplex on lp._simplex_core.  Returns (status, objective)."""
+    simplex on lp._simplex_core, for rational data or values in K.
+    Returns (status, objective)."""
     m = len(A)
     n = len(A[0]) if m else len(c)
-    A = [list(map(Q, row)) for row in A]
-    b = list(map(Q, b))
-    c = list(map(Q, c))
+    def exact(v):
+        return Q(v) if isinstance(v, int) else v
+
+    A = [list(map(exact, row)) for row in A]
+    b = list(map(exact, b))
+    c = list(map(exact, c))
     for i in range(m):
         if b[i] < 0:
             A[i] = [-v for v in A[i]]
@@ -315,17 +327,12 @@ def interiors_slack(points1, points2):
                          list(range(n1 + n2)))
 
 
-def interiors_intersect_by_slack(points1, points2, exact=True):
-    """Reference interior test by the optimal slack t*: yes when t* > 0,
-    and on inexact data Indeterminate when 0 < t* <= MARGIN."""
+def interiors_intersect_by_slack(points1, points2):
+    """Reference interior test by the optimal slack t*: yes when t* > 0."""
     if not points1 or not points2:
         return False
     t = interiors_slack(points1, points2)
-    if t is None or t == 0:
-        return False
-    if exact or t > lp.MARGIN:
-        return True
-    raise Indeterminate("feasibility within strictness margin at witness")
+    return t is not None and t > 0
 
 
 def twisted_prism_fan(eps, diagonals) -> QuantumFan:
@@ -385,14 +392,51 @@ def minimal_containing_cone_by_solve(fan: QuantumFan, point, w: Witness):
     return best, found[best]
 
 
+# -- integer-lattice routines on plain int rows (reference) ------------------
+
+def int_rank(M) -> int:
+    H, _ = hnf(M)
+    return sum(1 for row in H if any(x != 0 for x in row))
+
+
+def int_kernel(M) -> list:
+    """Z-basis of {x : x integral, M x = 0} for an integer matrix M
+    (saturated by construction)."""
+    A = [list(r) for r in M]
+    if not A:
+        return []
+    H, U = hnf([list(col) for col in zip(*A)])
+    return [tuple(U[i]) for i, row in enumerate(H) if not any(row)]
+
+
 # -- affine-coefficient integer-lattice routines (reference) ------------------
 #
 # Every entry must be affine-linear in the parameters: each vector is
 # flattened over the basis (1, names) x (e_1..e_d), and each routine builds
 # and reduces its own integer matrix.
 
+def affine_coefficients(x: Scalar, names) -> list:
+    """Coefficients of x in the basis (1, *names); x must be an
+    affine-linear combination of 1 and the listed parameters with rational
+    coefficients (UnsupportedEntries otherwise)."""
+    if not x.den.is_const():
+        raise UnsupportedEntries(f"{x}: non-constant denominator")
+    d = x.den.const_value()
+    idx = {n: i + 1 for i, n in enumerate(names)}
+    out = [Q(0)] * (len(names) + 1)
+    for mono, c in x.num.terms.items():
+        if mono == ():
+            out[0] += c / d
+        elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in idx:
+            out[idx[mono[0][0]]] += c / d
+        else:
+            raise UnsupportedEntries(
+                f"{x}: entry not affine-linear in the parameters")
+    return out
+
+
 def _affine_rows(vectors, names):
-    return [[c for x in v for c in Scalar.coerce(x).affine_coefficients(names)]
+    return [[c for x in v for c in affine_coefficients(Scalar.coerce(x), names)]
             for v in vectors]
 
 
@@ -428,7 +472,7 @@ def kernel_rank_affine(cal: Calibration):
     names = _names(cal.images)
     rows = []
     for coord in range(cal.d):
-        per_image = [cal.images[i][coord].affine_coefficients(names)
+        per_image = [affine_coefficients(cal.images[i][coord], names)
                      for i in range(cal.n)]
         rows += [[c[k] for c in per_image] for k in range(len(names) + 1)]
     a = cal.n - gamma_rank_affine(QLattice(cal.d, cal.images))
@@ -446,7 +490,7 @@ def condition_KH_affine(points) -> str:
     names = _names(pts)
     qrows = []
     for row in rows:
-        per_monomial = [x.affine_coefficients(names) for x in row]
+        per_monomial = [affine_coefficients(x, names) for x in row]
         qrows += [[c[k] for c in per_monomial] for k in range(len(names) + 1)]
     lattice = int_kernel(_own_lcm_rows(qrows))
     if len(lattice) == field_dim:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import EMPTY_WITNESS, random_even_calibrated_fan
+from conftest import EMPTY_WITNESS, int_rank, random_even_calibrated_fan
 
 from qtoric.calibration import (CalibratedFan, Calibration, induced_fan,
                                 kernel_rank, standardize_calibration,
@@ -10,7 +10,7 @@ from qtoric.calibration import (CalibratedFan, Calibration, induced_fan,
 from qtoric.errors import NotGammaComplete
 from qtoric.lattice_fan import (QLattice, QuantumFan, comb_type,
                                 fan_from_max_cones, gamma_rank)
-from qtoric.linalg import Matrix, int_rank
+from qtoric.linalg import Matrix
 from qtoric.morphism import check_cal_morphism, check_fan_morphism
 from qtoric.scalars import Parameter, Scalar, Witness
 

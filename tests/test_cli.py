@@ -341,6 +341,23 @@ def test_malformed_arguments_are_input_errors(tmp_path, capsys):
         assert code == 2 and payload["error"]["code"] == "InputError", argv
 
 
+def test_json_numbers_in_arguments_are_scalars(capsys):
+    assert _cli_scalar(3, {}, {}) == 3
+    eye3 = "[[1,0,0],[0,1,0],[0,0,1]]"
+    code, rep = run(capsys, ["moduli-act", "--hbar", "[[1],[2]]",
+                             "--H", eye3])
+    assert code == 0 and rep["hbar"] == [["1"], ["2"]]
+    code, rep = run(capsys, ["hopf-equiv", "--pair1", "[0,2,1,3]",
+                             "--pair2", '["0", "2", "1", "3"]'])
+    assert code == 0 and rep["equivalent"]
+    # floats and bools are still not exact numbers
+    for argv in (["moduli-act", "--hbar", "[[1.5],[2]]", "--H", eye3],
+                 ["hopf-equiv", "--pair1", "[true,2,1,3]",
+                  "--pair2", "[0,2,1,3]"]):
+        code, payload = run(capsys, argv)
+        assert code == 2 and payload["error"]["code"] == "InputError", argv
+
+
 def test_type_error_in_a_decider_is_not_an_input_error(tmp_path,
                                                        monkeypatch):
     def broken(fan, w):
@@ -456,6 +473,48 @@ def test_dependent_quadratic_parameters_rejected(tmp_path, capsys):
         load_fan_file(with_roots(*map(str, primes[:59]),
                                  str(prod(primes[:59]))))
     assert time.perf_counter() - start < 5.0
+
+
+def test_dependent_roots_across_files_rejected(tmp_path, capsys):
+    # t = u/2 at the witness: the lattices agree, but as independent
+    # symbols t and u/2 differ, which would answer a false "lattice"
+    def with_root(name, D, x):
+        return dict(P2STD, params=[{"name": name, "kind": "quadratic",
+                                    "D": D}], witness={name: "sqrt"},
+                    gamma=[["1", "0"], ["0", "1"], [x, "0"]])
+
+    f1 = _write(tmp_path, "t.json", with_root("t", "2", "t"))
+    f2 = _write(tmp_path, "u.json", with_root("u", "8", "u/2"))
+    f3 = _write(tmp_path, "v.json", with_root("v", "3", "v"))
+    mid = _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]})
+    code, rep = run(capsys, ["morphism-check", "--morphism", mid, f1, f2])
+    assert code == 2 and rep["error"]["code"] == "InputError"
+    assert "multiplicatively independent" in rep["error"]["message"]
+    code, rep = run(capsys, ["cal-morphism-check", "--search", f1, f2])
+    assert code == 2 and rep["error"]["code"] == "InputError"
+    # independent roots, and one root declared in both files, still run
+    code, rep = run(capsys, ["morphism-check", "--morphism", mid, f1, f3])
+    assert code == 1 and rep["reason"] == "lattice"
+    code, rep = run(capsys, ["morphism-check", "--morphism", mid, f1, f1])
+    assert code == 0 and rep["valid"]
+
+
+# rays (1,0), (t,1), (2,t), (0,1), (-1,-1) with t^2 = 2: (2,t) = t*(t,1)
+QUAD_OVERLAP = {
+    "dim": 2, "params": [{"name": "t", "kind": "quadratic", "D": "2"}],
+    "witness": {"t": "sqrt"},
+    "gamma": [["1", "0"], ["0", "1"], ["t", "0"], ["0", "t"]],
+    "rays": [["1", "0"], ["t", "1"], ["2", "t"], ["0", "1"], ["-1", "-1"]],
+    "cones": [[1, 2], [3, 4], [4, 5], [5, 1]],
+}
+
+
+def test_quadratic_overlap_is_found(tmp_path, capsys):
+    code, rep = run(capsys, ["validate", _write(tmp_path, "q.json",
+                                                 QUAD_OVERLAP)])
+    assert code == 1 and not rep["valid"]
+    assert {"kind": "overlap", "detail": {"cones": [[2], [3]]}} \
+        in rep["violations"]
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):

@@ -475,6 +475,18 @@ def test_validate_fan_dependent_at_the_witness_only():
     assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
 
 
+def test_quadratic_overlap_matches_all_pairs_reference():
+    # (2, t) = t * (t, 1) at t = sqrt 2, so rays 2 and 3 overlap; with the
+    # root rounded, the two directions differed and the fan passed
+    rays = [[1, 0], [ST, 1], [2, ST], [0, 1], [-1, -1]]
+    gamma = QLattice(2, [[1, 0], [0, 1], [ST, 0], [0, ST]])
+    fan = fan_from_max_cones(gamma, rays, [[1, 2], [3, 4], [4, 5], [5, 1]])
+    rep = validate_fan(fan, W)
+    assert rep.violations == [{"kind": "overlap",
+                               "detail": {"cones": [[2], [3]]}}]
+    assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
+
+
 def test_validate_fan_decides_each_pair_of_maximal_cones_once(monkeypatch):
     calls = []
     relint = lp.cones_relint_intersect

@@ -3,13 +3,14 @@ import time
 from fractions import Fraction as Q
 
 import pytest
+from conftest import int_kernel, int_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoric.errors import Singular
-from qtoric.linalg import (Matrix, _rref, det, hnf, int_det, int_kernel,
-                           int_rank, int_solve, kernel_basis, mat_inverse,
-                           pivot_columns, rank, solve_right)
+from qtoric.linalg import (Matrix, _rref, det, hnf, int_det, int_solve,
+                           kernel_basis, mat_inverse, pivot_columns, rank,
+                           solve_right)
 from qtoric.scalars import Parameter, Scalar
 
 A = Parameter("a")

@@ -1,15 +1,13 @@
 import itertools
 from fractions import Fraction as Q
 
-import pytest
-from conftest import interiors_intersect_by_slack, interiors_slack
+from conftest import int_rank, interiors_intersect_by_slack, interiors_slack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtoric import lp
-from qtoric.errors import Indeterminate
-from qtoric.linalg import int_rank
 from qtoric.lp import solve_lp
+from qtoric.scalars import Parameter, Scalar, Witness
 
 # Beale's example: the textbook rule (most negative reduced cost, first
 # minimal-ratio row) cycles from the slack basis; Bland's rule must not.
@@ -72,7 +70,7 @@ def _unique_solution(cols, b):
     """The solution of sum_k y_k cols[k] = b if the columns are linearly
     independent and the system is consistent, else None."""
     m, k = len(b), len(cols)
-    rows = [[Q(cols[j][i]) for j in range(k)] + [Q(b[i])] for i in range(m)]
+    rows = [[cols[j][i] for j in range(k)] + [b[i]] for i in range(m)]
     r = 0
     for c in range(k):
         sel = next((i for i in range(r, m) if rows[i][c] != 0), None)
@@ -106,13 +104,28 @@ def _basic_feasible_solutions(A, b):
 
 ENTRY = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
 
+# exact values in Q(sqrt 2, sqrt 3) at a fixed witness, some of them within
+# 10^-5 of zero or of one another
+ST = Scalar.of_param(Parameter("t", "quadratic", 2))
+SU = Scalar.of_param(Parameter("u", "quadratic", 3))
+W = Witness({p: 1 for x in (ST, SU) for p in x.params.values()})
+SQRT2 = W.value(ST)
+K_ENTRY = st.sampled_from([W.value(x) for x in (
+    ST, -ST, SU - 1, ST * SU - 2, ST + SU, 2 - ST * SU, Q(577, 408) - ST,
+    ST - Q(577, 408), SU - Q(1351, 780), ST * SU - Q(2449, 1000), -SU)])
+
 
 @st.composite
 def small_systems(draw):
+    """Rational systems, or systems with entries in Q(sqrt 2, sqrt 3)."""
+    rational = draw(st.booleans())
+    entry = ENTRY.map(Q) if rational else st.one_of(ENTRY.map(Q), K_ENTRY)
+    rhs = st.integers(-3, 3).map(Q)
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
-    A = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
-    b = [draw(st.integers(-3, 3)) for _ in range(m)]
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(rhs if rational else st.one_of(rhs, K_ENTRY))
+         for _ in range(m)]
     return A, b
 
 
@@ -157,8 +170,9 @@ def test_sparse_pivot_matches_dense_pivot(m, n, data):
 # -- interiors as lifted cones, against the optimal-slack reference ----------
 
 COORD = st.integers(-4, 4)
+EPS = Q(1, 10 ** 9)
 PUSH = st.sampled_from([0, 1, -1, Q(1, 4), Q(-1, 4), Q(1, 2), Q(-1, 2), 2, -2,
-                        4, -4, lp.MARGIN, -lp.MARGIN])
+                        4, -4, EPS, -EPS])
 
 
 def _full_dimensional(points):
@@ -170,8 +184,8 @@ def hull_pairs(draw):
     """Two full-dimensional point sets in R^d: random, reflected through a
     point of the first (sharing a vertex when it is one), sharing a facet
     on x_0 = 0, nested, equal or far apart.  The second set is then pushed
-    along a random direction by a multiple of MARGIN, so the hulls can
-    come within about MARGIN of touching."""
+    along a random direction by a multiple of EPS, rational or times
+    sqrt(2), so the hulls can come within about EPS of touching."""
     d = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["random", "vertex", "facet", "nested",
                                  "equal", "disjoint"]))
@@ -200,47 +214,14 @@ def hull_pairs(draw):
             Q_ = [[x + 9 * (i == 0) for i, x in enumerate(p)] for p in P]
     assume(_full_dimensional(P) and _full_dimensional(Q_))
     u = [draw(st.integers(-2, 2)) for _ in range(d)]
-    push = draw(PUSH) * lp.MARGIN
+    push = draw(PUSH) * EPS * draw(st.sampled_from([1, SQRT2]))
     P = [[Q(x) for x in p] for p in P]
     Q_ = [[Q(x) + push * ui for x, ui in zip(q, u)] for q in Q_]
     return P, Q_
-
-
-def _outcome(decide, P, Q_, exact):
-    try:
-        return decide(P, Q_, exact=exact)
-    except Indeterminate:
-        return "indeterminate"
 
 
 @settings(max_examples=300, deadline=None)
 @given(hull_pairs())
 def test_interiors_exact_match_slack_reference(pair):
     P, Q_ = pair
-    assert lp.interiors_intersect(P, Q_, exact=True) == \
-        interiors_intersect_by_slack(P, Q_, exact=True)
-
-
-@settings(max_examples=300, deadline=None)
-@given(hull_pairs())
-def test_interiors_inexact_match_slack_reference(pair):
-    P, Q_ = pair
-    # at t* = MARGIN exactly the reference says Indeterminate and the
-    # lifted test, whose guard is t* >= MARGIN, says yes
-    assume(interiors_slack(P, Q_) != lp.MARGIN)
-    assert _outcome(lp.interiors_intersect, P, Q_, False) == \
-        _outcome(interiors_intersect_by_slack, P, Q_, False)
-
-
-def test_interiors_within_margin_are_indeterminate():
-    P = [[Q(0)], [Q(1)]]
-    sliver = [[1 - lp.MARGIN / 2], [Q(2)]]
-    assert 0 < interiors_slack(P, sliver) < lp.MARGIN
-    assert lp.interiors_intersect(P, sliver, exact=True)
-    with pytest.raises(Indeterminate):
-        lp.interiors_intersect(P, sliver, exact=False)
-    wider = [[1 - 4 * lp.MARGIN], [Q(2)]]
-    assert interiors_slack(P, wider) > lp.MARGIN
-    assert lp.interiors_intersect(P, wider, exact=False)
-    touching = [[Q(1)], [Q(2)]]
-    assert not lp.interiors_intersect(P, touching, exact=False)
+    assert lp.interiors_intersect(P, Q_) == interiors_intersect_by_slack(P, Q_)

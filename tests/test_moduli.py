@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 
 import pytest
-from conftest import wps_weights_chart_oracle
+from conftest import affine_coefficients, wps_weights_chart_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,7 +179,7 @@ def _min_poly_discriminant(x: Scalar):
     """Discriminant B^2 - 4AC of the primitive integer minimal polynomial
     A X^2 + B X + C of an irrational u + v sqrt(D): a GL_2(Z) invariant."""
     (p,) = x.params.values()
-    u, v = x.affine_coefficients([p.name])
+    u, v = affine_coefficients(x, [p.name])
     b, c = -2 * u, u * u - v * v * p.D
     L = lcm(b.denominator, c.denominator)
     A, B, C = L, int(b * L), int(c * L)

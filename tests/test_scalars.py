@@ -2,19 +2,19 @@ import random
 import time
 from fractions import Fraction as Q
 from itertools import combinations
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sign
+from conftest import affine_coefficients, approx, interval_sign
 from qtoric.calibration import Calibration, kernel_rank
 from qtoric.errors import Indeterminate
 from qtoric.lattice_fan import QLattice, gamma_rank
 from qtoric.moduli import quadratic_surd
-from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Witness, sign_at,
-                            square_class)
+from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Surd, Witness,
+                            sign_at, square_class)
 
 A = Parameter("a")
 B = Parameter("b")
@@ -67,7 +67,7 @@ def test_sign_non_generic_witness_is_indeterminate():
         with pytest.raises(Indeterminate):
             sign_at(x, w)
     with pytest.raises(Indeterminate):
-        w.approx(1 / (SA - Q(1, 2)))
+        w.value(1 / (SA - Q(1, 2)))
     # sqrt(8) - 2 sqrt(2) is not symbolically zero in two independent
     # symbols, but it is zero at the witness
     T8 = Parameter("t8", "quadratic", 8)
@@ -112,10 +112,10 @@ def test_exact_sign_matches_interval_sign(seed, signs, a, bits):
     x = rand_scalar(random.Random(seed), 3,
                     [SA, *map(Scalar.of_param, ROOTS)])
     try:
-        near = w.approx(x)
+        w.value(x)
     except Indeterminate:       # a denominator that vanishes at a
         return
-    x = x - Q(round(near * 2 ** bits), 2 ** bits)
+    x = x - Q(round(approx(x, w) * 2 ** bits), 2 ** bits)
     if x.is_zero():
         assert sign_at(x, w) is Sign.ZERO
         return
@@ -213,6 +213,46 @@ def test_canonical_strings():
     assert str(SA * SA - 1) == "a^2-1"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.booleans(), min_size=3,
+                                          max_size=3),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       st.none() | st.integers(0, 60))
+def test_witness_values_compute_as_the_scalars_they_come_from(seed, signs,
+                                                              a, bits):
+    """Arithmetic on values in K equals Scalar arithmetic taken to the
+    witness; each sign, and each comparison, agrees with interval
+    evaluation wherever that decides.  With bits set, y is x shifted by a
+    rounding of x, so x and y are close."""
+    w = Witness({A: a, **{p: 1 if s else -1 for p, s in zip(ROOTS, signs)}})
+    rng = random.Random(seed)
+    leaves = [SA, *map(Scalar.of_param, ROOTS)]
+    x = rand_scalar(rng, 2, leaves)
+    try:
+        vx = w.value(x)
+        y = (rand_scalar(rng, 2, leaves) if bits is None else
+             x - Q(round(approx(x, w) * 2 ** bits), 2 ** bits))
+        vy = w.value(y)
+    except Indeterminate:       # a denominator that vanishes at a
+        return
+    results = [(x, vx), (-x, -vx), (x + y, vx + vy), (x - y, vx - vy),
+               (x * y, vx * vy), (3 - y, 3 - vy), (x * Q(2, 3), vx * Q(2, 3))]
+    if vy:
+        results += [(x / y, vx / vy), (1 / y, 1 / vy)]
+    for s, v in results:
+        assert w.value(s) == v
+        if isinstance(v, Surd):     # lowest terms, some root in use
+            assert v.c.keys() - {0} and all(v.c.values()) and v.den > 0
+            assert gcd(v.den, *v.c.values()) == 1
+        else:
+            assert type(v) is Q
+        sign = v.sign() if isinstance(v, Surd) else (v > 0) - (v < 0)
+        assert interval_sign(s, w, 256) in (None, Sign(sign))
+    if interval_sign(x - y, w, 256) is Sign.NEGATIVE:
+        assert vx < vy and vx <= vy and vy > vx and vy >= vx
+        assert not (vx > vy or vx >= vy or vx == vy)
+
+
 def test_gcd_cancellation():
     assert (SA * SA - SB * SB) / (SA + SB) == SA - SB
     assert (SA + 1) ** 3 / (SA + 1) ** 2 == SA + 1
@@ -220,16 +260,17 @@ def test_gcd_cancellation():
 
 def test_affine_coefficients():
     s = SA * 2 - SB / 3 + Q(1, 2)
-    assert s.affine_coefficients(["a", "b"]) == [Q(1, 2), Q(2), Q(-1, 3)]
+    assert affine_coefficients(s, ["a", "b"]) == [Q(1, 2), Q(2), Q(-1, 3)]
     with pytest.raises(Exception):
-        (SA * SB).affine_coefficients(["a", "b"])
+        affine_coefficients(SA * SB, ["a", "b"])
 
 
-def test_witness_approx_exact_for_transcendental():
+def test_witness_value_is_a_fraction_exactly_when_rational():
     s = SA * 3 + 1
-    assert W.approx(s) == 3 * Q(-7, 3) + 1
-    assert W.is_exact_for(s)
-    assert not W.is_exact_for(ST)
+    assert W.value(s) == 3 * Q(-7, 3) + 1 and type(W.value(s)) is Q
+    assert W.value((SA + Q(7, 3)) * ST) == 0
+    assert isinstance(W.value(ST), Surd) and W.value(ST) * W.value(ST) == 2
+    assert W.value(ST / 2 + SA) == W.value(ST) / 2 + Q(-7, 3)
 
 
 # -- the parameter-free fast path ---------------------------------------------
@@ -258,7 +299,7 @@ def test_rational_arithmetic_is_fraction_arithmetic(x, y, e):
         assert got.is_zero() == (want == 0)
         assert got == want and got == Scalar.from_fraction(want)
         assert sign_at(got, W).value == (want > 0) - (want < 0)
-        assert W.approx(got) == want
+        assert W.value(got) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,7 +310,6 @@ def test_rational_display_and_hash_match_polynomial_form(x):
     assert X.q == P.q == x and P.params == {}
     assert X == P and P == X and X == x
     assert str(X) == str(P) == str(Poly.const(x))
-    assert X.sort_key() == P.sort_key()
     assert hash(X) == hash(P) == hash(x)
     assert X.num == Poly.const(x) and X.den == Poly.const(1)
 
