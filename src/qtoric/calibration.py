@@ -65,7 +65,7 @@ class CalibratedFan:
         for k, i in enumerate(self.cal.I):
             ray = self.fan.rays[k]
             img = self.cal.image(i)
-            if any(not (x - y).is_zero() for x, y in zip(ray, img)):
+            if any(x != y for x, y in zip(ray, img)):
                 raise ValueError(
                     f"ray {k + 1} differs from calibration image h(e_{i})")
 

@@ -205,8 +205,14 @@ def cmd_lvmb_to_fan(ff: FanFile, args):
 # -- two-file commands -------------------------------------------------------
 
 def _two_files(args):
-    """The two fan files, their parameters and their merged witness."""
+    """The two fan files, their parameters and their merged witness.  A
+    name declared in both files must have one kind, D and witness value."""
     ff1, ff2 = (load_fan_file(_read(f)) for f in args.files)
+    w1, w2 = ff1.witness.values, ff2.witness.values
+    for name in sorted(w1.keys() & w2.keys()):
+        if w1[name] != w2[name]:
+            raise InputError(f"parameter {name!r} is declared or valued "
+                             "differently in the two files")
     values = {p: v for ff in (ff1, ff2) for p, v in ff.witness.values.values()}
     require_independent_roots(values)
     return ff1, ff2, {**ff1.params, **ff2.params}, Witness(values)

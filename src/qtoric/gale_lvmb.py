@@ -18,7 +18,8 @@ from .calibration import CalibratedFan, Calibration
 from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
                      RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import QLattice, QuantumFan, _is_complete
-from .linalg import Matrix, kernel_basis, mat_inverse, pivot_columns, rank
+from .linalg import (Matrix, _rref, kernel_basis, mat_inverse, pivot_columns,
+                     rank)
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
 
@@ -141,9 +142,12 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     if not datum.E:
         return CheckResult.invalid("empty_family")
     pts = _points_at_witness(datum.points, w)
+    # the matrices are square: full rank at the witness means a nonzero
+    # determinant there, hence symbolically
     for e in sorted(datum.E, key=sorted):
-        sub = [datum.point(i) for i in sorted(e)]
-        M = Matrix([list(p) + [Scalar.one()] for p in sub])
+        if len(_rref([[*pts[i - 1], Q(1)] for i in sorted(e)])[1]) == len(e):
+            continue
+        M = Matrix([[*datum.point(i), Scalar.one()] for i in sorted(e)])
         if rank(M) != 2 * datum.m + 1:
             return CheckResult.invalid("affine_hull", E=sorted(e))
     for e1, e2 in itertools.combinations(sorted(datum.E, key=sorted), 2):

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from . import lp
 from .errors import Singular
-from .linalg import (Matrix, _rref, cleared, hnf_solve, mat_inverse,
-                     monomial_coordinates, pivot_columns, rank, stacked_hnf)
+from .linalg import (Matrix, _rref, cleared, hnf_solve, inverse_rows,
+                     mat_inverse, monomial_coordinates, pivot_columns, rank,
+                     stacked_hnf)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -353,12 +354,10 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     # l_s(v_j) = sum_i gamma_i w_i, where gamma = V_s^-1 v_j
     constraints = []
     for s in maxc:
-        n = len(s)
-        red, pivots = _rref([[*r, *(Q(int(k == i)) for k in range(n))] for i, r
-                             in enumerate(zip(*(coords[i] for i in s)))])
-        if pivots != list(range(n)):
+        try:
+            Vinv = inverse_rows(list(zip(*(coords[i] for i in s))))
+        except Singular:
             return False
-        Vinv = [r[n:] for r in red]
         for j in range(1, p + 1):
             if j in s:
                 continue

@@ -10,6 +10,7 @@ of the blow-up example) depend on this normalization bit for bit.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .errors import Singular
@@ -122,6 +123,24 @@ def dot(u, v) -> Scalar:
     return out
 
 
+def pivot(rows, r, c):
+    """One Gauss-Jordan step on the nonzero entry rows[r][c]: row r is
+    scaled to 1 at c, and column c is cleared from every other row.  The
+    entries are field elements (Scalars, Fractions or Surds, never ints).
+    The pivot is inverted once, and only the columns where row r is nonzero
+    change; row r may have nonzero entries left of c."""
+    prow = rows[r]
+    inv = 1 / prow[c]
+    nz = [j for j, v in enumerate(prow) if v]
+    for j in nz:
+        prow[j] = inv * prow[j]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f:
+            for j in nz:
+                row[j] = row[j] - f * prow[j]
+
+
 def _rref(rows):
     """Reduced row echelon form with leftmost pivots, of Scalars or of
     witness values (Fractions and Surds).
@@ -133,27 +152,11 @@ def _rref(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        # columns left of c are zero in rows r and below, so only the
-        # nonzero entries of the pivot row (at c or right of it) change
-        prow = rows[r]
-        inv = 1 / prow[c]
-        nz = [j for j in range(c, ncols) if prow[j]]
-        for j in nz:
-            prow[j] = inv * prow[j]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                row = rows[i]
-                f = row[c]
-                for j in nz:
-                    row[j] = row[j] - f * prow[j]
+        pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -175,29 +178,32 @@ def pivot_columns(cols) -> list:
 
 
 def det(M: Matrix) -> Scalar:
+    """The product of the pivots of Gauss-Jordan elimination on M, with
+    the sign of its row swaps."""
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = M.nrows
-    rows = [list(r) for r in M.rows]
-    out = Scalar.one()
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                sel = i
-                break
+    rows, out = [list(r) for r in M.rows], Scalar.one()
+    for c in range(M.nrows):
+        sel = next((i for i in range(c, M.nrows) if rows[i][c]), None)
         if sel is None:
             return Scalar.zero()
         if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            out = -out
+            rows[c], rows[sel], out = rows[sel], rows[c], -out
         out = out * rows[c][c]
-        inv = Scalar.one() / rows[c][c]
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+        pivot(rows, c, c)
     return out
+
+
+def inverse_rows(rows) -> list:
+    """The rows of the inverse of a square matrix given by its rows (of
+    Scalars, or of Fractions and Surds); raises Singular when there is
+    none."""
+    n = len(rows)
+    red, pivots = _rref([[*r, *(Fraction(int(k == i)) for k in range(n))]
+                         for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise Singular("matrix is symbolically singular")
+    return [r[n:] for r in red]
 
 
 def mat_inverse(M: Matrix) -> Matrix:
@@ -205,13 +211,7 @@ def mat_inverse(M: Matrix) -> Matrix:
     scalar."""
     if M.nrows != M.ncols:
         raise ValueError("inverse of a non-square matrix")
-    n = M.nrows
-    eye = Matrix.identity(n).rows
-    aug = [list(M.rows[i]) + list(eye[i]) for i in range(n)]
-    red, pivots = _rref(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise Singular("matrix is symbolically singular")
-    return Matrix([r[n:] for r in red[:n]])
+    return Matrix(inverse_rows(M.rows))
 
 
 def solve_right(M: Matrix, b) -> tuple | None:

@@ -15,22 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import pivot
+
 Q = Fraction
-
-
-def _pivot(T, basis, r, c):
-    """Pivot on T[r][c]; only the columns where row r is nonzero change."""
-    prow = T[r]
-    piv = prow[c]
-    nz = [j for j, v in enumerate(prow) if v]
-    for j in nz:
-        prow[j] = prow[j] / piv
-    for i, row in enumerate(T):
-        f = row[c]
-        if i != r and f:
-            for j in nz:
-                row[j] = row[j] - f * prow[j]
-    basis[r] = c
 
 
 def _simplex_core(T, basis, ncols):
@@ -49,7 +36,8 @@ def _simplex_core(T, basis, ncols):
             return "unbounded"
         # Bland: among minimal ratio rows pick the smallest basis index
         best = min(ratios, key=lambda t: (t[0], t[1]))
-        _pivot(T, basis, best[2], enter)
+        pivot(T, best[2], enter)
+        basis[best[2]] = enter
 
 
 def solve_lp(A, b):

@@ -264,31 +264,26 @@ def p2_orbit(a, b, w: Witness) -> OrbitReport:
     images = {name: f(pt) for name, f in words.items()}
     distinct = []
     for name, q in images.items():
-        if not any(_pair_eq(q, r) for _, r in distinct):
+        if not any(q == r for _, r in distinct):
             distinct.append((name, q))
     canonical = min((q for _, q in distinct),
                     key=lambda q: (str(q[0]), str(q[1])))
     minus_one = Scalar.from_fraction(-1)
-    if _pair_eq(pt, (minus_one, minus_one)):
+    if pt == (minus_one, minus_one):
         isotropy = "S3"
-    elif (a - b).is_zero():
+    elif a == b:
         isotropy = "Z2(sigma)"
-    elif (b - minus_one).is_zero():
+    elif b == minus_one:
         isotropy = "Z2(sigma.tau)"
-    elif (a - minus_one).is_zero():
+    elif a == minus_one:
         isotropy = "Z2(tau.sigma)"
     else:
         isotropy = "trivial"
-    wit = {name: q for name, q in images.items()
-           if _pair_eq(q, canonical)}
+    wit = {name: q for name, q in images.items() if q == canonical}
     return OrbitReport(canonical=canonical,
                        witnesses={k: v for k, v in wit.items()},
                        isotropy=isotropy,
                        orbit=[q for _, q in distinct])
-
-
-def _pair_eq(p, q):
-    return (p[0] - q[0]).is_zero() and (p[1] - q[1]).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from .calibration import CalibratedFan, induced_fan, kernel_rank
 from .errors import DomainMismatch, SearchBoundExceeded, Singular
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import Matrix, det, int_det, int_solve, mat_inverse, solve_right
+from .linalg import (Matrix, int_det, int_solve, mat_inverse, rank,
+                     solve_right)
 from .scalars import Scalar, Sign, Witness, sign_at
 
 
@@ -145,7 +146,7 @@ def check_fan_iso(L: Matrix, src: QuantumFan, dst: QuantumFan,
         for j in range(1, dst.nrays + 1):
             if j in perm.values():
                 continue
-            if all((x - y).is_zero() for x, y in zip(img, dst.ray(j))):
+            if all(x == y for x, y in zip(img, dst.ray(j))):
                 match = j
                 break
         if match is None:
@@ -184,7 +185,7 @@ def check_cal_morphism(m: CalMorphism, src: CalibratedFan, dst: CalibratedFan,
                 return CheckResult.invalid("s_map", index=i)
             target = [Scalar.one() if r == j else Scalar.zero()
                       for r in range(1, cal2.n + 1)]
-            if any(not (x - y).is_zero() for x, y in zip(col, target)):
+            if any(x != y for x, y in zip(col, target)):
                 return CheckResult.invalid("virtual_column", index=i)
         else:
             for r in cal2.J:
@@ -199,7 +200,9 @@ def check_cal_iso(m: CalMorphism, src: CalibratedFan, dst: CalibratedFan,
     r = check_cal_morphism(m, src, dst, w)
     if not r:
         return r
-    if det(m.L).is_zero():
+    if m.L.nrows != m.L.ncols:
+        raise ValueError("L is not square")
+    if rank(m.L) < m.L.nrows:
         return CheckResult.invalid("L_singular")
     H_int = m.H.to_int_rows()
     n = len(H_int)

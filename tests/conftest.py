@@ -18,7 +18,7 @@ from qtoric.calibration import CalibratedFan, Calibration
 from qtoric.gale_lvmb import GaleData, _points_at_witness
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
-from qtoric.linalg import (Matrix, hnf, int_solve, rank,
+from qtoric.linalg import (Matrix, hnf, int_solve, pivot, rank,
                            solve_right)
 from qtoric.scalars import Parameter, Scalar, Sign, Witness, sign_at
 
@@ -282,7 +282,8 @@ def solve_lp_two_phase(A, b, c):
         if basis[i] >= n:
             enter = next((j for j in range(n) if T[i][j] != 0), None)
             if enter is not None:
-                lp._pivot(T, basis, i, enter)
+                pivot(T, i, enter)
+                basis[i] = enter
     T2 = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in range(m)]
     obj2 = list(c) + [Q(0)]
     for i in range(m):
@@ -397,6 +398,16 @@ def minimal_containing_cone_by_solve(fan: QuantumFan, point, w: Witness):
 def int_rank(M) -> int:
     H, _ = hnf(M)
     return sum(1 for row in H if any(x != 0 for x in row))
+
+
+def leibniz_det(M):
+    """Determinant of a small square matrix by the Leibniz expansion: the
+    signed sum over all permutations of the products of their entries."""
+    n = len(M)
+    return sum((-1) ** sum(p[i] > p[j]
+                           for i, j in itertools.combinations(range(n), 2))
+               * math.prod(M[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
 
 
 def int_kernel(M) -> list:

@@ -499,6 +499,35 @@ def test_dependent_roots_across_files_rejected(tmp_path, capsys):
     assert code == 0 and rep["valid"]
 
 
+def test_conflicting_parameters_across_files_rejected(tmp_path, capsys):
+    # one name, two meanings: sqrt 2 != sqrt 3, and 1/2 != 5
+    def with_param(decl, value):
+        return dict(P2STD, params=[dict(decl, name="t")], witness={"t": value},
+                    gamma=[["1", "0"], ["0", "1"], ["t", "0"]])
+
+    quad = {"kind": "quadratic", "D": "2"}
+    f1 = _write(tmp_path, "f1.json", with_param(quad, "sqrt"))
+    mid = _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]})
+    for name, decl, value in (
+            ("f3.json", dict(quad, D="3"), "sqrt"),
+            ("neg.json", quad, "-sqrt"),
+            ("tr.json", {"kind": "transcendental"}, "1/2")):
+        other = _write(tmp_path, name, with_param(decl, value))
+        for cmd in (["morphism-check", "--morphism", mid],
+                    ["cal-morphism-check", "--search"]):
+            code, rep = run(capsys, [*cmd, f1, other])
+            assert code == 2 and rep["error"]["code"] == "InputError"
+            assert "'t'" in rep["error"]["message"]
+    a1, a5 = (_write(tmp_path, name,
+                     with_param({"kind": "transcendental"}, v))
+              for name, v in (("a1.json", "1/2"), ("a5.json", "5")))
+    code, rep = run(capsys, ["morphism-check", "--morphism", mid, a1, a5])
+    assert code == 2 and rep["error"]["code"] == "InputError"
+    # one declaration and one value in both files still runs
+    code, rep = run(capsys, ["morphism-check", "--morphism", mid, a1, a1])
+    assert code == 0 and rep["valid"]
+
+
 # rays (1,0), (t,1), (2,t), (0,1), (-1,-1) with t^2 = 2: (2,t) = t*(t,1)
 QUAD_OVERLAP = {
     "dim": 2, "params": [{"name": "t", "kind": "quadratic", "D": "2"}],

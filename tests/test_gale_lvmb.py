@@ -218,6 +218,18 @@ def test_hopf_zone_lvmb():
     assert not check_lvmb(opposite, W).ok
 
 
+def test_affine_hull_is_decided_symbolically():
+    # det[(0,0,1), (1,0,1), p] is p's second coordinate
+    witness_only = LVMBDatum(1, [(0, 0), (1, 0), (SA, 3 * SA + 7)],
+                             [[1, 2, 3]])
+    assert W.value(3 * SA + 7) == 0
+    assert check_lvmb(witness_only, W).ok
+    for p in ((SA, 0), (ST, ST * ST - 2)):
+        flat = LVMBDatum(1, [(0, 0), (1, 0), p], [[1, 2, 3]])
+        res = check_lvmb(flat, W)
+        assert not res.ok and res.reason == "affine_hull"
+
+
 def test_polytope_faces_torus_point():
     pf = polytope_faces(LVMBDatum(1, [(1, 0), (0, 1), (-1, -1)],
                                   [[1, 2, 3]]), W)

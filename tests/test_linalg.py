@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from conftest import int_kernel, int_rank
+from conftest import int_kernel, int_rank, leibniz_det
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +52,7 @@ def test_inverse_randomized_100():
     while done < 100:
         n = rng.choice([2, 2, 3])
         M = rand_matrix(rng, n)
-        if det(M).is_zero():
+        if rank(M) < n:
             continue
         assert M * mat_inverse(M) == Matrix.identity(n)
         done += 1
@@ -131,8 +131,7 @@ def test_hnf_properties_randomized():
         UM = [[sum(U[i][k] * M[k][j] for k in range(m)) for j in range(n)]
               for i in range(m)]
         assert UM == H
-        Um = Matrix([[Scalar.from_fraction(x) for x in r] for r in U])
-        assert abs(det(Um).as_fraction()) == 1
+        assert abs(leibniz_det(U)) == 1
 
 
 @st.composite
@@ -196,7 +195,7 @@ def test_int_det_matches_scalar_det():
         n = rng.randint(1, 5)
         M = [[rng.choice([0, 0, 0, 1, -1, 2, rng.randint(-40, 40)])
               for _ in range(n)] for _ in range(n)]
-        assert int_det(M) == det(Matrix(M)).as_fraction()
+        assert int_det(M) == leibniz_det(M) == det(Matrix(M)).as_fraction()
     assert int_det([]) == 1
     assert int_det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):
