@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import NotGammaComplete
 from .lattice_fan import QLattice, QuantumFan, _is_gamma_complete
-from .linalg import Matrix, mat_inverse, pivot_columns
+from .linalg import Matrix, basis_inverse
 from .scalars import Scalar
 
 
@@ -111,11 +111,11 @@ def standardize_calibration(cf: CalibratedFan):
     # completed by non-virtual non-ray images, lexicographically first
     others = [i for i in range(1, n + 1) if i not in cal.J and i not in cal.I]
     candidates = list(cal.I) + others
-    basis_idx = [candidates[j] for j in
-                 pivot_columns([cal.image(i) for i in candidates])]
+    picks, inv = basis_inverse([cal.image(i) for i in candidates])
+    basis_idx = [candidates[j] for j in picks]
     if len(basis_idx) != d:
         raise ValueError("non-virtual images do not span R^d")
-    L = mat_inverse(Matrix.from_columns([cal.image(i) for i in basis_idx]))
+    L = Matrix(inv)
     chosen = [i for i in basis_idx if i in cal.I]
     # target ordering of the source indices
     rest_rays = [i for i in cal.I if i not in chosen]

@@ -2,7 +2,9 @@
 emit JSON reports on stdout.
 
 Exit codes: 0 on Valid/true, 1 on Invalid/false, 2 on input error,
-3 on Indeterminate.
+3 on Indeterminate, 4 on an InternalError: an exception of no other kind
+(a defect in qtoric) fails its own file of a multi-file batch; one file
+lets it propagate.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import re
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -37,6 +40,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -430,10 +434,20 @@ def _run(args):
 
         if len(args.files) == 1:
             return run_one(args.files[0])
+
+        def run_in_batch(path):
+            try:
+                return run_one(path)
+            except Exception as e:
+                traceback.print_exc()
+                return ({"error": {"code": "InternalError",
+                                   "message": f"{type(e).__name__}: {e}"}},
+                        EXIT_INTERNAL)
+
         jobs = max(1, args.jobs)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, args.files))
-        # handlers exit 0 or 1; a failed file (exit 2 or 3) holds its
+            results = list(pool.map(run_in_batch, args.files))
+        # handlers exit 0 or 1; a failed file (exit 2, 3 or 4) holds its
         # {"error": ...} in place of a report
         return ([{"file": f, **(payload if code >= EXIT_INPUT
                                else {"report": payload})}

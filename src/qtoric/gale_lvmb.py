@@ -18,7 +18,7 @@ from .calibration import CalibratedFan, Calibration
 from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
                      RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import QLattice, QuantumFan, _is_complete
-from .linalg import (Matrix, _rref, kernel_basis, mat_inverse, pivot_columns,
+from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
                      rank)
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
@@ -252,9 +252,9 @@ def lvmb_to_fan(datum: LVMBDatum) -> CalibratedFan:
     J = [i for i in indis if i != N]
     I = [i for i in range(1, n + 1) if i not in J]
     # standardize: first independent ray rows -> canonical basis
-    chosen = [I[j] for j in pivot_columns([vbar[i - 1] for i in I])]
-    if len(chosen) == d:
-        T = mat_inverse(Matrix([vbar[i - 1] for i in chosen])).transpose()
+    _, T = basis_inverse([vbar[i - 1] for i in I])
+    if T is not None:
+        T = Matrix(T)
         vbar = [T.apply(v) for v in vbar]
     v = [tuple(x) for x in vbar[:n]]
     gamma = QLattice(d, v)
@@ -281,12 +281,11 @@ def roundtrip_marked_iso(original: CalibratedFan, recovered: CalibratedFan,
     if cal.n != cal2.n or cal.d != cal2.d:
         return CheckResult.invalid("shape")
     # find d independent images to pin L down
-    chosen = [j + 1 for j in pivot_columns(cal.images)]
-    if len(chosen) < cal.d:
+    picks, inv = basis_inverse(cal.images)
+    if inv is None:
         return CheckResult.invalid("degenerate")
-    B = Matrix.from_columns([cal.image(i) for i in chosen])
-    C = Matrix.from_columns([cal2.image(i) for i in chosen])
-    L = C * mat_inverse(B)
+    C = Matrix.from_columns([cal2.image(j + 1) for j in picks])
+    L = C * Matrix(inv)
     m = CalMorphism(L, Matrix.identity(cal.n), {j: j for j in cal.J})
     return is_marked_iso(m, original, recovered, w)
 

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from . import lp
 from .errors import Singular
-from .linalg import (Matrix, _rref, cleared, hnf_solve, inverse_rows,
-                     mat_inverse, monomial_coordinates, pivot_columns, rank,
-                     stacked_hnf)
+from .linalg import (Matrix, _rref, basis_inverse, cleared, hnf_solve,
+                     monomial_coordinates, rank, stacked_hnf)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -58,13 +57,6 @@ class QLattice:
     def standard(dim: int) -> "QLattice":
         eye = Matrix.identity(dim)
         return QLattice(dim, [eye.rows[i] for i in range(dim)])
-
-    def param_names(self) -> list:
-        names = set()
-        for g in self.generators:
-            for x in g:
-                names |= set(x.params)
-        return sorted(names)
 
     def basis(self) -> tuple:
         """(coords, L, H, U): the generators' monomial coordinates and
@@ -162,12 +154,12 @@ class QuantumFan:
             rays = [self.ray(i) for i in key]
             eye = Matrix.identity(self.dim).rows
             k = len(rays)
-            piv = pivot_columns(rays + list(eye))
+            piv, inv = basis_inverse(rays + list(eye))
             if piv[:k] != list(range(k)):
                 raise Singular("cone generators do not extend to a basis")
             completion = tuple(j - k + 1 for j in piv[k:])
             B = Matrix.from_columns(rays + [eye[j - 1] for j in completion])
-            self._charts[key] = (mat_inverse(B), B, completion)
+            self._charts[key] = (Matrix(inv), B, completion)
         return self._charts[key]
 
     def maximal_cones(self):
@@ -354,9 +346,8 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     # l_s(v_j) = sum_i gamma_i w_i, where gamma = V_s^-1 v_j
     constraints = []
     for s in maxc:
-        try:
-            Vinv = inverse_rows(list(zip(*(coords[i] for i in s))))
-        except Singular:
+        _, Vinv = basis_inverse([coords[i] for i in s])
+        if Vinv is None:
             return False
         for j in range(1, p + 1):
             if j in s:
@@ -514,9 +505,9 @@ def standardize_fan(fan: QuantumFan):
     """Standard form: the lexicographically first linearly independent
     subset of the rays is mapped to the canonical basis of the span,
     completed greedily by canonical vectors; returns (fan', L)."""
-    cols = list(fan.rays) + list(Matrix.identity(fan.dim).rows)
-    B = Matrix.from_columns([cols[j] for j in pivot_columns(cols)])
-    L = mat_inverse(B)
+    _, inv = basis_inverse(list(fan.rays) +
+                           list(Matrix.identity(fan.dim).rows))
+    L = Matrix(inv)
     new_rays = [L.apply(v) for v in fan.rays]
     new_gamma = fan.gamma.transform(L)
     return QuantumFan(new_gamma, new_rays, fan.cones), L

@@ -169,12 +169,21 @@ def rank(M: Matrix) -> int:
     return len(pivots)
 
 
-def pivot_columns(cols) -> list:
-    """Indices of the leftmost linearly independent columns: column j is
-    picked exactly when it is independent of columns 0..j-1, so the picks
-    are the greedy, lexicographically first basis of the span."""
-    _, pivots = _rref(Matrix.from_columns(cols).rows)
-    return pivots
+def basis_inverse(cols) -> tuple:
+    """(picks, inverse): the indices of the leftmost linearly independent
+    columns, column j picked exactly when it is independent of columns
+    0..j-1 (the greedy, lexicographically first basis of their span), and
+    the rows of B^-1 for the matrix B of the picked columns when they span
+    the space, else None.  One elimination of [cols | I]: its pivots are
+    B's columns, so the row operations that turn B into I turn I into
+    B^-1.  Entries are Scalars, or Fractions and Surds."""
+    n = len(cols)
+    d = len(cols[0]) if cols else 0
+    red, pivots = _rref([[*(c[i] for c in cols),
+                          *(Fraction(int(k == i)) for k in range(d))]
+                         for i in range(d)])
+    picks = [j for j in pivots if j < n]
+    return picks, [r[n:] for r in red] if len(picks) == d else None
 
 
 def det(M: Matrix) -> Scalar:
@@ -194,24 +203,15 @@ def det(M: Matrix) -> Scalar:
     return out
 
 
-def inverse_rows(rows) -> list:
-    """The rows of the inverse of a square matrix given by its rows (of
-    Scalars, or of Fractions and Surds); raises Singular when there is
-    none."""
-    n = len(rows)
-    red, pivots = _rref([[*r, *(Fraction(int(k == i)) for k in range(n))]
-                         for i, r in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise Singular("matrix is symbolically singular")
-    return [r[n:] for r in red]
-
-
 def mat_inverse(M: Matrix) -> Matrix:
     """Exact inverse; raises Singular when the determinant is the zero
     scalar."""
     if M.nrows != M.ncols:
         raise ValueError("inverse of a non-square matrix")
-    return Matrix(inverse_rows(M.rows))
+    _, inv = basis_inverse(M.columns())
+    if inv is None:
+        raise Singular("matrix is symbolically singular")
+    return Matrix(inv)
 
 
 def solve_right(M: Matrix, b) -> tuple | None:
@@ -371,10 +371,9 @@ def monomial_coordinates(vectors) -> list:
     for col in zip(*vectors):
         D, params = Poly.const(1), {}
         for x in col:
-            if x.q is None:
-                params.update(x.params)
-                if not x.den.is_const():
-                    D = poly_divexact(D * x.den, poly_gcd(D, x.den))
+            params.update(x.params)
+            if not x.den.is_const():
+                D = poly_divexact(D * x.den, poly_gcd(D, x.den))
         nums = [cleared(x, D) for x in col]
         monos = sorted({m for t in nums for m in t})
         out.append((D, monos, params,
@@ -394,10 +393,10 @@ def stacked_hnf(blocks, m: int) -> tuple:
 
 
 def cleared(x: Scalar, D: Poly) -> dict | None:
-    """The terms of the polynomial D x, or None when D x is not one."""
+    """The flat terms of the polynomial D x, or None when D x is not one."""
     if x.q is not None:
-        return D.scale(x.q).terms
+        return D.scale(x.q).flat()
     try:
-        return (x.num * poly_divexact(D, x.den)).terms
+        return (x.num * poly_divexact(D, x.den)).flat()
     except ArithmeticError:
         return None

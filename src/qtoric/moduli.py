@@ -8,13 +8,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (InternalError, NotRational, NotUnimodular, OutOfDomain,
                      OutOfZone, Singular, SingularBlock, UnsupportedField)
 from .linalg import (Matrix, int_det, mat_inverse, monomial_coordinates,
                      stacked_hnf)
-from .scalars import Poly, Scalar, Sign, Witness, sign_at
+from .scalars import Poly, Scalar, Sign, Surd, Witness, sign_at
 
 Q = Fraction
 
@@ -62,25 +62,24 @@ def quadratic_surd(x: Scalar):
     equal values get equal keys whatever parameter names their field.
     Raises UnsupportedField for anything else."""
     x = Scalar.coerce(x)
-    params = x.params
-    quad = [p for p in params.values() if p.kind == "quadratic"]
-    trans = [p for p in params.values() if p.kind == "transcendental"]
-    if trans or len(quad) > 1:
+    k = x.q
+    roots = [m for m in k.c if m] if isinstance(k, Surd) else []
+    if k is None or len(roots) > 1 or roots and roots[0] & roots[0] - 1:
         raise UnsupportedField(
             "2d equivalence supports rational and quadratic scalars only")
-    if not quad:
-        return x.as_fraction()
-    p = quad[0]
-    # canonical form: x = u + v*t over the denominator 1
-    u, v = (x.num.terms.get(m, Q(0)) for m in ((), ((p.name, 1),)))
+    if not roots:
+        return k
+    # x = u + v*t, and r = v*t has the rational square v^2 D
+    u = Q(k.c.get(0, 0), k.den)
+    r = k - u
     # X^2 - 2u X + (u^2 - v^2 D) times the lcm A of its denominators is
     # primitive: were a prime p to divide A, B and C, A/p would clear them
-    b, c = -2 * u, u * u - v * v * p.D
+    b, c = -2 * u, u * u - r * r
     A = lcm(b.denominator, c.denominator)
     B, C = int(b * A), int(c * A)
     N = B * B - 4 * A * C
     # x is the larger root (-B + sqrt N)/(2A) iff v > 0
-    return (-B, 2 * A, N) if v > 0 else (B, -2 * A, N)
+    return (-B, 2 * A, N) if k.c[roots[0]] > 0 else (B, -2 * A, N)
 
 
 def _cf_step(P, Q, N, s):
@@ -382,10 +381,12 @@ def _marked_form(cols, perm, d: int):
     rows = [[] for _ in range(d)]
     t = 0
     for D, monos, params, _ in blocks:
+        monomials = [prod((Scalar.of_param(params[n]) ** e for n, e in m),
+                          start=Scalar.one()) for m in monos]
         for i in range(d):
-            terms = {m: Q(H[i][t + s], L) for s, m in enumerate(monos)
-                     if H[i][t + s]}
-            rows[i].append(Scalar(Poly(terms, params), D))
+            rows[i].append(sum((Q(H[i][t + s], L) * x
+                                for s, x in enumerate(monomials)),
+                               Scalar.zero()) / Scalar(D, Poly.const(1)))
         t += len(monos)
     return Matrix(rows), U
 

@@ -1,28 +1,32 @@
-"""Exact scalar field: fractions of polynomials over Q in declared real
-parameters.
+"""Exact scalar field: fractions of polynomials in declared real parameters
+with coefficients in K = Q(sqrt(D_1), ..., sqrt(D_k)).
 
-Parameters are transcendental by default; a parameter may instead be
-quadratic, i.e. carry the minimal relation t^2 = D for a positive
-non-square rational D.  Scalars are kept in canonical form (coprime
-numerator/denominator, denominator free of quadratic parameters and monic
-under the lexicographic order), so equality is structural.
+Parameters are transcendental by default; a quadratic one, t^2 = D with
+D = n/d a positive non-square in lowest terms, is the positive root
+t = sqrt(n*d)/d.  A number in K has one form, the Surd, over the positive
+roots.  A scalar free of transcendental parameters is its value, a
+Fraction or a Surd; any other is a canonical fraction of polynomials in
+the transcendental parameters with coefficients in K (coprime, the
+denominator rational and monic in lex order), so equality is structural.
+Outside this module polynomials are read through Poly.flat.
 
-Sign and feasibility decisions are made against a Witness: an assignment
-of exact rational values to transcendental parameters and of a root choice
-+-sqrt(D_i) to quadratic ones.  At the witness every scalar has an exact
-value in the real field K = Q(sqrt(D_1), ..., sqrt(D_k)): a Fraction, or a
-Surd over the products of the roots, whose sign is decided by the sign
-test for towers of quadratic extensions (Basu, Pollack, Roy, Algorithms in
-Real Algebraic Geometry, ch. 10).  A value that is not symbolically zero
-but vanishes at the witness is Indeterminate.
+Signs are decided against a Witness: rational values for transcendental
+parameters and a sign for each root.  There every scalar has an exact
+value in K, a Surd relabelled for the signs (a coefficient flips when its
+root subset holds an odd number of negative roots), whose sign is decided
+by the sign test for towers of quadratic extensions (Basu, Pollack, Roy,
+Algorithms in Real Algebraic Geometry, ch. 10).  A value that is not
+symbolically zero but vanishes at the witness is Indeterminate.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import or_
 
 from .errors import Indeterminate, UnsupportedEntries
 
@@ -32,33 +36,44 @@ Q = Fraction
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-class Parameter:
-    """A declared real parameter, transcendental or quadratic (t^2 = D)."""
+# The positive roots, one per quadratic (name, D) declared in the process:
+# root i is sqrt(R) for t = sqrt(R)/d of the parameter p, _ROOTS[i] =
+# (R, d, p).  Entries never change, so values per root subset are cached.
+_ROOT_LOCK = threading.Lock()
+_ROOT_INDEX: dict = {}      # (name, D) -> i
+_ROOTS: list = []
 
-    __slots__ = ("name", "kind", "D")
+
+class Parameter:
+    """A declared real parameter, transcendental or quadratic (t^2 = D).
+    A quadratic one has the bit 1 << i of its root i; a transcendental one
+    has bit 0."""
+
+    __slots__ = ("name", "kind", "D", "bit")
 
     def __init__(self, name: str, kind: str = "transcendental", D=None):
         if kind not in ("transcendental", "quadratic"):
             raise ValueError(f"unknown parameter kind {kind!r}")
+        self.name, self.kind, self.D, self.bit = name, kind, D, 0
         if kind == "quadratic":
-            D = _as_fraction(D)
+            self.D = D = _as_fraction(D)
             if D <= 0:
                 raise ValueError("quadratic discriminant must be positive")
-            if isqrt(D.numerator * D.denominator) ** 2 == \
-                    D.numerator * D.denominator:
+            R = D.numerator * D.denominator
+            if isqrt(R) ** 2 == R:
                 raise ValueError("quadratic discriminant must be a non-square")
+            with _ROOT_LOCK:
+                i = _ROOT_INDEX.setdefault((name, D), len(_ROOTS))
+                if i == len(_ROOTS):
+                    _ROOTS.append((R, D.denominator, self))
+            self.bit = 1 << i
         elif D is not None:
             raise ValueError("only quadratic parameters carry a discriminant")
-        self.name = name
-        self.kind = kind
-        self.D = D
 
     def __repr__(self):
         if self.kind == "quadratic":
@@ -73,35 +88,182 @@ class Parameter:
         return hash((self.name, self.kind, self.D))
 
 
+def _in(m: int) -> list:
+    """The table entries of the roots in the subset m."""
+    return [r for i, r in enumerate(_ROOTS[:m.bit_length()]) if m >> i & 1]
+
+
+def _root_params(m: int) -> dict:
+    return {p.name: p for _, _, p in _in(m)}
+
+
+@functools.cache
+def _root_monomial(m: int) -> tuple:
+    """(monomial, f) with the product of the roots in the subset m equal to
+    f times the monomial in their parameters: sqrt(R) = d*t."""
+    return (tuple(sorted((p.name, 1) for _, _, p in _in(m))),
+            prod(d for _, d, _ in _in(m)))
+
+
+@functools.cache
+def _square(m: int) -> int:
+    """The square of the product of the roots in the subset m."""
+    return prod(R for R, _, _ in _in(m))
+
+
+# ---------------------------------------------------------------------------
+# numbers in K
+# ---------------------------------------------------------------------------
+
+@functools.total_ordering
+class Surd:
+    """An irrational element of K: the sum of c[S]/den times the product of
+    the positive roots in S over subsets S (bitmasks), with integers
+    c[S] != 0 and den > 0 in lowest terms.  Arithmetic with ints,
+    Fractions and Surds returns a Fraction whenever the result is rational;
+    comparisons go through the exact sign.  Products of multiplicatively
+    independent roots are linearly independent over Q, so a Surd is never
+    zero and equality is structural.  Its hash is that of the scalar it is
+    the value of."""
+
+    __slots__ = ("c", "den", "_hash")
+
+    def __init__(self, c: dict, den: int):
+        self.c, self.den, self._hash = c, den, None
+
+    def sign(self) -> int:
+        return _sign(self.c)
+
+    def __add__(self, other):
+        if isinstance(other, Surd):
+            c2, d2 = other.c, other.den
+        else:
+            c2, d2 = {0: other.numerator}, other.denominator
+        L = lcm(self.den, d2)
+        c = {m: x * (L // self.den) for m, x in self.c.items()}
+        for m, x in c2.items():
+            c[m] = c.get(m, 0) + x * (L // d2)
+        return _surd(c, L)
+
+    def __mul__(self, other):
+        if isinstance(other, Surd):
+            return _surd(_mul(self.c, other.c), self.den * other.den)
+        return _surd({m: x * other.numerator for m, x in self.c.items()},
+                     self.den * other.denominator)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Surd({m: -x for m, x in self.c.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        return self * (1 / (other if isinstance(other, Surd)
+                            else Fraction(other)))
+
+    def __rtruediv__(self, other):
+        """other/self by conjugates, one root at a time: with b the last
+        root in use, (alpha + beta*b)(alpha - beta*b) = alpha^2 - beta^2*b^2
+        is free of b."""
+        y = self
+        while isinstance(y, Surd):
+            conj = _conj(y, 1 << max(y.c).bit_length() - 1)
+            other, y = conj * other, y * conj
+        return other / y
+
+    def __eq__(self, other):
+        return (isinstance(other, Surd) and self.den == other.den
+                and self.c == other.c)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((Poly.const(self), _ONE_POLY))
+        return self._hash
+
+    def __lt__(self, other):
+        d = self if not isinstance(other, Surd) and other == 0 \
+            else self - other
+        return (d.sign() if isinstance(d, Surd) else d) < 0
+
+
+def _surd(c: dict, den: int):
+    """The sum of c[S]/den times the roots in S, den > 0: a Fraction when no
+    root is left, else a Surd in lowest terms."""
+    c = {m: x for m, x in c.items() if x}
+    if c.keys() <= {0}:
+        return Fraction(c.get(0, 0), den)
+    g = gcd(den, *c.values())
+    if g > 1:
+        c = {m: x // g for m, x in c.items()}
+        den //= g
+    return Surd(c, den)
+
+
+def _conj(x: Surd, bit: int) -> Surd:
+    """x with the root of the given bit negated."""
+    return Surd({m: -v if m & bit else v for m, v in x.c.items()}, x.den)
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two coefficient dicts over the roots."""
+    out = {}
+    for m1, x1 in a.items():
+        for m2, x2 in b.items():
+            x = x1 * x2 * _square(m1 & m2) if m1 & m2 else x1 * x2
+            out[m1 ^ m2] = out.get(m1 ^ m2, 0) + x
+    return out
+
+
+def _sign(c: dict) -> int:
+    """Sign of the sum of c[S] times the positive roots in S (integer c).
+    With x = alpha + beta*b for the last root b in use, the sign is that of
+    alpha or beta*b when they agree (or one is zero), else
+    sign(alpha) * sign(alpha^2 - beta^2*b^2)."""
+    top = max(c, default=0)
+    if not top:
+        x = c.get(0, 0)
+        return (x > 0) - (x < 0)
+    bit = 1 << top.bit_length() - 1
+    alpha = {m: x for m, x in c.items() if not m & bit}
+    beta = {m ^ bit: x for m, x in c.items() if m & bit}
+    sa, sb = _sign(alpha), _sign(beta)
+    if sa == 0 or sa == sb:
+        return sb
+    if sb == 0:
+        return sa
+    d = _mul(alpha, alpha)
+    R = _square(bit)
+    for m, x in _mul(beta, beta).items():
+        d[m] = d.get(m, 0) - R * x
+    return sa * _sign(d)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 #
 # A monomial is a tuple of (name, exponent) pairs sorted by name with all
-# exponents positive; the empty tuple is the constant monomial.  Terms map
-# monomials to nonzero Fractions.  Quadratic parameters are reduced on the
-# fly (t^k -> D^(k//2) * t^(k%2)) so their degree never reaches 2.
+# exponents positive, over transcendental parameters only; the empty tuple
+# is the constant monomial.  Terms map monomials to nonzero coefficients in
+# K, Fractions or Surds.
 # ---------------------------------------------------------------------------
 
 _ONE_MONO = ()
 
 
 def _merge_params(a: dict, b: dict) -> dict:
-    if not b:
-        return a
-    if not a:
-        return b
-    out = dict(a)
-    for name, p in b.items():
-        q = out.get(name)
-        if q is None:
-            out[name] = p
-        elif q != p:
-            raise ValueError(f"conflicting declarations for parameter {name!r}")
-    return out
+    """The union of two {name: Parameter} dicts of transcendental
+    parameters, which agree on shared names."""
+    return {**a, **b} if a and b else a or b
 
 
 class Poly:
-    """Multivariate polynomial over Q in the declared parameters."""
+    """Multivariate polynomial in the transcendental parameters with
+    coefficients in K."""
 
     __slots__ = ("terms", "params")
 
@@ -113,12 +275,8 @@ class Poly:
 
     @staticmethod
     def const(c, params=None) -> "Poly":
-        c = _as_fraction(c)
+        c = c if type(c) is Surd else _as_fraction(c)
         return Poly({} if c == 0 else {_ONE_MONO: c}, params or {})
-
-    @staticmethod
-    def var(p: Parameter) -> "Poly":
-        return Poly({((p.name, 1),): Q(1)}, {p.name: p})
 
     # -- predicates ---------------------------------------------------------
 
@@ -128,46 +286,40 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
 
-    def const_value(self) -> Fraction:
-        if not self.terms:
-            return Q(0)
-        return self.terms[_ONE_MONO]
+    def const_value(self):
+        return self.terms.get(_ONE_MONO, Q(0))
 
     def variables(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                out.add(name)
+        return {name for mono in self.terms for name, _ in mono}
+
+    def flat(self) -> dict:
+        """The terms over all parameter names: the product of the roots in
+        S times a monomial becomes a monomial in the quadratic parameters
+        too, with a Fraction coefficient.  ValueError when one name stands
+        for two parameters, which the view would merge."""
+        roots = functools.reduce(or_, map(_roots, self.terms.values()), 0)
+        names = _root_params(roots)
+        if roots and (len(names) < roots.bit_count()
+                      or names.keys() & self.variables()):
+            raise ValueError(f"conflicting declarations of {sorted(names)}")
+        out = {}
+        for mono, x in self.terms.items():
+            if type(x) is not Surd:
+                out[mono] = x
+                continue
+            for m, c in x.c.items():
+                rmono, f = _root_monomial(m)
+                out[tuple(sorted(mono + rmono))] = Fraction(c * f, x.den)
         return out
 
-    def has_quadratic(self) -> bool:
-        return any(self.params[v].kind == "quadratic" for v in self.variables())
-
     # -- arithmetic ---------------------------------------------------------
-
-    def _reduce_mono(self, mono):
-        """Reduce quadratic exponents; returns (factor, reduced monomial)."""
-        factor = Q(1)
-        out = []
-        for name, e in mono:
-            p = self.params.get(name)
-            if p is not None and p.kind == "quadratic" and e >= 2:
-                factor *= p.D ** (e // 2)
-                e = e % 2
-            if e:
-                out.append((name, e))
-        return factor, tuple(out)
 
     def __add__(self, other: "Poly") -> "Poly":
         params = _merge_params(self.params, other.params)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, Q(0)) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        return Poly(terms, params)
+            terms[mono] = terms.get(mono, 0) + c
+        return Poly({m: c for m, c in terms.items() if c}, params)
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()}, self.params)
@@ -178,7 +330,6 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         params = _merge_params(self.params, other.params)
         terms: dict = {}
-        tmp = Poly({}, params)
         for m1, c1 in self.terms.items():
             d1 = dict(m1)
             for m2, c2 in other.terms.items():
@@ -186,27 +337,19 @@ class Poly:
                 for name, e in m2:
                     merged[name] = merged.get(name, 0) + e
                 mono = tuple(sorted(merged.items()))
-                factor, mono = tmp._reduce_mono(mono)
-                c = c1 * c2 * factor
-                s = terms.get(mono, Q(0)) + c
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        return Poly(terms, params)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return Poly({m: c for m, c in terms.items() if c}, params)
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
+        c = c if type(c) is Surd else _as_fraction(c)
         if c == 0:
             return Poly({}, self.params)
         return Poly({m: c * v for m, v in self.terms.items()}, self.params)
 
     # -- lex order helpers --------------------------------------------------
 
-    def _vorder(self):
-        return sorted(self.variables())
-
-    def _key(self, mono, vorder):
+    @staticmethod
+    def _key(mono, vorder):
         d = dict(mono)
         return tuple(d.get(v, 0) for v in vorder)
 
@@ -214,40 +357,29 @@ class Poly:
         """Leading (monomial, coefficient) under lex order."""
         if not self.terms:
             return _ONE_MONO, Q(0)
-        if vorder is None:
-            vorder = self._vorder()
+        vorder = vorder or sorted(self.variables())
         mono = max(self.terms, key=lambda m: self._key(m, vorder))
         return mono, self.terms[mono]
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self):
         return self.leading()[1]
 
     # -- display ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        vorder = self._vorder()
-        monos = sorted(self.terms, key=lambda m: self._key(m, vorder), reverse=True)
-        parts = []
-        for mono in monos:
-            c = self.terms[mono]
-            factors = []
-            for name, e in mono:
-                factors.append(name if e == 1 else f"{name}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+        """The flat terms in decreasing lex order, each as its sign, then
+        |coefficient| unless it is 1 beside a monomial, then the monomial."""
+        terms = self.flat()
+        vorder = sorted({name for mono in terms for name, _ in mono})
+        out = ""
+        for mono in sorted(terms, key=lambda m: self._key(m, vorder),
+                           reverse=True):
+            c = terms[mono]
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in mono]
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            out += ("-" if c < 0 else "+" if out else "") + "*".join(factors)
+        return out or "0"
 
     __repr__ = __str__
 
@@ -255,17 +387,18 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.flat().items()))
+
+
+_ONE_POLY = Poly.const(1)
 
 
 # -- gcd over the transcendental variables ----------------------------------
 
 def _content(polys):
-    """gcd of a list of transcendental-only polynomials."""
+    """gcd of a list of nonzero polynomials with rational coefficients."""
     g = None
     for p in polys:
-        if p.is_zero():
-            continue
         g = p if g is None else _gcd2(g, p)
         if g.is_const():
             break
@@ -286,44 +419,27 @@ def _to_univariate(p: Poly, v: str):
     coeffs: dict = {}
     for mono, c in p.terms.items():
         d = dict(mono)
-        e = d.pop(v, 0)
-        rest = tuple(sorted(d.items()))
-        coeffs.setdefault(e, {})[rest] = coeffs.setdefault(e, {}).get(rest, Q(0)) + c
-    deg = max(coeffs) if coeffs else 0
-    out = []
-    for e in range(deg + 1):
-        out.append(Poly({m: c for m, c in coeffs.get(e, {}).items() if c}, p.params))
-    return out
+        coeffs.setdefault(d.pop(v, 0), {})[tuple(sorted(d.items()))] = c
+    return [Poly(coeffs.get(e, {}), p.params)
+            for e in range(max(coeffs, default=0) + 1)]
 
 
 def _from_univariate(coeffs, v: str, params) -> Poly:
-    out = Poly({}, params)
-    xe = Poly.const(1, params)
-    x = Poly.var(params[v])
-    for e, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + (c * xe)
-        if e < len(coeffs) - 1:
-            xe = xe * x
-    return out
+    return Poly({tuple(sorted(mono + ((v, e),))) if e else mono: x
+                 for e, c in enumerate(coeffs) for mono, x in c.terms.items()},
+                params)
 
 
 def _udeg(u):
-    d = len(u) - 1
-    while d >= 0 and u[d].is_zero():
-        d -= 1
-    return d
+    return max((d for d, c in enumerate(u) if not c.is_zero()), default=-1)
 
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
-    """gcd of two nonzero polynomials in transcendental variables only."""
-    avars = a.variables() | b.variables()
-    if not avars:
-        return Poly.const(1, _merge_params(a.params, b.params))
-    if a.is_const() or b.is_const():
-        return Poly.const(1, _merge_params(a.params, b.params))
-    v = sorted(avars)[0]
+    """gcd of two nonzero polynomials with rational coefficients."""
     params = _merge_params(a.params, b.params)
+    if a.is_const() or b.is_const():
+        return Poly.const(1, params)
+    v = min(a.variables() | b.variables())
     A = _to_univariate(a, v)
     B = _to_univariate(b, v)
     ca = _content([c for c in A if not c.is_zero()]) or Poly.const(1, params)
@@ -379,6 +495,7 @@ def _pseudo_rem(A, B, params):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd of two polynomials with rational coefficients, monic."""
     if a.is_zero():
         return _monic(b) if not b.is_zero() else Poly.const(1, b.params)
     if b.is_zero():
@@ -387,7 +504,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; b must divide a (b transcendental-only)."""
+    """Exact division a / b; b must divide a and have rational
+    coefficients."""
     if b.is_const():
         return a.scale(Q(1) / b.const_value())
     params = _merge_params(a.params, b.params)
@@ -399,23 +517,13 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     while not rem.is_zero():
         rmono, rc = rem.leading(vorder)
         rdict = dict(rmono)
-        qdict = {}
-        ok = True
-        for name, e in bdict.items():
-            if rdict.get(name, 0) < e:
-                ok = False
-                break
-        if not ok:
+        if any(rdict.get(name, 0) < e for name, e in bdict.items()):
             raise ArithmeticError("poly_divexact: not divisible")
-        for name, e in rdict.items():
-            q = e - bdict.get(name, 0)
-            if q:
-                qdict[name] = q
-        qmono = tuple(sorted(qdict.items()))
-        qc = rc / bc
-        out[qmono] = out.get(qmono, Q(0)) + qc
+        qmono = tuple((name, e - bdict.get(name, 0)) for name, e in rmono
+                      if e != bdict.get(name, 0))
+        out[qmono] = qc = rc / bc     # the quotient's terms in lex order
         rem = rem - Poly({qmono: qc}, params) * b
-    return Poly({m: c for m, c in out.items() if c}, params)
+    return Poly(out, params)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +531,15 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Canonical fraction of two polynomials over Q in the declared
-    parameters.  Immutable; equality is canonical-form equality.
+    """Canonical fraction of two polynomials in the transcendental
+    parameters with coefficients in K.  Immutable; equality is
+    canonical-form equality.
 
-    A scalar whose value is rational keeps it as one Fraction in ``q``,
-    whatever parameters it was computed from, and computes with it
-    directly; ``num``/``den`` are then built on demand as constant
-    polynomials.  Any other scalar has ``q = None`` and keeps its canonical
-    ``num``/``den``."""
+    A scalar free of transcendental parameters keeps its value in ``q``, a
+    Fraction or a Surd, whatever parameters it was computed from, and
+    computes with it directly; ``num``/``den`` are then built on demand as
+    constant polynomials.  Any other scalar has ``q = None`` and keeps its
+    canonical ``num``/``den``."""
 
     __slots__ = ("q", "_num", "_den")
 
@@ -440,7 +549,7 @@ class Scalar:
         if not _canonical:
             num, den = _canonicalize(num, den)
         if num.is_const() and den.is_const():
-            self.q = num.const_value() / den.const_value()
+            self.q = num.const_value()      # the monic den is 1
             return
         self.q = None
         self._num = num
@@ -450,11 +559,14 @@ class Scalar:
 
     @staticmethod
     def from_fraction(c) -> "Scalar":
-        return _rational(_as_fraction(c))
+        return _const(_as_fraction(c))
 
     @staticmethod
     def of_param(p: Parameter) -> "Scalar":
-        return Scalar(Poly.var(p), Poly.const(1, {p.name: p}), _canonical=True)
+        if p.bit:
+            return _const(Surd({p.bit: 1}, p.D.denominator))
+        return Scalar(Poly({((p.name, 1),): Q(1)}, {p.name: p}),
+                      Poly.const(1, {p.name: p}), _canonical=True)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -472,7 +584,7 @@ class Scalar:
             return x
         if isinstance(x, Parameter):
             return Scalar.of_param(x)
-        return _rational(_as_fraction(x))
+        return _const(_as_fraction(x))
 
     @property
     def num(self) -> Poly:
@@ -480,13 +592,16 @@ class Scalar:
 
     @property
     def den(self) -> Poly:
-        return self._den if self.q is None else Poly.const(1)
+        return self._den if self.q is None else _ONE_POLY
 
     @property
     def params(self) -> dict:
+        """{name: Parameter} of the transcendental parameters it was
+        computed from and of the roots its value uses."""
         if self.q is not None:
-            return {}
-        return _merge_params(self._num.params, self._den.params)
+            return _root_params(_roots(self.q))
+        roots = functools.reduce(or_, map(_roots, self._num.terms.values()), 0)
+        return {**self._num.params, **self._den.params, **_root_params(roots)}
 
     # -- predicates ----------------------------------------------------------
 
@@ -499,10 +614,10 @@ class Scalar:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return self.q is not None
+        return type(self.q) is Fraction
 
     def as_fraction(self) -> Fraction:
-        if self.q is None:
+        if type(self.q) is not Fraction:
             raise UnsupportedEntries(f"{self} is not rational")
         return self.q
 
@@ -514,7 +629,7 @@ class Scalar:
     def __add__(self, other):
         other = Scalar.coerce(other)
         if self.q is not None and other.q is not None:
-            return _rational(self.q + other.q)
+            return _const(self.q + other.q)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -522,25 +637,22 @@ class Scalar:
 
     def __neg__(self):
         if self.q is not None:
-            return _rational(-self.q)
+            return _const(-self.q)
         return Scalar(-self._num, self._den, _canonical=True)
 
     def __sub__(self, other):
         other = Scalar.coerce(other)
         if self.q is not None and other.q is not None:
-            return _rational(self.q - other.q)
+            return _const(self.q - other.q)
         return self + (-other)
 
     def __rsub__(self, other):
-        other = Scalar.coerce(other)
-        if self.q is not None and other.q is not None:
-            return _rational(other.q - self.q)
-        return other + (-self)
+        return Scalar.coerce(other) - self
 
     def __mul__(self, other):
         other = Scalar.coerce(other)
         if self.q is not None and other.q is not None:
-            return _rational(self.q * other.q)
+            return _const(self.q * other.q)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -550,29 +662,25 @@ class Scalar:
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         if self.q is not None and other.q is not None:
-            return _rational(self.q / other.q)
+            return _const(self.q / other.q)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
 
     def __pow__(self, e: int):
-        if self.q is not None:
-            return _rational(self.q ** e)
+        if type(self.q) is Fraction:
+            return _const(self.q ** e)
         if e < 0:
             return Scalar.one() / self ** (-e)
         out = Scalar.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        for bit in bin(e)[2:]:      # square and multiply, high bits first
+            out = out * out * self if bit == "1" else out * out
         return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _rational(_as_fraction(other))
+            other = _const(_as_fraction(other))
         if not isinstance(other, Scalar):
             return NotImplemented
         if self.q is not None or other.q is not None:
@@ -587,48 +695,52 @@ class Scalar:
     # -- display -------------------------------------------------------------
 
     def __str__(self):
-        if self.q is not None:
+        if type(self.q) is Fraction:
             return str(self.q)
-        if self._den.is_const() and self._den.const_value() == 1:
-            return str(self._num)
-        return f"({self._num})/({self._den})"
+        num, den = self.num, self.den
+        if den.is_const() and den.const_value() == 1:
+            return str(num)
+        return f"({num})/({den})"
 
     def __repr__(self):
         return str(self)
+
+
+def _roots(x) -> int:
+    """The roots x uses (a Fraction none), as a bitmask."""
+    return functools.reduce(or_, x.c, 0) if type(x) is Surd else 0
 
 
 def _canonicalize(num: Poly, den: Poly):
     params = _merge_params(num.params, den.params)
     if num.is_zero():
         return Poly({}, params), Poly.const(1, params)
-    # clear quadratic parameters from the denominator by conjugation
-    while den.has_quadratic():
-        qv = sorted(v for v in den.variables()
-                    if params[v].kind == "quadratic")[0]
-        u = _to_univariate(den, qv)
-        p0 = u[0]
-        p1 = u[1] if len(u) > 1 else Poly({}, params)
-        t = Poly.var(params[qv])
-        conj = p0 - p1 * t
-        num = num * conj
-        den = den * conj
-        if den.has_quadratic() and qv in den.variables():
-            raise ArithmeticError("conjugation failed to clear quadratic")
-        if num.is_zero():
-            return Poly({}, params), Poly.const(1, params)
-    # divide by gcd of den with the transcendental coefficients of num
-    qvars = sorted(v for v in num.variables() if params[v].kind == "quadratic")
-    pieces = [num]
-    for qv in qvars:
-        nxt = []
-        for p in pieces:
-            nxt.extend(_to_univariate(p, qv))
-        pieces = [p for p in nxt if not p.is_zero()]
+    # clear the roots from the denominator: conjugating its coefficients
+    # over the last root b in use turns alpha + beta*b into
+    # alpha^2 - beta^2*b^2, free of b
+    while True:
+        top = max((max(x.c) for x in den.terms.values() if type(x) is Surd),
+                  default=0)
+        if not top:
+            break
+        bit = 1 << top.bit_length() - 1
+        conj = Poly({m: _conj(x, bit) if type(x) is Surd else x
+                     for m, x in den.terms.items()}, den.params)
+        num, den = num * conj, den * conj
+    # divide by the gcd of den with the rational part of num at each subset
+    # of the roots
+    pieces: dict = {}
+    for mono, x in num.terms.items():
+        if type(x) is Surd:
+            for m, c in x.c.items():
+                pieces.setdefault(m, {})[mono] = Fraction(c, x.den)
+        else:
+            pieces.setdefault(0, {})[mono] = x
     g = den
-    for p in pieces:
-        g = poly_gcd(g, p)
+    for terms in pieces.values():
         if g.is_const():
             break
+        g = poly_gcd(g, Poly(terms, params))
     if not g.is_const():
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
@@ -639,16 +751,16 @@ def _canonicalize(num: Poly, den: Poly):
     return num, den
 
 
-def _rational(q: Fraction) -> Scalar:
-    """Parameter-free scalar of value q (a Fraction)."""
+def _const(q) -> Scalar:
+    """Parameter-free scalar of value q (a Fraction or a Surd)."""
     s = _new(Scalar)
     s.q = q
     return s
 
 
 _new = object.__new__
-_ZERO = _rational(Q(0))
-_ONE = _rational(Q(1))
+_ZERO = _const(Q(0))
+_ONE = _const(Q(1))
 
 
 # ---------------------------------------------------------------------------
@@ -719,181 +831,65 @@ def square_class(D: Fraction, quadratics) -> tuple | None:
 
 
 class Witness:
-    """Exact rational values for transcendental parameters and root choices
+    """Exact rational values for transcendental parameters and root signs
     for quadratic ones; used only for sign and feasibility decisions.
-
-    The quadratic parameter t^2 = n/d is b/d for the root b = +-sqrt(n*d),
-    so values in K keep integer coefficients over products of the roots."""
+    values maps each name to (Parameter, value), the value of a quadratic
+    one being its sign, 1 or -1."""
 
     def __init__(self, values: dict):
-        self.values, self._quad, self._roots = {}, {}, []
+        self.values = {}
+        self._valued = self._negative = 0      # root bitmasks
         for p, v in values.items():
             if not isinstance(p, Parameter):
                 raise TypeError("witness keys must be Parameters")
-            if p.kind == "quadratic":
+            if p.bit:
                 sign = 1 if _as_fraction(v) >= 0 else -1
                 self.values[p.name] = (p, sign)
-                self._quad[p.name] = (1 << len(self._roots), p.D.denominator)
-                self._roots.append((p.D.numerator * p.D.denominator, sign))
+                self._valued |= p.bit
+                self._negative |= p.bit if sign < 0 else 0
             else:
                 self.values[p.name] = (p, _as_fraction(v))
 
     def value(self, s: Scalar):
         """The exact value of s at the witness: a Fraction when it is
-        rational, else a Surd.  Indeterminate when the denominator (free of
-        quadratic parameters, so rational) vanishes there."""
-        if s.q is not None:
-            return s.q
-        den = self._put(s._den)
+        rational, else a Surd.  Indeterminate when the denominator (with
+        rational coefficients, so rational) vanishes there."""
+        q = s.q
+        if type(q) is Fraction:
+            return q
+        if q is not None:
+            return self._relabel(q)
+        den = self._at(s._den)
         if not den:
             raise Indeterminate(f"denominator of {s} vanishes at the witness")
-        return self._put(s._num) / den
+        return self._at(s._num) / den
 
-    def _square(self, m: int) -> int:
-        """The square of the product of the roots in the subset m."""
-        return prod(R for i, (R, _) in enumerate(self._roots) if m >> i & 1)
+    def _relabel(self, x: Surd) -> Surd:
+        """x with the witness's roots: a coefficient flips its sign when its
+        subset holds an odd number of negative roots."""
+        used = _roots(x)
+        missing = used & ~self._valued
+        if missing:
+            name = _ROOTS[(missing & -missing).bit_length() - 1][2].name
+            raise UnsupportedEntries(f"parameter {name} not valued")
+        neg = used & self._negative
+        if not neg:
+            return x
+        return Surd({m: -c if (m & neg).bit_count() & 1 else c
+                     for m, c in x.c.items()}, x.den)
 
-    def _put(self, poly: Poly):
-        """poly at the witness (quadratic exponents are reduced to 1)."""
-        c = {}
+    def _at(self, poly: Poly):
+        """poly at the witness."""
+        total = Q(0)
         for mono, x in poly.terms.items():
-            m = 0
+            x = self._relabel(x) if type(x) is Surd else x
             for name, e in mono:
-                if name in self._quad:
-                    bit, d = self._quad[name]
-                    m, x = m | bit, x / d
-                elif name in self.values:
-                    x = x * self.values[name][1] ** e
-                else:
+                p, val = self.values.get(name, (None, None))
+                if p is None or p.bit:
                     raise UnsupportedEntries(f"parameter {name} not valued")
-            c[m] = c.get(m, 0) + x
-        L = lcm(*(x.denominator for x in c.values()))
-        return _surd({m: x.numerator * (L // x.denominator)
-                      for m, x in c.items()}, L, self)
-
-
-@functools.total_ordering
-class Surd:
-    """An irrational element of K = Q(sqrt(D_1), ..., sqrt(D_k)) at a
-    witness w: the sum of c[S]/den times the product of the roots in S over
-    subsets S (bitmasks), with integers c[S] != 0 and den > 0 in lowest
-    terms.  Arithmetic with ints, Fractions and Surds of one witness returns
-    a Fraction whenever the result is rational; comparisons go through the
-    exact sign.  Products of multiplicatively independent roots are
-    linearly independent over Q, so a Surd is never zero and equality is
-    structural."""
-
-    __slots__ = ("c", "den", "w")
-
-    def __init__(self, c: dict, den: int, w: Witness):
-        self.c, self.den, self.w = c, den, w
-
-    def sign(self) -> int:
-        return _sign(self.c, self.w)
-
-    def __add__(self, other):
-        if isinstance(other, Surd):
-            c2, d2 = other.c, other.den
-        else:
-            c2, d2 = {0: other.numerator}, other.denominator
-        L = lcm(self.den, d2)
-        c = {m: x * (L // self.den) for m, x in self.c.items()}
-        for m, x in c2.items():
-            c[m] = c.get(m, 0) + x * (L // d2)
-        return _surd(c, L, self.w)
-
-    def __mul__(self, other):
-        if isinstance(other, Surd):
-            return _surd(_mul(self.c, other.c, self.w),
-                         self.den * other.den, self.w)
-        return _surd({m: x * other.numerator for m, x in self.c.items()},
-                     self.den * other.denominator, self.w)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return Surd({m: -x for m, x in self.c.items()}, self.den, self.w)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __truediv__(self, other):
-        return self * (1 / (other if isinstance(other, Surd)
-                            else Fraction(other)))
-
-    def __rtruediv__(self, other):
-        """other/self by conjugates, one root at a time: with b the last
-        root in use, (alpha + beta*b)(alpha - beta*b) = alpha^2 - beta^2*b^2
-        is free of b."""
-        y = self
-        while isinstance(y, Surd):
-            bit = 1 << max(y.c).bit_length() - 1
-            conj = Surd({m: -x if m & bit else x for m, x in y.c.items()},
-                        y.den, y.w)
-            other, y = conj * other, y * conj
-        return other / y
-
-    def __eq__(self, other):
-        return (isinstance(other, Surd) and self.den == other.den
-                and self.c == other.c)
-
-    __hash__ = None
-
-    def __lt__(self, other):
-        d = self if not isinstance(other, Surd) and other == 0 \
-            else self - other
-        return (d.sign() if isinstance(d, Surd) else d) < 0
-
-
-def _surd(c: dict, den: int, w: Witness):
-    """The sum of c[S]/den times the roots in S, den > 0: a Fraction when no
-    root is left, else a Surd in lowest terms."""
-    c = {m: x for m, x in c.items() if x}
-    if c.keys() <= {0}:
-        return Fraction(c.get(0, 0), den)
-    g = gcd(den, *c.values())
-    if g > 1:
-        c = {m: x // g for m, x in c.items()}
-        den //= g
-    return Surd(c, den, w)
-
-
-def _mul(a: dict, b: dict, w: Witness) -> dict:
-    """The product of two coefficient dicts over the roots of w."""
-    out = {}
-    for m1, x1 in a.items():
-        for m2, x2 in b.items():
-            x = x1 * x2 * w._square(m1 & m2) if m1 & m2 else x1 * x2
-            out[m1 ^ m2] = out.get(m1 ^ m2, 0) + x
-    return out
-
-
-def _sign(c: dict, w: Witness) -> int:
-    """Sign of the sum of c[S] times the roots in S (integer c).  With
-    x = alpha + beta*b for the last root b in use, the sign is that of
-    alpha or beta*b when they agree (or one is zero), else
-    sign(alpha) * sign(alpha^2 - beta^2*b^2)."""
-    top = max(c, default=0)
-    if not top:
-        x = c.get(0, 0)
-        return (x > 0) - (x < 0)
-    i = top.bit_length() - 1
-    R, root_sign = w._roots[i]
-    alpha = {m: x for m, x in c.items() if not m >> i & 1}
-    beta = {m ^ 1 << i: x for m, x in c.items() if m >> i & 1}
-    sa = _sign(alpha, w)
-    sb = _sign(beta, w) * root_sign
-    if sa == 0 or sa == sb:
-        return sb
-    if sb == 0:
-        return sa
-    d = _mul(alpha, alpha, w)
-    for m, x in _mul(beta, beta, w).items():
-        d[m] = d.get(m, 0) - R * x
-    return sa * _sign(d, w)
+                x = x * val ** e
+            total = total + x
+        return total
 
 
 def sign_at(s: Scalar, w: Witness) -> Sign:

@@ -13,14 +13,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qtoric import lp
 from qtoric.atlas import gluing_exponents
-from qtoric.errors import UnsupportedEntries
+from qtoric.errors import Indeterminate, UnsupportedEntries, UnsupportedField
 from qtoric.calibration import CalibratedFan, Calibration
 from qtoric.gale_lvmb import GaleData, _points_at_witness
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
 from qtoric.linalg import (Matrix, hnf, int_solve, pivot, rank,
                            solve_right)
-from qtoric.scalars import Parameter, Scalar, Sign, Witness, sign_at
+from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Witness,
+                            poly_divexact, poly_gcd, sign_at)
 
 Q = Fraction
 
@@ -124,9 +125,10 @@ def _root_enclosure(p: Parameter, root_sign: int, bits: int):
     return (lo, hi) if root_sign > 0 else (-hi, -lo)
 
 
-def _interval_poly(poly, w: Witness, bits: int):
+def _interval_poly(terms, w: Witness, bits: int):
+    """Interval of the flat terms at the witness."""
     lo, hi = Q(0), Q(0)
-    for mono, c in poly.terms.items():
+    for mono, c in terms.items():
         tlo, thi = Q(c), Q(c)
         for name, e in mono:
             p, v = w.values[name]
@@ -142,10 +144,10 @@ def _interval_poly(poly, w: Witness, bits: int):
 def interval_sign(s: Scalar, w: Witness, bits: int):
     """Sign of s at the witness by interval evaluation at the given
     precision, or None when the interval does not decide it."""
-    if s.q is not None:
+    if s.is_rational():
         return Sign((s.q > 0) - (s.q < 0))
-    nlo, nhi = _interval_poly(s.num, w, bits)
-    dlo, dhi = _interval_poly(s.den, w, bits)
+    nlo, nhi = _interval_poly(s.num.flat(), w, bits)
+    dlo, dhi = _interval_poly(s.den.flat(), w, bits)
     if dlo <= 0 <= dhi:
         return None
     cands = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
@@ -160,9 +162,172 @@ def interval_sign(s: Scalar, w: Witness, bits: int):
 def approx(s: Scalar, w: Witness, bits: int = 256) -> Fraction:
     """A rational near s at the witness: the midpoint of its interval
     evaluation (a canonical denominator is exact there)."""
-    nlo, nhi = _interval_poly(s.num, w, bits)
-    dlo, _ = _interval_poly(s.den, w, bits)
+    nlo, nhi = _interval_poly(s.num.flat(), w, bits)
+    dlo, _ = _interval_poly(s.den.flat(), w, bits)
     return (nlo + nhi) / (2 * dlo)
+
+
+# -- the scalar path before the K form: quadratic parameters as polynomial
+#    variables reduced by t^2 = D, the reference for Scalar ------------------
+
+def _ref_product(a: dict, b: dict, params: dict) -> dict:
+    """The product of two term dicts, quadratic exponents reduced."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            merged = dict(m1)
+            for name, e in m2:
+                merged[name] = merged.get(name, 0) + e
+            c, mono = c1 * c2, []
+            for name, e in sorted(merged.items()):
+                if params[name].kind == "quadratic":
+                    c, e = c * params[name].D ** (e // 2), e % 2
+                if e:
+                    mono.append((name, e))
+            out[tuple(mono)] = out.get(tuple(mono), 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_canonical(num: dict, den: dict, params: dict):
+    """num/den with den free of quadratic parameters (conjugation by the
+    first one in den, until none is left), divided by the gcd of den and
+    the transcendental coefficients of num, and den monic in lex order."""
+    if not num:
+        return {}, {(): Q(1)}
+    quadratic = {n for n, p in params.items() if p.kind == "quadratic"}
+    while True:
+        qs = sorted(v for m in den for v, _ in m if v in quadratic)
+        if not qs:
+            break
+        conj = {m: -c if qs[0] in dict(m) else c for m, c in den.items()}
+        num = _ref_product(num, conj, params)
+        den = _ref_product(den, conj, params)
+    trans = {n: p for n, p in params.items() if n not in quadratic}
+    pieces = {}
+    for m, c in num.items():
+        q = tuple(x for x in m if x[0] in quadratic)
+        pieces.setdefault(q, {})[tuple(x for x in m if x not in q)] = c
+    g = Poly(den, trans)
+    for terms in pieces.values():
+        g = poly_gcd(g, Poly(terms, trans))
+    den = poly_divexact(Poly(den, trans), g).terms
+    num = {tuple(sorted(q + m)): c for q, terms in pieces.items()
+           for m, c in poly_divexact(Poly(terms, trans), g).terms.items()}
+    vorder = sorted({v for m in den for v, _ in m})
+    lc = den[max(den, key=lambda m: tuple(dict(m).get(v, 0)
+                                          for v in vorder))]
+    return ({m: c / lc for m, c in num.items()},
+            {m: c / lc for m, c in den.items()})
+
+
+def _ref_str(terms: dict) -> str:
+    if not terms:
+        return "0"
+    vorder = sorted({v for m in terms for v, _ in m})
+    out = ""
+    for mono in sorted(terms, reverse=True,
+                       key=lambda m: tuple(dict(m).get(v, 0) for v in vorder)):
+        c = terms[mono]
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in mono]
+        body = "*".join(([] if factors and abs(c) == 1 else [str(abs(c))])
+                        + factors)
+        out += ("-" if c < 0 else "+" if out else "") + body
+    return out
+
+
+class RefScalar:
+    """A scalar as before the K form: canonical num/den term dicts over all
+    parameter names, and the parameters it was computed from (none when it
+    is rational)."""
+
+    def __init__(self, num, den, params):
+        self.num, self.den = _ref_canonical(num, den, params)
+        self.params = {} if self.is_rational() else params
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, Parameter):
+            return RefScalar({((x.name, 1),): Q(1)}, {(): Q(1)}, {x.name: x})
+        return RefScalar({(): Q(x)} if x else {}, {(): Q(1)}, {})
+
+    def is_rational(self):
+        return self.num.keys() <= {()} and self.den.keys() == {()}
+
+    def _combine(self, other, num, den):
+        params = {**self.params, **other.params}
+        return RefScalar(_ref_product(*num, params),
+                         _ref_product(*den, params), params)
+
+    def __add__(self, other):
+        params = {**self.params, **other.params}
+        a = _ref_product(self.num, other.den, params)
+        for m, c in _ref_product(other.num, self.den, params).items():
+            a[m] = a.get(m, 0) + c
+        return RefScalar({m: c for m, c in a.items() if c},
+                         _ref_product(self.den, other.den, params), params)
+
+    def __neg__(self):
+        return RefScalar({m: -c for m, c in self.num.items()}, self.den,
+                         self.params)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return self._combine(other, (self.num, other.num),
+                             (self.den, other.den))
+
+    def __truediv__(self, other):
+        return self._combine(other, (self.num, other.den),
+                             (self.den, other.num))
+
+    def __str__(self):
+        if self.is_rational():
+            return str(self.num.get((), Q(0)))
+        if self.den == {(): 1}:
+            return _ref_str(self.num)
+        return f"({_ref_str(self.num)})/({_ref_str(self.den)})"
+
+    def __hash__(self):
+        if self.is_rational():
+            return hash(self.num.get((), Q(0)))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+
+
+def ref_value(r: RefScalar, w: Witness):
+    """r at the witness: each term's quadratic parameters replaced by their
+    roots, sign times the positive root Scalar.of_param(p).q, and its
+    transcendental ones by their values, summed in K."""
+    def at(terms):
+        total = Q(0)
+        for mono, c in terms.items():
+            for name, e in mono:
+                p, v = w.values[name]
+                x = v * Scalar.of_param(p).q if p.kind == "quadratic" else v
+                for _ in range(e):
+                    c = c * x
+            total = total + c
+        return total
+
+    den = at(r.den)
+    if not den:
+        raise Indeterminate("denominator vanishes at the witness")
+    return at(r.num) / den
+
+
+def ref_quadratic_surd(r: RefScalar):
+    """moduli.quadratic_surd before the K form, on its parameters."""
+    quad = [p for p in r.params.values() if p.kind == "quadratic"]
+    if len(quad) > 1 or len(quad) < len(r.params):
+        raise UnsupportedField("rational and quadratic scalars only")
+    if not quad:
+        return r.num.get((), Q(0))
+    u, v = (r.num.get(m, Q(0)) for m in ((), ((quad[0].name, 1),)))
+    b, c = -2 * u, u * u - v * v * quad[0].D
+    A = math.lcm(b.denominator, c.denominator)
+    B, C = int(b * A), int(c * A)
+    N = B * B - 4 * A * C
+    return (-B, 2 * A, N) if v > 0 else (B, -2 * A, N)
 
 
 def fan_gluings(fan: QuantumFan) -> dict:
@@ -435,7 +600,7 @@ def affine_coefficients(x: Scalar, names) -> list:
     d = x.den.const_value()
     idx = {n: i + 1 for i, n in enumerate(names)}
     out = [Q(0)] * (len(names) + 1)
-    for mono, c in x.num.terms.items():
+    for mono, c in x.num.flat().items():
         if mono == ():
             out[0] += c / d
         elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in idx:

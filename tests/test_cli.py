@@ -368,6 +368,26 @@ def test_type_error_in_a_decider_is_not_an_input_error(tmp_path,
         main(["validate", _write(tmp_path, "p2.json", P2STD)])
 
 
+def test_defect_in_a_batch_fails_its_own_file_only(tmp_path, capsys,
+                                                   monkeypatch):
+    real = qtoric.lattice_fan.validate_fan
+
+    def broken(fan, w):
+        if fan.nrays == 5:
+            raise TypeError("a defect")
+        return real(fan, w)
+
+    monkeypatch.setattr("qtoric.lattice_fan.validate_fan", broken)
+    good = _write(tmp_path, "good.json", P2DEF)
+    other = _write(tmp_path, "blowup.json", BLOWUP)
+    code, payload = run(capsys, ["validate", good, other, "--jobs", "2"])
+    assert code == 4
+    assert payload[0] == {"file": good, "report": {"valid": True,
+                                                  "violations": []}}
+    assert payload[1] == {"file": other, "error": {
+        "code": "InternalError", "message": "TypeError: a defect"}}
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io as _io
     monkeypatch.setattr("sys.stdin", _io.StringIO(json.dumps(P2DEF)))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoric.errors import Singular
-from qtoric.linalg import (Matrix, _rref, det, hnf, int_det, int_solve,
-                           kernel_basis, mat_inverse, pivot_columns, rank,
+from qtoric.linalg import (Matrix, _rref, basis_inverse, det, hnf, int_det,
+                           int_solve, kernel_basis, mat_inverse, rank,
                            solve_right)
 from qtoric.scalars import Parameter, Scalar
 
@@ -347,9 +347,14 @@ def column_lists(draw):
 @given(column_lists())
 def test_pivot_columns_is_the_greedy_basis(case):
     d, cols = case
-    piv = pivot_columns(cols)
+    piv, inv = basis_inverse(cols)
     assert piv == _greedy_pivots(cols)
     assert len(piv) == (rank(Matrix.from_columns(cols)) if cols else 0) <= d
+    if cols:    # the inverse of the picked columns, when they span R^d
+        assert (inv is None) == (len(piv) < d)
+        if inv is not None:
+            B = Matrix.from_columns([cols[j] for j in piv])
+            assert Matrix(inv) * B == B * Matrix(inv) == Matrix.identity(d)
 
 
 @st.composite

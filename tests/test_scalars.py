@@ -1,16 +1,18 @@
+import operator
 import random
 import time
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_coefficients, approx, interval_sign
+from conftest import (RefScalar, affine_coefficients, approx, interval_sign,
+                      ref_quadratic_surd, ref_value)
 from qtoric.calibration import Calibration, kernel_rank
-from qtoric.errors import Indeterminate
+from qtoric.errors import Indeterminate, UnsupportedEntries, UnsupportedField
 from qtoric.lattice_fan import QLattice, gamma_rank
 from qtoric.moduli import quadratic_surd
 from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Surd, Witness,
@@ -253,6 +255,96 @@ def test_witness_values_compute_as_the_scalars_they_come_from(seed, signs,
         assert not (vx > vy or vx >= vy or vx == vy)
 
 
+def test_unvalued_quadratic_parameter_is_unsupported():
+    for w in (Witness({A: Q(-7, 3)}), Witness({A: Q(0)})):
+        for x in (ST, ST - 1, SA * ST, 1 / (SA + ST), (SA + 1) / ST):
+            with pytest.raises(UnsupportedEntries):
+                w.value(x)
+            with pytest.raises(UnsupportedEntries):
+                sign_at(x, w)
+
+
+def test_one_name_declared_twice_in_a_scalar_is_refused():
+    t3 = Scalar.of_param(Parameter("t", "quadratic", 3))
+    ta = Scalar.of_param(Parameter("t"))
+    for f in (lambda: ST + t3, lambda: ST * t3, lambda: ta + ST,
+              lambda: ST * SA + ta):
+        with pytest.raises(ValueError, match="conflicting declarations"):
+            str(f())
+
+
+# -- the K form against the polynomial path it replaced ----------------------
+
+REF_LEAVES = {"one root": [T], "three roots": ROOTS,
+              "mixed": [A, B, T, ROOTS[1]]}
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv}
+
+
+def rand_pair(rng, depth, leaves):
+    """A random scalar built twice, as a Scalar and as a RefScalar."""
+    if depth == 0 or rng.random() < 0.4:
+        leaf = rng.choice([*leaves, Q(rng.randint(-4, 4), rng.randint(1, 4))])
+        return Scalar.coerce(leaf), RefScalar.of(leaf)
+    x, r = rand_pair(rng, depth - 1, leaves)
+    y, s = rand_pair(rng, depth - 1, leaves)
+    assert y.is_zero() == (not s.num)
+    op = OPS[rng.choice("+-*/" if not y.is_zero() else "+-*")]
+    return op(x, y), op(r, s)
+
+
+def outcome(f, x):
+    try:
+        return f(x)
+    except UnsupportedField:
+        return UnsupportedField
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(REF_LEAVES)),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_scalars_match_the_polynomial_reference(seed, leaves, a, b):
+    """Scalars in K, and mixed ones, have the canonical terms, strings and
+    hashes of the polynomial path with quadratic variables; their values
+    agree with its values under every choice of root signs, and their signs
+    with interval evaluation."""
+    x, r = rand_pair(random.Random(seed), 3, REF_LEAVES[leaves])
+    assert x.num.flat() == r.num and x.den.flat() == r.den
+    assert str(x) == str(r) and hash(x) == hash(r)
+    if x.params.keys() == r.params.keys():
+        assert outcome(quadratic_surd, x) == outcome(ref_quadratic_surd, r)
+    roots = [p for p in REF_LEAVES[leaves] if p.kind == "quadratic"]
+    for signs in product((1, -1), repeat=len(roots)):
+        w = Witness({A: a, B: b, **dict(zip(roots, signs))})
+        try:
+            want = ref_value(r, w)
+        except Indeterminate:
+            with pytest.raises(Indeterminate):
+                w.value(x)
+            continue
+        got = w.value(x)
+        assert got == want and type(got) is type(want)
+        sign = got.sign() if isinstance(got, Surd) else (got > 0) - (got < 0)
+        assert interval_sign(x, w, 256) in (None, Sign(sign))
+        if sign or x.is_zero():
+            assert sign_at(x, w) is Sign(sign)
+        else:
+            with pytest.raises(Indeterminate):
+                sign_at(x, w)
+
+
+def test_quadratic_surd_reads_the_value():
+    # a root that cancels leaves a value in Q(sqrt 2); the polynomial path
+    # kept the parameters it was computed from and refused it
+    assert quadratic_surd((SA + ST) - SA) == quadratic_surd(ST) == (0, 2, 8)
+    U = Scalar.of_param(ROOTS[1])
+    assert quadratic_surd((ST + U) - U) == quadratic_surd(ST)
+    for x in (SA, ST * U, ST + U):
+        with pytest.raises(UnsupportedField):
+            quadratic_surd(x)
+
+
 def test_gcd_cancellation():
     assert (SA * SA - SB * SB) / (SA + SB) == SA - SB
     assert (SA + 1) ** 3 / (SA + 1) ** 2 == SA + 1
@@ -368,7 +460,7 @@ def test_collapsed_constants_in_lattice_ranks():
     images_c = [[1, 0], [0, 1], [two, 1]]
     images_q = [[1, 0], [0, 1], [2, 1]]
     gc_, gq = QLattice(2, images_c), QLattice(2, images_q)
-    assert gc_ == gq and gc_.param_names() == gq.param_names() == []
+    assert gc_ == gq
     assert gamma_rank(gc_) == gamma_rank(gq) == 2
     kc = kernel_rank(Calibration(gc_, images_c, [], [1, 2, 3]))
     kq = kernel_rank(Calibration(gq, images_q, [], [1, 2, 3]))
