@@ -7,37 +7,64 @@ that there is none; no LP has an objective.  Interiors of full-dimensional
 hulls are decided as relative interiors of the cones over the points
 lifted to height 1.  The data are witness values, exact elements of
 K = Q(sqrt(D_1), ..., sqrt(D_k)): Fractions, and Surds when quadratic
-roots occur.  The simplex only adds, multiplies, divides and compares
-them, so over this ordered field every answer is exact.
+roots occur.  A rational tableau is kept as rows of ints, each a positive
+multiple of the field tableau's row, under a division-free pivot step
+(Bareiss, Math. Comp. 22, 1968; Edmonds); a tableau with a Surd takes the
+field step, linalg.pivot.  The ratio test is cross-multiplied, so both give
+the same signs and ratio order, Bland's rule makes the same choices, and
+over this ordered field every answer is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import pivot
 
 Q = Fraction
 
 
-def _simplex_core(T, basis, ncols):
-    """Minimize the objective in the last row of tableau T (Bland's rule)."""
+def _simplex_core(T, basis, ncols, step):
+    """Minimize the objective in the last row of tableau T (Bland's rule),
+    pivoting with step: linalg.pivot on field entries, _int_pivot on ints.
+    A row may be any positive multiple of the field tableau's row."""
     m = len(T) - 1
     while True:
         obj = T[-1]
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             return "optimal"
-        ratios = []
+        r = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratios.append((T[i][-1] / T[i][enter], basis[i], i))
-        if not ratios:
+            a = T[i][enter]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                # T[i][-1] / a against T[r][-1] / T[r][enter], both
+                # denominators positive; Bland: ties to the smaller basis
+                d = T[i][-1] * T[r][enter] - T[r][-1] * a
+                if d < 0 or not d and basis[i] < basis[r]:
+                    r = i
+        if r is None:
             return "unbounded"
-        # Bland: among minimal ratio rows pick the smallest basis index
-        best = min(ratios, key=lambda t: (t[0], t[1]))
-        pivot(T, best[2], enter)
-        basis[best[2]] = enter
+        step(T, r, enter)
+        basis[r] = enter
+
+
+def _int_pivot(T, r, c):
+    """The division-free step on rows of ints at p = T[r][c] > 0: row r
+    stays, and every other row with f = T[i][c] != 0 becomes
+    p*T[i] - f*T[r] over the gcd of its entries."""
+    prow = T[r]
+    p = prow[c]
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            new = [p * v - f * w for v, w in zip(row, prow)]
+            g = gcd(*new)
+            T[i] = [v // g for v in new] if g > 1 else new
 
 
 def solve_lp(A, b):
@@ -46,25 +73,40 @@ def solve_lp(A, b):
 
     Phase 1 only: minimize the sum of one artificial per row."""
     m = len(A)
-    n = len(A[0]) if m else 0
-    A = [[Q(v) if isinstance(v, int) else v for v in row] for row in A]
-    b = [Q(v) if isinstance(v, int) else v for v in b]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    T = [A[i] + [Q(1) if j == i else Q(0) for j in range(m)] + [b[i]]
-         for i in range(m)]
-    # the artificials' cost row, reduced against the artificial basis
-    T.append([-sum(col) for col in zip(*A)] + [Q(0)] * m + [-sum(b)])
+    if not m:
+        return []
+    n = len(A[0])
+    rows = [[*A[i], b[i]] for i in range(m)]
+    rational = all(isinstance(v, (int, Q)) for row in rows for v in row)
+    if rational:
+        scales = [lcm(*(v.denominator for v in row)) for row in rows]
+        rows = [[v.numerator * (s // v.denominator) for v in row]
+                for row, s in zip(rows, scales)]
+    else:
+        rows = [[Q(v) if isinstance(v, int) else v for v in row]
+                for row in rows]
+    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
+    # the artificials' cost row, reduced against the artificial basis; on
+    # ints -sum(row_i / s_i) times lcm(s_i), since each artificial stands
+    # for s_i times the field one: the objective is the same
+    cols = zip(*rows)
+    if rational:
+        L = lcm(*scales)
+        cols = zip(*([L // s * v for v in row]
+                     for row, s in zip(rows, scales)))
+    cost = [-sum(col) for col in cols]
+    zero, one = (0, 1) if rational else (Q(0), Q(1))
+    T = [row[:-1] + [one if j == i else zero for j in range(m)] + row[-1:]
+         for i, row in enumerate(rows)]
+    T.append(cost[:-1] + [zero] * m + cost[-1:])
     basis = [n + i for i in range(m)]
-    _simplex_core(T, basis, n + m)
+    _simplex_core(T, basis, n + m, _int_pivot if rational else pivot)
     if T[-1][-1] != 0:
         return None
     x = [Q(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i][-1]
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Q(T[i][-1], T[i][j]) if rational else T[i][-1]
     return x
 
 

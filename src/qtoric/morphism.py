@@ -7,9 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .calibration import CalibratedFan, induced_fan, kernel_rank
-from .errors import DomainMismatch, SearchBoundExceeded, Singular
+from .errors import (DomainMismatch, Indeterminate, SearchBoundExceeded,
+                     Singular)
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import (Matrix, int_det, int_solve, mat_inverse, rank,
+from .linalg import (Matrix, _rref, int_det, int_solve, mat_inverse, rank,
                      solve_right)
 from .scalars import Scalar, Sign, Witness, sign_at
 
@@ -293,8 +294,9 @@ def find_cal_morphism(src: CalibratedFan, dst: CalibratedFan, w: Witness,
 
     When L is not supplied it is derived from the virtual-generator
     constraints L h(e_j) = h'(e_{s(j)}); when those leave L underdetermined
-    the free entries are set to zero.  The virtual assignment s is
-    enumerated (bounded at 8 virtual generators)."""
+    the free entries are set to zero, and if no candidate is a morphism the
+    search raises Indeterminate, since another L may be one.  The virtual
+    assignment s is enumerated (bounded at 8 virtual generators)."""
     cal, cal2 = src.cal, dst.cal
     if len(cal.J) > 8 or len(cal2.J) > 8:
         raise SearchBoundExceeded("more than 8 virtual generators")
@@ -302,10 +304,12 @@ def find_cal_morphism(src: CalibratedFan, dst: CalibratedFan, w: Witness,
     smaps = list(_all_maps(list(cal.J), list(cal2.J))) if cal.J else [{}]
     if cal.J and not cal2.J:
         return None
+    underdetermined = False
     for s in smaps:
         Lcand = L
         if Lcand is None:
-            Lcand = _derive_L(cal, cal2, s, d, d2)
+            Lcand, determined = _derive_L(cal, cal2, s, d, d2, w)
+            underdetermined = underdetermined or not determined
             if Lcand is None:
                 continue
         m = _build_H(Lcand, src, dst, s, w)
@@ -313,12 +317,15 @@ def find_cal_morphism(src: CalibratedFan, dst: CalibratedFan, w: Witness,
             r = check_cal_morphism(m, src, dst, w)
             if r:
                 return m
+    if underdetermined:
+        raise Indeterminate("L underdetermined")
     return None
 
 
-def _derive_L(cal, cal2, s, d, d2):
+def _derive_L(cal, cal2, s, d, d2, w):
     """Solve L h(e_j) = h'(e_{s(j)}) (j virtual) for the entries of L,
-    free entries zero; None when inconsistent."""
+    free entries zero.  Returns (L, whether the system fixes every entry
+    of L); L is None when the system is inconsistent."""
     rows = []
     rhs = []
     for j in cal.J:
@@ -331,11 +338,15 @@ def _derive_L(cal, cal2, s, d, d2):
             rows.append(row)
             rhs.append(target[r])
     if not rows:
-        return Matrix.zero(d2, d)
+        return Matrix.zero(d2, d), d2 * d == 0
     sol = solve_right(Matrix(rows), rhs)
     if sol is None:
-        return None
-    return Matrix([[sol[r * d + c] for c in range(d)] for r in range(d2)])
+        return None, True
+    # full rank at the witness is full rank symbolically
+    determined = (len(_rref([[w.value(x) for x in row] for row in rows])[1])
+                  == d2 * d or rank(Matrix(rows)) == d2 * d)
+    return Matrix([[sol[r * d + c] for c in range(d)]
+                   for r in range(d2)]), determined
 
 
 def _build_H(L, src: CalibratedFan, dst: CalibratedFan, s, w) -> CalMorphism | None:

@@ -417,6 +417,43 @@ def is_polytopal_primal(fan: QuantumFan, w: Witness) -> bool:
     return not rows or lp.feasible(A, [Q(1)] * m)
 
 
+def ref_solve_lp(A, b, steps=None):
+    """Reference for lp.solve_lp: the field simplex it was before rational
+    tableaux became rows of ints.  Fraction or Surd entries, linalg.pivot,
+    and Bland's ratio test by division.  Each pivot (row, column) is
+    appended to steps when a list is given."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    A = [[Q(v) if isinstance(v, int) else v for v in row] for row in A]
+    b = [Q(v) if isinstance(v, int) else v for v in b]
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+    T = [A[i] + [Q(1) if j == i else Q(0) for j in range(m)] + [b[i]]
+         for i in range(m)]
+    T.append([-sum(col) for col in zip(*A)] + [Q(0)] * m + [-sum(b)])
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if T[-1][j] < 0), None)
+        if enter is None:
+            break
+        # phase 1 is bounded below by 0, so some row has a positive entry
+        _, _, r = min((T[i][-1] / T[i][enter], basis[i], i)
+                      for i in range(m) if T[i][enter] > 0)
+        pivot(T, r, enter)
+        basis[r] = enter
+        if steps is not None:
+            steps.append((r, enter))
+    if T[-1][-1] != 0:
+        return None
+    x = [Q(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    return x
+
+
 def solve_lp_two_phase(A, b, c):
     """Reference LP: min c.x subject to A x = b, x >= 0, by the two-phase
     simplex on lp._simplex_core, for rational data or values in K.
@@ -439,7 +476,7 @@ def solve_lp_two_phase(A, b, c):
     basis = [n + i for i in range(m)]
     for i in range(m):
         T[-1] = [a - bb for a, bb in zip(T[-1], T[i])]
-    lp._simplex_core(T, basis, n + m)
+    lp._simplex_core(T, basis, n + m, pivot)
     if T[-1][-1] != 0:
         return "infeasible", None
     # drive remaining artificials out of the basis when possible
@@ -456,7 +493,7 @@ def solve_lp_two_phase(A, b, c):
             f = obj2[basis[i]]
             obj2 = [a - f * v for a, v in zip(obj2, T2[i])]
     T2.append(obj2)
-    if lp._simplex_core(T2, basis, n) == "unbounded":
+    if lp._simplex_core(T2, basis, n, pivot) == "unbounded":
         return "unbounded", None
     x = [Q(0)] * n
     for i in range(m):

@@ -249,6 +249,24 @@ def test_morphism_check_cli(tmp_path, capsys):
     assert code == 0 and rep3["valid"]
 
 
+def test_search_that_leaves_L_free_is_indeterminate(tmp_path, capsys):
+    # the virtual image (a, 0) fixes only L's first column, and the
+    # zero-filled L = [[1, 0], [0, 0]] fails; the identity is a morphism
+    f = _write(tmp_path, "f.json", dict(
+        P2STD, params=[{"name": "a", "kind": "transcendental"}],
+        witness={"a": "-7/3"}, gamma=[["1", "0"], ["0", "1"], ["a", "0"]],
+        calibration={"n": 4, "J": [4], "I": [1, 2, 3],
+                     "images": [["1", "0"], ["0", "1"], ["-1", "-1"],
+                                ["a", "0"]]}))
+    code, rep = run(capsys, ["cal-morphism-check", "--search", f, f])
+    assert code == 3 and rep["error"] == {"code": "Indeterminate",
+                                          "message": "L underdetermined"}
+    ident = _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]})
+    code, rep = run(capsys, ["cal-morphism-check", "--search",
+                             "--morphism", ident, f, f])
+    assert code == 0 and rep["found"]
+
+
 def test_moduli_cli(capsys):
     code, rep = run(capsys, ["wps-weights", "--a", "-2", "--b", "-3"])
     assert code == 0 and rep["weights"] == [1, 2, 3]

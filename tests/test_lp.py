@@ -1,8 +1,11 @@
 import itertools
+import math
+from unittest import mock
 from fractions import Fraction as Q
 
-from conftest import int_rank, interiors_intersect_by_slack, interiors_slack
-from hypothesis import assume, given, settings
+from conftest import (int_rank, interiors_intersect_by_slack, interiors_slack,
+                      ref_solve_lp)
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qtoric import lp
@@ -19,17 +22,23 @@ BEALE_B = [0, 0, 1]
 BEALE_C = [0, 0, 0, Q(-3, 4), 20, Q(-1, 2), 6]
 
 
-def _counting_pivots(monkeypatch, limit=100):
-    count = [0]
-    real = lp.pivot
-
-    def pivot(rows, r, c):
-        count[0] += 1
-        assert count[0] <= limit, "simplex does not terminate"
+def _recording(real, steps, limit=100):
+    """The pivot kernel real, appending each pivot (row, column) to steps."""
+    def step(rows, r, c):
+        steps.append((r, c))
+        assert len(steps) <= limit, "simplex does not terminate"
         real(rows, r, c)
+    return step
 
-    monkeypatch.setattr(lp, "pivot", pivot)
-    return count
+
+def _solve_recording_pivots(A, b):
+    """solve_lp(A, b), and the pivots of the field step (linalg.pivot) and
+    of the integer step (lp._int_pivot), whichever the LP uses."""
+    field, ints = [], []
+    with mock.patch.object(lp, "pivot", _recording(lp.pivot, field)), \
+            mock.patch.object(lp, "_int_pivot",
+                              _recording(lp._int_pivot, ints)):
+        return solve_lp(A, b), field, ints
 
 
 def _solves(A, b, x):
@@ -37,21 +46,29 @@ def _solves(A, b, x):
         sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))
 
 
-def test_beale_terminates_at_a_feasible_point(monkeypatch):
-    count = _counting_pivots(monkeypatch)
-    x = solve_lp(BEALE_A, BEALE_B)
+def test_beale_terminates_at_a_feasible_point():
+    x, field, ints = _solve_recording_pivots(BEALE_A, BEALE_B)
     assert x is not None and _solves(BEALE_A, BEALE_B, x)
-    assert count[0] > 0
+    assert ints and not field
 
 
-def test_beale_from_degenerate_slack_basis(monkeypatch):
-    count = _counting_pivots(monkeypatch)
-    T = [[Q(v) for v in row] + [Q(b)] for row, b in zip(BEALE_A, BEALE_B)]
-    T.append([Q(v) for v in BEALE_C] + [Q(0)])
-    basis = [0, 1, 2]
-    assert lp._simplex_core(T, basis, 7) == "optimal"
-    assert -T[-1][-1] == Q(-5, 4)
-    assert count[0] > 0
+def test_beale_from_degenerate_slack_basis():
+    # the field tableau; a column z (index 7) that never enters has 1 in
+    # the cost row and 0 elsewhere
+    F = [[Q(v) for v in row] + [Q(0), Q(b)]
+         for row, b in zip(BEALE_A, BEALE_B)]
+    F.append([Q(v) for v in BEALE_C] + [Q(1), Q(0)])
+    # the same tableau with each row scaled to ints: the cost row stays
+    # T[-1][7] times the field one
+    T = [[int(v * math.lcm(*(w.denominator for w in row))) for v in row]
+         for row in F]
+    field, ints = [], []
+    assert lp._simplex_core(F, [0, 1, 2], 7,
+                            _recording(lp.pivot, field)) == "optimal"
+    assert lp._simplex_core(T, [0, 1, 2], 7,
+                            _recording(lp._int_pivot, ints)) == "optimal"
+    assert -F[-1][-1] == -Q(T[-1][-1], T[-1][7]) == Q(-5, 4)
+    assert ints == field and ints
 
 
 def test_infeasible():
@@ -135,10 +152,69 @@ def small_systems(draw):
 def test_solve_lp_matches_basic_solution_enumeration(data):
     A, b = data
     found = next(_basic_feasible_solutions(A, b), None) is not None
-    x = solve_lp(A, b)
+    x, field, ints = _solve_recording_pivots(A, b)
     assert (x is not None) == found
     if found:
         assert len(x) == len(A[0]) and _solves(A, b, x)
+    ref_steps = []
+    ref = ref_solve_lp(A, b, ref_steps)
+    assert field + ints == ref_steps
+    assert x == ref and [type(v) for v in x or []] == \
+        [type(v) for v in ref or []]
+
+
+def test_surd_tableau_takes_the_field_step():
+    s2, s3 = SQRT2, W.value(SU)
+    # the first ratio test compares sqrt(2)/sqrt(3) with 1/sqrt(2) and
+    # picks the second row
+    A = [[s3, 0, 1, 0], [s2, 1, 0, 0], [1, 1, 1, 1]]
+    b = [s2, 1, 2]
+    x, field, ints = _solve_recording_pivots(A, b)
+    ref_steps = []
+    assert x == ref_solve_lp(A, b, ref_steps) and _solves(A, b, x)
+    assert field == ref_steps and field[0] == (1, 0) and not ints
+
+
+# -- rows of ints against the field simplex they replace ---------------------
+
+SPARSE = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                   st.builds(Q, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def sparse_rational_systems(draw):
+    """Sparse rational systems, many degenerate (b_i = 0) or with b_i < 0,
+    with up to two zero rows, copies or multiples of rows inserted."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
+    A = [[draw(SPARSE) for _ in range(n)] for _ in range(m)]
+    b = [draw(SPARSE) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(A) - 1))
+        f = draw(st.sampled_from([0, 1, 1, -1, 2, Q(-1, 3)]))
+        row, bk = [f * v for v in A[k]], f * b[k]
+        if f == 0:
+            bk = draw(st.sampled_from([0, 1]))
+        i = draw(st.integers(0, len(A)))
+        A.insert(i, row)
+        b.insert(i, bk)
+    return A, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_rational_systems())
+@example((BEALE_A, BEALE_B))
+@example((BEALE_A, [0, 0, 0]))
+@example(([row + [0] for row in BEALE_A] + [[0] * 8], [0, 0, 1, 0]))
+def test_integer_rows_match_the_field_simplex(data):
+    A, b = data
+    x, field, ints = _solve_recording_pivots(A, b)
+    ref_steps = []
+    ref = ref_solve_lp(A, b, ref_steps)
+    assert ints == ref_steps and not field
+    assert (x is None) == (ref is None)
+    if x is not None:
+        assert all(type(v) is Q for v in x) and x == ref
 
 
 def _dense_pivot(T, r, c):
