@@ -194,7 +194,7 @@ def cmd_polytope(ff: FanFile, args):
 
 def cmd_kh_check(ff: FanFile, args):
     datum = _need(ff, "lvmb", "an lvmb block")
-    verdict = gl.condition_KH(datum.points)
+    verdict = gl.condition_KH(datum.points, ff.witness)
     return {"condition": verdict}, EXIT_TRUE
 
 

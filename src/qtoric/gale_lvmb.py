@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from . import lp
 from .calibration import CalibratedFan, Calibration
-from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
-                     RankDeficient, SearchBoundExceeded, Singular)
+from .errors import (Indeterminate, NoIndispensable, NotBalanced,
+                     NotComplete, NotEven, RankDeficient, SearchBoundExceeded,
+                     Singular)
 from .lattice_fan import QLattice, QuantumFan, _is_complete
 from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
                      rank)
@@ -355,20 +356,27 @@ def polytope_faces(datum_or_points, w: Witness, m: int | None = None) -> Polytop
 # conditions (K) and (H)
 # ---------------------------------------------------------------------------
 
-def condition_KH(points) -> str:
+def condition_KH(points, w: Witness) -> str:
     """'K' when the solution space of (sum x_i Lambda_i = 0, sum x_i = 0)
     is spanned by its integer points, 'H' when it contains no nonzero
     integer point, 'neither' otherwise.
 
     Entries may be any scalars of the supported field; the integer points
     are the integer relations among the vectors (Lambda_i, 1), read off
-    the HNF of the q-lattice they generate."""
+    the HNF of the q-lattice they generate.  The field rank is taken at
+    the witness first: a rank there is a lower bound, so the largest one
+    possible settles it; otherwise the rank is symbolic."""
     pts = [tuple(Scalar.coerce(x) for x in p) for p in points]
     n = len(pts)
     width = len(pts[0]) if pts else 0
     rows = [[p[i] for p in pts] for i in range(width)]
     rows.append([Scalar.one()] * n)
-    field_dim = n - rank(Matrix(rows))
+    full = min(width + 1, n)
+    try:
+        at_w = len(_rref([[w.value(x) for x in r] for r in rows])[1])
+    except Indeterminate:
+        at_w = None
+    field_dim = n - (full if at_w == full else rank(Matrix(rows)))
     if field_dim == 0:
         return "K"
     int_rank = len(QLattice(width + 1,

@@ -10,6 +10,7 @@ rational approximation whose sign selects the root.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -146,12 +147,24 @@ class _Parser:
         raise InputError(f"unexpected token {val!r}")
 
 
+# a rational literal such as "-3" or "5/4", read without the parser; a zero
+# denominator is left to the parser and its error
+_LITERAL = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(text, params: dict) -> Scalar:
     if isinstance(text, bool) or isinstance(text, float):
         raise InputError("numbers must be exact strings, not floats/bools")
     if isinstance(text, int):
         return Scalar.from_fraction(text)
-    toks = _tokenize(str(text))
+    text = str(text)
+    m = _LITERAL.fullmatch(text)
+    if m:
+        sign, num, den = m.groups()
+        n, d = int(num), int(den or 1)
+        if d:
+            return Scalar.from_fraction(Fraction(-n if sign == "-" else n, d))
+    toks = _tokenize(text)
     if not toks:
         raise InputError("empty scalar")
     p = _Parser(toks, params)

@@ -539,7 +539,9 @@ class Scalar:
     Fraction or a Surd, whatever parameters it was computed from, and
     computes with it directly; ``num``/``den`` are then built on demand as
     constant polynomials.  Any other scalar has ``q = None`` and keeps its
-    canonical ``num``/``den``."""
+    canonical ``num``/``den``.  A sum, product or quotient of such a scalar
+    with a constant k in K keeps ``den`` and is canonical as it stands
+    (see ``_scaled``), so only two transcendental operands canonicalise."""
 
     __slots__ = ("q", "_num", "_den")
 
@@ -628,8 +630,12 @@ class Scalar:
 
     def __add__(self, other):
         other = Scalar.coerce(other)
-        if self.q is not None and other.q is not None:
-            return _const(self.q + other.q)
+        if other.q is not None:
+            if self.q is not None:
+                return _const(self.q + other.q)
+            return self._shifted(other.q)
+        if self.q is not None:
+            return other._shifted(self.q)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -651,8 +657,12 @@ class Scalar:
 
     def __mul__(self, other):
         other = Scalar.coerce(other)
-        if self.q is not None and other.q is not None:
-            return _const(self.q * other.q)
+        if other.q is not None:
+            if self.q is not None:
+                return _const(self.q * other.q)
+            return self._scaled(other.q)
+        if self.q is not None:
+            return other._scaled(self.q)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -661,12 +671,33 @@ class Scalar:
         other = Scalar.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if self.q is not None and other.q is not None:
-            return _const(self.q / other.q)
+        if other.q is not None:
+            if self.q is not None:
+                return _const(self.q / other.q)
+            return self._scaled(1 / other.q)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
+
+    # With a constant k in K the result is canonical as it stands: the
+    # denominator is kept, and as K[x] is the direct sum of Q[x]*sqrt(S)
+    # over the root subsets S, multiplying by a unit k or adding k*den is
+    # an invertible Q[x]-linear change of num's parts that keeps their gcd
+    # with den at 1.
+
+    def _scaled(self, k):
+        """self * k for a transcendental self and k in K."""
+        if not k:
+            return _ZERO
+        return Scalar(self._num.scale(k), self._den, _canonical=True)
+
+    def _shifted(self, k):
+        """self + k for a transcendental self and k in K."""
+        if not k:
+            return self
+        return Scalar(self._num + self._den.scale(k), self._den,
+                      _canonical=True)
 
     def __pow__(self, e: int):
         if type(self.q) is Fraction:

@@ -692,12 +692,25 @@ def kernel_rank_affine(cal: Calibration):
     return a, int_kernel(_own_lcm_rows(rows))
 
 
+def minor_rank(rows) -> int:
+    """The rank as the size of the largest nonzero minor, each expanded by
+    Leibniz: products of the entries, so no elimination and no quotients
+    of polynomials."""
+    ncols = len(rows[0]) if rows else 0
+    for r in range(min(len(rows), ncols), 0, -1):
+        for I in itertools.combinations(range(len(rows)), r):
+            for J in itertools.combinations(range(ncols), r):
+                if leibniz_det([[rows[i][j] for j in J] for i in I]) != 0:
+                    return r
+    return 0
+
+
 def condition_KH_affine(points) -> str:
     pts = [tuple(Scalar.coerce(x) for x in p) for p in points]
     n = len(pts)
     rows = [[p[i] for p in pts] for i in range(len(pts[0]))]
     rows.append([Scalar.one()] * n)
-    field_dim = n - rank(Matrix(rows))
+    field_dim = n - minor_rank(rows)
     if field_dim == 0:
         return "K"
     names = _names(pts)

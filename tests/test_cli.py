@@ -3,16 +3,21 @@ import json
 import os
 import subprocess
 import sys
+import re
 import time
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtoric
 from qtoric.cli import _cli_scalar, build_parser, main
 from qtoric.errors import InputError
-from qtoric.io import load_fan_file
+from qtoric import io
+from qtoric.io import load_fan_file, parse_scalar
 from qtoric.scalars import Scalar
 
 P2DEF = {
@@ -374,6 +379,31 @@ def test_json_numbers_in_arguments_are_scalars(capsys):
                   "--pair2", "[0,2,1,3]"]):
         code, payload = run(capsys, argv)
         assert code == 2 and payload["error"]["code"] == "InputError", argv
+
+
+def parse_outcome(text):
+    """parse_scalar's value, or its exception type and message."""
+    try:
+        x = parse_scalar(text, {})
+    except Exception as e:
+        return type(e), str(e)
+    return type(x.q), x.q
+
+
+LITERALS = st.from_regex(r"[-+]?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(LITERALS, LITERALS.map(lambda s: s.split("/")[0] + "/0"),
+                 st.text("0123456789+-/ \t\n\u0663\u00b2", max_size=12)))
+def test_rational_literals_parse_as_by_the_grammar(text):
+    """A rational literal read without the parser has the parser's value; a
+    zero denominator, whitespace, non-ASCII digits and other text give the
+    parser's result or error."""
+    by_grammar = mock.patch.object(io, "_LITERAL", re.compile(r"(?!)"))
+    with by_grammar:
+        want = parse_outcome(text)
+    assert parse_outcome(text) == want
 
 
 def test_type_error_in_a_decider_is_not_an_input_error(tmp_path,

@@ -274,15 +274,20 @@ def test_polytope_faces_agree_with_lvm_oracle():
 
 def test_condition_KH():
     assert condition_KH([(1, 1, 0), (1, 0, 1), (1, 0, 0),
-                         (0, 1, 0), (0, 0, 1)]) == "K"
+                         (0, 1, 0), (0, 0, 1)], EMPTY_WITNESS) == "K"
     # kernel spanned by (1, sqrt2, -(1+sqrt2)/2, -(1+sqrt2)/2): no integer
     # point besides zero
-    assert condition_KH([(ST, 0), (-1, 0), (0, 1), (0, -1)]) == "H"
+    assert condition_KH([(ST, 0), (-1, 0), (0, 1), (0, -1)], W) == "H"
     # zero kernel: K vacuously
-    assert condition_KH([(1, 0), (0, 1), (1, 1)]) == "K"
+    assert condition_KH([(1, 0), (0, 1), (1, 1)], EMPTY_WITNESS) == "K"
     # rational relation plus an irrational one: neither
     assert condition_KH([(ST, 0), (-1, 0), (ST, 0), (-1, 0),
-                         (0, 1), (0, -1)]) == "neither"
+                         (0, 1), (0, -1)], W) == "neither"
+    # the rank falls short at the witness, or an entry has no value there:
+    # the symbolic rank decides, a - 1 and 1/(a - 1) - 1 being nonzero
+    at_one = Witness({A: 1})
+    assert condition_KH([(SA,), (1,)], at_one) == "K"
+    assert condition_KH([(1 / (SA - 1),), (1,)], at_one) == "K"
 
 
 def test_condition_KH_for_rational_lvm_data():
@@ -290,7 +295,7 @@ def test_condition_KH_for_rational_lvm_data():
     for _ in range(5):
         cf = random_even_calibrated_fan(rng, 2)
         datum = build_lvmb(cf)
-        assert condition_KH(datum.points) == "K"
+        assert condition_KH(datum.points, EMPTY_WITNESS) == "K"
 
 
 def test_g_lattice_hopf():

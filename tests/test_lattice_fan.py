@@ -107,10 +107,7 @@ def test_lattice_hnf_matches_affine_reference(seed, d):
         assert gamma_contains(gamma, x) == gamma_contains_affine(gamma, x)
     cal = Calibration(gamma, gens, [], range(1, len(gens) + 1))
     assert kernel_rank(cal) == kernel_rank_affine(cal)
-    if d == 1:
-        # the symbolic rank that condition_KH takes first is slow on wider
-        # parametric points, and it is the same code in both
-        assert condition_KH(gens) == condition_KH_affine(gens)
+    assert condition_KH(gens, W) == condition_KH_affine(gens)
 
 
 def test_non_affine_generators_answer_exactly():

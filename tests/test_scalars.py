@@ -334,6 +334,77 @@ def test_scalars_match_the_polynomial_reference(seed, leaves, a, b):
                 sign_at(x, w)
 
 
+# -- arithmetic with a constant in K keeps the denominator -------------------
+
+SU = Scalar.of_param(ROOTS[1])
+CONSTANT_OPS = {
+    "x+k": (lambda x, k: x + k, lambda xn, xd, kn, kd: (xn * kd + kn * xd,
+                                                       xd * kd)),
+    "k+x": (lambda x, k: k + x, lambda xn, xd, kn, kd: (kn * xd + xn * kd,
+                                                       kd * xd)),
+    "x-k": (lambda x, k: x - k, lambda xn, xd, kn, kd: (xn * kd - kn * xd,
+                                                       xd * kd)),
+    "k-x": (lambda x, k: k - x, lambda xn, xd, kn, kd: (kn * xd - xn * kd,
+                                                       kd * xd)),
+    "x*k": (lambda x, k: x * k, lambda xn, xd, kn, kd: (xn * kn, xd * kd)),
+    "k*x": (lambda x, k: k * x, lambda xn, xd, kn, kd: (kn * xn, kd * xd)),
+    "x/k": (lambda x, k: x / k, lambda xn, xd, kn, kd: (xn * kd, xd * kn)),
+}
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+# k in K over the basis 1, t, u, t*u; the first entry alone is rational
+CONSTANTS = st.one_of(st.sampled_from([(0,), (1,), (-1,)]),
+                      st.tuples(SMALL), st.tuples(SMALL, SMALL, SMALL, SMALL))
+
+
+def rand_transcendental(rng):
+    """A scalar with a transcendental parameter, as a Scalar and a
+    RefScalar: a product of random factors over a product of others."""
+    leaves = REF_LEAVES["mixed"]
+    while True:
+        x, r = Scalar.one(), RefScalar.of(1)
+        for _ in range(rng.randint(1, 3)):
+            y, s = rand_pair(rng, 1, leaves)
+            x, r = x * y, r * s
+        for _ in range(rng.randint(0, 2)):
+            y, s = rand_pair(rng, 1, leaves)
+            if not y.is_zero():
+                x, r = x / y, r / s
+        if x.q is None:
+            return x, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), CONSTANTS)
+def test_constant_operand_keeps_the_canonical_form(seed, coeffs):
+    """x + k, k + x, x - k, k - x, x*k, k*x and x/k for a transcendental x
+    and a constant k in K equal the fully canonicalised unreduced fraction
+    and the polynomial reference, with the same string and hash.
+    (a - t)/(a^2 - 2) is canonical although a - t divides a^2 - 2 in K[a]."""
+    basis = [(Scalar.one(), RefScalar.of(1)), (ST, RefScalar.of(T)),
+             (SU, RefScalar.of(ROOTS[1])),
+             (ST * SU, RefScalar.of(T) * RefScalar.of(ROOTS[1]))]
+    k, s = Scalar.zero(), RefScalar.of(0)
+    for c, (b, rb) in zip(coeffs, basis):
+        k, s = k + c * b, s + RefScalar.of(c) * rb
+    assert k.q is not None
+    special = ((SA - ST) / (SA * SA - 2),
+               (RefScalar.of(A) - RefScalar.of(T))
+               / (RefScalar.of(A) * RefScalar.of(A) - RefScalar.of(2)))
+    assert str(special[0]) == "(a-t)/(a^2-2)"
+    for x, r in (rand_transcendental(random.Random(seed)), special):
+        for name, (op, unreduced) in CONSTANT_OPS.items():
+            if name == "x/k" and k.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    x / k
+                continue
+            got, ref = op(x, k), op(r, s)
+            slow = Scalar(*unreduced(x.num, x.den, k.num, k.den))
+            assert got == slow and got.q == slow.q, name
+            assert str(got) == str(slow) and hash(got) == hash(slow), name
+            assert got.num.flat() == ref.num and got.den.flat() == ref.den
+            assert str(got) == str(ref) and hash(got) == hash(ref), name
+
+
 def test_quadratic_surd_reads_the_value():
     # a root that cancels leaves a value in Q(sqrt 2); the polynomial path
     # kept the parameters it was computed from and refused it
