@@ -3,8 +3,8 @@ emit JSON reports on stdout.
 
 Exit codes: 0 on Valid/true, 1 on Invalid/false, 2 on input error,
 3 on Indeterminate, 4 on an InternalError: an exception of no other kind
-(a defect in qtoric) fails its own file of a multi-file batch; one file
-lets it propagate.
+(a defect in qtoric) is reported with its traceback on stderr.  The files
+of a batch are decided one after another, each failing on its own.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import atlas as atlas_mod
@@ -25,7 +24,7 @@ from . import lattice_fan as lf
 from . import moduli
 from .calibration import (CalibratedFan, standardize_calibration,
                           trivial_calibration)
-from .errors import Indeterminate, InputError, QtoricError
+from .errors import Indeterminate, InputError, InternalError, QtoricError
 from .io import (SCHEMA, FanFile, fan_to_json, load_fan_file,
                  load_morphism_file, parse_scalar, reading,
                  require_independent_roots)
@@ -361,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SINGLE_FILE_COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("files", nargs="+", help="fan file(s), - for stdin")
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored: the files are decided "
+                             "one after another")
         if name == "gale":
             sp.add_argument("--affine", action="store_true")
             sp.add_argument("--tail", action="store_true",
@@ -425,49 +426,46 @@ def _run(args):
     """(payload, exit code) of the command the arguments name."""
     if args.schema:
         return SCHEMA, EXIT_TRUE
-    if args.command in SINGLE_FILE_COMMANDS:
-        handler = SINGLE_FILE_COMMANDS[args.command]
-
-        def run_one(path):
-            return _reported(lambda: handler(load_fan_file(_read(path)),
-                                              args))
-
-        if len(args.files) == 1:
-            return run_one(args.files[0])
-
-        def run_in_batch(path):
-            try:
-                return run_one(path)
-            except Exception as e:
-                traceback.print_exc()
-                return ({"error": {"code": "InternalError",
-                                   "message": f"{type(e).__name__}: {e}"}},
-                        EXIT_INTERNAL)
-
-        jobs = max(1, args.jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_in_batch, args.files))
-        # handlers exit 0 or 1; a failed file (exit 2, 3 or 4) holds its
-        # {"error": ...} in place of a report
-        return ([{"file": f, **(payload if code >= EXIT_INPUT
-                               else {"report": payload})}
-                 for f, (payload, code) in zip(args.files, results)],
-                max(code for _, code in results))
-    return _reported(lambda: ARGS_COMMANDS[args.command](args))
+    if args.command not in SINGLE_FILE_COMMANDS:
+        return _reported(lambda: ARGS_COMMANDS[args.command](args))
+    handler = SINGLE_FILE_COMMANDS[args.command]
+    results = [_reported(lambda: handler(load_fan_file(_read(path)), args))
+               for path in args.files]
+    if len(results) == 1:
+        return results[0]
+    # handlers exit 0 or 1; a failed file (exit 2, 3 or 4) holds its
+    # {"error": ...} in place of a report
+    return ([{"file": f, **(payload if code >= EXIT_INPUT
+                           else {"report": payload})}
+             for f, (payload, code) in zip(args.files, results)],
+            max(code for _, code in results))
 
 
 def _reported(run):
-    """run() -> (payload, exit code), with the input errors and
-    Indeterminate turned into an {"error": {"code", "message"}} payload."""
+    """run() -> (payload, exit code), with any exception turned into an
+    {"error": {"code", "message"}} payload: Indeterminate, an input error,
+    or an InternalError for a defect in qtoric, whose traceback goes to
+    stderr."""
     try:
         return run()
     except Indeterminate as e:
         return ({"error": {"code": "Indeterminate", "message": str(e)}},
                 EXIT_INDETERMINATE)
+    except InternalError as e:
+        return _defect(e)
     except (QtoricError, OSError, ValueError, KeyError,
             ZeroDivisionError) as e:
         return ({"error": {"code": type(e).__name__, "message": str(e)}},
                 EXIT_INPUT)
+    except Exception as e:
+        return _defect(e)
+
+
+def _defect(e):
+    traceback.print_exc()
+    return ({"error": {"code": "InternalError",
+                       "message": f"{type(e).__name__}: {e}"}},
+            EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -11,20 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import lp
 from .calibration import CalibratedFan, Calibration
-from .errors import (Indeterminate, NoIndispensable, NotBalanced,
-                     NotComplete, NotEven, RankDeficient, SearchBoundExceeded,
-                     Singular)
+from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
+                     RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import QLattice, QuantumFan, _is_complete
-from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
-                     rank)
+from .linalg import Matrix, basis_inverse, kernel_basis, mat_inverse, rank
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
-
-Q = Fraction
 
 WEAK_HYPERBOLICITY_CAP = 20
 
@@ -143,13 +138,9 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     if not datum.E:
         return CheckResult.invalid("empty_family")
     pts = _points_at_witness(datum.points, w)
-    # the matrices are square: full rank at the witness means a nonzero
-    # determinant there, hence symbolically
     for e in sorted(datum.E, key=sorted):
-        if len(_rref([[*pts[i - 1], Q(1)] for i in sorted(e)])[1]) == len(e):
-            continue
         M = Matrix([[*datum.point(i), Scalar.one()] for i in sorted(e)])
-        if rank(M) != 2 * datum.m + 1:
+        if rank(M, w) != 2 * datum.m + 1:
             return CheckResult.invalid("affine_hull", E=sorted(e))
     for e1, e2 in itertools.combinations(sorted(datum.E, key=sorted), 2):
         p1 = [pts[i - 1] for i in sorted(e1)]
@@ -327,27 +318,13 @@ def polytope_faces(datum_or_points, w: Witness, m: int | None = None) -> Polytop
             raise ValueError("configuration is not an LVM datum")
         E = res["E"]
         n = len(datum_or_points)
-    dim = n - 2 * m - 1
-    faces = []
-    frontier = [frozenset()]
-    seen = {frozenset()}
-    while frontier:
-        nxt = []
-        for J in frontier:
-            if any(not (set(e) & J) for e in E):
-                faces.append(J)
-                for i in range(1, n + 1):
-                    if i not in J:
-                        J2 = J | {i}
-                        if J2 not in seen:
-                            seen.add(J2)
-                            nxt.append(J2)
-        frontier = nxt
-    vertices = [f for f in faces if len(f) == dim]
-    indis = set(range(1, n + 1))
-    for e in E:
-        indis &= set(e)
-    facet_count = n - len(indis)
+    # J is a face iff it misses some e: the faces are the subsets of the
+    # complements of the e, and those, of size n - 2m - 1, are the vertices
+    everything = frozenset(range(1, n + 1))
+    vertices = {everything - e for e in E}
+    faces = {frozenset(J) for v in vertices for k in range(len(v) + 1)
+             for J in itertools.combinations(v, k)}
+    facet_count = n - len(everything.intersection(*E))
     return PolytopeFaces(n, m, sorted(faces, key=lambda f: (len(f), sorted(f))),
                          sorted(vertices, key=sorted), facet_count)
 
@@ -364,19 +341,13 @@ def condition_KH(points, w: Witness) -> str:
     Entries may be any scalars of the supported field; the integer points
     are the integer relations among the vectors (Lambda_i, 1), read off
     the HNF of the q-lattice they generate.  The field rank is taken at
-    the witness first: a rank there is a lower bound, so the largest one
-    possible settles it; otherwise the rank is symbolic."""
+    the witness first (linalg.rank)."""
     pts = [tuple(Scalar.coerce(x) for x in p) for p in points]
     n = len(pts)
     width = len(pts[0]) if pts else 0
     rows = [[p[i] for p in pts] for i in range(width)]
     rows.append([Scalar.one()] * n)
-    full = min(width + 1, n)
-    try:
-        at_w = len(_rref([[w.value(x) for x in r] for r in rows])[1])
-    except Indeterminate:
-        at_w = None
-    field_dim = n - (full if at_w == full else rank(Matrix(rows)))
+    field_dim = n - rank(Matrix(rows), w)
     if field_dim == 0:
         return "K"
     int_rank = len(QLattice(width + 1,

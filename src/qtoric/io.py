@@ -168,7 +168,10 @@ def parse_scalar(text, params: dict) -> Scalar:
     if not toks:
         raise InputError("empty scalar")
     p = _Parser(toks, params)
-    out = p.expr()
+    try:
+        out = p.expr()
+    except RecursionError as e:
+        raise InputError("scalar nested too deeply") from e
     if p.pos != len(toks):
         raise InputError(f"trailing input in scalar {text!r}")
     return out
@@ -216,12 +219,15 @@ def require_independent_roots(params) -> None:
 @contextmanager
 def reading(what):
     """Turn a type or shape error raised while reading input (a number
-    where a list belongs, a list where an object belongs) into an
-    InputError; a context manager, or a decorator of a reader."""
+    where a list belongs, a list where an object belongs), or input nested
+    deeper than the interpreter's stack, into an InputError; a context
+    manager, or a decorator of a reader."""
     try:
         yield
     except (TypeError, AttributeError) as e:
         raise InputError(f"malformed {what}: {e}") from e
+    except RecursionError as e:
+        raise InputError(f"{what} nested too deeply") from e
 
 
 def _json(data):

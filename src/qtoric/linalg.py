@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import Singular
+from .errors import Indeterminate, Singular
 from .scalars import Poly, Scalar, poly_divexact, poly_gcd
 
 
@@ -164,9 +164,19 @@ def _rref(rows):
     return rows, pivots
 
 
-def rank(M: Matrix) -> int:
-    _, pivots = _rref(M.rows)
-    return len(pivots)
+def rank(M: Matrix, w=None) -> int:
+    """The rank of M.  With a witness w, the rank of M's values at w comes
+    first: it is a lower bound, so min(M.nrows, M.ncols) there is the rank.
+    A shortfall, or a value that is Indeterminate, falls back to the
+    symbolic rank."""
+    if w is not None:
+        try:
+            at_w = len(_rref([[w.value(x) for x in r] for r in M.rows])[1])
+        except Indeterminate:
+            at_w = None
+        if at_w == min(M.nrows, M.ncols):
+            return at_w
+    return len(_rref(M.rows)[1])
 
 
 def basis_inverse(cols) -> tuple:

@@ -10,7 +10,7 @@ from .calibration import CalibratedFan, induced_fan, kernel_rank
 from .errors import (DomainMismatch, Indeterminate, SearchBoundExceeded,
                      Singular)
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import (Matrix, _rref, int_det, int_solve, mat_inverse, rank,
+from .linalg import (Matrix, int_det, int_solve, mat_inverse, rank,
                      solve_right)
 from .scalars import Scalar, Sign, Witness, sign_at
 
@@ -342,9 +342,7 @@ def _derive_L(cal, cal2, s, d, d2, w):
     sol = solve_right(Matrix(rows), rhs)
     if sol is None:
         return None, True
-    # full rank at the witness is full rank symbolically
-    determined = (len(_rref([[w.value(x) for x in row] for row in rows])[1])
-                  == d2 * d or rank(Matrix(rows)) == d2 * d)
+    determined = rank(Matrix(rows), w) == d2 * d
     return Matrix([[sol[r * d + c] for c in range(d)]
                    for r in range(d2)]), determined
 

@@ -776,6 +776,18 @@ def lvm_face_oracle(points, m: int, J, w: Witness) -> bool:
     return lp.in_convex_hull(comp)
 
 
+def polytope_faces_brute(n: int, m: int, E) -> tuple:
+    """(faces, vertices, facet count) of the polytope of an admissible
+    family E over [n]: every J that misses some e, the faces of size
+    n - 2m - 1, and the number of single indices that are faces."""
+    faces = [frozenset(J) for k in range(n + 1)
+             for J in itertools.combinations(range(1, n + 1), k)
+             if any(not set(J) & set(e) for e in E)]
+    vertices = [f for f in faces if len(f) == n - 2 * m - 1]
+    return (sorted(faces, key=lambda f: (len(f), sorted(f))),
+            sorted(vertices, key=sorted), sum(len(f) == 1 for f in faces))
+
+
 def wps_weights_chart_oracle(a, b) -> tuple:
     """Independent oracle: per chart, the minimal positive integer t with
     t * (chart hbar vector) integral; chart vectors (a,b), (-b/a, 1/a),

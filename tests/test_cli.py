@@ -406,14 +406,67 @@ def test_rational_literals_parse_as_by_the_grammar(text):
     assert parse_outcome(text) == want
 
 
-def test_type_error_in_a_decider_is_not_an_input_error(tmp_path,
+def test_type_error_in_a_decider_is_not_an_input_error(tmp_path, capsys,
                                                        monkeypatch):
     def broken(fan, w):
         raise TypeError("a defect")
 
     monkeypatch.setattr("qtoric.lattice_fan.validate_fan", broken)
-    with pytest.raises(TypeError, match="a defect"):
-        main(["validate", _write(tmp_path, "p2.json", P2STD)])
+    code = main(["validate", _write(tmp_path, "p2.json", P2STD)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert json.loads(out) == {"error": {
+        "code": "InternalError", "message": "TypeError: a defect"}}
+    assert "Traceback" in err and "TypeError: a defect" in err
+
+
+def test_defects_in_two_file_and_argument_commands_exit_4(tmp_path, capsys,
+                                                         monkeypatch):
+    def broken(*args):
+        raise TypeError("a defect")
+
+    monkeypatch.setattr("qtoric.cli.check_fan_morphism", broken)
+    monkeypatch.setattr("qtoric.moduli.p2_orbit", broken)
+    f = _write(tmp_path, "p2.json", P2STD)
+    m = _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]})
+    for argv in (["morphism-check", "--morphism", m, f, f],
+                 ["p2-orbit", "--a", "-2", "--b", "-3"]):
+        code, payload = run(capsys, argv)
+        assert code == 4, argv
+        assert payload == {"error": {"code": "InternalError",
+                                     "message": "TypeError: a defect"}}
+
+
+def test_failed_self_check_is_an_internal_error(capsys, monkeypatch):
+    """torus_equiv_2d's own check of its witness raises qtoric's
+    InternalError, a defect and not an input error."""
+    monkeypatch.setattr("qtoric.moduli.act_2d", lambda a, H: 3 * a)
+    code, payload = run(capsys, ["moduli-equiv-2d", "--a", "sqrt:2",
+                                 "--b", "1+sqrt:2"])
+    assert code == 4
+    assert payload["error"]["code"] == "InternalError"
+    assert payload["error"]["message"].startswith("InternalError: ")
+
+
+DEEP_JSON = "[" * 100000
+DEEP_SCALAR = "(" * 3000 + "1" + ")" * 3000
+
+
+def test_input_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    for argv in (["validate", str(deep)],
+                 ["moduli-act", "--hbar", DEEP_JSON, "--H", "[[1,0],[0,1]]"],
+                 ["moduli-equiv-2d", "--a", DEEP_SCALAR, "--b", "1"]):
+        code, payload = run(capsys, argv)
+        assert code == 2 and payload["error"]["code"] == "InputError", argv
+        assert "nested too deeply" in payload["error"]["message"]
+    good = _write(tmp_path, "good.json", P2DEF)
+    code, payload = run(capsys, ["validate", good, str(deep)])
+    assert code == 2
+    assert payload[0] == {"file": good, "report": {"valid": True,
+                                                  "violations": []}}
+    assert payload[1]["error"]["code"] == "InputError"
 
 
 def test_defect_in_a_batch_fails_its_own_file_only(tmp_path, capsys,

@@ -3,7 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 from conftest import (EMPTY_WITNESS, gale_bilinear_defect, lemmah_defect,
-                      lvm_face_oracle, random_even_calibrated_fan)
+                      lvm_face_oracle, polytope_faces_brute,
+                      random_even_calibrated_fan)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
 from qtoric.errors import (NoIndispensable, NotBalanced, NotEven,
@@ -270,6 +273,26 @@ def test_polytope_faces_agree_with_lvm_oracle():
         pf = polytope_faces(pts, W, m=1)
         for f in pf.faces:
             assert lvm_face_oracle(pts, 1, f, W)
+
+
+@st.composite
+def admissible_families(draw):
+    """(n, m, E): E a family, possibly empty, of (2m+1)-subsets of [n]."""
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(2 * m + 1, 2 * m + 5))
+    subsets = st.sets(st.integers(1, n), min_size=2 * m + 1,
+                      max_size=2 * m + 1)
+    return n, m, draw(st.lists(subsets, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible_families())
+@example((5, 1, []))
+def test_polytope_faces_match_brute_force(family):
+    n, m, E = family
+    pf = polytope_faces(LVMBDatum(m, [(0,) * (2 * m)] * n, E), EMPTY_WITNESS)
+    assert (pf.faces, pf.vertices, pf.facet_count) == \
+        polytope_faces_brute(n, m, E)
 
 
 def test_condition_KH():
