@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import lp
 from .errors import Singular
-from .linalg import (Matrix, _rref, basis_inverse, cleared, hnf_solve,
-                     monomial_coordinates, rank, stacked_hnf)
+from .linalg import (Matrix, basis_inverse, cleared, hnf_solve,
+                     monomial_coordinates, rank, stacked_hnf, witness_rank)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -223,30 +223,90 @@ def _meet_in_common_face(coords, A, B) -> bool:
     return not lp.feasible(A_eq, [Q(0)] * (len(A_eq) - 1) + [Q(1)])
 
 
+def _value_charts(coords, maxc) -> dict | None:
+    """The rows of V_s^-1 for the witness values V_s of each maximal cone s
+    (a sorted tuple of d rays), or None when one is singular there."""
+    charts = {}
+    for s in maxc:
+        charts[s] = basis_inverse([coords[i] for i in s])[1]
+        if charts[s] is None:
+            return None
+    return charts
+
+
+def _apply(rows, v) -> list:
+    return [sum(a * x for a, x in zip(r, v)) for r in rows]
+
+
+def _certified_complete(fan: QuantumFan, coords, maxc) -> bool:
+    """Do the maximal cones form a complete fan at the witness?
+
+    A pseudomanifold of full-dimensional simplicial cones is one when the
+    two cones at every ridge lie on opposite sides of it and one generic
+    point lies in exactly one cone (De Loera-Rambau-Santos,
+    Triangulations, 2010, section 4.5): crossing a ridge then keeps the
+    number of cones over a generic point, so that number is 1 everywhere.
+    The ridge R = A - {i} = B - {j} needs a negative i-th coordinate of v_j
+    in A's chart.  The point is the sum of the first cone's rays, interior
+    to it, and it must have a negative coordinate in every other cone's
+    chart.  Every sign is exact on the witness values.  False means only
+    that the criterion does not certify the fan: it fails, or a cone is
+    singular at the witness."""
+    if not _is_complete(fan):
+        return False
+    maxc = [tuple(sorted(c)) for c in maxc]
+    charts = _value_charts(coords, maxc)
+    if charts is None:
+        return False
+    ridges = {}
+    for s in maxc:
+        for k, i in enumerate(s):
+            ridges.setdefault(frozenset(s) - {i}, []).append((s, k, i))
+    for (s, k, _), (_, _, j) in ridges.values():
+        if not sum(a * x for a, x in zip(charts[s][k], coords[j])) < 0:
+            return False
+    point = [sum(x) for x in zip(*(coords[i] for i in maxc[0]))]
+    return all(any(x < 0 for x in _apply(charts[t], point))
+               for t in maxc[1:])
+
+
 def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     """Report zero generators, dependent cone generators, missing faces and
     pairs of cones whose relative interiors meet at the witness.
 
-    Overlap is first decided once per pair of maximal cones A, B by the
-    separation lemma for cones meeting in a common face (Cox-Little-Schenck,
-    Toric Varieties, Lemma 1.2.13): one exact LP certifies
-    cone(A) & cone(B) = cone(A & B).  When the generators of A and of B
-    are linearly independent at the witness, a point of that intersection
-    has one support in A and the same one in B, so no face a of A meets a
-    different face b of B in their relative interiors.  Rational fans have
-    independent generators once no cone is dependent; for parametric fans
-    the rank of each maximal cone is taken at the witness values, and a
-    dependent one certifies nothing, not even for pairs of its own faces.
-    Only pairs of cones under no certified pair get their own relative
-    interior LP, so every overlap, duplicated ray directions included, is
-    still reported pair by pair."""
+    A cone is dependent when its generators are: their rank at the witness
+    comes first, and full rank there proves full rank; only a shortfall
+    takes the symbolic rank.  Faces of a cone with independent generators
+    are independent, so only maximal cones and the faces of dependent ones
+    are ranked.
+
+    A complete simplicial fan (see _is_complete) whose maximal cones are
+    independent at the witness is then certified with no LP by ridge signs
+    and one covered point (_certified_complete).  Otherwise, overlap is
+    first decided once per pair of maximal cones A, B by the separation
+    lemma for cones meeting in a common face (Cox-Little-Schenck, Toric
+    Varieties, Lemma 1.2.13): one exact LP certifies
+    cone(A) & cone(B) = cone(A & B).  When the generators of A and of B are
+    linearly independent at the witness, a point of that intersection has
+    one support in A and the same one in B, so no face a of A meets a
+    different face b of B in their relative interiors.  A maximal cone
+    dependent at the witness certifies nothing, not even for pairs of its
+    own faces.  Only pairs of cones under no certified pair get their own
+    relative interior LP, so every overlap, duplicated ray directions
+    included, is still reported pair by pair."""
     report = ValidationReport(True)
     for i in range(1, fan.nrays + 1):
         if all(x.is_zero() for x in fan.ray(i)):
             report.add("zero_generator", {"ray": i})
 
+    full_at_w = set()
+
     def dependent(c):
-        return rank(Matrix.from_columns(fan.cone_generators(c))) != len(c)
+        M = Matrix.from_columns(fan.cone_generators(c))
+        if witness_rank(M, w) == len(c):
+            full_at_w.add(c)
+            return False
+        return rank(M) != len(c)
 
     # faces of a cone with independent generators are independent, so a
     # rank is taken only of the maximal cones and of faces that lie in
@@ -270,9 +330,9 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     if not report.valid:
         return report
     coords = _rays_at_witness(fan, w)
-    rational = all(x.is_rational() for v in fan.rays for x in v)
-    independent = [A for A in maxc if rational or len(_rref(
-        list(zip(*(coords[i] for i in sorted(A)))))[1]) == len(A)]
+    if _certified_complete(fan, coords, maxc):
+        return report
+    independent = [A for A in maxc if A in full_at_w]
     certified = {(A, A) for A in independent}
     for A, B in itertools.combinations(independent, 2):
         if _meet_in_common_face(coords, A, B):
@@ -344,17 +404,17 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     maxc = [tuple(sorted(c)) for c in fan.maximal_cones()]
     coords = _rays_at_witness(fan, w)
     # l_s(v_j) = sum_i gamma_i w_i, where gamma = V_s^-1 v_j
+    charts = _value_charts(coords, maxc)
+    if charts is None:
+        return False
     constraints = []
     for s in maxc:
-        _, Vinv = basis_inverse([coords[i] for i in s])
-        if Vinv is None:
-            return False
         for j in range(1, p + 1):
             if j in s:
                 continue
             row = [Q(0)] * p
-            for idx, i in enumerate(s):
-                row[i - 1] += sum(a * x for a, x in zip(Vinv[idx], coords[j]))
+            for i, g in zip(s, _apply(charts[s], coords[j])):
+                row[i - 1] += g
             row[j - 1] -= 1
             constraints.append(row)
     if not constraints:

@@ -264,15 +264,19 @@ def test_polytope_faces_blowup_pentagon():
 
 
 def test_polytope_faces_agree_with_lvm_oracle():
-    pts = [(1, 0), (-1, 1), (0, -1), (-1, -1), (1, 1), (0, 0)]
-    # build a balanced LVM-ish configuration instead: use check_lvm route
-    pts = [(1, 0), (Q(-1, 2), Q(1, 2)), (Q(-1, 2), Q(-1, 2)),
-           (Q(-1, 3), 0), (Q(1, 3), 0)]
+    # a Siegel, weakly hyperbolic LVM configuration with m = 1, taken by
+    # the check_lvm route: E = {123, 234, 235}, and 7 faces
+    pts = [(1, 0), (Q(-1, 2), 1), (Q(-1, 2), -1), (1, Q(1, 3)),
+           (1, Q(-1, 3))]
     res = check_lvm(pts, 1, W)
-    if res["siegel"] and res["weak_hyperbolic"]:
-        pf = polytope_faces(pts, W, m=1)
-        for f in pf.faces:
-            assert lvm_face_oracle(pts, 1, f, W)
+    assert res["siegel"]
+    assert res["weak_hyperbolic"]
+    assert res["E"] == {frozenset({1, 2, 3}), frozenset({2, 3, 4}),
+                        frozenset({2, 3, 5})}
+    pf = polytope_faces(pts, W, m=1)
+    assert pf.faces
+    for f in pf.faces:
+        assert lvm_face_oracle(pts, 1, f, W)
 
 
 @st.composite

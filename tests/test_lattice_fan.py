@@ -142,19 +142,25 @@ def test_validate_fan_ranks_maximal_cones_and_faces_of_dependent_ones(
         monkeypatch):
     # [1, 2, 3] and [3, 4, 6] are dependent; of their proper faces only
     # [2, 3], [3, 4], [3, 6], [4, 6] and [6] lie in no independent cone,
-    # and of those only [3, 6] is dependent
+    # and of those only [3, 6] is dependent.  Each of these nine cones is
+    # ranked at the witness, and only the three dependent ones, short of
+    # full rank there, symbolically
     rays = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, -1],
             [2, 2, 0]]
     fan = fan_from_max_cones(QLattice.standard(3), rays,
                              [[1, 2, 3], [1, 2, 4], [1, 3, 5], [3, 4, 6]])
-    ranked = []
-    real = lattice_fan_mod.rank
+    at_witness, symbolic = [], []
+    real_w, real = lattice_fan_mod.witness_rank, lattice_fan_mod.rank
+    monkeypatch.setattr(lattice_fan_mod, "witness_rank",
+                        lambda M, w: at_witness.append(M.ncols)
+                        or real_w(M, w))
     monkeypatch.setattr(lattice_fan_mod, "rank",
-                        lambda M: ranked.append(M.ncols) or real(M))
+                        lambda M: symbolic.append(M.ncols) or real(M))
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert sorted(v["detail"]["cone"] for v in rep.violations) == [
         [1, 2, 3], [3, 4, 6], [3, 6]]
-    assert sorted(ranked) == [1, 2, 2, 2, 2, 3, 3, 3, 3]
+    assert sorted(at_witness) == [1, 2, 2, 2, 2, 3, 3, 3, 3]
+    assert sorted(symbolic) == [2, 3, 3]
     monkeypatch.undo()
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
 
@@ -431,7 +437,20 @@ def _fan_variant(rng, d, kind):
     "duplicate" adds a positive multiple of a ray and puts it in place of
     that ray in one maximal cone; "misplaced" replaces a ray by a random
     integer vector; "parametric" replaces a ray by c v_j + (a - a0) z, which
-    equals c v_j at the witness a = a0 but not symbolically."""
+    equals c v_j at the witness a = a0 but not symbolically; "folded" moves
+    a ray i of a maximal cone A into the interior of the cone B across the
+    ridge opposite i, so A and B lie on one side of that ridge; "wound"
+    joins every other ray of a circle of 5 or 7 rays, so the cones wind
+    around twice (suspended by two poles in R^3)."""
+    if kind == "wound":
+        circle = random_circle_fan(rng, rng.choice([5, 7]))
+        p = circle.nrays
+        rays = [list(v) for v in circle.rays]
+        maxc = [[i + 1, (i + 2) % p + 1] for i in range(p)]
+        if d == 3:
+            rays = [v + [0] for v in rays] + [[0, 0, 1], [0, 0, -1]]
+            maxc = [c + [pole] for c in maxc for pole in (p + 1, p + 2)]
+        return fan_from_max_cones(QLattice(d, rays), rays, maxc)
     fan = random_complete_fan(rng, d)
     rays = [list(v) for v in fan.rays]
     maxc = [sorted(c) for c in fan.maximal_cones()]
@@ -448,13 +467,18 @@ def _fan_variant(rng, d, kind):
         c = Q(rng.randint(-2, 3), rng.randint(1, 2))
         z = [rng.randint(-2, 2) for _ in range(d)]
         rays[i - 1] = [c * x + (SA + Q(7, 3)) * y for x, y in zip(vj, z)]
+    elif kind == "folded":
+        A = set(rng.choice([c for c in maxc if i in c]))
+        B = next(set(c) for c in maxc if len(A & set(c)) == d - 1
+                 and i not in c)
+        rays[i - 1] = [sum(x) for x in zip(*(rays[j - 1] for j in B))]
     return fan_from_max_cones(QLattice(d, rays), rays, maxc)
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
        kind=st.sampled_from(["complete", "duplicate", "misplaced",
-                             "parametric"]))
+                             "parametric", "folded", "wound"]))
 def test_validate_fan_matches_all_pairs_reference(seed, d, kind):
     fan = _fan_variant(random.Random(seed), d, kind)
     assert (validate_fan(fan, W).to_json()
@@ -502,6 +526,94 @@ def test_validate_fan_decides_each_pair_of_maximal_cones_once(monkeypatch):
     assert {"kind": "overlap", "detail": {"cones": [[1], [len(rays)]]}} \
         in rep.violations
     assert 0 < len(calls)
+
+
+def test_validate_fan_certifies_complete_fans_without_lp(monkeypatch):
+    # the ridge signs and the covered point decide these, on Fractions
+    # and, for the fan over t = sqrt 2, on Surds
+    fans = [(random_bipyramid_fan(random.Random(s), k), EMPTY_WITNESS)
+            for s, k in [(5, 5), (7, 3), (11, 4)]]
+    fans.append((fan_from_max_cones(
+        QLattice.standard(2), [[1, 0], [0, 1], [-1, -1]],
+        [[1, 2], [2, 3], [3, 1]]), EMPTY_WITNESS))
+    fans.append((p2_deformation(), W))
+    fans.append((fan_from_max_cones(
+        QLattice(2, [[1, 0], [0, 1], [ST, 0]]), [[1, 0], [-ST, 1], [-1, -1]],
+        [[1, 2], [2, 3], [3, 1]]), Witness({T: 1})))
+
+    def no_lp(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "solve_lp", no_lp)
+    for fan, w in fans:
+        assert validate_fan(fan, w).to_json() == {"valid": True,
+                                                  "violations": []}
+
+
+def test_validate_fan_sends_a_doubly_wound_pentagon_to_the_lps():
+    # each cone turns by less than a half turn, and five of them go round
+    # twice, so every point off the rays lies in two cones
+    rays = [[1, 0], [1, 3], [-2, 1], [-2, -1], [1, -3]]
+    fan = fan_from_max_cones(QLattice.standard(2), rays,
+                             [[1, 3], [3, 5], [5, 2], [2, 4], [4, 1]])
+    coords = lattice_fan_mod._rays_at_witness(fan, EMPTY_WITNESS)
+
+    def det(i, j):
+        (a, b), (c, e) = coords[i], coords[j]
+        return a * e - b * c
+
+    # the ridge signs hold: at ray r, the cones [q, r] and [r, s] lie on
+    # opposite sides of it
+    for q, r, s in [(1, 3, 5), (3, 5, 2), (5, 2, 4), (2, 4, 1), (4, 1, 3)]:
+        assert det(r, q) * det(r, s) < 0
+    assert _is_complete(fan)
+    assert not lattice_fan_mod._certified_complete(
+        fan, coords, fan.maximal_cones())
+    rep = validate_fan(fan, EMPTY_WITNESS)
+    assert [v["kind"] for v in rep.violations] == ["overlap"] * 10
+    assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
+
+
+def test_validate_fan_folded_ray_fails_a_ridge_sign():
+    # ray 4 = (-2, -1) lies on the side of ray 3 where ray 2 is, so the
+    # cones [2, 3] and [3, 4] at the ridge [3] fold over each other; the
+    # covered point (1, 1) of [1, 2] lies in no other cone, so only the
+    # ridge sign rejects the fan
+    rays = [[1, 0], [0, 1], [-1, -1], [-2, -1]]
+    fan = fan_from_max_cones(QLattice.standard(2), rays,
+                             [[1, 2], [2, 3], [3, 4], [4, 1]])
+    coords = lattice_fan_mod._rays_at_witness(fan, EMPTY_WITNESS)
+    assert _is_complete(fan)
+    assert not lattice_fan_mod._certified_complete(
+        fan, coords, fan.maximal_cones())
+    rep = validate_fan(fan, EMPTY_WITNESS)
+    assert not rep.valid
+    assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
+
+
+def test_validate_fan_bipyramid_with_apex_pushed_through_a_facet():
+    fan = random_bipyramid_fan(random.Random(3), 4)
+    rays = [list(v) for v in fan.rays]
+    # the north pole goes below the base plane, into the southern cones
+    rays[-2] = [Q(1, 7), Q(1, 5), -1]
+    pushed = fan_from_max_cones(QLattice(3, rays), rays,
+                                [sorted(c) for c in fan.maximal_cones()])
+    rep = validate_fan(pushed, EMPTY_WITNESS)
+    assert any(v["kind"] == "overlap" for v in rep.violations)
+    assert rep.to_json() == validate_fan_all_pairs(
+        pushed, EMPTY_WITNESS).to_json()
+
+
+def test_validate_fan_singular_at_the_witness_only_falls_through():
+    # (-1, a + 7/3) is independent of (1, 0) symbolically, but equals
+    # (-1, 0) at a = -7/3: the cone [1, 2] has no chart at the witness
+    rays = [[1, 0], [-1, SA + Q(7, 3)], [0, -1]]
+    fan = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1], [0, SA]]), rays,
+                             [[1, 2], [2, 3], [3, 1]])
+    assert _is_complete(fan)
+    rep = validate_fan(fan, W)
+    assert not any(v["kind"] == "dependent_cone" for v in rep.violations)
+    assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
 
 
 @settings(max_examples=60, deadline=None)
