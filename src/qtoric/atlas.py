@@ -44,19 +44,27 @@ def chart_matrix(fan: QuantumFan, cone) -> tuple:
     """A_I for a maximal cone: the exact inverse of the generator matrix,
     completed (when |I| < d) by canonical basis vectors chosen greedily in
     index order.  Returns (A_I, completion indices)."""
-    A, _, completion = fan.chart(cone)
-    return A, completion
+    return fan.chart(cone)
 
 
 def gluing_exponents(fan: QuantumFan, cone_from, cone_to) -> Matrix:
-    """Exponent matrix M with z_to = z_from^M, i.e. (A_to A_from^-1)^T,
-    computed as (A_to B_from)^T.
+    """Exponent matrix M with z_to = z_from^M, i.e. (A_to A_from^-1)^T.
 
-    Requires two maximal cones with nonempty intersection."""
+    Row t of M is A_to applied to the t-th column of A_from^-1: for a ray
+    both cones share, the unit row of its position in the target chart;
+    for any other ray, A_to applied to it; for a completion vector e_j,
+    column j of A_to.  Requires two maximal cones with nonempty
+    intersection."""
     if not frozenset(cone_from) & frozenset(cone_to):
         raise EmptyIntersection(
             f"{_ordered(cone_from)} and {_ordered(cone_to)} are disjoint")
-    return (fan.chart(cone_to)[0] * fan.chart(cone_from)[1]).transpose()
+    A_to, _ = fan.chart(cone_to)
+    _, completion = fan.chart(cone_from)
+    to = _ordered(cone_to)
+    eye = Matrix.identity(fan.dim).rows
+    return Matrix([eye[to.index(i)] if i in to else A_to.apply(fan.ray(i))
+                   for i in _ordered(cone_from)]
+                  + [A_to.column(j - 1) for j in completion])
 
 
 def chart_calibration(cf: CalibratedFan, cone) -> tuple:
@@ -83,18 +91,6 @@ def _chart_calibration(cf: CalibratedFan, cone, A_I: Matrix) -> tuple:
     h_I = Matrix.from_columns(h_cols)
     hbar = Matrix([r[d:] for r in h_I.rows])
     return H_I, hbar
-
-
-def _gluings(fan: QuantumFan, charts) -> dict:
-    """{(I, J): (A_J B_I)^T} over the ordered pairs of distinct
-    intersecting charts, both directions of a pair next to each other."""
-    out = {}
-    for c1, c2 in itertools.combinations(charts, 2):
-        if frozenset(c1.cone) & frozenset(c2.cone):
-            for src, dst in ((c1, c2), (c2, c1)):
-                out[src.cone, dst.cone] = \
-                    (dst.A * fan.chart(src.cone)[1]).transpose()
-    return out
 
 
 @dataclass
@@ -152,10 +148,9 @@ def atlas_report(cf_or_fan, cone_orders=None) -> dict:
     """Per maximal cone chart data, per intersecting pair the gluing
     exponents, and the irrelevant descriptor.
 
-    "cocycle" is the constant true: with M_IJ = (A_J B_I)^T and
-    B_J = A_J^-1, M_IJ M_JK = (A_K B_J A_J B_I)^T = M_IK for any
-    invertible charts, so the gluings satisfy the cocycle condition by
-    construction.
+    "cocycle" is the constant true: with M_IJ = (A_J A_I^-1)^T,
+    M_IJ M_JK = (A_K A_J^-1 A_J A_I^-1)^T = M_IK for any invertible
+    charts, so the gluings satisfy the cocycle condition by construction.
 
     cone_orders: optional list of ordered index tuples fixing the chart
     coordinate order of each maximal cone (e.g. the order written in the
@@ -171,10 +166,13 @@ def atlas_report(cf_or_fan, cone_orders=None) -> dict:
         if cf is not None:
             chart.H, chart.hbar = _chart_calibration(cf, cone, chart.A)
         charts.append(chart)
-    gluings = _gluings(fan, charts)
+    # both directions of an intersecting pair next to each other
+    pairs = [(s, t) for c1, c2 in itertools.combinations(maxc, 2)
+             if set(c1) & set(c2) for s, t in ((c1, c2), (c2, c1))]
     return {"charts": [c.to_json() for c in charts],
-            "gluings": [{"from": list(src), "to": list(dst),
-                         "exponents": [[str(x) for x in r] for r in M.rows]}
-                        for (src, dst), M in gluings.items()],
+            "gluings": [{"from": list(s), "to": list(t),
+                         "exponents": [[str(x) for x in r] for r in
+                                       gluing_exponents(fan, s, t).rows]}
+                        for s, t in pairs],
             "cocycle": True,
             "irrelevant": build_irrelevant(cf_or_fan).to_json()}

@@ -127,17 +127,13 @@ class LVMBDatum:
                 "E": sorted(sorted(e) for e in self.E)}
 
 
-def _points_at_witness(points, w: Witness):
-    return [[w.value(x) for x in p] for p in points]
-
-
 def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     """The three admissibility conditions: spanning real affine hulls,
     pairwise interior intersection of the hulls, and the replacement
     property."""
     if not datum.E:
         return CheckResult.invalid("empty_family")
-    pts = _points_at_witness(datum.points, w)
+    pts = w.values_of(datum.points)
     for e in sorted(datum.E, key=sorted):
         M = Matrix([[*datum.point(i), Scalar.one()] for i in sorted(e)])
         if rank(M, w) != 2 * datum.m + 1:
@@ -164,7 +160,7 @@ def check_lvm(points, m: int, w: Witness) -> dict:
     if n > WEAK_HYPERBOLICITY_CAP:
         raise SearchBoundExceeded(
             f"weak hyperbolicity enumeration capped at {WEAK_HYPERBOLICITY_CAP}")
-    pts = _points_at_witness(points, w)
+    pts = w.values_of(points)
     siegel = lp.in_convex_hull(pts)
     weak = True
     for size in range(1, 2 * m + 1):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .errors import Singular
+from .errors import Indeterminate, Singular
 from .linalg import (Matrix, basis_inverse, cleared, hnf_solve,
-                     monomial_coordinates, rank, stacked_hnf, witness_rank)
+                     monomial_coordinates, rank, stacked_hnf)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -127,6 +127,7 @@ class QuantumFan:
             if any(i < 1 or i > len(self.rays) for i in c):
                 raise ValueError("cone index out of range")
         self._charts = {}
+        self._witness_charts = {}
 
     @property
     def dim(self) -> int:
@@ -143,24 +144,42 @@ class QuantumFan:
         return [self.ray(i) for i in sorted(cone)]
 
     def chart(self, cone) -> tuple:
-        """(A_I, B_I, completion) for the cone I in chart order (see
-        _ordered).  The columns of B_I are the cone's rays in order, then
-        the canonical vectors e_j for j in the completion, the leftmost
-        pivots of (rays, e_1, ..., e_d); A_I is B_I^-1, so A_I v holds the
+        """(A_I, completion) for the cone I in chart order (see _ordered).
+        A_I is the inverse of the matrix whose columns are the cone's rays
+        in order, then the canonical vectors e_j for j in the completion,
+        the leftmost pivots of (rays, e_1, ..., e_d); so A_I v holds the
         coordinates of v in the chart.  Computed once per fan and cone
         order; raises Singular when the rays are dependent."""
         key = tuple(_ordered(cone))
         if key not in self._charts:
-            rays = [self.ray(i) for i in key]
-            eye = Matrix.identity(self.dim).rows
-            k = len(rays)
-            piv, inv = basis_inverse(rays + list(eye))
+            k = len(key)
+            piv, inv = basis_inverse([self.ray(i) for i in key]
+                                     + list(Matrix.identity(self.dim).rows))
             if piv[:k] != list(range(k)):
                 raise Singular("cone generators do not extend to a basis")
-            completion = tuple(j - k + 1 for j in piv[k:])
-            B = Matrix.from_columns(rays + [eye[j - 1] for j in completion])
-            self._charts[key] = (Matrix(inv), B, completion)
+            self._charts[key] = (Matrix(inv),
+                                 tuple(j - k + 1 for j in piv[k:]))
         return self._charts[key]
+
+    def value_chart(self, cone, w: Witness) -> list | None:
+        """The rows of the inverse of the cone's ray values at the witness,
+        in sorted ray order, completed by canonical vectors as in chart;
+        None when those values are dependent, so the witness rank of the
+        rays falls short, or when one is Indeterminate.  One elimination
+        of [values | I], computed once per fan, cone and witness."""
+        key = (w, frozenset(cone))
+        if key not in self._witness_charts:
+            eye = [[Q(int(i == j)) for i in range(self.dim)]
+                   for j in range(self.dim)]
+            try:
+                piv, inv = basis_inverse(
+                    w.values_of(self.cone_generators(cone)) + eye)
+            except Indeterminate:
+                piv, inv = [], None
+            k = len(cone)
+            independent = piv[:k] == list(range(k))
+            self._witness_charts[key] = inv if independent else None
+        return self._witness_charts[key]
 
     def maximal_cones(self):
         return [c for c in self.cones
@@ -202,11 +221,6 @@ class ValidationReport:
         return {"valid": self.valid, "violations": self.violations}
 
 
-def _rays_at_witness(fan: QuantumFan, w: Witness):
-    return {i: [w.value(x) for x in fan.ray(i)]
-            for i in range(1, fan.nrays + 1)}
-
-
 def _meet_in_common_face(coords, A, B) -> bool:
     """Is cone(A) & cone(B) = cone(F), F = A & B, at the witness?  True iff
     sum_{A-F} l_i u_i - sum_{B-F} m_j w_j + sum_F n_f v_f = 0 has no
@@ -223,22 +237,7 @@ def _meet_in_common_face(coords, A, B) -> bool:
     return not lp.feasible(A_eq, [Q(0)] * (len(A_eq) - 1) + [Q(1)])
 
 
-def _value_charts(coords, maxc) -> dict | None:
-    """The rows of V_s^-1 for the witness values V_s of each maximal cone s
-    (a sorted tuple of d rays), or None when one is singular there."""
-    charts = {}
-    for s in maxc:
-        charts[s] = basis_inverse([coords[i] for i in s])[1]
-        if charts[s] is None:
-            return None
-    return charts
-
-
-def _apply(rows, v) -> list:
-    return [sum(a * x for a, x in zip(r, v)) for r in rows]
-
-
-def _certified_complete(fan: QuantumFan, coords, maxc) -> bool:
+def _certified_complete(fan: QuantumFan, w: Witness, coords, maxc) -> bool:
     """Do the maximal cones form a complete fan at the witness?
 
     A pseudomanifold of full-dimensional simplicial cones is one when the
@@ -247,16 +246,16 @@ def _certified_complete(fan: QuantumFan, coords, maxc) -> bool:
     Triangulations, 2010, section 4.5): crossing a ridge then keeps the
     number of cones over a generic point, so that number is 1 everywhere.
     The ridge R = A - {i} = B - {j} needs a negative i-th coordinate of v_j
-    in A's chart.  The point is the sum of the first cone's rays, interior
-    to it, and it must have a negative coordinate in every other cone's
-    chart.  Every sign is exact on the witness values.  False means only
-    that the criterion does not certify the fan: it fails, or a cone is
-    singular at the witness."""
+    in A's value chart.  The point is the sum of the first cone's rays,
+    interior to it, and it must have a negative coordinate in every other
+    cone's value chart.  Every sign is exact on the witness values coords.
+    False means only that the criterion does not certify the fan: it
+    fails, or a cone has no value chart."""
     if not _is_complete(fan):
         return False
     maxc = [tuple(sorted(c)) for c in maxc]
-    charts = _value_charts(coords, maxc)
-    if charts is None:
+    charts = {s: fan.value_chart(s, w) for s in maxc}
+    if None in charts.values():
         return False
     ridges = {}
     for s in maxc:
@@ -266,57 +265,48 @@ def _certified_complete(fan: QuantumFan, coords, maxc) -> bool:
         if not sum(a * x for a, x in zip(charts[s][k], coords[j])) < 0:
             return False
     point = [sum(x) for x in zip(*(coords[i] for i in maxc[0]))]
-    return all(any(x < 0 for x in _apply(charts[t], point))
-               for t in maxc[1:])
+    return all(any(sum(a * x for a, x in zip(r, point)) < 0
+                   for r in charts[t]) for t in maxc[1:])
 
 
 def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     """Report zero generators, dependent cone generators, missing faces and
     pairs of cones whose relative interiors meet at the witness.
 
-    A cone is dependent when its generators are: their rank at the witness
-    comes first, and full rank there proves full rank; only a shortfall
+    A maximal cone with a value chart (QuantumFan.value_chart) has
+    generators independent at the witness, hence independent; any other
     takes the symbolic rank.  Faces of a cone with independent generators
-    are independent, so only maximal cones and the faces of dependent ones
-    are ranked.
+    are independent, so of the other cones only those that lie in dependent
+    maximal cones alone are ranked, witness first.  After these structural
+    checks, a ray that vanishes at the witness only is Indeterminate.
 
-    A complete simplicial fan (see _is_complete) whose maximal cones are
-    independent at the witness is then certified with no LP by ridge signs
-    and one covered point (_certified_complete).  Otherwise, overlap is
-    first decided once per pair of maximal cones A, B by the separation
-    lemma for cones meeting in a common face (Cox-Little-Schenck, Toric
-    Varieties, Lemma 1.2.13): one exact LP certifies
-    cone(A) & cone(B) = cone(A & B).  When the generators of A and of B are
-    linearly independent at the witness, a point of that intersection has
-    one support in A and the same one in B, so no face a of A meets a
-    different face b of B in their relative interiors.  A maximal cone
-    dependent at the witness certifies nothing, not even for pairs of its
-    own faces.  Only pairs of cones under no certified pair get their own
-    relative interior LP, so every overlap, duplicated ray directions
-    included, is still reported pair by pair."""
+    A complete simplicial fan (see _is_complete) whose maximal cones all
+    have value charts is then certified with no LP by ridge signs and one
+    covered point (_certified_complete).  Otherwise each maximal cone A
+    with a value chart certifies the pairs of its own faces, whose relative
+    interiors have distinct supports.  Each pair A, B of them takes one
+    exact LP for the separation lemma (Cox-Little-Schenck, Toric
+    Varieties, Lemma 1.2.13): when cone(A) & cone(B) = cone(A & B), a point
+    of it has one support in A and the same one in B, so no face of A meets
+    a different face of B in their relative interiors.  A maximal cone
+    dependent at the witness certifies nothing.  Only pairs of cones under
+    no certified pair get their own relative interior LP, so every overlap,
+    duplicated ray directions included, is still reported pair by pair."""
     report = ValidationReport(True)
     for i in range(1, fan.nrays + 1):
         if all(x.is_zero() for x in fan.ray(i)):
             report.add("zero_generator", {"ray": i})
 
-    full_at_w = set()
+    def dependent(c, at=None):
+        return rank(Matrix.from_columns(fan.cone_generators(c)), at) != len(c)
 
-    def dependent(c):
-        M = Matrix.from_columns(fan.cone_generators(c))
-        if witness_rank(M, w) == len(c):
-            full_at_w.add(c)
-            return False
-        return rank(M) != len(c)
-
-    # faces of a cone with independent generators are independent, so a
-    # rank is taken only of the maximal cones and of faces that lie in
-    # dependent maximal cones alone
     maxc = sorted(fan.maximal_cones(), key=sorted)
+    independent = [A for A in maxc if fan.value_chart(A, w) is not None]
     above = {c: [A for A in maxc if c <= A] for c in fan.cones}
-    bad = {A for A in maxc if A and dependent(A)}
+    bad = {A for A in maxc if A not in independent and dependent(A)}
     for c in fan.cones:
         if c and all(A in bad for A in above[c]) and (
-                c in bad or dependent(c)):
+                c in bad or dependent(c, w)):
             report.add("dependent_cone", {"cone": sorted(c)})
     for c in fan.cones:
         for i in c:
@@ -329,10 +319,13 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
             report.add("missing_face", {"cone": [i], "missing": [i]})
     if not report.valid:
         return report
-    coords = _rays_at_witness(fan, w)
-    if _certified_complete(fan, coords, maxc):
+    coords = dict(enumerate(w.values_of(fan.rays), 1))
+    for i, v in coords.items():
+        if not any(v):
+            raise Indeterminate(f"ray {i} vanishes at the witness but is "
+                                "not symbolically zero")
+    if _certified_complete(fan, w, coords, maxc):
         return report
-    independent = [A for A in maxc if A in full_at_w]
     certified = {(A, A) for A in independent}
     for A, B in itertools.combinations(independent, 2):
         if _meet_in_common_face(coords, A, B):
@@ -340,9 +333,6 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
     for a, b in itertools.combinations(cones, 2):
         if not a or not b:
-            continue
-        if a < b or b < a:
-            # a simplicial face never meets the parent's relative interior
             continue
         if any((A, B) in certified for A in above[a] for B in above[b]):
             continue
@@ -402,10 +392,10 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
         return False
     p = fan.nrays
     maxc = [tuple(sorted(c)) for c in fan.maximal_cones()]
-    coords = _rays_at_witness(fan, w)
+    coords = dict(enumerate(w.values_of(fan.rays), 1))
     # l_s(v_j) = sum_i gamma_i w_i, where gamma = V_s^-1 v_j
-    charts = _value_charts(coords, maxc)
-    if charts is None:
+    charts = {s: fan.value_chart(s, w) for s in maxc}
+    if None in charts.values():
         return False
     constraints = []
     for s in maxc:
@@ -413,8 +403,8 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
             if j in s:
                 continue
             row = [Q(0)] * p
-            for i, g in zip(s, _apply(charts[s], coords[j])):
-                row[i - 1] += g
+            for i, r in zip(s, charts[s]):
+                row[i - 1] += sum(a * x for a, x in zip(r, coords[j]))
             row[j - 1] -= 1
             constraints.append(row)
     if not constraints:

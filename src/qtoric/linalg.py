@@ -164,23 +164,18 @@ def _rref(rows):
     return rows, pivots
 
 
-def witness_rank(M: Matrix, w) -> int | None:
-    """The rank of M's values at the witness w, a lower bound on the rank
-    of M, or None when a value is Indeterminate."""
-    try:
-        return len(_rref([[w.value(x) for x in r] for r in M.rows])[1])
-    except Indeterminate:
-        return None
-
-
 def rank(M: Matrix, w=None) -> int:
-    """The rank of M.  With a witness w, witness_rank comes first: as a
-    lower bound, min(M.nrows, M.ncols) there is the rank.  A shortfall, or
-    a value that is Indeterminate, falls back to the symbolic rank."""
+    """The rank of M.  With a witness w, the rank of M's values there comes
+    first: it is a lower bound, so min(M.nrows, M.ncols) there is the rank.
+    A shortfall, or a value that is Indeterminate, falls back to the
+    symbolic rank."""
+    full = min(M.nrows, M.ncols)
     if w is not None:
-        at_w = witness_rank(M, w)
-        if at_w == min(M.nrows, M.ncols):
-            return at_w
+        try:
+            if len(_rref(w.values_of(M.rows))[1]) == full:
+                return full
+        except Indeterminate:
+            pass
     return len(_rref(M.rows)[1])
 
 

@@ -56,7 +56,7 @@ def cone_coefficients(fan: QuantumFan, cone, point, w: Witness):
     when the point lies in the cone, else None: the point's coordinates in
     the cone's chart, which must be zero on the completion and nonnegative
     on the rays.  Raises Singular for a cone with dependent generators."""
-    A, _, _ = fan.chart(frozenset(cone))
+    A, _ = fan.chart(frozenset(cone))
     x = A.apply(point)
     k = len(cone)
     if all(c.is_zero() for c in x[k:]) and all(

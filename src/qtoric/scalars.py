@@ -895,6 +895,10 @@ class Witness:
             raise Indeterminate(f"denominator of {s} vanishes at the witness")
         return self._at(s._num) / den
 
+    def values_of(self, vectors) -> list:
+        """The value of each entry of each vector, as lists."""
+        return [[self.value(x) for x in v] for v in vectors]
+
     def _relabel(self, x: Surd) -> Surd:
         """x with the witness's roots: a coefficient flips its sign when its
         subset holds an odd number of negative roots."""

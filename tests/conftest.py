@@ -15,7 +15,7 @@ from qtoric import lp
 from qtoric.atlas import gluing_exponents
 from qtoric.errors import Indeterminate, UnsupportedEntries, UnsupportedField
 from qtoric.calibration import CalibratedFan, Calibration
-from qtoric.gale_lvmb import GaleData, _points_at_witness
+from qtoric.gale_lvmb import GaleData
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
 from qtoric.linalg import (Matrix, hnf, int_solve, pivot, rank,
@@ -356,8 +356,10 @@ def cocycle_check(fan: QuantumFan) -> bool:
 
 
 def validate_fan_all_pairs(fan: QuantumFan, w: Witness) -> ValidationReport:
-    """Reference validation: the structural checks, then one relative
-    interior LP per pair of cones that are not faces of one another."""
+    """Reference validation: the structural checks, Indeterminate for a ray
+    whose values all vanish at the witness, then one relative interior LP
+    per pair of cones, unless one is a face of the other and the larger
+    one's values have full rank at the witness."""
     report = ValidationReport(True)
     for i in range(1, fan.nrays + 1):
         if all(x.is_zero() for x in fan.ray(i)):
@@ -378,9 +380,14 @@ def validate_fan_all_pairs(fan: QuantumFan, w: Witness) -> ValidationReport:
         return report
     coords = {i: [w.value(x) for x in fan.ray(i)]
               for i in range(1, fan.nrays + 1)}
+    if any(all(x == 0 for x in v) for v in coords.values()):
+        raise Indeterminate("a ray vanishes at the witness only")
     cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
     for a, b in itertools.combinations(cones, 2):
-        if not a or not b or a < b or b < a:
+        if not a or not b:
+            continue
+        if (a < b or b < a) and minor_rank(
+                [coords[i] for i in a | b]) == len(a | b):
             continue
         if lp.cones_relint_intersect([coords[i] for i in sorted(a)],
                                      [coords[i] for i in sorted(b)]):
@@ -771,7 +778,7 @@ def lemmah_defect(cal: Calibration, gale: GaleData) -> Matrix:
 def lvm_face_oracle(points, m: int, J, w: Witness) -> bool:
     """Independent LVM-side test: 0 in the hull of the points outside J."""
     points = [tuple(Scalar.coerce(x) for x in p) for p in points]
-    pts = _points_at_witness(points, w)
+    pts = w.values_of(points)
     comp = [pts[i - 1] for i in range(1, len(points) + 1) if i not in J]
     return lp.in_convex_hull(comp)
 

@@ -134,6 +134,33 @@ def test_chart_normalization_on_random_fans():
                            for x, y in zip(col, eye.column(k)))
 
 
+def test_gluing_exponents_carry_the_source_chart_to_the_target():
+    # M^T A_I = A_J for M = gluing_exponents(I, J), checked on chart
+    # matrices alone: circle and bipyramid fans, the p2 deformation, a
+    # circle of 2-cones in R^3 with parametric entries (each chart
+    # completed by a canonical vector), all in several written orders
+    rng = random.Random(7)
+    fans = [random_circle_fan(rng, rng.randint(3, 6)) for _ in range(3)]
+    fans += [random_bipyramid_fan(rng, rng.randint(3, 5)) for _ in range(2)]
+    fans.append(p2_deformation())
+    rays = [[1, 0, SA], [0, 1, 0], [-1, SB, 1]]
+    fans.append(fan_from_max_cones(QLattice(3, rays + [[0, 0, 1]]), rays,
+                                   [[1, 2], [2, 3], [3, 1]]))
+    completed = 0
+    for fan in fans:
+        for I in fan.maximal_cones():
+            for J in fan.maximal_cones():
+                if not I & J:
+                    continue
+                I_ = rng.sample(sorted(I), len(I))
+                J_ = rng.sample(sorted(J), len(J))
+                A_I, completion = chart_matrix(fan, I_)
+                completed += bool(completion)
+                M = gluing_exponents(fan, I_, J_)
+                assert M.transpose() * A_I == chart_matrix(fan, J_)[0]
+    assert completed
+
+
 def test_cocycle_negative_control():
     # a corrupted chart matrix breaks the cocycle equation
     fan = p2_deformation()

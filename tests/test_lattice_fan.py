@@ -2,9 +2,10 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+import pytest
 from conftest import (EMPTY_WITNESS, condition_KH_affine,
                       gamma_contains_affine, gamma_rank_affine,
-                      is_polytopal_primal, kernel_rank_affine,
+                      is_polytopal_primal, kernel_rank_affine, minor_rank,
                       random_bipyramid_fan, random_circle_fan,
                       random_complete_fan, rand_fraction, twisted_prism_fan,
                       validate_fan_all_pairs)
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import qtoric.lattice_fan as lattice_fan_mod
 from qtoric import lp
 from qtoric.calibration import Calibration, kernel_rank
+from qtoric.errors import Indeterminate
 from qtoric.gale_lvmb import condition_KH
 from qtoric.lattice_fan import (CombType, QLattice, QuantumFan,
                                 comb_equivalent, comb_type, d_realizable,
@@ -142,25 +144,28 @@ def test_validate_fan_ranks_maximal_cones_and_faces_of_dependent_ones(
         monkeypatch):
     # [1, 2, 3] and [3, 4, 6] are dependent; of their proper faces only
     # [2, 3], [3, 4], [3, 6], [4, 6] and [6] lie in no independent cone,
-    # and of those only [3, 6] is dependent.  Each of these nine cones is
-    # ranked at the witness, and only the three dependent ones, short of
-    # full rank there, symbolically
+    # and of those only [3, 6] is dependent.  Each maximal cone takes one
+    # value chart; the two without one, short of full rank at the witness,
+    # take the symbolic rank, and the five faces a witness-first rank
     rays = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, -1],
             [2, 2, 0]]
     fan = fan_from_max_cones(QLattice.standard(3), rays,
                              [[1, 2, 3], [1, 2, 4], [1, 3, 5], [3, 4, 6]])
-    at_witness, symbolic = [], []
-    real_w, real = lattice_fan_mod.witness_rank, lattice_fan_mod.rank
-    monkeypatch.setattr(lattice_fan_mod, "witness_rank",
-                        lambda M, w: at_witness.append(M.ncols)
-                        or real_w(M, w))
+    charts, at_witness, symbolic = [], [], []
+    real_chart, real = QuantumFan.value_chart, lattice_fan_mod.rank
+    monkeypatch.setattr(QuantumFan, "value_chart",
+                        lambda self, c, w: charts.append(sorted(c))
+                        or real_chart(self, c, w))
     monkeypatch.setattr(lattice_fan_mod, "rank",
-                        lambda M: symbolic.append(M.ncols) or real(M))
+                        lambda M, w=None: (symbolic if w is None
+                                           else at_witness).append(M.ncols)
+                        or real(M, w))
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert sorted(v["detail"]["cone"] for v in rep.violations) == [
         [1, 2, 3], [3, 4, 6], [3, 6]]
-    assert sorted(at_witness) == [1, 2, 2, 2, 2, 3, 3, 3, 3]
-    assert sorted(symbolic) == [2, 3, 3]
+    assert sorted(charts) == [[1, 2, 3], [1, 2, 4], [1, 3, 5], [3, 4, 6]]
+    assert sorted(symbolic) == [3, 3]
+    assert sorted(at_witness) == [1, 2, 2, 2, 2]
     monkeypatch.undo()
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
 
@@ -481,18 +486,26 @@ def _fan_variant(rng, d, kind):
                              "parametric", "folded", "wound"]))
 def test_validate_fan_matches_all_pairs_reference(seed, d, kind):
     fan = _fan_variant(random.Random(seed), d, kind)
-    assert (validate_fan(fan, W).to_json()
-            == validate_fan_all_pairs(fan, W).to_json())
+
+    def outcome(validate):
+        try:
+            return validate(fan, W).to_json()
+        except Indeterminate:
+            return "Indeterminate"
+
+    assert outcome(validate_fan) == outcome(validate_fan_all_pairs)
 
 
 def test_validate_fan_dependent_at_the_witness_only():
     # (1, 0) and (1, a + 7/3) are independent symbolically but equal at
-    # a = -7/3, so the one maximal cone certifies nothing about its faces
+    # a = -7/3, so the one maximal cone certifies nothing about its faces,
+    # and each ray meets the relative interior of the line they span
     rays = [[1, 0], [1, SA + Q(7, 3)]]
     fan = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1]]), rays, [[1, 2]])
     rep = validate_fan(fan, W)
-    assert rep.violations == [{"kind": "overlap",
-                               "detail": {"cones": [[1], [2]]}}]
+    assert rep.violations == [
+        {"kind": "overlap", "detail": {"cones": cones}}
+        for cones in ([[1], [2]], [[1], [1, 2]], [[2], [1, 2]])]
     assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
 
 
@@ -556,7 +569,7 @@ def test_validate_fan_sends_a_doubly_wound_pentagon_to_the_lps():
     rays = [[1, 0], [1, 3], [-2, 1], [-2, -1], [1, -3]]
     fan = fan_from_max_cones(QLattice.standard(2), rays,
                              [[1, 3], [3, 5], [5, 2], [2, 4], [4, 1]])
-    coords = lattice_fan_mod._rays_at_witness(fan, EMPTY_WITNESS)
+    coords = dict(enumerate(EMPTY_WITNESS.values_of(fan.rays), 1))
 
     def det(i, j):
         (a, b), (c, e) = coords[i], coords[j]
@@ -568,7 +581,7 @@ def test_validate_fan_sends_a_doubly_wound_pentagon_to_the_lps():
         assert det(r, q) * det(r, s) < 0
     assert _is_complete(fan)
     assert not lattice_fan_mod._certified_complete(
-        fan, coords, fan.maximal_cones())
+        fan, EMPTY_WITNESS, coords, fan.maximal_cones())
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert [v["kind"] for v in rep.violations] == ["overlap"] * 10
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
@@ -582,10 +595,10 @@ def test_validate_fan_folded_ray_fails_a_ridge_sign():
     rays = [[1, 0], [0, 1], [-1, -1], [-2, -1]]
     fan = fan_from_max_cones(QLattice.standard(2), rays,
                              [[1, 2], [2, 3], [3, 4], [4, 1]])
-    coords = lattice_fan_mod._rays_at_witness(fan, EMPTY_WITNESS)
+    coords = dict(enumerate(EMPTY_WITNESS.values_of(fan.rays), 1))
     assert _is_complete(fan)
     assert not lattice_fan_mod._certified_complete(
-        fan, coords, fan.maximal_cones())
+        fan, EMPTY_WITNESS, coords, fan.maximal_cones())
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert not rep.valid
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
@@ -606,14 +619,108 @@ def test_validate_fan_bipyramid_with_apex_pushed_through_a_facet():
 
 def test_validate_fan_singular_at_the_witness_only_falls_through():
     # (-1, a + 7/3) is independent of (1, 0) symbolically, but equals
-    # (-1, 0) at a = -7/3: the cone [1, 2] has no chart at the witness
+    # (-1, 0) at a = -7/3: the cone [1, 2] has no value chart at the
+    # witness, so the certificate falls through, and there [1, 2] is a
+    # line whose relative interior holds both of its rays
     rays = [[1, 0], [-1, SA + Q(7, 3)], [0, -1]]
     fan = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1], [0, SA]]), rays,
                              [[1, 2], [2, 3], [3, 1]])
     assert _is_complete(fan)
+    assert fan.value_chart([1, 2], W) is None
     rep = validate_fan(fan, W)
-    assert not any(v["kind"] == "dependent_cone" for v in rep.violations)
+    assert rep.to_json() == {"valid": False, "violations": [
+        {"kind": "overlap", "detail": {"cones": cones}}
+        for cones in ([[1], [1, 2]], [[2], [1, 2]])]}
     assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
+
+
+def test_validate_fan_cone_that_is_a_line_at_the_witness():
+    # v3 = -2 v1 at a = -7/3, so the cone [1, 3] is a line there, and its
+    # relative interior holds both of its rays
+    rays = [[-3, -1], [7, 2], [6, 2 * SA + Q(20, 3)]]
+    fan = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1], [0, 2 * SA]]),
+                             rays, [[1, 2], [1, 3], [2, 3]])
+    rep = validate_fan(fan, W)
+    assert rep.to_json() == {"valid": False, "violations": [
+        {"kind": "overlap", "detail": {"cones": cones}}
+        for cones in ([[1], [1, 3]], [[3], [1, 3]])]}
+    assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
+
+
+def test_validate_fan_ray_zero_at_the_witness_only_is_indeterminate():
+    rays = [[1, 0], [0, 1], [SA + Q(7, 3), SA + Q(7, 3)], [-1, -1]]
+    fan = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1], [SA, SA]]), rays,
+                             [[1, 2], [2, 4], [4, 1], [3]])
+    with pytest.raises(Indeterminate, match="ray 3"):
+        validate_fan(fan, W)
+    with pytest.raises(Indeterminate):
+        validate_fan_all_pairs(fan, W)
+
+
+def test_validate_fan_never_valid_with_a_cone_singular_at_the_witness():
+    singular = 0
+    for seed in range(40):
+        for d in (2, 3):
+            fan = _fan_variant(random.Random(seed), d, "parametric")
+            if all(fan.value_chart(c, W) is not None
+                   for c in fan.maximal_cones()):
+                continue
+            singular += 1
+            try:
+                valid = validate_fan(fan, W).valid
+            except Indeterminate:
+                valid = False
+            assert not valid
+    assert singular
+
+
+def test_validate_fan_eliminates_each_maximal_cone_once(monkeypatch):
+    # on a valid fan, each maximal cone's witness values take one
+    # basis_inverse, which serves as its rank and its chart, and no cone
+    # is ranked otherwise
+    fans = [(random_bipyramid_fan(random.Random(5), 5), EMPTY_WITNESS),
+            (p2_deformation(), W)]
+    calls = []
+    real = lattice_fan_mod.basis_inverse
+
+    def no_rank(*args):
+        raise AssertionError("a rank was taken")
+
+    monkeypatch.setattr(lattice_fan_mod, "basis_inverse",
+                        lambda cols: calls.append(1) or real(cols))
+    monkeypatch.setattr(lattice_fan_mod, "rank", no_rank)
+    for fan, w in fans:
+        calls.clear()
+        assert validate_fan(fan, w).valid
+        assert len(calls) == len(fan.maximal_cones())
+
+
+def test_value_chart_exactly_when_the_witness_rank_is_full():
+    fans = [_fan_variant(random.Random(seed), d, kind)
+            for seed in range(12) for d in (2, 3)
+            for kind in ("complete", "duplicate", "parametric")]
+    fans.append(fan_from_max_cones(
+        QLattice.standard(2), [[1, 0], [0, 1 / (SA + Q(7, 3))]], [[1, 2]]))
+    short = 0
+    for fan in fans:
+        for c in fan.cones:
+            chart = fan.value_chart(c, W)
+            try:
+                values = W.values_of(fan.cone_generators(c))
+            except Indeterminate:
+                assert chart is None
+                continue
+            if minor_rank(values) < len(c):
+                assert chart is None
+                short += 1
+                continue
+            # the rows invert the values: ray k goes to e_k
+            for k, v in enumerate(values):
+                assert [sum(a * x for a, x in zip(r, v)) for r in chart] \
+                    == [int(j == k) for j in range(fan.dim)]
+    assert short
+    assert fans[-1].value_chart([1, 2], W) is None
+    assert fans[-1].value_chart([1], W) is not None
 
 
 @settings(max_examples=60, deadline=None)
