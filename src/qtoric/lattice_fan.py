@@ -126,6 +126,8 @@ class QuantumFan:
         for c in self.cones:
             if any(i < 1 or i > len(self.rays) for i in c):
                 raise ValueError("cone index out of range")
+        if any(len(set(c)) < len(c) for c in cones):
+            raise ValueError("cone lists a ray twice")
         self._charts = {}
         self._witness_charts = {}
 
@@ -237,36 +239,58 @@ def _meet_in_common_face(coords, A, B) -> bool:
     return not lp.feasible(A_eq, [Q(0)] * (len(A_eq) - 1) + [Q(1)])
 
 
-def _certified_complete(fan: QuantumFan, w: Witness, coords, maxc) -> bool:
-    """Do the maximal cones form a complete fan at the witness?
+def _ridges(maxc) -> dict | None:
+    """{A - {i}: [(A, i), (B, j)]} when the cones maxc (frozensets) are
+    nonempty and of one size, every ridge lies in exactly two of them and
+    the ridge graph is connected, else None: the pseudomanifold test."""
+    if not maxc or not maxc[0] or any(len(c) != len(maxc[0]) for c in maxc):
+        return None
+    ridges = {}
+    for A in maxc:
+        for i in A:
+            ridges.setdefault(A - {i}, []).append((A, i))
+    if any(len(pair) != 2 for pair in ridges.values()):
+        return None
+    seen, stack = {maxc[0]}, [maxc[0]]
+    while stack:
+        A = stack.pop()
+        new = {B for i in A for B, _ in ridges[A - {i}]} - seen
+        seen |= new
+        stack.extend(new)
+    return ridges if len(seen) == len(maxc) else None
+
+
+def _certified_walls(fan: QuantumFan, w: Witness, coords) -> list | None:
+    """The walls (A, j, x) of a fan certified complete at the witness, else
+    None: the test fails, or a maximal cone has no value chart.
 
     A pseudomanifold of full-dimensional simplicial cones is one when the
     two cones at every ridge lie on opposite sides of it and one generic
     point lies in exactly one cone (De Loera-Rambau-Santos,
     Triangulations, 2010, section 4.5): crossing a ridge then keeps the
     number of cones over a generic point, so that number is 1 everywhere.
-    The ridge R = A - {i} = B - {j} needs a negative i-th coordinate of v_j
-    in A's value chart.  The point is the sum of the first cone's rays,
-    interior to it, and it must have a negative coordinate in every other
-    cone's value chart.  Every sign is exact on the witness values coords.
-    False means only that the criterion does not certify the fan: it
-    fails, or a cone has no value chart."""
-    if not _is_complete(fan):
-        return False
-    maxc = [tuple(sorted(c)) for c in maxc]
-    charts = {s: fan.value_chart(s, w) for s in maxc}
+    At the ridge A - {i} = B - {j}, x holds v_j in A's value chart, keyed
+    by A's rays, and x[i] < 0.  The point, the sum of the first cone's
+    rays, has a negative coordinate in every other cone's value chart.
+    Every sign is exact on the witness values coords."""
+    maxc = fan.maximal_cones()
+    ridges = _ridges(maxc)
+    if ridges is None or len(maxc[0]) != fan.dim:
+        return None
+    charts = {A: fan.value_chart(A, w) for A in maxc}
     if None in charts.values():
-        return False
-    ridges = {}
-    for s in maxc:
-        for k, i in enumerate(s):
-            ridges.setdefault(frozenset(s) - {i}, []).append((s, k, i))
-    for (s, k, _), (_, _, j) in ridges.values():
-        if not sum(a * x for a, x in zip(charts[s][k], coords[j])) < 0:
-            return False
-    point = [sum(x) for x in zip(*(coords[i] for i in maxc[0]))]
-    return all(any(sum(a * x for a, x in zip(r, point)) < 0
-                   for r in charts[t]) for t in maxc[1:])
+        return None
+    walls = []
+    for (A, i), (_, j) in ridges.values():
+        x = dict(zip(sorted(A), (sum(a * y for a, y in zip(r, coords[j]))
+                                 for r in charts[A])))
+        if not x[i] < 0:
+            return None
+        walls.append((A, j, x))
+    point = [sum(y) for y in zip(*(coords[i] for i in maxc[0]))]
+    covered = all(any(sum(a * y for a, y in zip(r, point)) < 0
+                      for r in charts[B]) for B in maxc[1:])
+    return walls if covered else None
 
 
 def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
@@ -282,7 +306,7 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
 
     A complete simplicial fan (see _is_complete) whose maximal cones all
     have value charts is then certified with no LP by ridge signs and one
-    covered point (_certified_complete).  Otherwise each maximal cone A
+    covered point (_certified_walls).  Otherwise each maximal cone A
     with a value chart certifies the pairs of its own faces, whose relative
     interiors have distinct supports.  Each pair A, B of them takes one
     exact LP for the separation lemma (Cox-Little-Schenck, Toric
@@ -324,7 +348,7 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
         if not any(v):
             raise Indeterminate(f"ray {i} vanishes at the witness but is "
                                 "not symbolically zero")
-    if _certified_complete(fan, w, coords, maxc):
+    if _certified_walls(fan, w, coords) is not None:
         return report
     certified = {(A, A) for A in independent}
     for A, B in itertools.combinations(independent, 2):
@@ -360,11 +384,10 @@ class FanProperties:
 
 
 def _is_complete(fan: QuantumFan) -> bool:
-    """Simplicial completeness: all maximal cones of dimension d and a
-    pseudomanifold combinatorial type."""
+    """Simplicial completeness: the maximal cones form a pseudomanifold
+    (_ridges) of cones of dimension d."""
     maxc = fan.maximal_cones()
-    return (all(len(c) == fan.dim for c in maxc)
-            and CombType.of_fan(fan).is_pseudomanifold())
+    return _ridges(maxc) is not None and len(maxc[0]) == fan.dim
 
 
 def _is_gamma_complete(fan: QuantumFan) -> bool:
@@ -382,36 +405,31 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     """Is there a strictly convex piecewise-linear support function on the
     witness values ("polytopal at witness")?
 
-    Such a function takes values w_i at the rays, is linear l_s on each
-    maximal cone s, and needs l_s(v_j) > w_j for every ray j outside s:
-    one system C w > 0.  By Gordan's theorem of the alternative it has a
-    solution iff {y >= 0 : C^T y = 0, sum y = 1} is empty, one exact LP
-    with a row per ray and a column per constraint.  C w > 0 is
-    homogeneous in w, so no margin enters the answer."""
+    It takes values w_i at the rays and is linear l_A on each maximal cone
+    A.  A fan that _certified_walls does not certify has none: l_A(v_j) >
+    w_j for every ray j outside A makes min_A l_A = l_A on cone(A), so
+    cone(A) & cone(B) = cone(A & B), which the certificate would certify.
+    On a certified fan, strict convexity across every wall is global
+    (Cox-Little-Schenck, Toric Varieties, section 6.1): at the wall (A, j,
+    x), l_A(v_j) = sum_a x[a] w_a > w_j, and the other cone's inequality
+    there is this one times -1/x[i] > 0.  By Gordan's theorem of the
+    alternative this system C w > 0 has a solution iff {y >= 0 : C^T y = 0,
+    sum y = 1} is empty, one exact LP with a row per ray and a column per
+    wall; it is homogeneous in w, so no margin enters.  The witness values
+    are taken only for a combinatorially complete fan."""
     if not _is_complete(fan):
         return False
-    p = fan.nrays
-    maxc = [tuple(sorted(c)) for c in fan.maximal_cones()]
     coords = dict(enumerate(w.values_of(fan.rays), 1))
-    # l_s(v_j) = sum_i gamma_i w_i, where gamma = V_s^-1 v_j
-    charts = {s: fan.value_chart(s, w) for s in maxc}
-    if None in charts.values():
+    walls = _certified_walls(fan, w, coords)
+    if walls is None:
         return False
-    constraints = []
-    for s in maxc:
-        for j in range(1, p + 1):
-            if j in s:
-                continue
-            row = [Q(0)] * p
-            for i, r in zip(s, charts[s]):
-                row[i - 1] += sum(a * x for a, x in zip(r, coords[j]))
-            row[j - 1] -= 1
-            constraints.append(row)
-    if not constraints:
-        return True
-    A = [list(col) for col in zip(*constraints)]
-    A.append([Q(1)] * len(constraints))
-    return not lp.feasible(A, [Q(0)] * p + [Q(1)])
+    columns = []
+    for _, j, x in walls:
+        column = [x.get(k, Q(0)) for k in range(1, fan.nrays + 1)]
+        column[j - 1] = Q(-1)
+        columns.append(column)
+    A_eq = [list(row) for row in zip(*columns)] + [[Q(1)] * len(columns)]
+    return not lp.feasible(A_eq, [Q(0)] * fan.nrays + [Q(1)])
 
 
 def fan_properties(fan: QuantumFan, w: Witness) -> FanProperties:
@@ -458,29 +476,10 @@ class CombType:
 
     def is_pseudomanifold(self) -> bool:
         """Combinatorial necessary condition for being the type of a
-        complete fan: equidimensional maximal elements, every ridge in
-        exactly two of them, ridge graph connected."""
-        maxc = [c for c in self.poset if not any(c < d for d in self.poset)]
-        maxc = [c for c in maxc if c]
-        if not maxc:
-            return False
-        d = len(maxc[0])
-        if any(len(c) != d for c in maxc):
-            return False
-        ridge: dict = {}
-        for c in maxc:
-            for i in c:
-                ridge[c - {i}] = ridge.get(c - {i}, 0) + 1
-        if any(v != 2 for v in ridge.values()):
-            return False
-        # two maximal cones share a ridge when they share d - 1 rays
-        seen, stack = set(), [maxc[0]]
-        while stack:
-            c = stack.pop()
-            if c not in seen:
-                seen.add(c)
-                stack.extend(e for e in maxc if len(c & e) == d - 1)
-        return len(seen) == len(maxc)
+        complete fan: the maximal elements form a pseudomanifold
+        (_ridges)."""
+        return _ridges([c for c in self.poset
+                        if not any(c < d for d in self.poset)]) is not None
 
 
 def comb_type(fan: QuantumFan) -> CombType:

@@ -352,6 +352,18 @@ def test_malformed_fan_file_is_an_input_error(field, value, tmp_path,
     assert payload[1]["error"]["code"] == "InputError"
 
 
+@pytest.mark.parametrize("command, cones", [
+    ("validate", [[1, 1], [2, 3], [3, 1]]),
+    ("properties", [[1, 2, 2], [2, 3], [3, 1]]),
+])
+def test_cone_that_lists_a_ray_twice_is_an_input_error(command, cones,
+                                                      tmp_path, capsys):
+    # read as a set, [1, 1] was the ray [1] and [1, 2, 2] the cone [1, 2]
+    f = _write(tmp_path, "twice.json", dict(P2STD, cones=cones))
+    code, payload = run(capsys, [command, f])
+    assert code == 2 and "twice" in payload["error"]["message"]
+
+
 def test_malformed_arguments_are_input_errors(tmp_path, capsys):
     f = _write(tmp_path, "p2.json", P2STD)
     m = _write(tmp_path, "m.json", {"L": 5})

@@ -370,12 +370,16 @@ def test_complete_fans_facet_pairing():
         assert all(v == 2 for v in facets.values())
 
 
-def _ridge_pairing_complete(fan):
+def _ridge_pairing_complete(fan, dim_check=True):
     """Reference: maximal cones of dimension d, every (d-1)-face in exactly
-    two of them, facet-adjacency graph connected (searched directly)."""
-    d = fan.dim
+    two of them, facet-adjacency graph connected (searched directly).  With
+    dim_check false, d is the size of a maximal cone: the pseudomanifold
+    test."""
     maxc = fan.maximal_cones()
-    if not maxc or any(len(c) != d for c in maxc):
+    if not maxc:
+        return False
+    d = fan.dim if dim_check else len(maxc[0])
+    if not d or any(len(c) != d for c in maxc):
         return False
     count = {}
     for c in maxc:
@@ -431,10 +435,13 @@ def test_is_complete_matches_ridge_pairing_reference():
     ]
     results = []
     for fan in fans:
-        got = _is_complete(fan)
-        assert got == _ridge_pairing_complete(fan), fan.cones
+        got = _is_complete(fan), CombType.of_fan(fan).is_pseudomanifold()
+        assert got == (_ridge_pairing_complete(fan),
+                       _ridge_pairing_complete(fan, dim_check=False)), \
+            fan.cones
         results.append(got)
-    assert True in results and False in results
+    # the circle of 2-cones in R^3 is a pseudomanifold but not complete
+    assert {(True, True), (False, False), (False, True)} == set(results)
 
 
 def _fan_variant(rng, d, kind):
@@ -580,8 +587,8 @@ def test_validate_fan_sends_a_doubly_wound_pentagon_to_the_lps():
     for q, r, s in [(1, 3, 5), (3, 5, 2), (5, 2, 4), (2, 4, 1), (4, 1, 3)]:
         assert det(r, q) * det(r, s) < 0
     assert _is_complete(fan)
-    assert not lattice_fan_mod._certified_complete(
-        fan, EMPTY_WITNESS, coords, fan.maximal_cones())
+    assert lattice_fan_mod._certified_walls(fan, EMPTY_WITNESS,
+                                           coords) is None
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert [v["kind"] for v in rep.violations] == ["overlap"] * 10
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
@@ -597,8 +604,8 @@ def test_validate_fan_folded_ray_fails_a_ridge_sign():
                              [[1, 2], [2, 3], [3, 4], [4, 1]])
     coords = dict(enumerate(EMPTY_WITNESS.values_of(fan.rays), 1))
     assert _is_complete(fan)
-    assert not lattice_fan_mod._certified_complete(
-        fan, EMPTY_WITNESS, coords, fan.maximal_cones())
+    assert lattice_fan_mod._certified_walls(fan, EMPTY_WITNESS,
+                                           coords) is None
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert not rep.valid
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
@@ -723,16 +730,21 @@ def test_value_chart_exactly_when_the_witness_rank_is_full():
     assert fans[-1].value_chart([1], W) is not None
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10 ** 6),
-       kind=st.sampled_from(["circle", "bipyramid", "twisted"]))
-def test_is_polytopal_matches_primal_reference(seed, kind):
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["circle", "bipyramid", "twisted", "complete",
+                             "duplicate", "misplaced", "parametric",
+                             "folded", "wound"]))
+def test_is_polytopal_matches_primal_reference(seed, d, kind):
+    # the kinds of _fan_variant, at W, include combinatorially complete
+    # fans that are not fans at the witness ("folded", "wound")
     rng = random.Random(seed)
+    w = EMPTY_WITNESS
     if kind == "circle":
         fan = random_circle_fan(rng, rng.randint(3, 7))
     elif kind == "bipyramid":
         fan = random_bipyramid_fan(rng, rng.randint(3, 5))
-    else:
+    elif kind == "twisted":
         fan = twisted_prism_fan(Q(rng.randint(-3, 3), rng.randint(2, 9)),
                                 [rng.random() < 0.8 for _ in range(3)])
         # off convex position: nudge one ray
@@ -741,8 +753,19 @@ def test_is_polytopal_matches_primal_reference(seed, kind):
         rays[i] = [x + Q(rng.randint(-1, 1), 8) for x in rays[i]]
         fan = fan_from_max_cones(fan.gamma, rays,
                                  [sorted(c) for c in fan.maximal_cones()])
-    assert (_is_polytopal(fan, EMPTY_WITNESS)
-            == is_polytopal_primal(fan, EMPTY_WITNESS))
+    else:
+        fan, w = _fan_variant(rng, d, kind), W
+    assert _is_polytopal(fan, w) == is_polytopal_primal(fan, w)
+
+
+def test_is_polytopal_takes_one_gordan_column_per_wall(monkeypatch):
+    fan = random_bipyramid_fan(random.Random(5), 5)
+    columns = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda A, b: columns.append(
+        len(A[0])) or feasible(A, b))
+    assert _is_polytopal(fan, EMPTY_WITNESS)
+    assert columns == [len(fan.maximal_cones()) * fan.dim // 2]
 
 
 def test_twisted_prism_is_complete_but_not_polytopal():
@@ -754,3 +777,25 @@ def test_twisted_prism_is_complete_but_not_polytopal():
     mixed = twisted_prism_fan(0, [False, True, True])
     assert _is_polytopal(mixed, EMPTY_WITNESS)
     assert is_polytopal_primal(mixed, EMPTY_WITNESS)
+
+
+MOTHER_RAYS = [[0, 10, 1], [-10, -6, 1], [10, -6, 1], [0, 2, 1], [-2, -1, 1],
+               [2, -1, 1], [0, 0, -1]]
+MOTHER_CONES = [[1, 2, 5], [1, 5, 4], [2, 3, 6], [2, 6, 5], [1, 2, 7],
+                [2, 3, 7], [3, 1, 7], [4, 5, 6], [3, 1, 4], [3, 4, 6]]
+
+
+def test_lifted_mother_of_all_examples_is_complete_but_not_polytopal():
+    # the "mother of all examples" (De Loera-Rambau-Santos) lifted to height
+    # 1 and closed by three cones through (0, 0, -1): the diagonals of the
+    # three quadrilaterals between the inner and the outer triangle all
+    # turn one way, so no convex lift exists, until one is flipped
+    gamma = QLattice.standard(3)
+    mother = fan_from_max_cones(gamma, MOTHER_RAYS, MOTHER_CONES)
+    flipped = fan_from_max_cones(gamma, MOTHER_RAYS, MOTHER_CONES[:8]
+                                 + [[3, 1, 6], [1, 4, 6]])
+    for fan, polytopal in [(mother, False), (flipped, True)]:
+        assert validate_fan(fan, EMPTY_WITNESS).valid
+        props = fan_properties(fan, EMPTY_WITNESS)
+        assert props.complete and props.polytopal == polytopal
+        assert is_polytopal_primal(fan, EMPTY_WITNESS) == polytopal
