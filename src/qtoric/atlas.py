@@ -159,7 +159,7 @@ def atlas_report(cf_or_fan, cone_orders=None) -> dict:
     fan = cf_or_fan if cf is None else cf.fan
     order_of = {frozenset(t): tuple(t) for t in cone_orders or []}
     maxc = [order_of.get(frozenset(c), tuple(sorted(c)))
-            for c in sorted(fan.maximal_cones(), key=lambda c: sorted(c))]
+            for c in sorted(fan.maximal_cones(), key=sorted)]
     charts = []
     for cone in maxc:
         chart = ChartData(cone, *chart_matrix(fan, cone))

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import lp
 from .calibration import CalibratedFan, Calibration
 from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
                      RankDeficient, SearchBoundExceeded, Singular)
-from .lattice_fan import QLattice, QuantumFan, _is_complete
-from .linalg import Matrix, basis_inverse, kernel_basis, mat_inverse, rank
+from .lattice_fan import (QLattice, QuantumFan, _certified_walls,
+                          _is_complete, _meet_in_common_face)
+from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
+                     rank)
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
 
@@ -127,23 +130,44 @@ class LVMBDatum:
                 "E": sorted(sorted(e) for e in self.E)}
 
 
+def _gale_dual(points) -> dict:
+    """{i: v_i}, i = 1..N: the rows of a kernel basis of [points^T; 1...1]
+    from one elimination of the values: v_i is the unit vector at a free
+    column i, or minus the reduced row of pivot column i at the free ones."""
+    red, pivots = _rref([*zip(*points), [Fraction(1)] * len(points)])
+    free = [c for c in range(len(points)) if c not in pivots]
+    dual = {c + 1: [Fraction(f == c) for f in free] for c in free}
+    dual.update((c + 1, [-red[r][f] for f in free])
+                for r, c in enumerate(pivots))
+    return dual
+
+
 def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     """The three admissibility conditions: spanning real affine hulls,
     pairwise interior intersection of the hulls, and the replacement
-    property."""
+    property.
+
+    Hulls of e_1, e_2 share interior points iff an affine dependence of the
+    witness values is > 0 on e_1 - e_2, < 0 on e_2 - e_1 and 0 off both:
+    phi(v_i) for a linear phi on the Gale dual v (_gale_dual).  By Motzkin's
+    transposition theorem that is _meet_in_common_face for the cones over
+    the complements (Bosio, Ann. Inst. Fourier 51, 2001), which holds for
+    all pairs with no LP when _certified_walls certifies those cones."""
     if not datum.E:
         return CheckResult.invalid("empty_family")
     pts = w.values_of(datum.points)
-    for e in sorted(datum.E, key=sorted):
+    E = sorted(datum.E, key=sorted)
+    for e in E:
         M = Matrix([[*datum.point(i), Scalar.one()] for i in sorted(e)])
         if rank(M, w) != 2 * datum.m + 1:
             return CheckResult.invalid("affine_hull", E=sorted(e))
-    for e1, e2 in itertools.combinations(sorted(datum.E, key=sorted), 2):
-        p1 = [pts[i - 1] for i in sorted(e1)]
-        p2 = [pts[i - 1] for i in sorted(e2)]
-        if not lp.interiors_intersect(p1, p2):
-            return CheckResult.invalid("interiors",
-                                       E1=sorted(e1), E2=sorted(e2))
+    dual = _gale_dual(pts)
+    charts = {A: basis_inverse([dual[i] for i in sorted(A)])[1]
+              for A in (frozenset(dual) - e for e in E)}
+    if _certified_walls(dual, charts) is None and not all(
+            _meet_in_common_face(dual, A, B)
+            for A, B in itertools.combinations(charts, 2)):
+        return CheckResult.invalid("interiors")
     for e in datum.E:
         for k in range(1, datum.N + 1):
             if not any(frozenset(e - {kp}) | {k} in datum.E for kp in e):

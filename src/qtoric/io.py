@@ -9,6 +9,7 @@ rational approximation whose sign selects the root.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from contextlib import contextmanager
@@ -196,12 +197,20 @@ class FanFile:
         self.raw = raw or {}
 
     def cone_orders(self):
-        return [tuple(c) for c in self.raw.get("cones", [])]
+        return [tuple(c) for c in _indices(self.raw.get("cones", []))]
 
 
 def _require(cond, msg):
     if not cond:
         raise InputError(msg)
+
+
+def _indices(lists) -> list:
+    """Index lists as ints; an index is an int (not a bool) or digits."""
+    for i in itertools.chain(*lists):
+        _require(type(i) is int or isinstance(i, str)
+                 and re.fullmatch("[0-9]+", i), f"index {i!r} is not an int")
+    return [[int(i) for i in c] for c in lists]
 
 
 def require_independent_roots(params) -> None:
@@ -280,22 +289,21 @@ def load_fan_file(data) -> FanFile:
         gamma = QLattice(dim, [vec(g) for g in data["gamma"]])
     if gamma is not None and "rays" in data:
         rays = [vec(r) for r in data["rays"]]
-        cones = data.get("cones", [])
-        fan = QuantumFan(gamma, rays, cones)
+        fan = QuantumFan(gamma, rays, _indices(data.get("cones", [])))
         if data.get("close_faces", True):
             fan = fan.with_closure()
     if fan is not None and "calibration" in data:
         c = data["calibration"]
         images = [vec(v) for v in c["images"]]
         _require(len(images) == int(c["n"]), "calibration n != #images")
-        cal = Calibration(gamma, images, c.get("J", []), c["I"])
+        J, I = _indices([c.get("J", []), c["I"]])
+        cal = Calibration(gamma, images, J, I)
         _require(len(cal.I) == fan.nrays,
                  "calibration I size differs from ray count")
     if "lvmb" in data:
         l = data["lvmb"]
-        lparams = params
-        pts = [[parse_scalar(x, lparams) for x in p] for p in l["Lambda"]]
-        lvmb = LVMBDatum(int(l["m"]), pts, l["E"])
+        pts = [[parse_scalar(x, params) for x in p] for p in l["Lambda"]]
+        lvmb = LVMBDatum(int(l["m"]), pts, _indices(l["E"]))
     return FanFile(params, witness, gamma, fan, cal, lvmb, raw=data)
 
 
@@ -306,7 +314,8 @@ def load_morphism_file(data, params: dict):
         if "L" in data else None
     H = Matrix([[parse_scalar(x, params) for x in r] for r in data["H"]]) \
         if "H" in data else None
-    s = {int(k): int(v) for k, v in (data.get("s") or {}).items()}
+    s = data.get("s") or {}
+    s = dict(zip(*_indices([s, s.values()])))
     return L, H, s
 
 

@@ -10,6 +10,7 @@ index subsets (1-based, matching the usual cone notation <i1...ik>).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -99,10 +100,12 @@ def gamma_contains(gamma: QLattice, x) -> tuple | None:
 
 
 def _normalize_cones(cones) -> frozenset:
-    out = {frozenset()}
-    for c in cones:
-        out.add(frozenset(int(i) for i in c))
-    return frozenset(out)
+    return frozenset([frozenset(), *map(frozenset, cones)])
+
+
+def _maximal(cones) -> tuple:
+    """The cones not strictly inside another, in the family's order."""
+    return tuple(c for c in cones if not any(c < d for d in cones))
 
 
 def _ordered(cone) -> list:
@@ -123,13 +126,13 @@ class QuantumFan:
             if len(v) != gamma.dim:
                 raise ValueError("ray of wrong dimension")
         self.cones = _normalize_cones(cones)
-        for c in self.cones:
-            if any(i < 1 or i > len(self.rays) for i in c):
-                raise ValueError("cone index out of range")
+        if not set().union(*self.cones) <= set(range(1, len(self.rays) + 1)):
+            raise ValueError("cone index out of range")
         if any(len(set(c)) < len(c) for c in cones):
             raise ValueError("cone lists a ray twice")
         self._charts = {}
         self._witness_charts = {}
+        self._maximal = None
 
     @property
     def dim(self) -> int:
@@ -183,9 +186,10 @@ class QuantumFan:
             self._witness_charts[key] = inv if independent else None
         return self._witness_charts[key]
 
-    def maximal_cones(self):
-        return [c for c in self.cones
-                if not any(c < d for d in self.cones)]
+    def maximal_cones(self) -> tuple:
+        if self._maximal is None:
+            self._maximal = _maximal(self.cones)
+        return self._maximal
 
     def with_closure(self) -> "QuantumFan":
         closed = set()
@@ -260,9 +264,11 @@ def _ridges(maxc) -> dict | None:
     return ridges if len(seen) == len(maxc) else None
 
 
-def _certified_walls(fan: QuantumFan, w: Witness, coords) -> list | None:
-    """The walls (A, j, x) of a fan certified complete at the witness, else
-    None: the test fails, or a maximal cone has no value chart.
+def _certified_walls(coords, charts) -> list | None:
+    """The walls (A, j, x) of the cones certified to form a complete fan,
+    else None: the test fails, or a cone has no chart.  coords maps each ray
+    to its values; charts maps each maximal cone, in order, to the rows of
+    the inverse of its rays' values in sorted order, or None (value_chart).
 
     A pseudomanifold of full-dimensional simplicial cones is one when the
     two cones at every ridge lie on opposite sides of it and one generic
@@ -272,13 +278,11 @@ def _certified_walls(fan: QuantumFan, w: Witness, coords) -> list | None:
     At the ridge A - {i} = B - {j}, x holds v_j in A's value chart, keyed
     by A's rays, and x[i] < 0.  The point, the sum of the first cone's
     rays, has a negative coordinate in every other cone's value chart.
-    Every sign is exact on the witness values coords."""
-    maxc = fan.maximal_cones()
+    Every sign is exact on the values coords."""
+    maxc = list(charts)
     ridges = _ridges(maxc)
-    if ridges is None or len(maxc[0]) != fan.dim:
-        return None
-    charts = {A: fan.value_chart(A, w) for A in maxc}
-    if None in charts.values():
+    if (ridges is None or len(maxc[0]) != len(coords[next(iter(maxc[0]))])
+            or None in charts.values()):
         return None
     walls = []
     for (A, i), (_, j) in ridges.values():
@@ -324,8 +328,9 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     def dependent(c, at=None):
         return rank(Matrix.from_columns(fan.cone_generators(c)), at) != len(c)
 
-    maxc = sorted(fan.maximal_cones(), key=sorted)
-    independent = [A for A in maxc if fan.value_chart(A, w) is not None]
+    maxc = fan.maximal_cones()
+    charts = {A: fan.value_chart(A, w) for A in maxc}
+    independent = [A for A in maxc if charts[A] is not None]
     above = {c: [A for A in maxc if c <= A] for c in fan.cones}
     bad = {A for A in maxc if A not in independent and dependent(A)}
     for c in fan.cones:
@@ -348,7 +353,7 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
         if not any(v):
             raise Indeterminate(f"ray {i} vanishes at the witness but is "
                                 "not symbolically zero")
-    if _certified_walls(fan, w, coords) is not None:
+    if _certified_walls(coords, charts) is not None:
         return report
     certified = {(A, A) for A in independent}
     for A, B in itertools.combinations(independent, 2):
@@ -420,7 +425,8 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     if not _is_complete(fan):
         return False
     coords = dict(enumerate(w.values_of(fan.rays), 1))
-    walls = _certified_walls(fan, w, coords)
+    walls = _certified_walls(coords, {A: fan.value_chart(A, w)
+                                      for A in fan.maximal_cones()})
     if walls is None:
         return False
     columns = []
@@ -478,8 +484,7 @@ class CombType:
         """Combinatorial necessary condition for being the type of a
         complete fan: the maximal elements form a pseudomanifold
         (_ridges)."""
-        return _ridges([c for c in self.poset
-                        if not any(c < d for d in self.poset)]) is not None
+        return _ridges(_maximal(self.poset)) is not None
 
 
 def comb_type(fan: QuantumFan) -> CombType:
@@ -492,49 +497,30 @@ def comb_equivalent(D: CombType, E: CombType) -> dict | None:
     if D.nrays != E.nrays:
         return None
     p = D.nrays
-    sizesD = sorted(len(c) for c in D.poset)
-    sizesE = sorted(len(c) for c in E.poset)
-    if sizesD != sizesE:
+    if sorted(map(len, D.poset)) != sorted(map(len, E.poset)):
         return None
 
     def signature(ct: CombType):
-        sig = {}
-        for i in range(1, p + 1):
-            counts = {}
-            for c in ct.poset:
-                if i in c:
-                    counts[len(c)] = counts.get(len(c), 0) + 1
-            sig[i] = tuple(sorted(counts.items()))
-        return sig
+        return {i: sorted(Counter(len(c) for c in ct.poset if i in c).items())
+                for i in range(1, p + 1)}
 
     sigD, sigE = signature(D), signature(E)
-    targetsE = E.poset
 
-    def compatible(assign, i, j):
-        # all fully-assigned cones through i must map into E's poset
-        for c in D.poset:
-            if i in c and all(k in assign or k == i for k in c):
-                image = frozenset(assign.get(k, j) for k in c)
-                if image not in targetsE:
-                    return False
-        return True
+    def compatible(assign, i):
+        # every cone through i whose rays are all assigned maps into E
+        return all(frozenset(assign[k] for k in c) in E.poset for c in D.poset
+                   if i in c and all(k in assign for k in c))
 
     def backtrack(assign, used, i):
         if i > p:
-            inv_ok = all(
-                frozenset(assign[k] for k in c) in targetsE for c in D.poset)
-            if not inv_ok:
-                return None
-            # surjectivity on the poset (same cardinality => bijection)
-            image = {frozenset(assign[k] for k in c) for c in D.poset}
-            if len(image) != len(D.poset):
-                return None
+            # compatible checked each cone at its last ray, and an
+            # injective ray map sends the cones onto as many cones of E
             return dict(assign)
         for j in range(1, p + 1):
             if j in used or sigD[i] != sigE[j]:
                 continue
             assign[i] = j
-            if compatible(assign, i, j):
+            if compatible(assign, i):
                 used.add(j)
                 res = backtrack(assign, used, i + 1)
                 if res is not None:

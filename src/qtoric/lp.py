@@ -1,11 +1,12 @@
 """Exact feasibility (phase 1 of the simplex, Bland's rule).
 
 Every geometric predicate here asks only whether a point exists:
-relative-interior intersection of cones, convex-hull membership, strictly
-convex support functions.  solve_lp finds x >= 0 with A x = b or reports
-that there is none; no LP has an objective.  Interiors of full-dimensional
-hulls are decided as relative interiors of the cones over the points
-lifted to height 1.  The data are witness values, exact elements of
+relative-interior intersection of cones, convex-hull membership, cones
+that meet in a common face, strictly convex support functions.  solve_lp
+finds x >= 0 with A x = b or reports that there is none; no LP has an
+objective.  Hulls are cones over their points lifted to height 1; hulls
+that share interior points are decided on the Gale-dual cones
+(gale_lvmb.check_lvmb).  The data are witness values, exact elements of
 K = Q(sqrt(D_1), ..., sqrt(D_k)): Fractions, and Surds when quadratic
 roots occur.  A rational tableau is kept as rows of ints, each a positive
 multiple of the field tableau's row, under a division-free pivot step
@@ -122,17 +123,6 @@ def in_convex_hull(points):
     # (0, 1) in the cone over the lifted points (p, 1)
     A = _difference_rows([[*p, Q(1)] for p in points], [])
     return feasible(A, [Q(0)] * len(points[0]) + [Q(1)])
-
-
-def interiors_intersect(points1, points2):
-    """Do the convex hulls of two full-dimensional point sets have interior
-    points in common?  That is, are there λ, μ > 0 with Σλ = Σμ = 1 and
-    Σ λᵢpᵢ = Σ μⱼqⱼ?  Scaled, these are points of the relative interiors of
-    the cones over the lifted points (p, 1) and (q, 1)."""
-    if not points1 or not points2:
-        return False
-    return cones_relint_intersect([[*p, Q(1)] for p in points1],
-                                  [[*q, Q(1)] for q in points2])
 
 
 def _difference_rows(gen1, gen2):

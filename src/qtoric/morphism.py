@@ -4,6 +4,7 @@ composition, kernel maps, and a bounded existence search for the pair
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .calibration import CalibratedFan, induced_fan, kernel_rank
@@ -276,18 +277,6 @@ def kernel_map(m: CalMorphism, src: CalibratedFan, dst: CalibratedFan) -> list:
 # existence search
 # ---------------------------------------------------------------------------
 
-def _all_maps(src_set, dst_set):
-    if not src_set:
-        yield {}
-        return
-    first, rest = src_set[0], src_set[1:]
-    for sub in _all_maps(rest, dst_set):
-        for j in dst_set:
-            out = dict(sub)
-            out[first] = j
-            yield out
-
-
 def find_cal_morphism(src: CalibratedFan, dst: CalibratedFan, w: Witness,
                       L: Matrix | None = None) -> CalMorphism | None:
     """Search for a calibrated morphism (L, H, s) from src to dst.
@@ -301,11 +290,9 @@ def find_cal_morphism(src: CalibratedFan, dst: CalibratedFan, w: Witness,
     if len(cal.J) > 8 or len(cal2.J) > 8:
         raise SearchBoundExceeded("more than 8 virtual generators")
     d, d2 = cal.d, cal2.d
-    smaps = list(_all_maps(list(cal.J), list(cal2.J))) if cal.J else [{}]
-    if cal.J and not cal2.J:
-        return None
     underdetermined = False
-    for s in smaps:
+    for t in itertools.product(cal2.J, repeat=len(cal.J)):
+        s = dict(zip(reversed(cal.J), t))
         Lcand = L
         if Lcand is None:
             Lcand, determined = _derive_L(cal, cal2, s, d, d2, w)

@@ -545,6 +545,29 @@ def interiors_intersect_by_slack(points1, points2):
     return t is not None and t > 0
 
 
+def check_lvmb_pairwise(datum, w: Witness):
+    """Reference check_lvmb, as (valid, reason): symbolic affine-hull
+    ranks, then one slack LP per pair of admissible sets on the hulls of
+    their witness values, then the replacement property."""
+    pts = w.values_of(datum.points)
+    if not datum.E:
+        return False, "empty_family"
+    E = sorted(datum.E, key=sorted)
+    for e in E:
+        M = Matrix([[*datum.point(i), Scalar.one()] for i in sorted(e)])
+        if rank(M) != 2 * datum.m + 1:
+            return False, "affine_hull"
+    for e1, e2 in itertools.combinations(E, 2):
+        if not interiors_intersect_by_slack([pts[i - 1] for i in sorted(e1)],
+                                            [pts[i - 1] for i in sorted(e2)]):
+            return False, "interiors"
+    for e in E:
+        for k in range(1, datum.N + 1):
+            if not any(e - {kp} | {k} in datum.E for kp in e):
+                return False, "replacement"
+    return True, None
+
+
 def twisted_prism_fan(eps, diagonals) -> QuantumFan:
     """Complete fan in R^3 over a triangular prism around the origin whose
     top triangle is sheared by eps; each side quadrilateral is split along

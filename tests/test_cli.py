@@ -364,6 +364,41 @@ def test_cone_that_lists_a_ray_twice_is_an_input_error(command, cones,
     assert code == 2 and "twice" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("command, payload, error", [
+    ("validate", dict(P2STD, cones=[[1, "1"], [2, 3], [3, 1]]),
+     ("ValueError", "cone lists a ray twice")),
+    ("properties", dict(P2STD, cones=[[1, 2, "02"], [2, 3], [3, 1]]),
+     ("ValueError", "cone lists a ray twice")),
+    ("validate", dict(P2STD, cones=[[1.9, 2], [2, 3], [3, 1]]),
+     ("InputError", "index 1.9 is not an int")),
+    ("validate", dict(P2STD, cones=[[True, 2], [2, 3], [3, 1]]),
+     ("InputError", "index True is not an int")),
+    ("validate", dict(P2DEF, calibration=dict(P2DEF["calibration"],
+                                              I=[1, 2, "+3"])),
+     ("InputError", "index '+3' is not an int")),
+    ("lvmb-check", dict(TORUS_LVMB, lvmb=dict(TORUS_LVMB["lvmb"],
+                                              E=[[1, 2, 3.0]])),
+     ("InputError", "index 3.0 is not an int")),
+    ("lvmb-check", dict(TORUS_LVMB, lvmb=dict(TORUS_LVMB["lvmb"],
+                                              E=[[1, 2, "3.0"]])),
+     ("InputError", "index '3.0' is not an int")),
+])
+def test_index_that_is_not_an_integer_is_an_input_error(command, payload,
+                                                       error, tmp_path,
+                                                       capsys):
+    # an index is an int or a string of decimal digits, read before the
+    # duplicate check: "1" and "02" were int()ed after it, and 1.9 was 1
+    f = _write(tmp_path, "index.json", payload)
+    code, out = run(capsys, [command, f])
+    assert code == 2
+    assert (out["error"]["code"], out["error"]["message"]) == error
+    digits = dict(TORUS_LVMB, lvmb=dict(TORUS_LVMB["lvmb"],
+                                        E=[["1", "2", "03"]]))
+    code, out = run(capsys, ["lvmb-check", _write(tmp_path, "ok.json",
+                                                  digits)])
+    assert code == 0 and out["valid"]
+
+
 def test_malformed_arguments_are_input_errors(tmp_path, capsys):
     f = _write(tmp_path, "p2.json", P2STD)
     m = _write(tmp_path, "m.json", {"L": 5})

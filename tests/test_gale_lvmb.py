@@ -2,12 +2,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import (EMPTY_WITNESS, gale_bilinear_defect, lemmah_defect,
-                      lvm_face_oracle, polytope_faces_brute,
-                      random_even_calibrated_fan)
+from conftest import (EMPTY_WITNESS, check_lvmb_pairwise,
+                      gale_bilinear_defect, lemmah_defect, lvm_face_oracle,
+                      polytope_faces_brute, random_even_calibrated_fan)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtoric import lp
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
 from qtoric.errors import (NoIndispensable, NotBalanced, NotEven,
                            RankDeficient)
@@ -231,6 +232,100 @@ def test_affine_hull_is_decided_symbolically():
         flat = LVMBDatum(1, [(0, 0), (1, 0), p], [[1, 2, 3]])
         res = check_lvmb(flat, W)
         assert not res.ok and res.reason == "affine_hull"
+
+
+def random_lvmb(rng) -> LVMBDatum:
+    """A datum built from a random even calibrated fan, or random points
+    whose entries are integers plus multiples of t = sqrt 2 and of 3a + 7,
+    which vanishes at W; then perturbed: a point moved or copied onto
+    another, or E changed by one set or one index, or emptied."""
+    def entry():
+        return (rng.randint(-3, 3) + rng.choice([0, 0, 1, -1]) * ST
+                + rng.choice([0, 0, 0, 1]) * (3 * SA + 7))
+
+    if rng.random() < 0.5:
+        datum = build_lvmb(random_even_calibrated_fan(rng, rng.choice([1, 2])))
+        m, points, E = datum.m, [list(p) for p in datum.points], list(datum.E)
+    else:
+        m = rng.choice([1, 2])
+        N = rng.randint(2 * m + 1, 2 * m + 4)
+        points = [[entry() for _ in range(2 * m)] for _ in range(N)]
+        E = [frozenset(rng.sample(range(1, N + 1), 2 * m + 1))
+             for _ in range(rng.randint(1, 4))]
+    N = len(points)
+    how = rng.choice(["none", "move", "copy", "add", "drop", "swap",
+                      "empty"])
+    k = rng.randrange(N)
+    if how == "move":
+        points[k] = [x + entry() / rng.choice([1, 8, 64]) for x in points[k]]
+    elif how == "copy":
+        points[k] = list(points[rng.randrange(N)])
+    elif how == "add":
+        E.append(frozenset(rng.sample(range(1, N + 1), 2 * m + 1)))
+    elif how == "drop" and len(E) > 1:
+        E.remove(rng.choice(E))
+    elif how == "swap" and N > 2 * m + 1:
+        e = rng.choice(E)
+        out = rng.choice(sorted(set(range(1, N + 1)) - e))
+        E.append(e - {rng.choice(sorted(e))} | {out})
+    elif how == "empty":
+        E = []
+    return LVMBDatum(m, points, E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_check_lvmb_matches_pairwise_hull_reference(rng):
+    datum = random_lvmb(rng)
+    res = check_lvmb(datum, W)
+    assert (res.ok, res.reason) == check_lvmb_pairwise(datum, W)
+
+
+def test_check_lvmb_reference_sweep_reaches_every_reason():
+    seen = set()
+    for seed in range(60):
+        datum = random_lvmb(random.Random(seed))
+        res = check_lvmb(datum, W)
+        assert (res.ok, res.reason) == check_lvmb_pairwise(datum, W), seed
+        seen.add(res.reason)
+    assert seen == {None, "empty_family", "affine_hull", "interiors",
+                    "replacement"}
+
+
+def _counting_feasible(monkeypatch):
+    calls = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible",
+                        lambda *args: calls.append(1) or feasible(*args))
+    return calls
+
+
+def test_certified_lvmb_datum_runs_no_lp(monkeypatch):
+    # the Gale-dual cones of a datum built from a complete fan form a
+    # complete fan, which _certified_walls certifies by signs alone
+    calls = _counting_feasible(monkeypatch)
+    rng = random.Random(17)
+    data = [build_lvmb(random_even_calibrated_fan(rng, d))
+            for d in (1, 2, 2, 3)]
+    data.append(LVMBDatum(1, [(0, 1), (1, 1), (Q(1, 3), 2), (Q(1, 7), 3)],
+                          [[1, 2, 3], [1, 2, 4]]))
+    for datum in data:
+        assert check_lvmb(datum, W).ok
+    assert calls == []
+
+
+def test_lvmb_datum_flat_at_the_witness_takes_one_lp_per_pair(monkeypatch):
+    # 3a + 7 vanishes at W, so the points lie on a line there: the dual
+    # vectors span R^2 and each cone over a complement is one ray, so the
+    # certificate fails and each pair of sets takes its LP.  The hulls
+    # share relative interior points, and E has the replacement property.
+    calls = _counting_feasible(monkeypatch)
+    h = 3 * SA + 7
+    datum = LVMBDatum(1, [(0, 0), (1, 0), (SA, h), (Q(1, 2), h),
+                          (Q(1, 3), h)], [[1, 2, 3], [1, 2, 4], [1, 2, 5]])
+    assert check_lvmb(datum, W).ok
+    assert len(calls) == 3
+    assert check_lvmb_pairwise(datum, W) == (True, None)
 
 
 def test_polytope_faces_torus_point():

@@ -587,8 +587,9 @@ def test_validate_fan_sends_a_doubly_wound_pentagon_to_the_lps():
     for q, r, s in [(1, 3, 5), (3, 5, 2), (5, 2, 4), (2, 4, 1), (4, 1, 3)]:
         assert det(r, q) * det(r, s) < 0
     assert _is_complete(fan)
-    assert lattice_fan_mod._certified_walls(fan, EMPTY_WITNESS,
-                                           coords) is None
+    assert lattice_fan_mod._certified_walls(coords, {
+        A: fan.value_chart(A, EMPTY_WITNESS)
+        for A in fan.maximal_cones()}) is None
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert [v["kind"] for v in rep.violations] == ["overlap"] * 10
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
@@ -604,8 +605,9 @@ def test_validate_fan_folded_ray_fails_a_ridge_sign():
                              [[1, 2], [2, 3], [3, 4], [4, 1]])
     coords = dict(enumerate(EMPTY_WITNESS.values_of(fan.rays), 1))
     assert _is_complete(fan)
-    assert lattice_fan_mod._certified_walls(fan, EMPTY_WITNESS,
-                                           coords) is None
+    assert lattice_fan_mod._certified_walls(coords, {
+        A: fan.value_chart(A, EMPTY_WITNESS)
+        for A in fan.maximal_cones()}) is None
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert not rep.valid
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()

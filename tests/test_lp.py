@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qtoric import lp
+from qtoric.gale_lvmb import _gale_dual
+from qtoric.lattice_fan import _meet_in_common_face
 from qtoric.linalg import pivot
 from qtoric.lp import solve_lp
 from qtoric.scalars import Parameter, Scalar, Witness
@@ -300,5 +302,10 @@ def hull_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(hull_pairs())
 def test_interiors_exact_match_slack_reference(pair):
+    # the hulls share interior points exactly when the Gale-dual cones over
+    # the complements of their index sets meet in their common face
     P, Q_ = pair
-    assert lp.interiors_intersect(P, Q_) == interiors_intersect_by_slack(P, Q_)
+    dual = _gale_dual(P + Q_)
+    first = frozenset(range(1, len(P) + 1))
+    assert _meet_in_common_face(dual, frozenset(dual) - first, first) == \
+        interiors_intersect_by_slack(P, Q_)
