@@ -21,10 +21,12 @@ class Calibration:
         self.gamma = gamma
         self.images = tuple(tuple(Scalar.coerce(x) for x in v)
                             for v in images)
-        self.J = tuple(sorted(int(j) for j in J))
-        self.I = tuple(sorted(int(i) for i in I))
-        if set(self.J) & set(self.I):
-            raise ValueError("I and J must be disjoint")
+        I, J = tuple(I), tuple(J)
+        if not set(range(1, self.n + 1)).issuperset(I + J):
+            raise ValueError("calibration index out of range")
+        if len(set(I + J)) < len(I + J):
+            raise ValueError("calibration lists an index twice")
+        self.J, self.I = tuple(sorted(J)), tuple(sorted(I))
         for v in self.images:
             if len(v) != gamma.dim:
                 raise ValueError("image of wrong dimension")

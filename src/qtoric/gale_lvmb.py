@@ -18,7 +18,7 @@ from .calibration import CalibratedFan, Calibration
 from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
                      RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import (QLattice, QuantumFan, _certified_walls,
-                          _is_complete, _meet_in_common_face)
+                          _is_complete, _meet_in_common_face, _ridge_map)
 from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
                      rank)
 from .morphism import CalMorphism, CheckResult, is_marked_iso
@@ -103,11 +103,11 @@ class LVMBDatum:
         for p in self.points:
             if len(p) != 2 * m:
                 raise ValueError("point with wrong number of coordinates")
-        self.E = frozenset(frozenset(int(i) for i in e) for e in E)
+        self.E = frozenset(frozenset(e) for e in E)
         for e in self.E:
             if len(e) != 2 * m + 1:
                 raise ValueError("admissible subsets must have 2m+1 elements")
-            if any(i < 1 or i > self.N for i in e):
+            if not e <= set(range(1, self.N + 1)):
                 raise ValueError("admissible subset index out of range")
 
     @property
@@ -152,7 +152,10 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     phi(v_i) for a linear phi on the Gale dual v (_gale_dual).  By Motzkin's
     transposition theorem that is _meet_in_common_face for the cones over
     the complements (Bosio, Ann. Inst. Fourier 51, 2001), which holds for
-    all pairs with no LP when _certified_walls certifies those cones."""
+    all pairs with no LP when _certified_walls certifies those cones.
+
+    Replacement fails exactly when a ridge A - {k} of those cones lies in A
+    only, A = [N] - e: e - {k'} + {k} for k' in e is A - {k} + {k'}."""
     if not datum.E:
         return CheckResult.invalid("empty_family")
     pts = w.values_of(datum.points)
@@ -168,11 +171,8 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
             _meet_in_common_face(dual, A, B)
             for A, B in itertools.combinations(charts, 2)):
         return CheckResult.invalid("interiors")
-    for e in datum.E:
-        for k in range(1, datum.N + 1):
-            if not any(frozenset(e - {kp}) | {k} in datum.E for kp in e):
-                return CheckResult.invalid("replacement",
-                                           E=sorted(e), k=k)
+    if any(len(cones) == 1 for cones in _ridge_map(charts).values()):
+        return CheckResult.invalid("replacement")
     return CheckResult.valid()
 
 

@@ -243,16 +243,22 @@ def _meet_in_common_face(coords, A, B) -> bool:
     return not lp.feasible(A_eq, [Q(0)] * (len(A_eq) - 1) + [Q(1)])
 
 
+def _ridge_map(cones) -> dict:
+    """{A - {i}: [(A, i), ...]} over the cones A (frozensets) and i in A."""
+    ridges = {}
+    for A in cones:
+        for i in A:
+            ridges.setdefault(A - {i}, []).append((A, i))
+    return ridges
+
+
 def _ridges(maxc) -> dict | None:
     """{A - {i}: [(A, i), (B, j)]} when the cones maxc (frozensets) are
     nonempty and of one size, every ridge lies in exactly two of them and
     the ridge graph is connected, else None: the pseudomanifold test."""
     if not maxc or not maxc[0] or any(len(c) != len(maxc[0]) for c in maxc):
         return None
-    ridges = {}
-    for A in maxc:
-        for i in A:
-            ridges.setdefault(A - {i}, []).append((A, i))
+    ridges = _ridge_map(maxc)
     if any(len(pair) != 2 for pair in ridges.values()):
         return None
     seen, stack = {maxc[0]}, [maxc[0]]

@@ -255,28 +255,22 @@ def _sign(c: dict) -> int:
 _ONE_MONO = ()
 
 
-def _merge_params(a: dict, b: dict) -> dict:
-    """The union of two {name: Parameter} dicts of transcendental
-    parameters, which agree on shared names."""
-    return {**a, **b} if a and b else a or b
-
-
 class Poly:
     """Multivariate polynomial in the transcendental parameters with
-    coefficients in K."""
+    coefficients in K.  A transcendental parameter is its name, so a
+    polynomial is its terms and nothing else."""
 
-    __slots__ = ("terms", "params")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict, params: dict):
+    def __init__(self, terms: dict):
         self.terms = terms
-        self.params = params
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def const(c, params=None) -> "Poly":
+    def const(c) -> "Poly":
         c = c if type(c) is Surd else _as_fraction(c)
-        return Poly({} if c == 0 else {_ONE_MONO: c}, params or {})
+        return Poly({} if c == 0 else {_ONE_MONO: c})
 
     # -- predicates ---------------------------------------------------------
 
@@ -315,20 +309,18 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        params = _merge_params(self.params, other.params)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             terms[mono] = terms.get(mono, 0) + c
-        return Poly({m: c for m, c in terms.items() if c}, params)
+        return Poly({m: c for m, c in terms.items() if c})
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()}, self.params)
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        params = _merge_params(self.params, other.params)
         terms: dict = {}
         for m1, c1 in self.terms.items():
             d1 = dict(m1)
@@ -338,13 +330,13 @@ class Poly:
                     merged[name] = merged.get(name, 0) + e
                 mono = tuple(sorted(merged.items()))
                 terms[mono] = terms.get(mono, 0) + c1 * c2
-        return Poly({m: c for m, c in terms.items() if c}, params)
+        return Poly({m: c for m, c in terms.items() if c})
 
     def scale(self, c) -> "Poly":
         c = c if type(c) is Surd else _as_fraction(c)
         if c == 0:
-            return Poly({}, self.params)
-        return Poly({m: c * v for m, v in self.terms.items()}, self.params)
+            return Poly({})
+        return Poly({m: c * v for m, v in self.terms.items()})
 
     # -- lex order helpers --------------------------------------------------
 
@@ -420,14 +412,13 @@ def _to_univariate(p: Poly, v: str):
     for mono, c in p.terms.items():
         d = dict(mono)
         coeffs.setdefault(d.pop(v, 0), {})[tuple(sorted(d.items()))] = c
-    return [Poly(coeffs.get(e, {}), p.params)
+    return [Poly(coeffs.get(e, {}))
             for e in range(max(coeffs, default=0) + 1)]
 
 
-def _from_univariate(coeffs, v: str, params) -> Poly:
+def _from_univariate(coeffs, v: str) -> Poly:
     return Poly({tuple(sorted(mono + ((v, e),))) if e else mono: x
-                 for e, c in enumerate(coeffs) for mono, x in c.terms.items()},
-                params)
+                 for e, c in enumerate(coeffs) for mono, x in c.terms.items()})
 
 
 def _udeg(u):
@@ -436,17 +427,16 @@ def _udeg(u):
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
     """gcd of two nonzero polynomials with rational coefficients."""
-    params = _merge_params(a.params, b.params)
     if a.is_const() or b.is_const():
-        return Poly.const(1, params)
+        return _ONE_POLY
     v = min(a.variables() | b.variables())
     A = _to_univariate(a, v)
     B = _to_univariate(b, v)
-    ca = _content([c for c in A if not c.is_zero()]) or Poly.const(1, params)
-    cb = _content([c for c in B if not c.is_zero()]) or Poly.const(1, params)
+    ca = _content([c for c in A if not c.is_zero()]) or _ONE_POLY
+    cb = _content([c for c in B if not c.is_zero()]) or _ONE_POLY
     A = [poly_divexact(c, ca) for c in A]
     B = [poly_divexact(c, cb) for c in B]
-    cont = _gcd2(ca, cb) if not (ca.is_const() and cb.is_const()) else Poly.const(1, params)
+    cont = _gcd2(ca, cb)
     # primitive PRS
     while True:
         da, db = _udeg(A), _udeg(B)
@@ -455,9 +445,7 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
         if da < db:
             A, B = B, A
             continue
-        R = _pseudo_rem(A, B, params)
-        A = B
-        B = R
+        A, B = B, _pseudo_rem(A, B)
         dr = _udeg(B)
         if dr >= 0:
             cr = _content([c for c in B[: dr + 1] if not c.is_zero()])
@@ -470,14 +458,14 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
                   lcm(*(x.denominator for x in coeffs)))
             B = [c.scale(1 / k) for c in B]
     da = _udeg(A)
-    prim = _from_univariate(A[: da + 1], v, params) if da >= 0 else Poly.const(1, params)
+    prim = _from_univariate(A[: da + 1], v) if da >= 0 else _ONE_POLY
     cg = _content([c for c in A[: da + 1] if not c.is_zero()])
     if cg is not None and not cg.is_const():
         prim = poly_divexact(prim, cg)
     return _monic(cont * prim)
 
 
-def _pseudo_rem(A, B, params):
+def _pseudo_rem(A, B):
     """Pseudo-remainder of univariate polynomial lists (Poly coefficients)."""
     da, db = _udeg(A), _udeg(B)
     lb = B[db]
@@ -497,7 +485,7 @@ def _pseudo_rem(A, B, params):
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """gcd of two polynomials with rational coefficients, monic."""
     if a.is_zero():
-        return _monic(b) if not b.is_zero() else Poly.const(1, b.params)
+        return _monic(b) if not b.is_zero() else _ONE_POLY
     if b.is_zero():
         return _monic(a)
     return _gcd2(a, b)
@@ -508,9 +496,8 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     coefficients."""
     if b.is_const():
         return a.scale(Q(1) / b.const_value())
-    params = _merge_params(a.params, b.params)
     vorder = sorted(a.variables() | b.variables())
-    rem = Poly(dict(a.terms), params)
+    rem = a
     bmono, bc = b.leading(vorder)
     bdict = dict(bmono)
     out: dict = {}
@@ -522,8 +509,8 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         qmono = tuple((name, e - bdict.get(name, 0)) for name, e in rmono
                       if e != bdict.get(name, 0))
         out[qmono] = qc = rc / bc     # the quotient's terms in lex order
-        rem = rem - Poly({qmono: qc}, params) * b
-    return Poly(out, params)
+        rem = rem - Poly({qmono: qc}) * b
+    return Poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +554,8 @@ class Scalar:
     def of_param(p: Parameter) -> "Scalar":
         if p.bit:
             return _const(Surd({p.bit: 1}, p.D.denominator))
-        return Scalar(Poly({((p.name, 1),): Q(1)}, {p.name: p}),
-                      Poly.const(1, {p.name: p}), _canonical=True)
+        return Scalar(Poly({((p.name, 1),): Q(1)}), _ONE_POLY,
+                      _canonical=True)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -598,12 +585,15 @@ class Scalar:
 
     @property
     def params(self) -> dict:
-        """{name: Parameter} of the transcendental parameters it was
-        computed from and of the roots its value uses."""
+        """{name: Parameter} read off the canonical form: Parameter(n) for
+        each variable n of num and den, as a transcendental parameter is
+        its name, and the parameter of each root the value uses."""
         if self.q is not None:
             return _root_params(_roots(self.q))
         roots = functools.reduce(or_, map(_roots, self._num.terms.values()), 0)
-        return {**self._num.params, **self._den.params, **_root_params(roots)}
+        names = self._num.variables() | self._den.variables()
+        return {**{n: Parameter(n) for n in sorted(names)},
+                **_root_params(roots)}
 
     # -- predicates ----------------------------------------------------------
 
@@ -743,9 +733,8 @@ def _roots(x) -> int:
 
 
 def _canonicalize(num: Poly, den: Poly):
-    params = _merge_params(num.params, den.params)
     if num.is_zero():
-        return Poly({}, params), Poly.const(1, params)
+        return num, _ONE_POLY
     # clear the roots from the denominator: conjugating its coefficients
     # over the last root b in use turns alpha + beta*b into
     # alpha^2 - beta^2*b^2, free of b
@@ -756,7 +745,7 @@ def _canonicalize(num: Poly, den: Poly):
             break
         bit = 1 << top.bit_length() - 1
         conj = Poly({m: _conj(x, bit) if type(x) is Surd else x
-                     for m, x in den.terms.items()}, den.params)
+                     for m, x in den.terms.items()})
         num, den = num * conj, den * conj
     # divide by the gcd of den with the rational part of num at each subset
     # of the roots
@@ -771,7 +760,7 @@ def _canonicalize(num: Poly, den: Poly):
     for terms in pieces.values():
         if g.is_const():
             break
-        g = poly_gcd(g, Poly(terms, params))
+        g = poly_gcd(g, Poly(terms))
     if not g.is_const():
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)

@@ -202,17 +202,16 @@ def _ref_canonical(num: dict, den: dict, params: dict):
         conj = {m: -c if qs[0] in dict(m) else c for m, c in den.items()}
         num = _ref_product(num, conj, params)
         den = _ref_product(den, conj, params)
-    trans = {n: p for n, p in params.items() if n not in quadratic}
     pieces = {}
     for m, c in num.items():
         q = tuple(x for x in m if x[0] in quadratic)
         pieces.setdefault(q, {})[tuple(x for x in m if x not in q)] = c
-    g = Poly(den, trans)
+    g = Poly(den)
     for terms in pieces.values():
-        g = poly_gcd(g, Poly(terms, trans))
-    den = poly_divexact(Poly(den, trans), g).terms
+        g = poly_gcd(g, Poly(terms))
+    den = poly_divexact(Poly(den), g).terms
     num = {tuple(sorted(q + m)): c for q, terms in pieces.items()
-           for m, c in poly_divexact(Poly(terms, trans), g).terms.items()}
+           for m, c in poly_divexact(Poly(terms), g).terms.items()}
     vorder = sorted({v for m in den for v, _ in m})
     lc = den[max(den, key=lambda m: tuple(dict(m).get(v, 0)
                                           for v in vorder))]

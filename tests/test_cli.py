@@ -399,6 +399,38 @@ def test_index_that_is_not_an_integer_is_an_input_error(command, payload,
     assert code == 0 and out["valid"]
 
 
+def _line_calibration(rays, images, I, J=()):
+    return {"dim": 1, "gamma": [["1"]], "rays": rays, "cones": [[1], [2]],
+            "calibration": {"n": len(images), "images": images,
+                            "J": list(J), "I": list(I)}}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    # h(e_0) was read as the last image
+    ("atlas", _line_calibration([["-1"], ["1"]], [["1"], ["-1"]], [0, 1]),
+     "calibration index out of range"),
+    ("lvmb-build", _line_calibration([["1"], ["-1"]], [["1"], ["-1"]],
+                                     [1, 7]),
+     "calibration index out of range"),
+    ("standardize", _line_calibration([["1"], ["1"]], [["1"], ["-1"]],
+                                      [1, 1]),
+     "calibration lists an index twice"),
+    ("atlas", _line_calibration([["1"], ["1"]], [["1"], ["-1"]], [1, 1]),
+     "calibration lists an index twice"),
+    # a virtual index past n made the calibration look maximal
+    ("lvmb-build", _line_calibration([["1"], ["-1"]],
+                                     [["1"], ["-1"], ["1"]], [1, 2], [5]),
+     "calibration index out of range"),
+])
+def test_calibration_index_outside_one_to_n_is_an_input_error(
+        command, payload, message, tmp_path, capsys):
+    f = _write(tmp_path, "cal.json", payload)
+    code, out = run(capsys, [command, f])
+    assert code == 2
+    assert (out["error"]["code"], out["error"]["message"]) == ("ValueError",
+                                                              message)
+
+
 def test_malformed_arguments_are_input_errors(tmp_path, capsys):
     f = _write(tmp_path, "p2.json", P2STD)
     m = _write(tmp_path, "m.json", {"L": 5})

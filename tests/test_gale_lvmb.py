@@ -234,6 +234,17 @@ def test_affine_hull_is_decided_symbolically():
         assert not res.ok and res.reason == "affine_hull"
 
 
+def test_index_outside_its_range_is_a_value_error():
+    # 1.9 was read as 1 and 2.7 as 2
+    with pytest.raises(ValueError, match="out of range"):
+        LVMBDatum(1, [(0, 0), (1, 0), (0, 1)], [[1.9, 2, 3]])
+    with pytest.raises(ValueError, match="out of range"):
+        Calibration(QLattice.standard(1), [[1], [-1]], [], [1, 2.7])
+    for J, I in (([3, 3], [1]), ([2], [1, 2])):
+        with pytest.raises(ValueError, match="twice"):
+            Calibration(QLattice.standard(1), [[1], [-1], [1]], J, I)
+
+
 def random_lvmb(rng) -> LVMBDatum:
     """A datum built from a random even calibrated fan, or random points
     whose entries are integers plus multiples of t = sqrt 2 and of 3a + 7,

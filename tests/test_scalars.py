@@ -334,6 +334,21 @@ def test_scalars_match_the_polynomial_reference(seed, leaves, a, b):
                 sign_at(x, w)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(REF_LEAVES)))
+def test_params_are_read_off_the_canonical_form(seed, leaves):
+    """A scalar's parameters are the names in its flat num and den, the
+    variables and the parameters of the roots, whatever it was computed
+    from; a transcendental one is Parameter(name)."""
+    x, _ = rand_pair(random.Random(seed), 3, REF_LEAVES[leaves])
+    names = {n for p in (x.num, x.den) for m in p.flat() for n, _ in m}
+    assert x.params == {p.name: p for p in REF_LEAVES[leaves]
+                        if p.name in names}
+    assert ((SA * SB + SA) - SA * SB).params == {"a": A}
+    assert ((SB + ST) - SB).params == {"t": T}
+    assert (SA * ST - SA * ST).params == {}
+
+
 # -- arithmetic with a constant in K keeps the denominator -------------------
 
 SU = Scalar.of_param(ROOTS[1])
@@ -469,7 +484,7 @@ def test_rational_arithmetic_is_fraction_arithmetic(x, y, e):
 @given(FRACTIONS)
 def test_rational_display_and_hash_match_polynomial_form(x):
     X = Scalar.from_fraction(x)
-    P = Scalar(Poly.const(x, {"a": A}), Poly.const(1, {"a": A}))
+    P = Scalar(Poly.const(x), Poly.const(1))
     assert X.q == P.q == x and P.params == {}
     assert X == P and P == X and X == x
     assert str(X) == str(P) == str(Poly.const(x))
