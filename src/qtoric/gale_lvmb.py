@@ -18,7 +18,8 @@ from .calibration import CalibratedFan, Calibration
 from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
                      RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import (QLattice, QuantumFan, _certified_walls,
-                          _is_complete, _meet_in_common_face, _ridge_map)
+                          _is_complete, _meet_in_common_face, _ridge_map,
+                          _ridges)
 from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
                      rank)
 from .morphism import CalMorphism, CheckResult, is_marked_iso
@@ -167,11 +168,13 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     dual = _gale_dual(pts)
     charts = {A: basis_inverse([dual[i] for i in sorted(A)])[1]
               for A in (frozenset(dual) - e for e in E)}
-    if _certified_walls(dual, charts) is None and not all(
+    ridges = _ridge_map(charts)
+    walls = _certified_walls(dual, charts, _ridges(list(charts), ridges))
+    if walls is None and not all(
             _meet_in_common_face(dual, A, B)
             for A, B in itertools.combinations(charts, 2)):
         return CheckResult.invalid("interiors")
-    if any(len(cones) == 1 for cones in _ridge_map(charts).values()):
+    if any(len(cones) == 1 for cones in ridges.values()):
         return CheckResult.invalid("replacement")
     return CheckResult.valid()
 

@@ -252,13 +252,12 @@ def _ridge_map(cones) -> dict:
     return ridges
 
 
-def _ridges(maxc) -> dict | None:
-    """{A - {i}: [(A, i), (B, j)]} when the cones maxc (frozensets) are
+def _ridges(maxc, ridges) -> dict | None:
+    """ridges, the _ridge_map of the cones maxc (frozensets), when they are
     nonempty and of one size, every ridge lies in exactly two of them and
     the ridge graph is connected, else None: the pseudomanifold test."""
     if not maxc or not maxc[0] or any(len(c) != len(maxc[0]) for c in maxc):
         return None
-    ridges = _ridge_map(maxc)
     if any(len(pair) != 2 for pair in ridges.values()):
         return None
     seen, stack = {maxc[0]}, [maxc[0]]
@@ -270,11 +269,12 @@ def _ridges(maxc) -> dict | None:
     return ridges if len(seen) == len(maxc) else None
 
 
-def _certified_walls(coords, charts) -> list | None:
+def _certified_walls(coords, charts, ridges) -> list | None:
     """The walls (A, j, x) of the cones certified to form a complete fan,
     else None: the test fails, or a cone has no chart.  coords maps each ray
     to its values; charts maps each maximal cone, in order, to the rows of
-    the inverse of its rays' values in sorted order, or None (value_chart).
+    the inverse of its rays' values in sorted order, or None (value_chart);
+    ridges is their ridge pairing (_ridges), or None when they have none.
 
     A pseudomanifold of full-dimensional simplicial cones is one when the
     two cones at every ridge lie on opposite sides of it and one generic
@@ -286,7 +286,6 @@ def _certified_walls(coords, charts) -> list | None:
     rays, has a negative coordinate in every other cone's value chart.
     Every sign is exact on the values coords."""
     maxc = list(charts)
-    ridges = _ridges(maxc)
     if (ridges is None or len(maxc[0]) != len(coords[next(iter(maxc[0]))])
             or None in charts.values()):
         return None
@@ -314,7 +313,7 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     maximal cones alone are ranked, witness first.  After these structural
     checks, a ray that vanishes at the witness only is Indeterminate.
 
-    A complete simplicial fan (see _is_complete) whose maximal cones all
+    A complete simplicial fan (_complete_ridges) whose maximal cones all
     have value charts is then certified with no LP by ridge signs and one
     covered point (_certified_walls).  Otherwise each maximal cone A
     with a value chart certifies the pairs of its own faces, whose relative
@@ -359,7 +358,7 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
         if not any(v):
             raise Indeterminate(f"ray {i} vanishes at the witness but is "
                                 "not symbolically zero")
-    if _certified_walls(coords, charts) is not None:
+    if _certified_walls(coords, charts, _complete_ridges(fan)) is not None:
         return report
     certified = {(A, A) for A in independent}
     for A, B in itertools.combinations(independent, 2):
@@ -394,11 +393,17 @@ class FanProperties:
                 "polytopal": self.polytopal}
 
 
-def _is_complete(fan: QuantumFan) -> bool:
-    """Simplicial completeness: the maximal cones form a pseudomanifold
-    (_ridges) of cones of dimension d."""
+def _complete_ridges(fan: QuantumFan) -> dict | None:
+    """The ridge pairing (_ridges) of the maximal cones when they form a
+    pseudomanifold of cones of dimension d, else None."""
     maxc = fan.maximal_cones()
-    return _ridges(maxc) is not None and len(maxc[0]) == fan.dim
+    ridges = _ridges(maxc, _ridge_map(maxc))
+    return ridges if ridges is not None and len(maxc[0]) == fan.dim else None
+
+
+def _is_complete(fan: QuantumFan) -> bool:
+    """Simplicial completeness (_complete_ridges)."""
+    return _complete_ridges(fan) is not None
 
 
 def _is_gamma_complete(fan: QuantumFan) -> bool:
@@ -412,7 +417,7 @@ def _is_gamma_complete(fan: QuantumFan) -> bool:
     return True
 
 
-def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
+def _is_polytopal(fan: QuantumFan, w: Witness, ridges) -> bool:
     """Is there a strictly convex piecewise-linear support function on the
     witness values ("polytopal at witness")?
 
@@ -427,12 +432,13 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
     alternative this system C w > 0 has a solution iff {y >= 0 : C^T y = 0,
     sum y = 1} is empty, one exact LP with a row per ray and a column per
     wall; it is homogeneous in w, so no margin enters.  The witness values
-    are taken only for a combinatorially complete fan."""
-    if not _is_complete(fan):
+    are taken only for a combinatorially complete fan: ridges is
+    _complete_ridges(fan)."""
+    if ridges is None:
         return False
     coords = dict(enumerate(w.values_of(fan.rays), 1))
     walls = _certified_walls(coords, {A: fan.value_chart(A, w)
-                                      for A in fan.maximal_cones()})
+                                      for A in fan.maximal_cones()}, ridges)
     if walls is None:
         return False
     columns = []
@@ -445,11 +451,12 @@ def _is_polytopal(fan: QuantumFan, w: Witness) -> bool:
 
 
 def fan_properties(fan: QuantumFan, w: Witness) -> FanProperties:
+    ridges = _complete_ridges(fan)
     return FanProperties(
         irrational=gamma_rank(fan.gamma) > fan.dim,
-        complete=_is_complete(fan),
+        complete=ridges is not None,
         gamma_complete=_is_gamma_complete(fan),
-        polytopal=_is_polytopal(fan, w),
+        polytopal=_is_polytopal(fan, w, ridges),
     )
 
 
@@ -490,7 +497,8 @@ class CombType:
         """Combinatorial necessary condition for being the type of a
         complete fan: the maximal elements form a pseudomanifold
         (_ridges)."""
-        return _ridges(_maximal(self.poset)) is not None
+        maxc = _maximal(self.poset)
+        return _ridges(maxc, _ridge_map(maxc)) is not None
 
 
 def comb_type(fan: QuantumFan) -> CombType:

@@ -11,10 +11,13 @@ of the blow-up example) depend on this normalization bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import Indeterminate, Singular
-from .scalars import Poly, Scalar, poly_divexact, poly_gcd
+from .scalars import (_ONE, _ZERO, Poly, Scalar, _const, poly_divexact,
+                      poly_gcd)
+
+_Q0, _Q1 = Fraction(0), Fraction(1)
 
 
 def _s(x) -> Scalar:
@@ -117,9 +120,14 @@ class Matrix:
 
 
 def dot(u, v) -> Scalar:
+    """sum u_i v_i.  When every entry lies in K (its Scalar has a value q),
+    the values are multiplied and summed, and the sum is wrapped once."""
+    u, v = [_s(a) for a in u], [_s(b) for b in v]
+    if all(x.q is not None for x in (*u, *v)):
+        return _const(sum((a.q * b.q for a, b in zip(u, v)), _Q0))
     out = Scalar.zero()
     for a, b in zip(u, v):
-        out = out + _s(a) * _s(b)
+        out = out + a * b
     return out
 
 
@@ -128,7 +136,8 @@ def pivot(rows, r, c):
     scaled to 1 at c, and column c is cleared from every other row.  The
     entries are field elements (Scalars, Fractions or Surds, never ints).
     The pivot is inverted once, and only the columns where row r is nonzero
-    change; row r may have nonzero entries left of c."""
+    change; row r may have nonzero entries left of c.  The step for Surd
+    and transcendental rows and for det; rational rows take int_pivot."""
     prow = rows[r]
     inv = 1 / prow[c]
     nz = [j for j, v in enumerate(prow) if v]
@@ -141,27 +150,82 @@ def pivot(rows, r, c):
                 row[j] = row[j] - f * prow[j]
 
 
+def int_pivot(T, r, c):
+    """The division-free step on rows of ints at p = T[r][c] != 0 (Bareiss,
+    Math. Comp. 22, 1968): row r stays, and every other row with
+    f = T[i][c] != 0 becomes p*T[i] - f*T[r] over the gcd g of its entries.
+    Row r is then p times the row the field step (pivot) leaves, and a row
+    that was l times the field row becomes p*l/g times it.  So each row
+    stays a nonzero multiple of the field row, and a positive one when
+    p > 0, as the simplex, which pivots at p > 0 and reads signs off its
+    rows, needs."""
+    prow = T[r]
+    p = prow[c]
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            new = [p * v - f * w for v, w in zip(row, prow)]
+            g = gcd(*new)
+            T[i] = [v // g for v in new] if g > 1 else new
+
+
+def _integer_rows(rows):
+    """(int rows, scalar) when every entry is rational, a Fraction or a
+    Scalar whose value is one: each row times the lcm of its denominators,
+    and whether an entry was a Scalar.  Else None."""
+    out, scalar = [], False
+    for row in rows:
+        vals = []
+        for x in row:
+            if type(x) is Scalar:
+                x, scalar = x.q, True
+            if type(x) is not Fraction:
+                return None
+            vals.append(x)
+        s = lcm(*(x.denominator for x in vals))
+        out.append([x.numerator * (s // x.denominator) for x in vals])
+    return out, scalar
+
+
 def _rref(rows):
     """Reduced row echelon form with leftmost pivots, of Scalars or of
     witness values (Fractions and Surds).
 
+    Rational rows (see _integer_rows) are reduced as ints by int_pivot.
+    Each ends a nonzero multiple of the reduced row, which is unique, so
+    entry x of the row with pivot entry p is x/p, formed once: a Scalar
+    when the input held a Scalar, else a Fraction, with shared constants
+    for 0 and 1.  Other rows take the field step, pivot.
+
     Returns (rref rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    ints = _integer_rows(rows)
+    red = ints[0] if ints else [list(r) for r in rows]
+    step = int_pivot if ints else pivot
+    nrows = len(red)
+    ncols = len(red[0]) if red else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        sel = next((i for i in range(r, nrows) if red[i][c]), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pivot(rows, r, c)
+        red[r], red[sel] = red[sel], red[r]
+        step(red, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    if not ints:
+        return red, pivots
+    scalar = ints[1]
+    zero, one = (_ZERO, _ONE) if scalar else (_Q0, _Q1)
+    out = []
+    for i, row in enumerate(red):
+        p = row[pivots[i]] if i < r else 1      # rows past the rank are 0
+        out.append([zero if not x else one if x == p else
+                    _const(Fraction(x, p)) if scalar else Fraction(x, p)
+                    for x in row])
+    return out, pivots
 
 
 def rank(M: Matrix, w=None) -> int:
@@ -186,7 +250,9 @@ def basis_inverse(cols) -> tuple:
     the rows of B^-1 for the matrix B of the picked columns when they span
     the space, else None.  One elimination of [cols | I]: its pivots are
     B's columns, so the row operations that turn B into I turn I into
-    B^-1.  Entries are Scalars, or Fractions and Surds."""
+    B^-1.  Rational columns are reduced on int rows (_rref), and the
+    inverse holds Scalars when a column held one, else Fractions; other
+    entries take the field step and give Scalars, or Fractions and Surds."""
     n = len(cols)
     d = len(cols[0]) if cols else 0
     red, pivots = _rref([[*(c[i] for c in cols),

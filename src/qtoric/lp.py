@@ -9,26 +9,27 @@ that share interior points are decided on the Gale-dual cones
 (gale_lvmb.check_lvmb).  The data are witness values, exact elements of
 K = Q(sqrt(D_1), ..., sqrt(D_k)): Fractions, and Surds when quadratic
 roots occur.  A rational tableau is kept as rows of ints, each a positive
-multiple of the field tableau's row, under a division-free pivot step
-(Bareiss, Math. Comp. 22, 1968; Edmonds); a tableau with a Surd takes the
-field step, linalg.pivot.  The ratio test is cross-multiplied, so both give
-the same signs and ratio order, Bland's rule makes the same choices, and
-over this ordered field every answer is exact.
+multiple of the field tableau's row, under linalg.int_pivot, the
+division-free step that rational row reduction (linalg._rref) also takes;
+a tableau with a Surd takes the field step, linalg.pivot.  The ratio test
+is cross-multiplied, so both give the same signs and ratio order, Bland's
+rule makes the same choices, and over this ordered field every answer is
+exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .linalg import pivot
+from .linalg import int_pivot, pivot
 
 Q = Fraction
 
 
 def _simplex_core(T, basis, ncols, step):
     """Minimize the objective in the last row of tableau T (Bland's rule),
-    pivoting with step: linalg.pivot on field entries, _int_pivot on ints.
+    pivoting with step: linalg.pivot on field entries, int_pivot on ints.
     A row may be any positive multiple of the field tableau's row."""
     m = len(T) - 1
     while True:
@@ -52,20 +53,6 @@ def _simplex_core(T, basis, ncols, step):
             return "unbounded"
         step(T, r, enter)
         basis[r] = enter
-
-
-def _int_pivot(T, r, c):
-    """The division-free step on rows of ints at p = T[r][c] > 0: row r
-    stays, and every other row with f = T[i][c] != 0 becomes
-    p*T[i] - f*T[r] over the gcd of its entries."""
-    prow = T[r]
-    p = prow[c]
-    for i, row in enumerate(T):
-        f = row[c]
-        if f and i != r:
-            new = [p * v - f * w for v, w in zip(row, prow)]
-            g = gcd(*new)
-            T[i] = [v // g for v in new] if g > 1 else new
 
 
 def solve_lp(A, b):
@@ -101,7 +88,7 @@ def solve_lp(A, b):
          for i, row in enumerate(rows)]
     T.append(cost[:-1] + [zero] * m + cost[-1:])
     basis = [n + i for i in range(m)]
-    _simplex_core(T, basis, n + m, _int_pivot if rational else pivot)
+    _simplex_core(T, basis, n + m, int_pivot if rational else pivot)
     if T[-1][-1] != 0:
         return None
     x = [Q(0)] * n

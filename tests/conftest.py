@@ -624,6 +624,29 @@ def minimal_containing_cone_by_solve(fan: QuantumFan, point, w: Witness):
     return best, found[best]
 
 
+# -- row reduction with the field step (reference) --------------------------
+
+def ref_rref(rows):
+    """Reduced row echelon form with leftmost pivots by the field
+    Gauss-Jordan step linalg.pivot on every row, whatever its entries.
+    Returns (rref rows, pivot column list)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pivot(rows, r, c)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
 # -- integer-lattice routines on plain int rows (reference) ------------------
 
 def int_rank(M) -> int:

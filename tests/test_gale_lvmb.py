@@ -8,6 +8,8 @@ from conftest import (EMPTY_WITNESS, check_lvmb_pairwise,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qtoric.gale_lvmb as gale_lvmb_mod
+import qtoric.lattice_fan as lattice_fan_mod
 from qtoric import lp
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
 from qtoric.errors import (NoIndispensable, NotBalanced, NotEven,
@@ -220,6 +222,18 @@ def test_hopf_zone_lvmb():
     opposite = LVMBDatum(1, [(0, 1), (1, 1), (Q(1, 3), 2), (Q(1, 7), 0)],
                          [[1, 2, 3], [1, 2, 4]])
     assert not check_lvmb(opposite, W).ok
+
+
+def test_check_lvmb_builds_the_ridge_map_once(monkeypatch):
+    calls = []
+    real = lattice_fan_mod._ridge_map
+    for mod in (gale_lvmb_mod, lattice_fan_mod):
+        monkeypatch.setattr(mod, "_ridge_map",
+                            lambda cones: calls.append(1) or real(cones))
+    hopf = LVMBDatum(1, [(0, 1), (1, 1), (Q(1, 3), 2), (Q(1, 7), 3)],
+                     [[1, 2, 3], [1, 2, 4]])
+    assert check_lvmb(hopf, W).ok
+    assert len(calls) == 1
 
 
 def test_affine_hull_is_decided_symbolically():

@@ -21,7 +21,8 @@ from qtoric.lattice_fan import (CombType, QLattice, QuantumFan,
                                 comb_equivalent, comb_type, d_realizable,
                                 fan_from_max_cones, fan_properties,
                                 gamma_contains, gamma_rank, standardize_fan,
-                                validate_fan, _is_complete, _is_polytopal)
+                                validate_fan, _complete_ridges, _is_complete,
+                                _is_polytopal)
 from qtoric.linalg import Matrix
 from qtoric.morphism import check_fan_iso
 from qtoric.scalars import Parameter, Scalar, Witness
@@ -239,8 +240,9 @@ def test_singular_maximal_cone_at_witness_is_not_polytopal():
                              [[1, 0], [0, SA], [-1, 0], [0, -SA]],
                              [[1, 2], [2, 3], [3, 4], [4, 1]])
     assert _is_complete(fan)
-    assert not _is_polytopal(fan, Witness({A: Q(0)}))
-    assert _is_polytopal(fan, Witness({A: Q(1)}))
+    ridges = _complete_ridges(fan)
+    assert not _is_polytopal(fan, Witness({A: Q(0)}), ridges)
+    assert _is_polytopal(fan, Witness({A: Q(1)}), ridges)
 
 
 def test_comb_type_examples():
@@ -589,7 +591,7 @@ def test_validate_fan_sends_a_doubly_wound_pentagon_to_the_lps():
     assert _is_complete(fan)
     assert lattice_fan_mod._certified_walls(coords, {
         A: fan.value_chart(A, EMPTY_WITNESS)
-        for A in fan.maximal_cones()}) is None
+        for A in fan.maximal_cones()}, _complete_ridges(fan)) is None
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert [v["kind"] for v in rep.violations] == ["overlap"] * 10
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
@@ -607,7 +609,7 @@ def test_validate_fan_folded_ray_fails_a_ridge_sign():
     assert _is_complete(fan)
     assert lattice_fan_mod._certified_walls(coords, {
         A: fan.value_chart(A, EMPTY_WITNESS)
-        for A in fan.maximal_cones()}) is None
+        for A in fan.maximal_cones()}, _complete_ridges(fan)) is None
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert not rep.valid
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
@@ -757,7 +759,8 @@ def test_is_polytopal_matches_primal_reference(seed, d, kind):
                                  [sorted(c) for c in fan.maximal_cones()])
     else:
         fan, w = _fan_variant(rng, d, kind), W
-    assert _is_polytopal(fan, w) == is_polytopal_primal(fan, w)
+    assert (_is_polytopal(fan, w, _complete_ridges(fan))
+            == is_polytopal_primal(fan, w))
 
 
 def test_is_polytopal_takes_one_gordan_column_per_wall(monkeypatch):
@@ -766,18 +769,33 @@ def test_is_polytopal_takes_one_gordan_column_per_wall(monkeypatch):
     feasible = lp.feasible
     monkeypatch.setattr(lp, "feasible", lambda A, b: columns.append(
         len(A[0])) or feasible(A, b))
-    assert _is_polytopal(fan, EMPTY_WITNESS)
+    assert _is_polytopal(fan, EMPTY_WITNESS, _complete_ridges(fan))
     assert columns == [len(fan.maximal_cones()) * fan.dim // 2]
+
+
+def test_fan_properties_walks_the_ridges_once(monkeypatch):
+    calls = []
+    for name in ("_ridge_map", "_ridges"):
+        real = getattr(lattice_fan_mod, name)
+        monkeypatch.setattr(lattice_fan_mod, name,
+                            lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    p2 = fan_from_max_cones(QLattice.standard(2), [[1, 0], [0, 1], [-1, -1]],
+                            [[1, 2], [2, 3], [3, 1]])
+    props = fan_properties(p2, EMPTY_WITNESS)
+    assert props.complete and props.polytopal
+    assert calls == ["_ridge_map", "_ridges"]
 
 
 def test_twisted_prism_is_complete_but_not_polytopal():
     twisted = twisted_prism_fan(0, [False, False, False])
     assert validate_fan(twisted, EMPTY_WITNESS).valid
     assert _is_complete(twisted)
-    assert not _is_polytopal(twisted, EMPTY_WITNESS)
+    assert not _is_polytopal(twisted, EMPTY_WITNESS,
+                             _complete_ridges(twisted))
     assert not is_polytopal_primal(twisted, EMPTY_WITNESS)
     mixed = twisted_prism_fan(0, [False, True, True])
-    assert _is_polytopal(mixed, EMPTY_WITNESS)
+    assert _is_polytopal(mixed, EMPTY_WITNESS, _complete_ridges(mixed))
     assert is_polytopal_primal(mixed, EMPTY_WITNESS)
 
 

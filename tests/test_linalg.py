@@ -3,19 +3,21 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from conftest import int_kernel, int_rank, leibniz_det
-from hypothesis import given, settings
+from conftest import int_kernel, int_rank, leibniz_det, ref_rref
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtoric.errors import Singular
-from qtoric.linalg import (Matrix, _rref, basis_inverse, det, hnf, int_det,
-                           int_solve, kernel_basis, mat_inverse, rank,
-                           solve_right)
+from qtoric.linalg import (Matrix, _rref, basis_inverse, det, dot, hnf,
+                           int_det, int_solve, kernel_basis, mat_inverse,
+                           rank, solve_right)
 from qtoric.scalars import Parameter, Scalar
 
 A = Parameter("a")
 B = Parameter("b")
 SA, SB = Scalar.of_param(A), Scalar.of_param(B)
+ST = Scalar.of_param(Parameter("t", "quadratic", 2))
+SU = Scalar.of_param(Parameter("u", "quadratic", 3))
 ONE, ZERO = Scalar.one(), Scalar.zero()
 
 
@@ -305,6 +307,95 @@ def test_parametric_rref_keeps_gcd_coefficients_small():
     t0 = time.monotonic()
     assert rank(Matrix.from_columns(cols)) == 4
     assert time.monotonic() - t0 < 5.0
+
+
+# -- rational rows on ints against the field step ---------------------------
+
+BIG = 10 ** 30
+RATIONAL = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+@st.composite
+def rational_rows(draw):
+    """Fraction rows (witness values), Scalar rows, or the [cols | I] shape
+    of basis_inverse: Scalar columns beside a Fraction identity.  Tall or
+    wide, with zero rows, zero columns and dependent columns."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["entries", "zero", "combination"]))
+        if kind == "zero":
+            col = [Q(0)] * m
+        elif kind == "combination" and cols:
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = Q(draw(RATIONAL)), Q(draw(RATIONAL))
+            col = [s * x + t * y for x, y in zip(u, v)]
+        else:
+            col = [Q(draw(RATIONAL)) for _ in range(m)]
+        cols.append(col)
+    rows = [list(r) for r in zip(*cols)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [Q(0)] * n
+    shape = draw(st.sampled_from(["fractions", "scalars", "basis_inverse"]))
+    if shape != "fractions":
+        rows = [[Scalar.from_fraction(x) for x in r] for r in rows]
+    if shape == "basis_inverse":
+        rows = [[*r, *(Q(int(k == i)) for k in range(m))]
+                for i, r in enumerate(rows)]
+    return rows
+
+
+def _value(x):
+    return x.q if type(x) is Scalar else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows())
+@example([[Q(-3), Q(2), Q(1), Q(0)], [Q(-5), Q(1), Q(0), Q(1)]])
+@example([[Scalar.from_fraction(Q(-BIG + 1, BIG - 7)), Q(1, 3)],
+          [Q(2, 7), Scalar.from_fraction(Q(BIG, 3))]])
+def test_integer_rref_matches_the_field_step(rows):
+    red, pivots = _rref(rows)
+    ref, ref_pivots = ref_rref(rows)
+    assert pivots == ref_pivots
+    assert [list(map(_value, r)) for r in red] == \
+        [list(map(_value, r)) for r in ref]
+    # Scalars when the input held one, Fractions otherwise
+    held = Scalar if any(type(x) is Scalar for r in rows for x in r) else Q
+    assert all(type(x) is held and type(_value(x)) is Q
+               for r in red for x in r)
+
+
+DOT_ENTRIES = {
+    "rational": SPARSE,
+    "surd": st.sampled_from([ST, -ST, ST + 1, SU, ST * SU, ST / 2, ONE]),
+    "transcendental": st.sampled_from([SA, SA + ONE, ONE / SB, SA * ST]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["rational", "surd", "transcendental", "mixed"]),
+       st.integers(0, 5), st.data())
+def test_dot_matches_the_scalar_loop(kind, n, data):
+    entry = (st.one_of(*DOT_ENTRIES.values()) if kind == "mixed"
+             else DOT_ENTRIES[kind])
+    u = [data.draw(entry) for _ in range(n)]
+    v = [data.draw(entry) for _ in range(n)]
+    ref = Scalar.zero()
+    for a, b in zip(u, v):
+        ref = ref + Scalar.coerce(a) * Scalar.coerce(b)
+    got = dot(u, v)
+    assert type(got) is Scalar
+    assert got == ref and str(got) == str(ref) and got.q == ref.q
+    assert type(got.q) is type(ref.q)
+
+
+def test_dot_of_empty_vectors_is_zero():
+    assert dot([], []) == Scalar.zero()
+    assert type(dot([], []).q) is Q
 
 
 # -- leftmost pivots against the greedy "first independent columns" loop -----

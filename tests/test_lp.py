@@ -35,11 +35,11 @@ def _recording(real, steps, limit=100):
 
 def _solve_recording_pivots(A, b):
     """solve_lp(A, b), and the pivots of the field step (linalg.pivot) and
-    of the integer step (lp._int_pivot), whichever the LP uses."""
+    of the integer step (linalg.int_pivot), whichever the LP uses."""
     field, ints = [], []
     with mock.patch.object(lp, "pivot", _recording(lp.pivot, field)), \
-            mock.patch.object(lp, "_int_pivot",
-                              _recording(lp._int_pivot, ints)):
+            mock.patch.object(lp, "int_pivot",
+                              _recording(lp.int_pivot, ints)):
         return solve_lp(A, b), field, ints
 
 
@@ -68,7 +68,7 @@ def test_beale_from_degenerate_slack_basis():
     assert lp._simplex_core(F, [0, 1, 2], 7,
                             _recording(lp.pivot, field)) == "optimal"
     assert lp._simplex_core(T, [0, 1, 2], 7,
-                            _recording(lp._int_pivot, ints)) == "optimal"
+                            _recording(lp.int_pivot, ints)) == "optimal"
     assert -F[-1][-1] == -Q(T[-1][-1], T[-1][7]) == Q(-5, 4)
     assert ints == field and ints
 
