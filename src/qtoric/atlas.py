@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .calibration import CalibratedFan
 from .errors import EmptyIntersection
 from .lattice_fan import QuantumFan, _ordered
-from .linalg import Matrix
+from .linalg import Matrix, apply_rows, ratio
 
 
 @dataclass
@@ -53,29 +53,31 @@ def gluing_exponents(fan: QuantumFan, cone_from, cone_to) -> Matrix:
     Row t of M is A_to applied to the t-th column of A_from^-1: for a ray
     both cones share, the unit row of its position in the target chart;
     for any other ray, A_to applied to it; for a completion vector e_j,
-    column j of A_to.  Requires two maximal cones with nonempty
-    intersection."""
+    column j of A_to, each entry formed once from A_to = N/D (chart_rows).
+    Requires two maximal cones with nonempty intersection."""
     if not frozenset(cone_from) & frozenset(cone_to):
         raise EmptyIntersection(
             f"{_ordered(cone_from)} and {_ordered(cone_to)} are disjoint")
-    A_to, _ = fan.chart(cone_to)
-    _, completion = fan.chart(cone_from)
+    N, D, _ = fan.chart_rows(cone_to)
+    _, _, completion = fan.chart_rows(cone_from)
     to = _ordered(cone_to)
     eye = Matrix.identity(fan.dim).rows
-    return Matrix([eye[to.index(i)] if i in to else A_to.apply(fan.ray(i))
+    return Matrix([eye[to.index(i)] if i in to else _applied(N, D, fan.ray(i))
                    for i in _ordered(cone_from)]
-                  + [A_to.column(j - 1) for j in completion])
+                  + [[ratio(r[j - 1], D) for r in N] for j in completion])
+
+
+def _applied(N, D, v) -> list:
+    """The canonical entries of (N/D) v."""
+    y, E = apply_rows(N, D, v)
+    return [ratio(x, E) for x in y]
 
 
 def chart_calibration(cf: CalibratedFan, cone) -> tuple:
     """(H_I, hbar_I): the permutation aligning the cone's calibration
     indices with the leading coordinates, and the chart calibration making
-    h_I = A_I h H_I^{-1} standard (h_I = [Id | hbar_I])."""
-    A_I, _ = chart_matrix(cf.fan, cone)
-    return _chart_calibration(cf, cone, A_I)
-
-
-def _chart_calibration(cf: CalibratedFan, cone, A_I: Matrix) -> tuple:
+    h_I = A_I h H_I^{-1} standard (h_I = [Id | hbar_I]): column k of h_I is
+    A_I h(e_order[k]), each entry formed once from A_I = N/D."""
     cal = cf.cal
     n, d = cal.n, cal.d
     # calibration indices of the cone's rays, in cone order
@@ -86,11 +88,9 @@ def _chart_calibration(cf: CalibratedFan, cone, A_I: Matrix) -> tuple:
     eye = Matrix.identity(n)
     H_I = Matrix.from_columns([eye.column(pos[src] - 1)
                                for src in range(1, n + 1)])
-    # h_I = A_I h H_I^{-1}: columns are A_I h(e_{order[k]})
-    h_cols = [A_I.apply(cal.image(src)) for src in order]
-    h_I = Matrix.from_columns(h_cols)
-    hbar = Matrix([r[d:] for r in h_I.rows])
-    return H_I, hbar
+    N, D, _ = cf.fan.chart_rows(cone)
+    cols = [_applied(N, D, cal.image(src)) for src in order[d:]]
+    return H_I, Matrix([[c[r] for c in cols] for r in range(d)])
 
 
 @dataclass
@@ -159,12 +159,12 @@ def atlas_report(cf_or_fan, cone_orders=None) -> dict:
     fan = cf_or_fan if cf is None else cf.fan
     order_of = {frozenset(t): tuple(t) for t in cone_orders or []}
     maxc = [order_of.get(frozenset(c), tuple(sorted(c)))
-            for c in sorted(fan.maximal_cones(), key=sorted)]
+            for c in fan.maximal_cones()]
     charts = []
     for cone in maxc:
         chart = ChartData(cone, *chart_matrix(fan, cone))
         if cf is not None:
-            chart.H, chart.hbar = _chart_calibration(cf, cone, chart.A)
+            chart.H, chart.hbar = chart_calibration(cf, cone)
         charts.append(chart)
     # both directions of an intersecting pair next to each other
     pairs = [(s, t) for c1, c2 in itertools.combinations(maxc, 2)

@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import lp
 from .errors import Indeterminate, Singular
 from .linalg import (Matrix, basis_inverse, cleared, hnf_solve,
-                     monomial_coordinates, rank, stacked_hnf)
+                     inverse_rows, monomial_coordinates, rank, ratio,
+                     stacked_hnf)
 from .scalars import Scalar, Witness
 
 Q = Fraction
@@ -148,23 +149,27 @@ class QuantumFan:
     def cone_generators(self, cone):
         return [self.ray(i) for i in sorted(cone)]
 
-    def chart(self, cone) -> tuple:
-        """(A_I, completion) for the cone I in chart order (see _ordered).
-        A_I is the inverse of the matrix whose columns are the cone's rays
-        in order, then the canonical vectors e_j for j in the completion,
-        the leftmost pivots of (rays, e_1, ..., e_d); so A_I v holds the
-        coordinates of v in the chart.  Computed once per fan and cone
-        order; raises Singular when the rays are dependent."""
+    def chart_rows(self, cone) -> tuple:
+        """(N, D, completion) for the cone I in chart order (see _ordered):
+        A_I = N/D (linalg.inverse_rows) is the inverse of the matrix whose
+        columns are the cone's rays in order, then the canonical vectors
+        e_j for j in the completion, the leftmost pivots of (rays, e_1, ...,
+        e_d); so A_I v holds the coordinates of v in the chart.  Computed
+        once per fan and cone order; Singular when the rays are dependent."""
         key = tuple(_ordered(cone))
         if key not in self._charts:
             k = len(key)
-            piv, inv = basis_inverse([self.ray(i) for i in key]
+            piv, N, D = inverse_rows([self.ray(i) for i in key]
                                      + list(Matrix.identity(self.dim).rows))
             if piv[:k] != list(range(k)):
                 raise Singular("cone generators do not extend to a basis")
-            self._charts[key] = (Matrix(inv),
-                                 tuple(j - k + 1 for j in piv[k:]))
+            self._charts[key] = N, D, tuple(j - k + 1 for j in piv[k:])
         return self._charts[key]
+
+    def chart(self, cone) -> tuple:
+        """(A_I, completion), A_I formed from chart_rows' N/D."""
+        N, D, completion = self.chart_rows(cone)
+        return Matrix([[ratio(x, D) for x in r] for r in N]), completion
 
     def value_chart(self, cone, w: Witness) -> list | None:
         """The rows of the inverse of the cone's ray values at the witness,
@@ -187,8 +192,9 @@ class QuantumFan:
         return self._witness_charts[key]
 
     def maximal_cones(self) -> tuple:
+        """The maximal cones in sorted order, computed once per fan."""
         if self._maximal is None:
-            self._maximal = _maximal(self.cones)
+            self._maximal = tuple(sorted(_maximal(self.cones), key=sorted))
         return self._maximal
 
     def with_closure(self) -> "QuantumFan":

@@ -11,11 +11,11 @@ of the blow-up example) depend on this normalization bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import Indeterminate, Singular
-from .scalars import (_ONE, _ZERO, Poly, Scalar, _const, poly_divexact,
-                      poly_gcd)
+from .scalars import (_ONE, _ONE_POLY, _ZERO, Poly, Scalar, _const,
+                      poly_divexact, poly_gcd)
 
 _Q0, _Q1 = Fraction(0), Fraction(1)
 
@@ -137,7 +137,8 @@ def pivot(rows, r, c):
     entries are field elements (Scalars, Fractions or Surds, never ints).
     The pivot is inverted once, and only the columns where row r is nonzero
     change; row r may have nonzero entries left of c.  The step for Surd
-    and transcendental rows and for det; rational rows take int_pivot."""
+    rows, the Surd simplex and det; rational rows take int_pivot and
+    transcendental ones _bareiss."""
     prow = rows[r]
     inv = 1 / prow[c]
     nz = [j for j, v in enumerate(prow) if v]
@@ -169,38 +170,69 @@ def int_pivot(T, r, c):
             T[i] = [v // g for v in new] if g > 1 else new
 
 
+def _bareiss(rows, r, c):
+    """Bareiss's step on rows of Polys at p = rows[r][c] != 0: with prev the
+    pivot of the step before, the leftmost nonzero entry of row r - 1 (1 at
+    the first step), every other row becomes (p*row - row[c]*rows[r]) / prev,
+    an exact division (poly_divexact).  Every entry stays a minor of the
+    input, and the earlier pivot rows end with p at their pivots
+    (fraction-free Gauss-Jordan: Nakos, Turner, Williams, ACM SIGSAM Bull.
+    31(3), 1997)."""
+    prow = rows[r]
+    p = prow[c]
+    prev = next(x for x in rows[r - 1] if x) if r else _ONE_POLY
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i == r or not f and p == prev:
+            continue
+        new = [p * x - f * y if f and y else p * x if x else x
+               for x, y in zip(row, prow)]
+        rows[i] = new if prev == _ONE_POLY else \
+            [poly_divexact(v, prev) if v else v for v in new]
+
+
 def _integer_rows(rows):
-    """(int rows, scalar) when every entry is rational, a Fraction or a
-    Scalar whose value is one: each row times the lcm of its denominators,
-    and whether an entry was a Scalar.  Else None."""
-    out, scalar = [], False
+    """Each row times the lcm of its denominators, as ints, when every
+    entry is rational, a Fraction or a Scalar whose value is one; else
+    None."""
+    out = []
     for row in rows:
-        vals = []
-        for x in row:
-            if type(x) is Scalar:
-                x, scalar = x.q, True
-            if type(x) is not Fraction:
-                return None
-            vals.append(x)
+        vals = [x.q if type(x) is Scalar else x for x in row]
+        if any(type(x) is not Fraction for x in vals):
+            return None
         s = lcm(*(x.denominator for x in vals))
         out.append([x.numerator * (s // x.denominator) for x in vals])
-    return out, scalar
+    return out
 
 
-def _rref(rows):
-    """Reduced row echelon form with leftmost pivots, of Scalars or of
-    witness values (Fractions and Surds).
+def _cleared(row) -> tuple:
+    """(nums, dens): Polys with row[j] = nums[j] / prod(dens), for dens the
+    distinct non-constant denominators of the row's Scalars."""
+    fracs = [(x.num, x.den) if type(x) is Scalar else
+             (Poly.const(x), _ONE_POLY) for x in row]
+    dens = []
+    for _, d in fracs:
+        if d != _ONE_POLY and d not in dens:
+            dens.append(d)
+    return [prod((e for e in dens if e != d), start=n)
+            for n, d in fracs], dens
 
-    Rational rows (see _integer_rows) are reduced as ints by int_pivot.
-    Each ends a nonzero multiple of the reduced row, which is unique, so
-    entry x of the row with pivot entry p is x/p, formed once: a Scalar
-    when the input held a Scalar, else a Fraction, with shared constants
-    for 0 and 1.  Other rows take the field step, pivot.
 
-    Returns (rref rows, pivot column list)."""
-    ints = _integer_rows(rows)
-    red = ints[0] if ints else [list(r) for r in rows]
-    step = int_pivot if ints else pivot
+def _reduce(rows):
+    """(N, pivots, D): the reduced row echelon form with leftmost pivots of
+    rows of Scalars or of witness values (Fractions and Surds) is N/D, in
+    the ring the rows are reduced in.  Rational rows (_integer_rows) take
+    int_pivot, and each is scaled to the lcm D > 0 of the pivots.  Rows
+    that hold a transcendental Scalar are cleared into Polys (_cleared) and
+    take _bareiss, which leaves the last pivot D on every pivot row.  Other
+    rows take the field step, pivot, on their values in K, and D = 1."""
+    red, step = _integer_rows(rows), int_pivot
+    if red is None:
+        transcendental = any(type(x) is Scalar and x.q is None
+                             for r in rows for x in r)
+        red = [_cleared(r)[0] if transcendental else
+               [x.q if type(x) is Scalar else x for x in r] for r in rows]
+        step = _bareiss if transcendental else pivot
     nrows = len(red)
     ncols = len(red[0]) if red else 0
     pivots = []
@@ -215,51 +247,95 @@ def _rref(rows):
         r += 1
         if r == nrows:
             break
-    if not ints:
-        return red, pivots
-    scalar = ints[1]
-    zero, one = (_ZERO, _ONE) if scalar else (_Q0, _Q1)
-    out = []
-    for i, row in enumerate(red):
-        p = row[pivots[i]] if i < r else 1      # rows past the rank are 0
-        out.append([zero if not x else one if x == p else
-                    _const(Fraction(x, p)) if scalar else Fraction(x, p)
-                    for x in row])
-    return out, pivots
+    ps = [row[c] for row, c in zip(red, pivots)]
+    if step is pivot:
+        return red, pivots, 1
+    if step is _bareiss:
+        return red, pivots, ps[-1] if ps else _ONE_POLY
+    D = lcm(*ps)
+    return [[x * (D // p) for x in row] for row, p in zip(red, ps)] + \
+        red[r:], pivots, D
+
+
+def ratio(y, D) -> Scalar:
+    """The canonical Scalar y/D, with shared 0 and 1, for y and D Polys,
+    ints, or y in K over an int D."""
+    if not y:
+        return _ZERO
+    if y == D:
+        return _ONE
+    if type(D) is Poly:
+        return Scalar(y, D)
+    return _const(Fraction(y, D) if type(y) is int else y / D if D != 1
+                  else y)
+
+
+def _quotients(red, D, scalar) -> list:
+    """The entries of red over D (ratio): Scalars when scalar is true, else
+    their values, Fractions and Surds."""
+    out = [[ratio(x, D) for x in r] for r in red]
+    return out if scalar else [[x.q for x in r] for r in out]
+
+
+def _rref(rows):
+    """Reduced row echelon form with leftmost pivots, of Scalars or of
+    witness values: _reduce's N/D, as Scalars when the input held one.
+    Returns (rref rows, pivot column list)."""
+    red, pivots, D = _reduce(rows)
+    return _quotients(red, D, any(type(x) is Scalar
+                                  for r in rows for x in r)), pivots
 
 
 def rank(M: Matrix, w=None) -> int:
     """The rank of M.  With a witness w, the rank of M's values there comes
     first: it is a lower bound, so min(M.nrows, M.ncols) there is the rank.
     A shortfall, or a value that is Indeterminate, falls back to the
-    symbolic rank."""
+    symbolic rank.  Only the pivots are read, so no entry is divided."""
     full = min(M.nrows, M.ncols)
     if w is not None:
         try:
-            if len(_rref(w.values_of(M.rows))[1]) == full:
+            if len(_reduce(w.values_of(M.rows))[1]) == full:
                 return full
         except Indeterminate:
             pass
-    return len(_rref(M.rows)[1])
+    return len(_reduce(M.rows)[1])
+
+
+def inverse_rows(cols) -> tuple:
+    """(picks, N, D): the indices of the leftmost linearly independent
+    columns, column j picked exactly when it is independent of columns
+    0..j-1 (the greedy, lexicographically first basis of their span), and
+    the inverse of the matrix B of the picked columns as N/D (_reduce) when
+    they span the space, else N = None.  One elimination of [cols | I]: the
+    row operations that turn B into D*I turn I into N."""
+    n = len(cols)
+    d = len(cols[0]) if cols else 0
+    red, pivots, D = _reduce([[*(c[i] for c in cols),
+                               *(_Q1 if k == i else _Q0 for k in range(d))]
+                              for i in range(d)])
+    picks = [j for j in pivots if j < n]
+    return picks, [r[n:] for r in red] if len(picks) == d else None, D
 
 
 def basis_inverse(cols) -> tuple:
-    """(picks, inverse): the indices of the leftmost linearly independent
-    columns, column j picked exactly when it is independent of columns
-    0..j-1 (the greedy, lexicographically first basis of their span), and
-    the rows of B^-1 for the matrix B of the picked columns when they span
-    the space, else None.  One elimination of [cols | I]: its pivots are
-    B's columns, so the row operations that turn B into I turn I into
-    B^-1.  Rational columns are reduced on int rows (_rref), and the
-    inverse holds Scalars when a column held one, else Fractions; other
-    entries take the field step and give Scalars, or Fractions and Surds."""
-    n = len(cols)
-    d = len(cols[0]) if cols else 0
-    red, pivots = _rref([[*(c[i] for c in cols),
-                          *(Fraction(int(k == i)) for k in range(d))]
-                         for i in range(d)])
-    picks = [j for j in pivots if j < n]
-    return picks, [r[n:] for r in red] if len(picks) == d else None
+    """(picks, inverse): inverse_rows, with B^-1 formed by _quotients."""
+    picks, N, D = inverse_rows(cols)
+    return picks, None if N is None else _quotients(
+        N, D, any(type(x) is Scalar for c in cols for x in c))
+
+
+def apply_rows(N, D, vec) -> tuple:
+    """(y, E) with (N/D) vec = y/E, with no gcd: in K over the int D when
+    N and vec lie in K, else in Polys over D times vec's denominators."""
+    vec = [_s(x) for x in vec]
+    if type(D) is not Poly and all(x.q is not None for x in vec):
+        return [sum((n * x.q for n, x in zip(row, vec) if n), _Q0)
+                for row in N], D
+    nums, dens = _cleared(vec)
+    return [sum((n * p if type(n) is Poly else p.scale(n)
+                 for n, p in zip(row, nums) if n), Poly({}))
+            for row in N], \
+        prod(dens, start=D if type(D) is Poly else Poly.const(D))
 
 
 def det(M: Matrix) -> Scalar:

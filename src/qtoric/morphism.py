@@ -11,9 +11,9 @@ from .calibration import CalibratedFan, induced_fan, kernel_rank
 from .errors import (DomainMismatch, Indeterminate, SearchBoundExceeded,
                      Singular)
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import (Matrix, int_det, int_solve, mat_inverse, rank,
-                     solve_right)
-from .scalars import Scalar, Sign, Witness, sign_at
+from .linalg import (Matrix, apply_rows, int_det, int_solve, mat_inverse,
+                     rank, ratio, solve_right)
+from .scalars import Scalar, Witness, sign_at
 
 
 @dataclass
@@ -54,22 +54,45 @@ class CalMorphism:
 
 def cone_coefficients(fan: QuantumFan, cone, point, w: Witness):
     """Coefficients of point on the cone's generators, in sorted ray order,
-    when the point lies in the cone, else None: the point's coordinates in
-    the cone's chart, which must be zero on the completion and nonnegative
-    on the rays.  Raises Singular for a cone with dependent generators."""
-    A, _ = fan.chart(frozenset(cone))
-    x = A.apply(point)
-    k = len(cone)
-    if all(c.is_zero() for c in x[k:]) and all(
-            sign_at(c, w) is not Sign.NEGATIVE for c in x[:k]):
-        return x[:k]
+    when the point lies in the cone, else None: its chart coordinates y/E
+    (chart_rows, apply_rows) must be zero on the completion and none may
+    be certified negative; Indeterminate when one is undecided.  A sign is
+    sign(y_i)*sign(E) at the witness, and where either vanishes the
+    canonical coefficient decides (sign_at) and is named.  Only returned
+    coefficients are made canonical.  Singular for dependent generators."""
+    N, D, _ = fan.chart_rows(frozenset(cone))
+    y, E = apply_rows(N, D, point)
+    k, sE = len(cone), w.sign(E)
+
+    def negative(yi):
+        return (w.sign(yi) * sE or sign_at(ratio(yi, E), w).value) < 0
+
+    if any(y[k:]) or _first(negative, y[:k]) is not None:
+        return None
+    return tuple(ratio(yi, E) for yi in y[:k])
+
+
+def _first(test, items):
+    """The first item whose test is true, read in order, or None when every
+    test is false.  When no test is true but one raised Indeterminate, the
+    first of those is raised: an undecided item decides only when no item
+    is certified."""
+    err = None
+    for x in items:
+        try:
+            if test(x):
+                return x
+        except Indeterminate as e:
+            err = err or e
+    if err:
+        raise err
     return None
 
 
 def containing_cones(fan: QuantumFan, point, w: Witness):
     """All cones of the fan containing the point, with coefficients: the
     faces of a maximal cone holding the point that contain the support of
-    its coordinates there."""
+    its coordinates there.  The maximal cones are tried in sorted order."""
     inside = []
     for top in fan.maximal_cones():
         coeffs = cone_coefficients(fan, top, point, w)
@@ -93,7 +116,10 @@ def check_fan_morphism(L: Matrix, src: QuantumFan, dst: QuantumFan,
                        w: Witness) -> CheckResult:
     """Quantum fan morphism conditions: L(Gamma) in Gamma', every cone maps
     into some cone, and each mapped ray generator is an N-linear combination
-    of the receiving cone's generators (symbolically integral)."""
+    of the receiving cone's generators (symbolically integral).  A cone
+    fails when every target cone is certified to miss the image of one of
+    its rays; an undecided containment decides only when none is certified
+    (_first)."""
     if L.nrows != dst.dim or L.ncols != src.dim:
         return CheckResult.invalid("shape", shape=(L.nrows, L.ncols))
     for g in src.gamma.generators:
@@ -101,15 +127,17 @@ def check_fan_morphism(L: Matrix, src: QuantumFan, dst: QuantumFan,
             return CheckResult.invalid(
                 "lattice", detail=f"L({[str(x) for x in g]}) not in Gamma'")
     images = {i: L.apply(src.ray(i)) for i in range(1, src.nrays + 1)}
-    dst_max = dst.maximal_cones()
-    for cone in src.maximal_cones():
-        ok = any(
-            all(cone_coefficients(dst, c, images[i], w) is not None
-                for i in cone)
-            for c in dst_max)
-        if not ok:
-            return CheckResult.invalid(
-                "cone_containment", cone=sorted(cone))
+
+    def holds(c, cone):     # no ray of cone maps outside c
+        return _first(lambda i: cone_coefficients(dst, c, images[i], w)
+                      is None, sorted(cone)) is None
+
+    def fails(cone):        # no target cone holds cone
+        return _first(lambda c: holds(c, cone), dst.maximal_cones()) is None
+
+    failed = _first(fails, src.maximal_cones())
+    if failed is not None:
+        return CheckResult.invalid("cone_containment", cone=sorted(failed))
     for i in range(1, src.nrays + 1):
         found = containing_cones(dst, images[i], w)
         if not found:

@@ -277,6 +277,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
 
@@ -492,8 +495,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; b must divide a and have rational
-    coefficients."""
+    """Exact division a / b in K[params]; b must divide a.  Its
+    coefficients may lie anywhere in K: each quotient term is the leading
+    coefficient of the remainder over b's, a division in K."""
     if b.is_const():
         return a.scale(Q(1) / b.const_value())
     vorder = sorted(a.variables() | b.variables())
@@ -901,6 +905,12 @@ class Witness:
             return x
         return Surd({m: -c if (m & neg).bit_count() & 1 else c
                      for m, c in x.c.items()}, x.den)
+
+    def sign(self, x) -> int:
+        """The sign of x's value, 0 where it vanishes, for a Poly or x in K."""
+        v = self._at(x) if type(x) is Poly else \
+            self._relabel(x) if type(x) is Surd else x
+        return v.sign() if type(v) is Surd else (v > 0) - (v < 0)
 
     def _at(self, poly: Poly):
         """poly at the witness."""

@@ -590,7 +590,9 @@ def twisted_prism_fan(eps, diagonals) -> QuantumFan:
 def cone_coefficients_by_solve(fan: QuantumFan, cone, point, w: Witness):
     """Coefficients of point on the cone's generators when the point lies in
     the cone (unique for simplicial cones), else None.  The zero vector lies
-    in every cone with zero coefficients."""
+    in every cone with zero coefficients.  The point is outside when a
+    coefficient is certified negative, and Indeterminate only when none is
+    and one is undecided."""
     point = tuple(Scalar.coerce(x) for x in point)
     if all(x.is_zero() for x in point):
         return tuple(Scalar.zero() for _ in cone)
@@ -600,9 +602,16 @@ def cone_coefficients_by_solve(fan: QuantumFan, cone, point, w: Witness):
     coeffs = solve_right(V, point)
     if coeffs is None:
         return None
-    if all(sign_at(c, w) is not Sign.NEGATIVE for c in coeffs):
-        return coeffs
-    return None
+    undecided = None
+    for c in coeffs:
+        try:
+            if sign_at(c, w) is Sign.NEGATIVE:
+                return None
+        except Indeterminate as e:
+            undecided = undecided or e
+    if undecided:
+        raise undecided
+    return coeffs
 
 
 def containing_cones_by_solve(fan: QuantumFan, point, w: Witness):
@@ -622,6 +631,40 @@ def minimal_containing_cone_by_solve(fan: QuantumFan, point, w: Witness):
         return None
     best = min(found, key=len)
     return best, found[best]
+
+
+def field_chart(fan: QuantumFan, cone):
+    """The chart A of the cone as in QuantumFan.chart, by the field step:
+    the last d columns of ref_rref of [rays, e_1..e_d | I]; None when the
+    rays are dependent."""
+    d, k = fan.dim, len(cone)
+    cols = [*fan.cone_generators(cone), *Matrix.identity(d).rows]
+    red, piv = ref_rref([[*(c[i] for c in cols),
+                          *(Fraction(int(j == i)) for j in range(d))]
+                         for i in range(d)])
+    if piv[:k] != list(range(k)):
+        return None
+    return Matrix([r[len(cols):] for r in red])
+
+
+def coefficients_by_chart(A: Matrix, k: int, point, w: Witness):
+    """The coefficients of the point on a cone of k rays with chart A, as
+    cone_coefficients gives them: x = A point, None when an entry of x past
+    k is nonzero or one of the first k is certified negative (sign_at),
+    else Indeterminate at the first undecided one, else x[:k]."""
+    x = A.apply(point)
+    if any(not c.is_zero() for c in x[k:]):
+        return None
+    undecided = None
+    for c in x[:k]:
+        try:
+            if sign_at(c, w) is Sign.NEGATIVE:
+                return None
+        except Indeterminate as e:
+            undecided = undecided or e
+    if undecided:
+        raise undecided
+    return x[:k]
 
 
 # -- row reduction with the field step (reference) --------------------------

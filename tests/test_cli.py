@@ -588,16 +588,26 @@ def test_indeterminate_exit_code(tmp_path, capsys):
     code, rep = run(capsys, ["validate",
                              _write(tmp_path, "vanish.json", VANISH)])
     assert code == 3 and rep["error"]["code"] == "Indeterminate"
-    # ... or a value: L e_1 = (a - 1/2, 0) has the cone coefficient a - 1/2
+    # ... or a value: L = (a - 1/2) I gives every image of a ray a cone
+    # coefficient a - 1/2 or -a + 1/2 and no certified negative one; the
+    # first target cone in sorted order, [1, 2], names a - 1/2
     src = dict(VANISH, rays=P2STD["rays"])
-    dst = dict(src, gamma=[["1", "0"], ["0", "1"], ["a-1/2", "0"]])
-    argv = ["morphism-check", "--morphism",
-            _write(tmp_path, "L.json", {"L": [["a-1/2", "0"], ["0", "1"]]}),
+    dst = dict(src, gamma=[["1", "0"], ["0", "1"], ["a-1/2", "0"],
+                           ["0", "a-1/2"]])
+    L = {"L": [["a-1/2", "0"], ["0", "a-1/2"]]}
+    argv = ["morphism-check", "--morphism", _write(tmp_path, "L.json", L),
             _write(tmp_path, "src.json", src), _write(tmp_path, "dst.json", dst)]
     code, rep = run(capsys, argv)
     assert code == 3
     assert rep["error"]["message"] == \
-        "-a+1/2 vanishes at the witness but is not symbolically zero"
+        "a-1/2 vanishes at the witness but is not symbolically zero"
+    # L = diag(a - 1/2, 1) is decided: cone [2, 3] maps onto (0, 1) and
+    # (-a + 1/2, -1), and each target cone has a certified negative
+    # coefficient for one of them
+    argv[2] = _write(tmp_path, "L.json", {"L": [["a-1/2", "0"], ["0", "1"]]})
+    code, rep = run(capsys, argv)
+    assert code == 1 and rep == {"valid": False,
+                                 "reason": "cone_containment"}
     # signs are exact: sqrt2 - 577/408 is about -1.5e-6, so a < 0, and
     # -(sqrt2 - 1)^2000, about -10^-765, is decided as well
     for a in ("sqrt:2-577/408", "-(sqrt:2-1)^2000"):

@@ -369,6 +369,77 @@ def test_integer_rref_matches_the_field_step(rows):
                for r in red for x in r)
 
 
+# -- transcendental rows, fraction-free, against the field step ---------------
+
+def _small(draw):
+    return Q(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+
+@st.composite
+def k_params_entry(draw):
+    """An entry over K[a, b]: zero, affine or quadratic in a and b, with a
+    coefficient a*sqrt2 + 1 or sqrt3, or over a non-constant denominator
+    such as a + 1."""
+    kind = draw(st.sampled_from(["zero", "zero", "affine", "quadratic",
+                                 "surd", "fraction"]))
+    if kind == "zero":
+        return ZERO
+    x = _small(draw) + _small(draw) * draw(st.sampled_from([SA, SB]))
+    if kind == "quadratic":
+        x = x * draw(st.sampled_from([SA, SB, SA + SB])) + _small(draw)
+    elif kind == "surd":
+        x = x + draw(st.sampled_from([SA * ST + 1, SU]))
+    elif kind == "fraction":
+        x = x / draw(st.sampled_from([SA + 1, SB - 2]))
+    return x
+
+
+@st.composite
+def k_params_rows(draw):
+    """Rows over K[a, b] with at least one transcendental entry: tall or
+    wide, with zero rows, zero columns and columns that are combinations
+    of earlier ones with parametric multipliers, or in the [cols | I]
+    shape of basis_inverse."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 // m + 1))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["entries", "entries", "zero",
+                                     "combination"]))
+        if kind == "zero":
+            col = [ZERO] * m
+        elif kind == "combination" and cols:
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = draw(st.sampled_from([ONE, -ONE, SA, SB + 1, ST])), \
+                Scalar.from_fraction(_small(draw))
+            col = [s * x + t * y for x, y in zip(u, v)]
+        else:
+            col = [draw(k_params_entry()) for _ in range(m)]
+        cols.append(col)
+    rows = [list(r) for r in zip(*cols)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [ZERO] * n
+    if all(x.q is not None for r in rows for x in r):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = SA
+    if draw(st.booleans()):
+        rows = [[*r, *(Q(int(k == i)) for k in range(m))]
+                for i, r in enumerate(rows)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_params_rows())
+@example([[SA, SA * ST + 1], [ONE / (SA + 1), SB]])
+@example([[SA, 2 * SA, Q(1), Q(0)], [SB, 2 * SB, Q(0), Q(1)]])
+def test_fraction_free_rref_matches_the_field_step(rows):
+    red, pivots = _rref(rows)
+    ref, ref_pivots = ref_rref(rows)
+    assert pivots == ref_pivots
+    assert all(type(x) is Scalar for r in red for x in r)
+    assert red == [[Scalar.coerce(x) for x in r] for r in ref]
+    assert rank(Matrix(rows)) == len(pivots)
+
+
 DOT_ENTRIES = {
     "rational": SPARSE,
     "surd": st.sampled_from([ST, -ST, ST + 1, SU, ST * SU, ST / 2, ONE]),

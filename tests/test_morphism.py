@@ -2,14 +2,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import (EMPTY_WITNESS, containing_cones_by_solve,
+from conftest import (EMPTY_WITNESS, coefficients_by_chart,
+                      containing_cones_by_solve, field_chart,
                       minimal_containing_cone_by_solve, random_circle_fan,
                       random_complete_fan)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice_fan import _fan_variant
 
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
-from qtoric.errors import DomainMismatch, Indeterminate
+from qtoric.errors import DomainMismatch, Indeterminate, Singular
 from qtoric.lattice_fan import QLattice, QuantumFan, fan_from_max_cones
 from qtoric.linalg import Matrix
 from qtoric.morphism import (CalMorphism, check_cal_iso, check_cal_morphism,
@@ -292,3 +294,79 @@ def test_containment_by_charts_matches_one_solve_per_cone(seed, kind):
         for c in cones if found != "Indeterminate" else ():
             assert outcome(cone_coefficients, fan, c, p, w) == \
                 dict(found).get(c)
+
+
+def test_a_point_certified_outside_a_cone_is_not_indeterminate():
+    # p = (a - 1/2, -1) has coordinates (a - 1/2, -1) in the chart of
+    # [1, 2]: the first vanishes at a = 1/2, the second certifies that p is
+    # outside.  [3, 1] holds p with coefficients (a + 1/2, 1).
+    w = Witness({A: Q(1, 2)})
+    fan = fan_from_max_cones(QLattice.standard(2), [[1, 0], [0, 1], [-1, -1]],
+                             [[1, 2], [2, 3], [3, 1]])
+    p = [SA - Q(1, 2), -1]
+    assert cone_coefficients(fan, [1, 2], p, w) is None
+    assert containing_cones(fan, p, w) == {
+        frozenset({1, 3}): (SA + Q(1, 2), Scalar.one())}
+    with pytest.raises(Indeterminate, match=r"^a-1/2 vanishes at the"):
+        cone_coefficients(fan, [1, 2], [SA - Q(1, 2), 1], w)
+
+
+def decided(f, *args):
+    """f(*args), or the Indeterminate it raises with its message, or
+    Singular."""
+    try:
+        return f(*args)
+    except Indeterminate as e:
+        return "Indeterminate", str(e)
+    except Singular:
+        return "Singular"
+
+
+def test_a_chart_denominator_that_vanishes_decides_nothing():
+    # the rays (1, 0) and (1, a + 7/3) are dependent at a = -7/3, so the
+    # chart's denominator D vanishes there; the canonical coefficients
+    # decide where they do not vanish, and name themselves where they do
+    fan = fan_from_max_cones(QLattice.standard(2),
+                             [[1, 0], [1, SA + Q(7, 3)]], [[1, 2]])
+    N, D, _ = fan.chart_rows([1, 2])
+    assert W.sign(D) == 0 and not D.is_const()
+    A = field_chart(fan, [1, 2])
+    two = 2 * (SA + Q(7, 3))
+    cases = {(1, SA + Q(7, 3)): (0, 1), (3, two): (1, 2), (-1, two): None,
+             (0, 1): "Indeterminate"}
+    for p, want in cases.items():
+        got = decided(cone_coefficients, fan, [1, 2], p, W)
+        assert got == decided(coefficients_by_chart, A, 2, p, W)
+        assert got == want or got[0] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["complete", "duplicate", "misplaced",
+                             "parametric", "folded", "wound"]))
+def test_cone_coefficients_match_the_field_chart(seed, d, kind):
+    """cone_coefficients against A.apply and sign_at, with A from the field
+    step, on every maximal cone of the _fan_variant fans: the in/out answer,
+    the coefficients and the Indeterminate message.  The "parametric" fans
+    have cones whose chart denominator vanishes at W, and the points
+    include multiples of a + 7/3, which vanishes there, and of 1/(a + 2).
+    The maximal cones come in sorted order."""
+    rng = random.Random(seed)
+    fan = _fan_variant(rng, d, kind)
+    rays = [list(v) for v in fan.rays]
+    points = [rng.choice(rays), [-x for x in rng.choice(rays)],
+              [rng.randint(-3, 3) for _ in range(d)]]
+    for _ in range(3):
+        p = [Scalar.zero()] * d
+        for v in rng.sample(rays, d):
+            k = rng.choice([1, Q(1, 2), -1, SA + Q(7, 3), -SA - Q(7, 3),
+                            1 / (SA + 2)])
+            p = [u + k * x for u, x in zip(p, v)]
+        points.append(p)
+    assert list(fan.maximal_cones()) == sorted(fan.maximal_cones(), key=sorted)
+    for cone in fan.maximal_cones():
+        A = field_chart(fan, cone)
+        for p in points:
+            want = "Singular" if A is None else \
+                decided(coefficients_by_chart, A, len(cone), p, W)
+            assert decided(cone_coefficients, fan, cone, p, W) == want

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (RefScalar, affine_coefficients, approx, interval_sign,
@@ -16,7 +16,7 @@ from qtoric.errors import Indeterminate, UnsupportedEntries, UnsupportedField
 from qtoric.lattice_fan import QLattice, gamma_rank
 from qtoric.moduli import quadratic_surd
 from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Surd, Witness,
-                            sign_at, square_class)
+                            poly_divexact, sign_at, square_class)
 
 A = Parameter("a")
 B = Parameter("b")
@@ -434,6 +434,32 @@ def test_quadratic_surd_reads_the_value():
 def test_gcd_cancellation():
     assert (SA * SA - SB * SB) / (SA + SB) == SA - SB
     assert (SA + 1) ** 3 / (SA + 1) ** 2 == SA + 1
+
+
+SQRT2, SQRT3 = ST.q, Scalar.of_param(ROOTS[1]).q
+MONOS = [(), (("a", 1),), (("b", 1),), (("a", 1), ("b", 1)), (("a", 2),)]
+
+
+@st.composite
+def surd_polys(draw):
+    """A nonzero polynomial in a and b with up to three terms, each
+    coefficient c0 + c1 sqrt2 + c2 sqrt3 + c3 sqrt6 in K."""
+    terms = {}
+    for mono in draw(st.lists(st.sampled_from(MONOS), min_size=1,
+                              max_size=3, unique=True)):
+        c = sum((Q(draw(st.integers(-3, 3))) * r
+                 for r in (1, SQRT2, SQRT3, SQRT2 * SQRT3)), Q(0))
+        if c:
+            terms[mono] = c
+    return Poly(terms or {(): Q(1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(surd_polys(), surd_polys())
+@example(Poly({(("a", 1),): Q(1), (): SQRT3}),      # a + u, u^2 = 3
+         Poly({(("a", 1),): SQRT2, (): Q(1)}))      # a t + 1, t^2 = 2
+def test_poly_divexact_undoes_a_product_over_K(p, q):
+    assert poly_divexact(p * q, q) == p
 
 
 def test_affine_coefficients():
