@@ -19,9 +19,9 @@ from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
                      RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import (QLattice, QuantumFan, _certified_walls,
                           _is_complete, _meet_in_common_face, _ridge_map,
-                          _ridges)
+                          _ridges, _value_chart)
 from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
-                     rank)
+                     primitive, rank)
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
 
@@ -153,7 +153,8 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     phi(v_i) for a linear phi on the Gale dual v (_gale_dual).  By Motzkin's
     transposition theorem that is _meet_in_common_face for the cones over
     the complements (Bosio, Ann. Inst. Fourier 51, 2001), which holds for
-    all pairs with no LP when _certified_walls certifies those cones.
+    all pairs with no LP when _certified_walls certifies those cones, on
+    primitive int multiples of rational v_i (QuantumFan.witness_values).
 
     Replacement fails exactly when a ridge A - {k} of those cones lies in A
     only, A = [N] - e: e - {k'} + {k} for k' in e is A - {k} + {k'}."""
@@ -165,8 +166,8 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
         M = Matrix([[*datum.point(i), Scalar.one()] for i in sorted(e)])
         if rank(M, w) != 2 * datum.m + 1:
             return CheckResult.invalid("affine_hull", E=sorted(e))
-    dual = _gale_dual(pts)
-    charts = {A: basis_inverse([dual[i] for i in sorted(A)])[1]
+    dual = {i: primitive(v) for i, v in _gale_dual(pts).items()}
+    charts = {A: _value_chart([dual[i] for i in sorted(A)], len(A))
               for A in (frozenset(dual) - e for e in E)}
     ridges = _ridge_map(charts)
     walls = _certified_walls(dual, charts, _ridges(list(charts), ridges))

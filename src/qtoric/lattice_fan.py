@@ -12,16 +12,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import lp
 from .errors import Indeterminate, Singular
 from .linalg import (Matrix, basis_inverse, cleared, hnf_solve,
-                     inverse_rows, monomial_coordinates, rank, ratio,
-                     stacked_hnf)
+                     inverse_rows, monomial_coordinates, primitive, rank,
+                     ratio, stacked_hnf)
 from .scalars import Scalar, Witness
-
-Q = Fraction
 
 
 def _vec(v):
@@ -132,6 +129,7 @@ class QuantumFan:
         if any(len(set(c)) < len(c) for c in cones):
             raise ValueError("cone lists a ray twice")
         self._charts = {}
+        self._values = {}
         self._witness_charts = {}
         self._maximal = None
 
@@ -171,24 +169,35 @@ class QuantumFan:
         N, D, completion = self.chart_rows(cone)
         return Matrix([[ratio(x, D) for x in r] for r in N]), completion
 
-    def value_chart(self, cone, w: Witness) -> list | None:
-        """The rows of the inverse of the cone's ray values at the witness,
-        in sorted ray order, completed by canonical vectors as in chart;
-        None when those values are dependent, so the witness rank of the
-        rays falls short, or when one is Indeterminate.  One elimination
-        of [values | I], computed once per fan, cone and witness."""
+    def witness_values(self, w: Witness) -> list:
+        """Each ray's values at the witness, rational ones as their primitive
+        int multiple, or the Indeterminate they raised; once per fan and
+        witness.  Witness decisions (independence, ridge sides, a covered
+        point, the overlap, common-face and Gordan LPs) read only the rays'
+        cones and signs of chart coordinates, which a ray times s > 0 keeps
+        (a support function's value there scales by s too)."""
+        if w not in self._values:
+            self._values[w] = out = []
+            for v in self.rays:
+                try:
+                    out.append(primitive([w.value(x) for x in v]))
+                except Indeterminate as e:
+                    out.append(e)
+        return self._values[w]
+
+    def value_chart(self, cone, w: Witness) -> tuple | None:
+        """(N, D): N/D, D > 0, is the inverse of the cone's witness_values in
+        sorted ray order, completed by canonical vectors as in chart (ints
+        on rational values); None when those values are dependent, so the
+        witness rank of the rays falls short, or when one is Indeterminate.
+        One elimination of [values | I], once per fan, cone and witness."""
         key = (w, frozenset(cone))
         if key not in self._witness_charts:
-            eye = [[Q(int(i == j)) for i in range(self.dim)]
-                   for j in range(self.dim)]
-            try:
-                piv, inv = basis_inverse(
-                    w.values_of(self.cone_generators(cone)) + eye)
-            except Indeterminate:
-                piv, inv = [], None
-            k = len(cone)
-            independent = piv[:k] == list(range(k))
-            self._witness_charts[key] = inv if independent else None
+            cols = [self.witness_values(w)[i - 1] for i in sorted(cone)]
+            self._witness_charts[key] = None if any(
+                isinstance(v, Indeterminate) for v in cols) else _value_chart(
+                cols + [[int(i == j) for i in range(self.dim)]
+                        for j in range(self.dim)], len(cols))
         return self._witness_charts[key]
 
     def maximal_cones(self) -> tuple:
@@ -209,6 +218,21 @@ class QuantumFan:
     def __repr__(self):
         cs = sorted(tuple(sorted(c)) for c in self.cones)
         return f"QuantumFan(d={self.dim}, p={self.nrays}, cones={cs})"
+
+
+def _value_chart(cols, k: int) -> tuple | None:
+    """(N, D) of inverse_rows(cols) when its first k columns are picked and
+    the picks span, else None."""
+    picks, N, D = inverse_rows(cols)
+    return (N, D) if N is not None and picks[:k] == list(range(k)) else None
+
+
+def _witness_coords(fan: QuantumFan, w: Witness) -> dict:
+    """{i: v_i}, the fan's witness_values; raises the first Indeterminate."""
+    for v in fan.witness_values(w):
+        if isinstance(v, Indeterminate):
+            raise v
+    return dict(enumerate(fan.witness_values(w), 1))
 
 
 def fan_from_max_cones(gamma: QLattice, rays, max_cones) -> QuantumFan:
@@ -245,8 +269,8 @@ def _meet_in_common_face(coords, A, B) -> bool:
     for f in sorted(F):
         cols += [coords[f], [-x for x in coords[f]]]
     A_eq = [list(row) for row in zip(*cols)]
-    A_eq.append([Q(1)] * off + [Q(0)] * (len(cols) - off))
-    return not lp.feasible(A_eq, [Q(0)] * (len(A_eq) - 1) + [Q(1)])
+    A_eq.append([1] * off + [0] * (len(cols) - off))
+    return not lp.feasible(A_eq, [0] * (len(A_eq) - 1) + [1])
 
 
 def _ridge_map(cones) -> dict:
@@ -276,35 +300,37 @@ def _ridges(maxc, ridges) -> dict | None:
 
 
 def _certified_walls(coords, charts, ridges) -> list | None:
-    """The walls (A, j, x) of the cones certified to form a complete fan,
+    """The walls (A, j, x, D) of the cones certified to form a complete fan,
     else None: the test fails, or a cone has no chart.  coords maps each ray
-    to its values; charts maps each maximal cone, in order, to the rows of
-    the inverse of its rays' values in sorted order, or None (value_chart);
-    ridges is their ridge pairing (_ridges), or None when they have none.
+    to its values; charts maps each maximal cone, in order, to its
+    value_chart (N, D) on them, or None; ridges is their ridge pairing
+    (_ridges), or None when they have none.
 
     A pseudomanifold of full-dimensional simplicial cones is one when the
     two cones at every ridge lie on opposite sides of it and one generic
     point lies in exactly one cone (De Loera-Rambau-Santos,
     Triangulations, 2010, section 4.5): crossing a ridge then keeps the
     number of cones over a generic point, so that number is 1 everywhere.
-    At the ridge A - {i} = B - {j}, x holds v_j in A's value chart, keyed
-    by A's rays, and x[i] < 0.  The point, the sum of the first cone's
-    rays, has a negative coordinate in every other cone's value chart.
-    Every sign is exact on the values coords."""
+    At the ridge A - {i} = B - {j}, x = N v_j holds D times v_j in A's
+    value chart, keyed by A's rays, and x[i] < 0.  The point, the sum of
+    the first cone's rays, has a negative coordinate in every other cone's
+    value chart.  Every sign is exact on the values coords, and neither
+    D > 0 nor positive multiples of rays change it (witness_values)."""
     maxc = list(charts)
     if (ridges is None or len(maxc[0]) != len(coords[next(iter(maxc[0]))])
             or None in charts.values()):
         return None
     walls = []
     for (A, i), (_, j) in ridges.values():
+        N, D = charts[A]
         x = dict(zip(sorted(A), (sum(a * y for a, y in zip(r, coords[j]))
-                                 for r in charts[A])))
+                                 for r in N)))
         if not x[i] < 0:
             return None
-        walls.append((A, j, x))
+        walls.append((A, j, x, D))
     point = [sum(y) for y in zip(*(coords[i] for i in maxc[0]))]
     covered = all(any(sum(a * y for a, y in zip(r, point)) < 0
-                      for r in charts[B]) for B in maxc[1:])
+                      for r in charts[B][0]) for B in maxc[1:])
     return walls if covered else None
 
 
@@ -359,7 +385,7 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
             report.add("missing_face", {"cone": [i], "missing": [i]})
     if not report.valid:
         return report
-    coords = dict(enumerate(w.values_of(fan.rays), 1))
+    coords = _witness_coords(fan, w)
     for i, v in coords.items():
         if not any(v):
             raise Indeterminate(f"ray {i} vanishes at the witness but is "
@@ -433,27 +459,24 @@ def _is_polytopal(fan: QuantumFan, w: Witness, ridges) -> bool:
     cone(A) & cone(B) = cone(A & B), which the certificate would certify.
     On a certified fan, strict convexity across every wall is global
     (Cox-Little-Schenck, Toric Varieties, section 6.1): at the wall (A, j,
-    x), l_A(v_j) = sum_a x[a] w_a > w_j, and the other cone's inequality
-    there is this one times -1/x[i] > 0.  By Gordan's theorem of the
-    alternative this system C w > 0 has a solution iff {y >= 0 : C^T y = 0,
-    sum y = 1} is empty, one exact LP with a row per ray and a column per
-    wall; it is homogeneous in w, so no margin enters.  The witness values
-    are taken only for a combinatorially complete fan: ridges is
-    _complete_ridges(fan)."""
+    x, D), D l_A(v_j) = sum_a x[a] w_a > D w_j, and the other cone's
+    inequality there is this one times -1/x[i] > 0.  By Gordan's theorem
+    of the alternative this system C w > 0 has a solution iff {y >= 0 :
+    C^T y = 0, sum y = 1} is empty, one exact LP with a row per ray and a
+    column per wall; it is homogeneous in w, so no margin enters.  The
+    rays are the fan's witness_values, taken only for a combinatorially
+    complete fan: ridges is _complete_ridges(fan)."""
     if ridges is None:
         return False
-    coords = dict(enumerate(w.values_of(fan.rays), 1))
+    coords = _witness_coords(fan, w)
     walls = _certified_walls(coords, {A: fan.value_chart(A, w)
                                       for A in fan.maximal_cones()}, ridges)
     if walls is None:
         return False
-    columns = []
-    for _, j, x in walls:
-        column = [x.get(k, Q(0)) for k in range(1, fan.nrays + 1)]
-        column[j - 1] = Q(-1)
-        columns.append(column)
-    A_eq = [list(row) for row in zip(*columns)] + [[Q(1)] * len(columns)]
-    return not lp.feasible(A_eq, [Q(0)] * fan.nrays + [Q(1)])
+    columns = [[-D if k == j else x.get(k, 0) for k in range(1, fan.nrays + 1)]
+               for _, j, x, D in walls]
+    A_eq = [list(row) for row in zip(*columns)] + [[1] * len(columns)]
+    return not lp.feasible(A_eq, [0] * fan.nrays + [1])
 
 
 def fan_properties(fan: QuantumFan, w: Witness) -> FanProperties:

@@ -191,18 +191,23 @@ def _bareiss(rows, r, c):
             [poly_divexact(v, prev) if v else v for v in new]
 
 
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators, as ints, when every
-    entry is rational, a Fraction or a Scalar whose value is one; else
+def _integer_row(row):
+    """row times the lcm of its denominators, as ints, when every entry is
+    rational: an int, a Fraction or a Scalar whose value is one; else
     None."""
-    out = []
-    for row in rows:
-        vals = [x.q if type(x) is Scalar else x for x in row]
-        if any(type(x) is not Fraction for x in vals):
-            return None
-        s = lcm(*(x.denominator for x in vals))
-        out.append([x.numerator * (s // x.denominator) for x in vals])
-    return out
+    vals = [x.q if type(x) is Scalar else x for x in row]
+    if any(type(x) is not Fraction and type(x) is not int for x in vals):
+        return None
+    s = lcm(*(x.denominator for x in vals))
+    return [x.numerator * (s // x.denominator) for x in vals]
+
+
+def primitive(vec) -> list:
+    """The primitive int vector that is a positive multiple of vec when its
+    entries are rational (_integer_row), else vec itself."""
+    ints = _integer_row(vec)
+    g = gcd(*ints) if ints else 0
+    return vec if ints is None else [x // g for x in ints] if g > 1 else ints
 
 
 def _cleared(row) -> tuple:
@@ -220,18 +225,19 @@ def _cleared(row) -> tuple:
 
 def _reduce(rows):
     """(N, pivots, D): the reduced row echelon form with leftmost pivots of
-    rows of Scalars or of witness values (Fractions and Surds) is N/D, in
-    the ring the rows are reduced in.  Rational rows (_integer_rows) take
+    rows of Scalars or of witness values (ints, Fractions, Surds) is N/D,
+    in the ring the rows are reduced in.  Rational rows (_integer_row) take
     int_pivot, and each is scaled to the lcm D > 0 of the pivots.  Rows
     that hold a transcendental Scalar are cleared into Polys (_cleared) and
     take _bareiss, which leaves the last pivot D on every pivot row.  Other
-    rows take the field step, pivot, on their values in K, and D = 1."""
-    red, step = _integer_rows(rows), int_pivot
-    if red is None:
+    rows take pivot on their values in K, ints as Fractions, and D = 1."""
+    red, step = [_integer_row(r) for r in rows], int_pivot
+    if None in red:
         transcendental = any(type(x) is Scalar and x.q is None
                              for r in rows for x in r)
         red = [_cleared(r)[0] if transcendental else
-               [x.q if type(x) is Scalar else x for x in r] for r in rows]
+               [x.q if type(x) is Scalar else Fraction(x) if type(x) is int
+                else x for x in r] for r in rows]
         step = _bareiss if transcendental else pivot
     nrows = len(red)
     ncols = len(red[0]) if red else 0

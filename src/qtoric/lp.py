@@ -6,15 +6,15 @@ that meet in a common face, strictly convex support functions.  solve_lp
 finds x >= 0 with A x = b or reports that there is none; no LP has an
 objective.  Hulls are cones over their points lifted to height 1; hulls
 that share interior points are decided on the Gale-dual cones
-(gale_lvmb.check_lvmb).  The data are witness values, exact elements of
-K = Q(sqrt(D_1), ..., sqrt(D_k)): Fractions, and Surds when quadratic
-roots occur.  A rational tableau is kept as rows of ints, each a positive
-multiple of the field tableau's row, under linalg.int_pivot, the
+(gale_lvmb.check_lvmb).  The data are exact elements of K = Q(sqrt(D_1),
+..., sqrt(D_k)), witness values or positive multiples of them: the fans'
+LPs get rational rays as primitive int rows (QuantumFan.witness_values),
+and Surds stay.  A rational tableau is kept as rows of ints, each a
+positive multiple of the field tableau's row, under linalg.int_pivot, the
 division-free step that rational row reduction (linalg._rref) also takes;
-a tableau with a Surd takes the field step, linalg.pivot.  The ratio test
-is cross-multiplied, so both give the same signs and ratio order, Bland's
-rule makes the same choices, and over this ordered field every answer is
-exact.
+a tableau with a Surd takes the field step, linalg.pivot, on Fractions.
+The ratio test is cross-multiplied, so both give the same signs and ratio
+order, Bland's rule makes the same choices, and every answer is exact.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qtoric import lp
+from qtoric import lattice_fan, lp
 from qtoric.atlas import gluing_exponents
 from qtoric.errors import Indeterminate, UnsupportedEntries, UnsupportedField
 from qtoric.calibration import CalibratedFan, Calibration
@@ -665,6 +665,39 @@ def coefficients_by_chart(A: Matrix, k: int, point, w: Witness):
     if undecided:
         raise undecided
     return x[:k]
+
+
+def ref_certified_walls(fan: QuantumFan, w: Witness):
+    """(walls, covered) as _certified_walls decides them, on the raw
+    witness values of the rays, each maximal cone's chart the field inverse
+    of its values by ref_rref: walls holds (A, j, x), x the coordinates of
+    v_j in A's chart, when every ridge sign holds, else None; covered says
+    whether the sum of the first cone's rays has a negative coordinate in
+    every other cone's chart.  None when a cone has no chart."""
+    coords = dict(enumerate(w.values_of(fan.rays), 1))
+    d, maxc = fan.dim, fan.maximal_cones()
+    charts = {}
+    for A in maxc:
+        cols = [coords[i] for i in sorted(A)]
+        red, piv = ref_rref([[c[i] for c in cols]
+                             + [Fraction(int(j == i)) for j in range(d)]
+                             for i in range(d)])
+        if piv != list(range(d)):
+            return None
+        charts[A] = [r[d:] for r in red]
+
+    def chart_coords(A, v):
+        return dict(zip(sorted(A), (sum(a * y for a, y in zip(r, v))
+                                    for r in charts[A])))
+
+    walls = []
+    for (A, i), (_, j) in lattice_fan._complete_ridges(fan).values():
+        x = chart_coords(A, coords[j])
+        walls.append((A, j, x) if x[i] < 0 else None)
+    point = [sum(y) for y in zip(*(coords[i] for i in maxc[0]))]
+    covered = all(min(chart_coords(B, point).values()) < 0
+                  for B in maxc[1:])
+    return None if None in walls else walls, covered
 
 
 # -- row reduction with the field step (reference) --------------------------

@@ -1,13 +1,15 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from conftest import (EMPTY_WITNESS, condition_KH_affine,
                       gamma_contains_affine, gamma_rank_affine,
                       is_polytopal_primal, kernel_rank_affine, minor_rank,
                       random_bipyramid_fan, random_circle_fan,
-                      random_complete_fan, rand_fraction, twisted_prism_fan,
+                      random_complete_fan, rand_fraction,
+                      ref_certified_walls, twisted_prism_fan,
                       validate_fan_all_pairs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -551,8 +553,8 @@ def test_validate_fan_decides_each_pair_of_maximal_cones_once(monkeypatch):
 
 
 def test_validate_fan_certifies_complete_fans_without_lp(monkeypatch):
-    # the ridge signs and the covered point decide these, on Fractions
-    # and, for the fan over t = sqrt 2, on Surds
+    # the ridge signs and the covered point decide these, on int rows
+    # and, for the fan over t = sqrt 2, on ints beside Surds
     fans = [(random_bipyramid_fan(random.Random(s), k), EMPTY_WITNESS)
             for s, k in [(5, 5), (7, 3), (11, 4)]]
     fans.append((fan_from_max_cones(
@@ -687,17 +689,17 @@ def test_validate_fan_never_valid_with_a_cone_singular_at_the_witness():
 
 def test_validate_fan_eliminates_each_maximal_cone_once(monkeypatch):
     # on a valid fan, each maximal cone's witness values take one
-    # basis_inverse, which serves as its rank and its chart, and no cone
+    # inverse_rows, which serves as its rank and its chart, and no cone
     # is ranked otherwise
     fans = [(random_bipyramid_fan(random.Random(5), 5), EMPTY_WITNESS),
             (p2_deformation(), W)]
     calls = []
-    real = lattice_fan_mod.basis_inverse
+    real = lattice_fan_mod.inverse_rows
 
     def no_rank(*args):
         raise AssertionError("a rank was taken")
 
-    monkeypatch.setattr(lattice_fan_mod, "basis_inverse",
+    monkeypatch.setattr(lattice_fan_mod, "inverse_rows",
                         lambda cols: calls.append(1) or real(cols))
     monkeypatch.setattr(lattice_fan_mod, "rank", no_rank)
     for fan, w in fans:
@@ -725,13 +727,107 @@ def test_value_chart_exactly_when_the_witness_rank_is_full():
                 assert chart is None
                 short += 1
                 continue
-            # the rows invert the values: ray k goes to e_k
-            for k, v in enumerate(values):
-                assert [sum(a * x for a, x in zip(r, v)) for r in chart] \
-                    == [int(j == k) for j in range(fan.dim)]
+            # the rows invert the cleared values: ray k goes to D e_k, and
+            # each is a positive multiple of the ray's values
+            N, D = chart
+            assert D > 0 and all(type(x) is int for r in N for x in r)
+            for k, (i, v) in enumerate(zip(sorted(c), values)):
+                cleared = fan.witness_values(W)[i - 1]
+                assert [sum(a * x for a, x in zip(r, cleared)) for r in N] \
+                    == [D * int(j == k) for j in range(fan.dim)]
+                s = next(y / x for x, y in zip(v, cleared) if x)
+                assert s > 0 and [s * x for x in v] == cleared
     assert short
     assert fans[-1].value_chart([1, 2], W) is None
     assert fans[-1].value_chart([1], W) is not None
+
+
+def test_value_charts_and_walls_form_no_fraction_on_a_rational_fan(
+        monkeypatch):
+    fan = random_bipyramid_fan(random.Random(5), 5)
+    ridges = _complete_ridges(fan)
+    made, new = [], Q.__new__
+    monkeypatch.setattr(Q, "__new__", staticmethod(
+        lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw)))
+    coords = lattice_fan_mod._witness_coords(fan, EMPTY_WITNESS)
+    charts = {A: fan.value_chart(A, EMPTY_WITNESS)
+              for A in fan.maximal_cones()}
+    walls = lattice_fan_mod._certified_walls(coords, charts, ridges)
+    monkeypatch.undo()
+    assert walls and made == []
+    assert Q(3, 6) == Q(1, 2) and type(Q(1) + 1) is Q
+
+
+def _scaled(fan, scales):
+    """The fan with ray k and the k-th generator of Gamma (the rays, for
+    _fan_variant) times scales[k]."""
+    gamma = QLattice(fan.dim, [[s * x for x in g] for s, g in
+                               zip(scales, fan.gamma.generators)])
+    return QuantumFan(gamma, [[s * x for x in v]
+                              for s, v in zip(scales, fan.rays)], fan.cones)
+
+
+FAN_KINDS = ["complete", "duplicate", "misplaced", "parametric", "folded",
+             "wound"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(FAN_KINDS + ["mother"]))
+def test_validate_and_properties_are_invariant_under_positive_scaling(
+        seed, d, kind):
+    # witness decisions read the cones of the rays only, so the cleared
+    # rows (QuantumFan.witness_values) may stand for the values; the
+    # scaled fan is also decided on its raw values, whose charts carry
+    # other denominators D
+    rng = random.Random(seed)
+    if kind == "mother":
+        fan = fan_from_max_cones(QLattice(3, MOTHER_RAYS), MOTHER_RAYS,
+                                 MOTHER_CONES)
+    else:
+        fan = _fan_variant(rng, d, kind)
+    scales = [Q(rng.randint(1, 12), rng.randint(1, 12)) for _ in fan.rays]
+    scaled = _scaled(fan, scales)
+
+    def outcome(fan):
+        try:
+            return (validate_fan(fan, W).to_json(),
+                    fan_properties(fan, W).to_json())
+        except Indeterminate:
+            return "Indeterminate"
+
+    assert outcome(scaled) == outcome(fan)
+    with mock.patch.object(lattice_fan_mod, "primitive", list):
+        assert outcome(_scaled(fan, scales)) == outcome(fan)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(FAN_KINDS), surd=st.booleans())
+def test_certified_walls_on_integer_charts_match_the_field_reference(
+        seed, d, kind, surd):
+    # with surd, one ray is taken times sqrt(2), so its values stay Surds
+    # and the charts of its cones take the field step
+    rng = random.Random(seed)
+    fan = _fan_variant(rng, d, kind)
+    if surd:
+        fan = _scaled(fan, [ST if k == 0 else 1 for k in range(fan.nrays)])
+    ridges = _complete_ridges(fan)
+    coords = lattice_fan_mod._witness_coords(fan, W)
+    walls = lattice_fan_mod._certified_walls(coords, {
+        A: fan.value_chart(A, W) for A in fan.maximal_cones()}, ridges)
+    ref = None if ridges is None else ref_certified_walls(fan, W)
+    if ref is None or ref[0] is None or not ref[1]:
+        assert walls is None
+        return
+    # the cleared ray i is scale[i] > 0 times its values
+    scale = {i: next(y / x for x, y in zip(v, coords[i]) if x)
+             for i, v in enumerate(W.values_of(fan.rays), 1)}
+    assert [wall[:2] for wall in walls] == [wall[:2] for wall in ref[0]]
+    for (A, j, x, D), (_, _, ref_x) in zip(walls, ref[0]):
+        assert D > 0 and (surd or all(type(v) is int for v in x.values()))
+        assert {a: v * Q(1, D) for a, v in x.items()} == {
+            a: v * scale[j] / scale[a] for a, v in ref_x.items()}
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ from qtoric.errors import Singular
 from qtoric.linalg import (Matrix, _rref, basis_inverse, det, dot, hnf,
                            int_det, int_solve, kernel_basis, mat_inverse,
                            rank, solve_right)
-from qtoric.scalars import Parameter, Scalar
+from qtoric.scalars import Parameter, Scalar, Surd
 
 A = Parameter("a")
 B = Parameter("b")
@@ -367,6 +367,38 @@ def test_integer_rref_matches_the_field_step(rows):
     held = Scalar if any(type(x) is Scalar for r in rows for x in r) else Q
     assert all(type(x) is held and type(_value(x)) is Q
                for r in red for x in r)
+
+
+INT_OR_SURD = st.one_of(st.integers(-4, 4),
+                        st.sampled_from([ST.q, -ST.q, (ST + 1).q, SU.q]))
+
+
+@st.composite
+def int_or_surd_rows(draw):
+    """Rows of ints, or of ints and Surds (witness values)."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([st.integers(-4, 4), INT_OR_SURD]))
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_or_surd_rows())
+@example([[1, 3], [2, 4]])
+@example([[1, ST.q], [2, 3]])
+def test_int_and_mixed_int_surd_rows_match_the_field_step(rows):
+    # ints are rational, and beside a Surd they enter the field step as
+    # Fractions, so no int is ever inverted into a float: the first
+    # example is basis_inverse([[1, 2], [3, 4]]), which gave -2.0 and 1.5
+    field = [[Q(x) if type(x) is int else x for x in r] for r in rows]
+    red, pivots = _rref(rows)
+    assert (red, pivots) == ref_rref(field)
+    m, n = len(rows), len(rows[0])
+    picks, inv = basis_inverse([list(c) for c in zip(*rows)])
+    ref, ref_pivots = ref_rref([[*r, *(Q(int(k == i)) for k in range(m))]
+                                for i, r in enumerate(field)])
+    assert picks == [j for j in ref_pivots if j < n]
+    assert inv == ([r[n:] for r in ref] if len(picks) == m else None)
+    assert all(type(x) in (Q, Surd) for r in red + (inv or []) for x in r)
 
 
 # -- transcendental rows, fraction-free, against the field step ---------------
