@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import NotGammaComplete
 from .lattice_fan import QLattice, QuantumFan, _is_gamma_complete
-from .linalg import Matrix, basis_inverse
+from .linalg import Matrix, in_basis
 from .scalars import Scalar
 
 
@@ -110,14 +110,18 @@ def standardize_calibration(cf: CalibratedFan):
     cal, fan = cf.cal, cf.fan
     n, d, p = cal.n, cal.d, fan.nrays
     # the lexicographically first independent set among the ray images,
-    # completed by non-virtual non-ray images, lexicographically first
+    # completed by non-virtual non-ray images, lexicographically first; one
+    # in_basis of [those | virtual images | e | Gamma] gives every vector
     others = [i for i in range(1, n + 1) if i not in cal.J and i not in cal.I]
     candidates = list(cal.I) + others
-    picks, inv = basis_inverse([cal.image(i) for i in candidates])
-    basis_idx = [candidates[j] for j in picks]
+    listed = candidates + list(cal.J)
+    picks, coords = in_basis([*(cal.image(i) for i in listed),
+                              *Matrix.identity(d).rows, *fan.gamma.generators])
+    basis_idx = [candidates[j] for j in picks if j < len(candidates)]
     if len(basis_idx) != d:
         raise ValueError("non-virtual images do not span R^d")
-    L = Matrix(inv)
+    image = dict(zip(listed, coords))
+    L = Matrix.from_columns(coords[n:n + d])
     chosen = [i for i in basis_idx if i in cal.I]
     # target ordering of the source indices
     rest_rays = [i for i in cal.I if i not in chosen]
@@ -131,19 +135,15 @@ def standardize_calibration(cf: CalibratedFan):
     eye = Matrix.identity(n)
     H = Matrix.from_columns([eye.column(pos[src] - 1)
                              for src in range(1, n + 1)])
-    new_images = [None] * n
-    for src in range(1, n + 1):
-        new_images[pos[src] - 1] = L.apply(cal.image(src))
+    new_images = [image[src] for src in order]
     new_I = sorted(pos[i] for i in cal.I)
     new_J = sorted(pos[j] for j in cal.J)
     s = {j: pos[j] for j in cal.J}
     # relabel fan rays: ray k of the new fan is image at new_I[k-1]
     ray_perm = {k: new_I.index(pos[cal.I[k - 1]]) + 1 for k in range(1, p + 1)}
-    new_rays = [None] * p
-    for old_k in range(1, p + 1):
-        new_rays[ray_perm[old_k] - 1] = L.apply(fan.rays[old_k - 1])
+    new_rays = [new_images[i - 1] for i in new_I]
     new_cones = [frozenset(ray_perm[i] for i in c) for c in fan.cones]
-    new_gamma = fan.gamma.transform(L)
+    new_gamma = QLattice(d, coords[n + d:])
     new_fan = QuantumFan(new_gamma, new_rays, new_cones)
     new_cal = Calibration(new_gamma, new_images, new_J, new_I)
     return CalibratedFan(new_fan, new_cal), (L, H, s)

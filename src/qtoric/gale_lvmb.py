@@ -15,13 +15,12 @@ from fractions import Fraction
 
 from . import lp
 from .calibration import CalibratedFan, Calibration
-from .errors import (NoIndispensable, NotBalanced, NotComplete, NotEven,
-                     RankDeficient, SearchBoundExceeded, Singular)
+from .errors import (InputError, NoIndispensable, NotBalanced, NotComplete,
+                     NotEven, RankDeficient, SearchBoundExceeded, Singular)
 from .lattice_fan import (QLattice, QuantumFan, _certified_walls,
                           _is_complete, _meet_in_common_face, _ridge_map,
                           _ridges, _value_chart)
-from .linalg import (Matrix, _rref, basis_inverse, kernel_basis, mat_inverse,
-                     primitive, rank)
+from .linalg import Matrix, gale_rows, in_basis, primitive, rank
 from .morphism import CalMorphism, CheckResult, is_marked_iso
 from .scalars import Scalar, Witness
 
@@ -51,12 +50,9 @@ class GaleData:
 def gale_linear(cal: Calibration) -> GaleData:
     """Gale vectors A_1..A_n with h(x) = 0 iff x = <A, t>: rows of the
     kernel matrix of the calibration matrix under the deterministic
-    leftmost-pivot rule."""
-    ker = kernel_basis(cal.matrix())
-    if not ker:
-        return GaleData([() for _ in range(cal.n)])
-    G = Matrix.from_columns(ker)
-    return GaleData([tuple(r) for r in G.rows])
+    leftmost-pivot rule (linalg.gale_rows)."""
+    return GaleData([tuple(r) for r in gale_rows(cal.matrix().rows)]
+                    or [()] * cal.n)
 
 
 def gale_affine(vectors, normalization: str = "pivot") -> GaleData:
@@ -66,27 +62,20 @@ def gale_affine(vectors, normalization: str = "pivot") -> GaleData:
     normalization="pivot" uses the deterministic leftmost-pivot kernel;
     normalization="tail" post-composes with the basis change fixing the
     last n-d vectors A_{d+2}..A_{n+1} to the canonical basis (requires
-    them independent)."""
+    them independent): every vector's coordinates in them, from one
+    in_basis with the tail first."""
     vecs = [tuple(Scalar.coerce(x) for x in v) for v in vectors]
-    d = len(vecs[0]) if vecs else 0
     if any(sum(col, Scalar.zero()) for col in zip(*vecs)):
         raise NotBalanced("input does not sum to zero")
-    rows = [[v[i] for v in vecs] for i in range(d)]
-    rows.append([Scalar.one()] * len(vecs))
-    ker = kernel_basis(Matrix(rows))
-    if not ker:
-        return GaleData([() for _ in vecs])
-    G = Matrix.from_columns(ker)
-    if normalization == "tail":
-        width = G.ncols
-        tail = Matrix(G.rows[-width:])
-        try:
-            G = G * mat_inverse(tail)
-        except Singular as e:
-            raise RankDeficient(
-                "tail vectors are dependent; cannot normalize") from e
-        return GaleData([tuple(r) for r in G.rows], "tail-canonical")
-    return GaleData([tuple(r) for r in G.rows])
+    G = [tuple(r) for r in
+         gale_rows([*zip(*vecs), [Scalar.one()] * len(vecs)])]
+    width = len(G[0]) if G else 0
+    if normalization != "tail" or not width:
+        return GaleData(G)
+    picks, coords = in_basis(G[-width:] + G[:-width])
+    if picks != list(range(width)):
+        raise RankDeficient("tail vectors are dependent; cannot normalize")
+    return GaleData(coords[width:] + coords[:width], "tail-canonical")
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +120,6 @@ class LVMBDatum:
                 "E": sorted(sorted(e) for e in self.E)}
 
 
-def _gale_dual(points) -> dict:
-    """{i: v_i}, i = 1..N: the rows of a kernel basis of [points^T; 1...1]
-    from one elimination of the values: v_i is the unit vector at a free
-    column i, or minus the reduced row of pivot column i at the free ones."""
-    red, pivots = _rref([*zip(*points), [Fraction(1)] * len(points)])
-    free = [c for c in range(len(points)) if c not in pivots]
-    dual = {c + 1: [Fraction(f == c) for f in free] for c in free}
-    dual.update((c + 1, [-red[r][f] for f in free])
-                for r, c in enumerate(pivots))
-    return dual
-
-
 def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     """The three admissibility conditions: spanning real affine hulls,
     pairwise interior intersection of the hulls, and the replacement
@@ -150,7 +127,7 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
 
     Hulls of e_1, e_2 share interior points iff an affine dependence of the
     witness values is > 0 on e_1 - e_2, < 0 on e_2 - e_1 and 0 off both:
-    phi(v_i) for a linear phi on the Gale dual v (_gale_dual).  By Motzkin's
+    phi(v_i) for a linear phi on the Gale dual v (gale_rows).  By Motzkin's
     transposition theorem that is _meet_in_common_face for the cones over
     the complements (Bosio, Ann. Inst. Fourier 51, 2001), which holds for
     all pairs with no LP when _certified_walls certifies those cones, on
@@ -166,7 +143,8 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
         M = Matrix([[*datum.point(i), Scalar.one()] for i in sorted(e)])
         if rank(M, w) != 2 * datum.m + 1:
             return CheckResult.invalid("affine_hull", E=sorted(e))
-    dual = {i: primitive(v) for i, v in _gale_dual(pts).items()}
+    dual = {i: primitive(v) for i, v in enumerate(
+        gale_rows([*zip(*pts), [Fraction(1)] * len(pts)]), 1)}
     charts = {A: _value_chart([dual[i] for i in sorted(A)], len(A))
               for A in (frozenset(dual) - e for e in E)}
     ridges = _ridge_map(charts)
@@ -250,7 +228,10 @@ def lvmb_to_fan(datum: LVMBDatum) -> CalibratedFan:
 
     The inverse Gale basis is normalized so that the lexicographically
     first independent ray images become the canonical basis (the standard
-    calibrated-fan normalization)."""
+    calibrated-fan normalization): one in_basis of the Gale vectors in the
+    order I, J, N.  When the ray images do not span, the vectors stay."""
+    if not datum.E:
+        raise InputError("empty_family: the admissible family E is empty")
     N = datum.N
     n = N - 1
     if any(sum(col, Scalar.zero()) for col in zip(*datum.points)):
@@ -268,10 +249,11 @@ def lvmb_to_fan(datum: LVMBDatum) -> CalibratedFan:
     J = [i for i in indis if i != N]
     I = [i for i in range(1, n + 1) if i not in J]
     # standardize: first independent ray rows -> canonical basis
-    _, T = basis_inverse([vbar[i - 1] for i in I])
-    if T is not None:
-        T = Matrix(T)
-        vbar = [T.apply(v) for v in vbar]
+    order = I + J + [N]
+    picks, coords = in_basis([vbar[i - 1] for i in order])
+    if all(j < len(I) for j in picks):
+        new = dict(zip(order, coords))
+        vbar = [new[i] for i in range(1, N + 1)]
     v = [tuple(x) for x in vbar[:n]]
     gamma = QLattice(d, v)
     max_cones = []
@@ -296,12 +278,12 @@ def roundtrip_marked_iso(original: CalibratedFan, recovered: CalibratedFan,
     cal, cal2 = original.cal, recovered.cal
     if cal.n != cal2.n or cal.d != cal2.d:
         return CheckResult.invalid("shape")
-    # find d independent images to pin L down
-    picks, inv = basis_inverse(cal.images)
-    if inv is None:
+    # find d independent images to pin L down, and B^-1 from [images | I]
+    picks, coords = in_basis([*cal.images, *Matrix.identity(cal.d).rows])
+    if any(j >= cal.n for j in picks):
         return CheckResult.invalid("degenerate")
     C = Matrix.from_columns([cal2.image(j + 1) for j in picks])
-    L = C * Matrix(inv)
+    L = C * Matrix.from_columns(coords[cal.n:])
     m = CalMorphism(L, Matrix.identity(cal.n), {j: j for j in cal.J})
     return is_marked_iso(m, original, recovered, w)
 
@@ -399,24 +381,6 @@ class ComplexMatrix:
         self.re = re
         self.im = im
 
-    def __mul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        return ComplexMatrix(self.re * other.re - self.im * other.im,
-                             self.re * other.im + self.im * other.re)
-
-    def inverse(self) -> "ComplexMatrix":
-        # invert via the real 2n x 2n embedding [[re, -im], [im, re]]
-        n = self.re.nrows
-        big = []
-        for i in range(n):
-            big.append(list(self.re.rows[i]) +
-                       [-x for x in self.im.rows[i]])
-        for i in range(n):
-            big.append(list(self.im.rows[i]) + list(self.re.rows[i]))
-        inv = mat_inverse(Matrix(big))
-        re = Matrix([list(inv.rows[i][:n]) for i in range(n)])
-        im = Matrix([list(inv.rows[i + n][:n]) for i in range(n)])
-        return ComplexMatrix(re, im)
-
     def to_json(self):
         return {"re": [[str(x) for x in r] for r in self.re.rows],
                 "im": [[str(x) for x in r] for r in self.im.rows]}
@@ -449,11 +413,15 @@ def g_lattice(datum_points, m: int):
     # transpose(L_2 - L_1, ...): rows are the differences
     A = ComplexMatrix(Matrix(re_cols), Matrix(im_cols))
     re_b, im_b = diff_cols(range(m + 1, n))
-    B = ComplexMatrix(Matrix(re_b) if re_b else Matrix([]),
-                      Matrix(im_b) if im_b else Matrix([]))
-    Ainv = A.inverse()
-    if re_b:
-        BAinv = B * Ainv
-    else:
-        BAinv = ComplexMatrix(Matrix([]), Matrix([]))
-    return A, B, BAinv
+    B = ComplexMatrix(Matrix(re_b), Matrix(im_b))
+    # row r of B A^-1 is the c in C^m with b_r = sum c_k a_k: with a_k = x + iy
+    # as the real vectors (x, y) and i a_k = (-y, x), one in_basis gives
+    # (Re c, Im c)
+    picks, coords = in_basis(
+        [*(x + y for x, y in zip(re_cols, im_cols)),
+         *([-v for v in y] + x for x, y in zip(re_cols, im_cols)),
+         *(x + y for x, y in zip(re_b, im_b))])
+    if picks != list(range(2 * m)):
+        raise Singular("matrix is symbolically singular")
+    return A, B, ComplexMatrix(Matrix([c[:m] for c in coords[2 * m:]]),
+                               Matrix([c[m:] for c in coords[2 * m:]]))

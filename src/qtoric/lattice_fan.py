@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from . import lp
 from .errors import Indeterminate, Singular
-from .linalg import (Matrix, basis_inverse, cleared, hnf_solve,
-                     inverse_rows, monomial_coordinates, primitive, rank,
-                     ratio, stacked_hnf)
+from .linalg import (Matrix, cleared, hnf_solve, in_basis, inverse_rows,
+                     monomial_coordinates, primitive, rank, ratio,
+                     stacked_hnf)
 from .scalars import Scalar, Witness
 
 
@@ -71,9 +71,6 @@ class QLattice:
         the rows of U over the zero rows of H."""
         _, _, H, U = self.basis()
         return [tuple(u) for h, u in zip(H, U) if not any(h)]
-
-    def transform(self, L: Matrix) -> "QLattice":
-        return QLattice(L.nrows, [L.apply(g) for g in self.generators])
 
 
 def gamma_rank(gamma: QLattice) -> int:
@@ -582,13 +579,13 @@ def comb_equivalent(D: CombType, E: CombType) -> dict | None:
 def standardize_fan(fan: QuantumFan):
     """Standard form: the lexicographically first linearly independent
     subset of the rays is mapped to the canonical basis of the span,
-    completed greedily by canonical vectors; returns (fan', L)."""
-    _, inv = basis_inverse(list(fan.rays) +
-                           list(Matrix.identity(fan.dim).rows))
-    L = Matrix(inv)
-    new_rays = [L.apply(v) for v in fan.rays]
-    new_gamma = fan.gamma.transform(L)
-    return QuantumFan(new_gamma, new_rays, fan.cones), L
+    completed greedily by canonical vectors; returns (fan', L), all read
+    off one in_basis of [rays | e_1..e_d | Gamma's generators]."""
+    p, d = fan.nrays, fan.dim
+    _, coords = in_basis([*fan.rays, *Matrix.identity(d).rows,
+                          *fan.gamma.generators])
+    return (QuantumFan(QLattice(d, coords[p + d:]), coords[:p], fan.cones),
+            Matrix.from_columns(coords[p:p + d]))
 
 
 def d_realizable(rays, D: CombType, w: Witness,

@@ -2,10 +2,11 @@
 routines (Hermite normal form, integer kernels and solves, and the
 monomial coordinates that turn scalar vectors into integer rows).
 
-The kernel routine uses a fixed deterministic pivot rule: the leftmost
-linearly independent columns are the pivots and every free column receives
-an identity block.  Several downstream identities (notably the Gale vectors
-of the blow-up example) depend on this normalization bit for bit.
+The one kernel routine, gale_rows, uses a fixed deterministic pivot rule:
+the leftmost linearly independent columns are the pivots and every free
+column receives an identity block.  Several downstream identities (notably
+the Gale vectors of the blow-up example) depend on this normalization bit
+for bit.  A change of basis is one in_basis, with no inverse formed.
 """
 
 from __future__ import annotations
@@ -276,20 +277,45 @@ def ratio(y, D) -> Scalar:
                   else y)
 
 
-def _quotients(red, D, scalar) -> list:
-    """The entries of red over D (ratio): Scalars when scalar is true, else
-    their values, Fractions and Surds."""
-    out = [[ratio(x, D) for x in r] for r in red]
-    return out if scalar else [[x.q for x in r] for r in out]
+def _held(rows) -> bool:
+    """Whether rows hold a Scalar; else they are witness values."""
+    return any(type(x) is Scalar for r in rows for x in r)
 
 
 def _rref(rows):
     """Reduced row echelon form with leftmost pivots, of Scalars or of
-    witness values: _reduce's N/D, as Scalars when the input held one.
+    witness values: _reduce's N/D entry by entry (ratio), as Scalars when
+    the input held one, else as their values, Fractions and Surds.
     Returns (rref rows, pivot column list)."""
     red, pivots, D = _reduce(rows)
-    return _quotients(red, D, any(type(x) is Scalar
-                                  for r in rows for x in r)), pivots
+    out = [[ratio(x, D) for x in r] for r in red]
+    return (out if _held(rows) else [[x.q for x in r] for r in out]), pivots
+
+
+def gale_rows(rows) -> list:
+    """The Gale vectors of the columns: row c of the kernel basis with
+    leftmost pivots, from one _rref.  A free column c gets its unit row
+    (Scalars, or Fractions for witness values), a pivot column minus its
+    reduced row at the free columns."""
+    red, pivots = _rref(rows)
+    n = len(rows[0]) if rows else 0
+    free = [c for c in range(n) if c not in pivots]
+    one, zero = (_ONE, _ZERO) if _held(rows) else (_Q1, _Q0)
+    out = [[one if f == c else zero for f in free] for c in range(n)]
+    for r, c in enumerate(pivots):
+        out[c] = [-red[r][f] for f in free]
+    return out
+
+
+def in_basis(cols) -> tuple:
+    """(picks, coords): the leftmost linearly independent columns, as in
+    inverse_rows, and every column's coordinates in them, read off one
+    _rref of cols; coords[j] = B^-1 cols[j] when the picks' matrix B is
+    square.  A caller puts the basis it prefers first."""
+    d = len(cols[0]) if cols else 0
+    red, picks = _rref([[c[i] for c in cols] for i in range(d)])
+    red = red[:len(picks)]
+    return picks, [tuple(r[j] for r in red) for j in range(len(cols))]
 
 
 def rank(M: Matrix, w=None) -> int:
@@ -321,13 +347,6 @@ def inverse_rows(cols) -> tuple:
                               for i in range(d)])
     picks = [j for j in pivots if j < n]
     return picks, [r[n:] for r in red] if len(picks) == d else None, D
-
-
-def basis_inverse(cols) -> tuple:
-    """(picks, inverse): inverse_rows, with B^-1 formed by _quotients."""
-    picks, N, D = inverse_rows(cols)
-    return picks, None if N is None else _quotients(
-        N, D, any(type(x) is Scalar for c in cols for x in c))
 
 
 def apply_rows(N, D, vec) -> tuple:
@@ -362,45 +381,37 @@ def det(M: Matrix) -> Scalar:
 
 
 def mat_inverse(M: Matrix) -> Matrix:
-    """Exact inverse; raises Singular when the determinant is the zero
-    scalar."""
-    if M.nrows != M.ncols:
+    """Exact inverse, read off in_basis([M's columns | I]); raises Singular
+    when the determinant is the zero scalar."""
+    n = M.nrows
+    if n != M.ncols:
         raise ValueError("inverse of a non-square matrix")
-    _, inv = basis_inverse(M.columns())
-    if inv is None:
+    picks, coords = in_basis([*M.columns(), *Matrix.identity(n).rows])
+    if picks != list(range(n)):
         raise Singular("matrix is symbolically singular")
-    return Matrix(inv)
+    return Matrix.from_columns(coords[n:])
 
 
 def solve_right(M: Matrix, b) -> tuple | None:
-    """One solution x of M x = b over the scalar field, or None."""
+    """One solution x of M x = b over the scalar field, or None: b in the
+    leftmost independent columns of M (in_basis)."""
     b = tuple(_s(x) for x in b)
     if len(b) != M.nrows:
         raise ValueError("shape mismatch in solve")
-    aug = [list(M.rows[i]) + [b[i]] for i in range(M.nrows)]
-    red, pivots = _rref(aug)
-    if M.ncols in pivots:
+    picks, coords = in_basis([*M.columns(), b])
+    if M.ncols in picks:
         return None
-    x = [Scalar.zero()] * M.ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
+    x = [_ZERO] * M.ncols
+    for c, y in zip(picks, coords[-1]):
+        x[c] = y
     return tuple(x)
 
 
 def kernel_basis(M: Matrix) -> list:
-    """Basis of the right kernel with the deterministic pivot rule:
-    leftmost independent columns are pivots, free columns carry an
-    identity block."""
-    red, pivots = _rref(M.rows)
-    free = [c for c in range(M.ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Scalar.zero()] * M.ncols
-        v[f] = Scalar.one()
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right kernel with the deterministic pivot rule: the
+    columns of gale_rows(M.rows), so free columns carry an identity
+    block."""
+    return list(zip(*gale_rows(M.rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .errors import (InternalError, NotRational, NotUnimodular, OutOfDomain,
-                     OutOfZone, Singular, SingularBlock, UnsupportedField)
-from .linalg import (Matrix, int_det, mat_inverse, monomial_coordinates,
+                     OutOfZone, SingularBlock, UnsupportedField)
+from .linalg import (Matrix, in_basis, int_det, monomial_coordinates,
                      stacked_hnf)
 from .scalars import Poly, Scalar, Sign, Surd, Witness, sign_at
 
@@ -32,7 +32,8 @@ def _check_unimodular(H: Matrix):
 
 def torus_act(hbar: Matrix, H: Matrix) -> Matrix:
     """(H1 + hbar H3)^{-1} (H2 + hbar H4) for the block split of H after
-    row/column d; a right action on d x (n-d) parameter matrices."""
+    row/column d, read off one in_basis of [H1 + hbar H3 | H2 + hbar H4];
+    a right action on d x (n-d) parameter matrices."""
     d = hbar.nrows
     n = d + hbar.ncols
     if H.nrows != n or H.ncols != n:
@@ -42,11 +43,11 @@ def torus_act(hbar: Matrix, H: Matrix) -> Matrix:
     H2 = Matrix([r[d:] for r in H.rows[:d]])
     H3 = Matrix([r[:d] for r in H.rows[d:]])
     H4 = Matrix([r[d:] for r in H.rows[d:]])
-    try:
-        lead_inv = mat_inverse(H1 + hbar * H3)
-    except Singular:
-        raise SingularBlock("H1 + hbar*H3 is singular") from None
-    return lead_inv * (H2 + hbar * H4)
+    picks, coords = in_basis([*(H1 + hbar * H3).columns(),
+                              *(H2 + hbar * H4).columns()])
+    if picks != list(range(d)):
+        raise SingularBlock("H1 + hbar*H3 is singular")
+    return Matrix([[c[i] for c in coords[d:]] for i in range(d)])
 
 
 # ---------------------------------------------------------------------------

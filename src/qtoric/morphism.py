@@ -8,11 +8,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .calibration import CalibratedFan, induced_fan, kernel_rank
-from .errors import (DomainMismatch, Indeterminate, SearchBoundExceeded,
-                     Singular)
+from .errors import DomainMismatch, Indeterminate, SearchBoundExceeded
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import (Matrix, apply_rows, int_det, int_solve, mat_inverse,
-                     rank, ratio, solve_right)
+from .linalg import (Matrix, apply_rows, in_basis, int_det, int_solve, rank,
+                     ratio, solve_right)
 from .scalars import Scalar, Witness, sign_at
 
 
@@ -154,19 +153,19 @@ def check_fan_iso(L: Matrix, src: QuantumFan, dst: QuantumFan,
                   w: Witness) -> CheckResult:
     """Isomorphism: invertible L with L(Gamma) = Gamma', equal ray counts,
     rays mapped exactly onto a permutation of the target rays carrying the
-    cone poset onto the cone poset."""
-    if src.dim != dst.dim or L.nrows != L.ncols or L.nrows != src.dim:
+    cone poset onto the cone poset.  L^-1 Gamma' is read off one in_basis
+    of [L | the generators of Gamma']."""
+    d = src.dim
+    if d != dst.dim or L.nrows != L.ncols or L.nrows != d:
         return CheckResult.invalid("shape")
-    try:
-        Linv = mat_inverse(L)
-    except Singular:
+    picks, back = in_basis([*L.columns(), *dst.gamma.generators])
+    if picks != list(range(d)):
         return CheckResult.invalid("singular")
     for g in src.gamma.generators:
         if gamma_contains(dst.gamma, L.apply(g)) is None:
             return CheckResult.invalid("lattice_forward")
-    for g in dst.gamma.generators:
-        if gamma_contains(src.gamma, Linv.apply(g)) is None:
-            return CheckResult.invalid("lattice_backward")
+    if any(gamma_contains(src.gamma, x) is None for x in back[d:]):
+        return CheckResult.invalid("lattice_backward")
     if src.nrays != dst.nrays:
         return CheckResult.invalid("ray_count")
     perm = {}

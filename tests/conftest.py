@@ -723,6 +723,15 @@ def ref_rref(rows):
     return rows, pivots
 
 
+def ref_inverse(B: Matrix) -> Matrix | None:
+    """The inverse of a square Scalar matrix by ref_rref of [B | I], or None
+    when B is singular."""
+    n = B.nrows
+    eye = Matrix.identity(n).rows
+    red, pivots = ref_rref([[*r, *e] for r, e in zip(B.rows, eye)])
+    return Matrix([r[n:] for r in red]) if pivots == list(range(n)) else None
+
+
 # -- integer-lattice routines on plain int rows (reference) ------------------
 
 def int_rank(M) -> int:

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import EMPTY_WITNESS, int_rank, random_even_calibrated_fan
+from conftest import (EMPTY_WITNESS, int_rank, random_even_calibrated_fan,
+                      ref_inverse, ref_rref)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoric.calibration import (CalibratedFan, Calibration, induced_fan,
                                 kernel_rank, standardize_calibration,
@@ -184,3 +187,38 @@ def test_h_identity_commutation_to_induced_fan():
         assert h * ident == cf.cal.matrix() * ident
         res = check_fan_morphism(h, ind, cf.fan, W)
         assert res.ok, res.reason
+
+
+def _strs(vectors):
+    return [[str(x) for x in v] for v in vectors]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([1, 2, 3]),
+       twist=st.booleans())
+def test_standardize_calibration_matches_the_reference_inverse(seed, d,
+                                                               twist):
+    # every image, ray and generator read off one in_basis equals the field
+    # inverse of the greedy basis of the non-virtual images, applied to it
+    rng = random.Random(seed)
+    cf = random_even_calibrated_fan(rng, d)
+    cal, fan = cf.cal, cf.fan
+    if twist:   # a virtual image with transcendental entries, in Gamma too
+        v = [SA * x + rng.randint(-2, 2) for x in fan.rays[0]]
+        gamma = QLattice(d, [*fan.gamma.generators, v])
+        fan = QuantumFan(gamma, fan.rays, fan.cones)
+        cal = Calibration(gamma, [*cal.images, v], [*cal.J, cal.n + 1],
+                          cal.I)
+    std, (L, H, s) = standardize_calibration(CalibratedFan(fan, cal))
+    others = [i for i in range(1, cal.n + 1)
+              if i not in cal.J and i not in cal.I]
+    cand = [cal.image(i) for i in (*cal.I, *others)]
+    _, picks = ref_rref([[c[i] for c in cand] for i in range(d)])
+    ref = ref_inverse(Matrix.from_columns([cand[j] for j in picks]))
+    assert L == ref and _strs(L.rows) == _strs(ref.rows)
+    for src in range(1, cal.n + 1):     # H e_src = e_t
+        t = H.column(src - 1).index(Scalar.one())
+        assert _strs([std.cal.images[t]]) == _strs([ref.apply(cal.image(src))])
+    assert list(std.fan.rays) == [std.cal.image(i) for i in std.cal.I]
+    assert _strs(std.fan.gamma.generators) == \
+        _strs(ref.apply(g) for g in fan.gamma.generators)

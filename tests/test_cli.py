@@ -206,6 +206,15 @@ def test_lvmb_pipeline(tmp_path, capsys):
     assert code == 0 and rep["valid"]
 
 
+def test_lvmb_to_fan_on_an_empty_family_is_an_input_error(tmp_path, capsys):
+    f = _write(tmp_path, "empty.json", {"lvmb": {
+        "m": 1, "Lambda": [["0", "0"], ["1", "0"], ["0", "1"], ["-1", "-1"]],
+        "E": []}})
+    code, payload = run(capsys, ["lvmb-to-fan", f])
+    assert code == 2 and payload["error"]["code"] == "InputError"
+    assert "empty_family" in payload["error"]["message"]
+
+
 def test_lvm_check_polytope_kh(tmp_path, capsys):
     f = _write(tmp_path, "torus.json", TORUS_LVMB)
     code, rep = run(capsys, ["lvm-check", f])

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 from conftest import (EMPTY_WITNESS, check_lvmb_pairwise,
                       gale_bilinear_defect, lemmah_defect, lvm_face_oracle,
-                      polytope_faces_brute, random_even_calibrated_fan)
+                      polytope_faces_brute, random_even_calibrated_fan,
+                      ref_inverse, ref_rref)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,8 @@ import qtoric.gale_lvmb as gale_lvmb_mod
 import qtoric.lattice_fan as lattice_fan_mod
 from qtoric import lp
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
-from qtoric.errors import (NoIndispensable, NotBalanced, NotEven,
-                           RankDeficient)
+from qtoric.errors import (InputError, NoIndispensable, NotBalanced,
+                           NotEven, QtoricError, RankDeficient, Singular)
 from qtoric.gale_lvmb import (LVMBDatum, build_lvmb, check_lvm, check_lvmb,
                               condition_KH, g_lattice, gale_affine,
                               gale_linear, is_even, lvmb_to_fan,
@@ -126,6 +127,52 @@ def test_gale_affine_tail_normalization():
         assert all((x - y).is_zero() for x, y in zip(row, eye.rows[k]))
     defect = gale_bilinear_defect(ga, vbar)
     assert all(x.is_zero() for r in defect.rows for x in r)
+
+
+def test_gale_affine_tail_rejects_dependent_tail_vectors():
+    # the pivot Gale vectors are (1, 1), (-1, 0), (0, -1), (0, 1): the tail
+    # rows (0, -1) and (0, 1) are dependent
+    with pytest.raises(RankDeficient):
+        gale_affine([(1,), (1,), (-1,), (-1,)], normalization="tail")
+    empty = gale_affine([(1,), (-1,)], normalization="tail")
+    assert empty.width == 0
+    assert empty.normalization == "leftmost-pivot-identity-block"
+
+
+def _strs(vectors):
+    return [[str(x) for x in v] for v in vectors]
+
+
+def _balanced(images):
+    """The images and their balancing vector, as cmd_gale --affine takes."""
+    images = [[Scalar.coerce(x) for x in v] for v in images]
+    return images + [[-sum(col, Scalar.zero()) for col in zip(*images)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([1, 2, 3]),
+       twist=st.sampled_from([None, SA, ST + 2]))
+def test_gale_affine_tail_matches_the_reference_inverse(seed, d, twist):
+    # the tail coordinates read off one in_basis equal the pivot Gale
+    # vectors times the field inverse of their last rows
+    rng = random.Random(seed)
+    images = [list(v) for v in random_even_calibrated_fan(rng, d).cal.images]
+    if twist is not None:
+        k = rng.randrange(len(images))
+        images[k] = [twist * x for x in images[k]]
+    vbar = _balanced(images)
+    G = gale_affine(vbar).vectors
+    width = len(G[0])
+    inv = ref_inverse(Matrix(G[-width:])) if width else None
+    if width and inv is None:
+        with pytest.raises(RankDeficient):
+            gale_affine(vbar, normalization="tail")
+        return
+    got = gale_affine(vbar, normalization="tail")
+    want = (Matrix(G) * inv).rows if width else G
+    assert _strs(got.vectors) == _strs(want)
+    assert got.normalization == ("tail-canonical" if width else
+                                 "leftmost-pivot-identity-block")
 
 
 def test_gale_affine_simplex_case():
@@ -465,6 +512,43 @@ def test_g_lattice_shapes_and_rank_deficiency():
     assert BA.re.nrows == len(pts) - 2  # (n - m - 1) x m with m = 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+@example(random.Random(1))
+def test_g_lattice_matches_the_reference_complex_inverse(rng):
+    # B A^-1 read off one in_basis equals A^-1 by the field step on the
+    # real embedding [[re, -im], [im, re]], then the complex product
+    m = rng.choice([1, 2])
+    pts = [[rng.randint(-3, 3) + rng.choice([0, 0, 1]) * ST
+            + rng.choice([0, 0, 0, 1]) * SA for _ in range(2 * m)]
+           for _ in range(rng.randint(m + 2, m + 4))]
+    if rng.random() < 0.3:   # L_3 - L_1 = i (L_2 - L_1): A singular over C
+        pts[2] = [*pts[0]]
+        for k in range(m):
+            re, im = pts[1][2 * k] - pts[0][2 * k], \
+                pts[1][2 * k + 1] - pts[0][2 * k + 1]
+            pts[2][2 * k] += -im
+            pts[2][2 * k + 1] += re
+    diffs = [[Scalar.coerce(x - y) for x, y in zip(p, pts[0])]
+             for p in pts[1:m + 1]]
+    big = Matrix([[*v[::2], *(-x for x in v[1::2])] for v in diffs] +
+                 [[*v[1::2], *v[::2]] for v in diffs])
+    inv = ref_inverse(big)
+    try:
+        Am, Bm, BA = g_lattice(pts, m)
+    except RankDeficient:
+        return
+    except Singular:
+        assert inv is None
+        return
+    re = Matrix([r[:m] for r in inv.rows[:m]])
+    im = Matrix([r[:m] for r in inv.rows[m:]])
+    if Bm.re.nrows:
+        assert BA.re == Bm.re * re - Bm.im * im
+        assert BA.im == Bm.re * im + Bm.im * re
+    assert BA.re.nrows == BA.im.nrows == len(pts) - m - 1
+
+
 def test_lvmb_to_fan_requires_balance_and_marker():
     with pytest.raises(NotBalanced):
         lvmb_to_fan(LVMBDatum(1, [(1, 0), (0, 1), (0, 1)], [[1, 2, 3]]))
@@ -474,6 +558,65 @@ def test_lvmb_to_fan_requires_balance_and_marker():
                     [[1, 2, 3], [2, 3, 4]])
     with pytest.raises(NoIndispensable):
         lvmb_to_fan(bad)
+
+
+def test_lvmb_to_fan_rejects_an_empty_family():
+    # every index is indispensable then, so no point is a ray
+    empty = LVMBDatum(1, [(0, 0), (1, 0), (0, 1), (-1, -1)], [])
+    with pytest.raises(InputError, match="empty_family"):
+        lvmb_to_fan(empty)
+
+
+def _ref_lvmb_images(datum):
+    """The images lvmb_to_fan recovers, the old way: the pivot Gale vectors
+    times the field inverse of the greedy basis of the I-rows, when those
+    span, else the pivot Gale vectors."""
+    vbar = list(gale_affine(datum.points).vectors)
+    n = datum.N - 1
+    J = [i for i in datum.indispensable() if i != datum.N]
+    cols = [vbar[i - 1] for i in range(1, n + 1) if i not in J]
+    width = len(vbar[0])
+    _, picks = ref_rref([[c[i] for c in cols] for i in range(width)])
+    if len(picks) == width:
+        T = ref_inverse(Matrix.from_columns([cols[j] for j in picks]))
+        vbar = [T.apply(v) for v in vbar]
+    return vbar[:n]
+
+
+def _balanced_lvmb(rng):
+    """A datum whose last point balances random points with integer, t and
+    a entries, some copied onto others, and whose E sets all hold it."""
+    m = rng.choice([1, 2])
+    N = rng.randint(2 * m + 2, 2 * m + 4)
+    pts = [[rng.randint(-3, 3) + rng.choice([0, 0, 1]) * ST
+            + rng.choice([0, 0, 0, 1]) * SA for _ in range(2 * m)]
+           for _ in range(N - 1)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        pts[rng.randrange(N - 1)] = list(pts[rng.randrange(N - 1)])
+    E = [frozenset(rng.sample(range(1, N), 2 * m)) | {N}
+         for _ in range(rng.randint(1, 3))]
+    return LVMBDatum(m, _balanced(pts), E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+@example(random.Random(0))
+def test_lvmb_to_fan_matches_the_reference_inverse(rng):
+    datum = rng.choice([random_lvmb, _balanced_lvmb])(rng)
+    try:
+        cf = lvmb_to_fan(datum)
+    except QtoricError:
+        return
+    assert _strs(cf.cal.images) == _strs(_ref_lvmb_images(datum))
+
+
+def test_lvmb_to_fan_keeps_the_vectors_when_the_rays_do_not_span():
+    # points 1 and 2 coincide, so the one Gale vector is (1, -1, 0, 0) and
+    # the ray image v_3 = 0 spans nothing
+    datum = LVMBDatum(1, [(1, 0), (1, 0), (-1, 1), (-1, -1)], [[1, 2, 4]])
+    cf = lvmb_to_fan(datum)
+    assert _strs(cf.cal.images[2:]) == [["0"]]
+    assert _strs(cf.cal.images) == _strs(_ref_lvmb_images(datum))
 
 
 def test_torus_datum_gives_pure_torus():

@@ -9,8 +9,8 @@ from conftest import (EMPTY_WITNESS, condition_KH_affine,
                       is_polytopal_primal, kernel_rank_affine, minor_rank,
                       random_bipyramid_fan, random_circle_fan,
                       random_complete_fan, rand_fraction,
-                      ref_certified_walls, twisted_prism_fan,
-                      validate_fan_all_pairs)
+                      ref_certified_walls, ref_inverse, ref_rref,
+                      twisted_prism_fan, validate_fan_all_pairs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,6 +349,29 @@ def test_standardize_idempotent_and_iso():
         assert std2.rays == std.rays
         res = check_fan_iso(L, fan, std, EMPTY_WITNESS)
         assert res.ok, res.reason
+
+
+def _strs(vectors):
+    return [[str(x) for x in v] for v in vectors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["complete", "duplicate", "misplaced",
+                             "parametric", "folded", "wound"]))
+def test_standardize_fan_matches_the_reference_inverse(seed, d, kind):
+    # the rays, L and Gamma read off one in_basis equal the greedy basis of
+    # [rays | e] inverted by the field step and then applied to each vector
+    fan = _fan_variant(random.Random(seed), d, kind)
+    std, L = standardize_fan(fan)
+    cols = [*fan.rays, *Matrix.identity(d).rows]
+    _, picks = ref_rref([[c[i] for c in cols] for i in range(d)])
+    ref = ref_inverse(Matrix.from_columns([cols[j] for j in picks]))
+    assert L == ref and _strs(L.rows) == _strs(ref.rows)
+    assert _strs(std.rays) == _strs(ref.apply(v) for v in fan.rays)
+    assert _strs(std.gamma.generators) == \
+        _strs(ref.apply(g) for g in fan.gamma.generators)
+    assert std.cones == fan.cones
 
 
 def test_d_realizable_examples():

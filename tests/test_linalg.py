@@ -3,14 +3,14 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from conftest import int_kernel, int_rank, leibniz_det, ref_rref
+from conftest import int_kernel, int_rank, leibniz_det, ref_inverse, ref_rref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtoric.errors import Singular
-from qtoric.linalg import (Matrix, _rref, basis_inverse, det, dot, hnf,
-                           int_det, int_solve, kernel_basis, mat_inverse,
-                           rank, solve_right)
+from qtoric.linalg import (Matrix, _rref, det, dot, gale_rows, hnf,
+                           in_basis, int_det, int_solve, kernel_basis,
+                           mat_inverse, rank, solve_right)
 from qtoric.scalars import Parameter, Scalar, Surd
 
 A = Parameter("a")
@@ -321,7 +321,7 @@ RATIONAL = st.one_of(
 @st.composite
 def rational_rows(draw):
     """Fraction rows (witness values), Scalar rows, or the [cols | I] shape
-    of basis_inverse: Scalar columns beside a Fraction identity.  Tall or
+    of inverse_rows: Scalar columns beside a Fraction identity.  Tall or
     wide, with zero rows, zero columns and dependent columns."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     cols = []
@@ -339,10 +339,10 @@ def rational_rows(draw):
     rows = [list(r) for r in zip(*cols)]
     if draw(st.booleans()):
         rows[draw(st.integers(0, m - 1))] = [Q(0)] * n
-    shape = draw(st.sampled_from(["fractions", "scalars", "basis_inverse"]))
+    shape = draw(st.sampled_from(["fractions", "scalars", "inverse_rows"]))
     if shape != "fractions":
         rows = [[Scalar.from_fraction(x) for x in r] for r in rows]
-    if shape == "basis_inverse":
+    if shape == "inverse_rows":
         rows = [[*r, *(Q(int(k == i)) for k in range(m))]
                 for i, r in enumerate(rows)]
     return rows
@@ -369,6 +369,18 @@ def test_integer_rref_matches_the_field_step(rows):
                for r in red for x in r)
 
 
+def _inverse_of_picks(cols, d):
+    """(picks, B^-1): the picks of in_basis([cols | I]) among cols, and the
+    inverse of their matrix B as rows, read off the identity block, or None
+    when the picks do not span R^d."""
+    n = len(cols)
+    picks, coords = in_basis([*cols, *([Q(int(k == i)) for k in range(d)]
+                                       for i in range(d))])
+    picks = [j for j in picks if j < n]
+    return picks, [list(r) for r in zip(*coords[n:])] \
+        if len(picks) == d else None
+
+
 INT_OR_SURD = st.one_of(st.integers(-4, 4),
                         st.sampled_from([ST.q, -ST.q, (ST + 1).q, SU.q]))
 
@@ -388,12 +400,12 @@ def int_or_surd_rows(draw):
 def test_int_and_mixed_int_surd_rows_match_the_field_step(rows):
     # ints are rational, and beside a Surd they enter the field step as
     # Fractions, so no int is ever inverted into a float: the first
-    # example is basis_inverse([[1, 2], [3, 4]]), which gave -2.0 and 1.5
+    # example is the inverse of [[1, 2], [3, 4]], which gave -2.0 and 1.5
     field = [[Q(x) if type(x) is int else x for x in r] for r in rows]
     red, pivots = _rref(rows)
     assert (red, pivots) == ref_rref(field)
     m, n = len(rows), len(rows[0])
-    picks, inv = basis_inverse([list(c) for c in zip(*rows)])
+    picks, inv = _inverse_of_picks([list(c) for c in zip(*rows)], m)
     ref, ref_pivots = ref_rref([[*r, *(Q(int(k == i)) for k in range(m))]
                                 for i, r in enumerate(field)])
     assert picks == [j for j in ref_pivots if j < n]
@@ -431,7 +443,7 @@ def k_params_rows(draw):
     """Rows over K[a, b] with at least one transcendental entry: tall or
     wide, with zero rows, zero columns and columns that are combinations
     of earlier ones with parametric multipliers, or in the [cols | I]
-    shape of basis_inverse."""
+    shape of inverse_rows."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4 // m + 1))
     cols = []
@@ -541,7 +553,7 @@ def column_lists(draw):
 @given(column_lists())
 def test_pivot_columns_is_the_greedy_basis(case):
     d, cols = case
-    piv, inv = basis_inverse(cols)
+    piv, inv = _inverse_of_picks(cols, d)
     assert piv == _greedy_pivots(cols)
     assert len(piv) == (rank(Matrix.from_columns(cols)) if cols else 0) <= d
     if cols:    # the inverse of the picked columns, when they span R^d
@@ -549,6 +561,100 @@ def test_pivot_columns_is_the_greedy_basis(case):
         if inv is not None:
             B = Matrix.from_columns([cols[j] for j in piv])
             assert Matrix(inv) * B == B * Matrix(inv) == Matrix.identity(d)
+
+
+# -- gale_rows and in_basis against the field reference ----------------------
+
+WITNESS_VALUE = st.one_of(
+    st.integers(-3, 3), st.sampled_from([0, 0, 0]),
+    st.builds(Q, st.integers(-4, 4), st.integers(1, 4)),
+    st.sampled_from([ST.q, -ST.q, (ST / 2 + 1).q, SU.q, (ST * SU).q]))
+
+
+@st.composite
+def value_rows(draw):
+    """Rows of witness values (ints, Fractions, Surds): tall or wide, with
+    columns that are combinations of earlier ones."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    cols = []
+    for _ in range(n):
+        if cols and draw(st.booleans()):
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = draw(WITNESS_VALUE), draw(WITNESS_VALUE)
+            cols.append([s * x + t * y for x, y in zip(u, v)])
+        else:
+            cols.append([draw(WITNESS_VALUE) for _ in range(m)])
+    return [list(r) for r in zip(*cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_rows())
+@example([[1, 2, 3]])
+@example([[0, 0], [0, 0]])
+@example([[1, ST.q, 2], [2, 3, ST.q]])
+def test_gale_rows_on_witness_values_match_the_reference_kernel(rows):
+    field = [[Q(x) if type(x) is int else x for x in r] for r in rows]
+    ref, pivots = ref_rref(field)
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    expect = [[Q(f == c) for f in free] for c in range(len(rows[0]))]
+    for r, c in enumerate(pivots):
+        expect[c] = [-ref[r][f] for f in free]
+    got = gale_rows(rows)
+    assert got == expect
+    assert all(type(x) in (Q, Surd) for g in got for x in g)
+    # row c is the Gale vector of column c: the rows annihilate them
+    for row in field:
+        for k in range(len(free)):
+            assert not sum((x * g[k] for x, g in zip(row, got)), Q(0))
+
+
+@st.composite
+def basis_cases(draw):
+    """(d, cols): Scalar columns in R^d, d = 0 included, with rational,
+    Surd or transcendental entries, zero columns and combinations of
+    earlier columns, so the picks need not span."""
+    pool = draw(st.sampled_from([
+        SPARSE, st.one_of(SPARSE, st.sampled_from([ST, -ST, ST / 2, SU])),
+        st.one_of(SPARSE, PARAMETRIC)]))
+    d = draw(st.integers(0, 3))
+    cols = []
+    for _ in range(draw(st.integers(0, 5))):
+        how = draw(st.sampled_from(["entries", "zero", "combination"]))
+        if how == "zero":
+            col = [ZERO] * d
+        elif how == "combination" and cols:
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = Scalar.coerce(draw(pool)), Scalar.coerce(draw(pool))
+            col = [s * x + t * y for x, y in zip(u, v)]
+        else:
+            col = [Scalar.coerce(draw(pool)) for _ in range(d)]
+        cols.append(tuple(col))
+    return d, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_cases())
+@example((0, [(), ()]))
+@example((2, [(ONE, ST), (2 * ONE, 2 * ST), (ZERO, SA)]))
+@example((2, [(ONE, SA), (SA, SA * SA)]))
+def test_in_basis_matches_the_reference_inverse(case):
+    d, cols = case
+    picks, coords = in_basis(cols)
+    assert picks == _greedy_pivots(cols)
+    assert [len(c) for c in coords] == [len(picks)] * len(cols)
+    assert all(type(x) is Scalar for c in coords for x in c)
+    for k, j in enumerate(picks):
+        assert coords[j] == tuple(ONE if i == k else ZERO
+                                  for i in range(len(picks)))
+    if len(picks) == d:     # B^-1 times each column, B^-1 by the field step
+        inv = ref_inverse(Matrix.from_columns([cols[j] for j in picks]))
+        for c, col in zip(coords, cols):
+            assert list(map(str, c)) == list(map(str, inv.apply(col)))
+            assert c == inv.apply(col)
+    else:                   # the coordinates rebuild every column
+        for c, col in zip(coords, cols):
+            assert tuple(sum((x * cols[j][i] for x, j in zip(c, picks)), ZERO)
+                         for i in range(d)) == col
 
 
 @st.composite

@@ -9,9 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qtoric import lp
-from qtoric.gale_lvmb import _gale_dual
 from qtoric.lattice_fan import _meet_in_common_face
-from qtoric.linalg import pivot
+from qtoric.linalg import gale_rows, pivot
 from qtoric.lp import solve_lp
 from qtoric.scalars import Parameter, Scalar, Witness
 
@@ -305,7 +304,8 @@ def test_interiors_exact_match_slack_reference(pair):
     # the hulls share interior points exactly when the Gale-dual cones over
     # the complements of their index sets meet in their common face
     P, Q_ = pair
-    dual = _gale_dual(P + Q_)
+    pts = P + Q_
+    dual = dict(enumerate(gale_rows([*zip(*pts), [Q(1)] * len(pts)]), 1))
     first = frozenset(range(1, len(P) + 1))
     assert _meet_in_common_face(dual, frozenset(dual) - first, first) == \
         interiors_intersect_by_slack(P, Q_)

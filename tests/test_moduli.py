@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 
 import pytest
-from conftest import affine_coefficients, wps_weights_chart_oracle
+from conftest import affine_coefficients, ref_inverse, wps_weights_chart_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +62,35 @@ def test_torus_act_bezout_to_zero():
     H = torus_equiv_2d(Scalar.from_fraction(a), Scalar.zero())
     assert H is not None
     assert act_2d(Scalar.from_fraction(a), H).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4),
+       pool=st.sampled_from([[0, 1, -1, Q(1, 2), Q(-3, 2)],
+                             [0, 1, ST, ST + 1, SU],
+                             [0, 1, SA, SB, SA + 1]]))
+def test_torus_act_matches_the_reference_inverse(seed, n, pool):
+    # the action read off one in_basis of [H1 + hbar H3 | H2 + hbar H4]
+    # equals the field inverse of the first block times the second
+    rng = random.Random(seed)
+    d = rng.randint(1, n - 1)
+    H = rand_unimodular(rng, n)
+    hbar = Matrix([[rng.choice(pool) for _ in range(n - d)]
+                   for _ in range(d)])
+    blocks = [Matrix([r[c] for r in rows])
+              for rows in (H.rows[:d], H.rows[d:])
+              for c in (slice(0, d), slice(d, n))]
+    H1, H2, H3, H4 = blocks
+    inv = ref_inverse(H1 + hbar * H3)
+    if inv is None:
+        with pytest.raises(SingularBlock):
+            torus_act(hbar, H)
+        return
+    want = inv * (H2 + hbar * H4)
+    got = torus_act(hbar, H)
+    assert got == want
+    assert [[str(x) for x in r] for r in got.rows] == \
+        [[str(x) for x in r] for r in want.rows]
 
 
 def test_torus_act_errors():

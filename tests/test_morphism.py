@@ -5,14 +5,15 @@ import pytest
 from conftest import (EMPTY_WITNESS, coefficients_by_chart,
                       containing_cones_by_solve, field_chart,
                       minimal_containing_cone_by_solve, random_circle_fan,
-                      random_complete_fan)
+                      random_complete_fan, ref_inverse)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lattice_fan import _fan_variant
 
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
 from qtoric.errors import DomainMismatch, Indeterminate, Singular
-from qtoric.lattice_fan import QLattice, QuantumFan, fan_from_max_cones
+from qtoric.lattice_fan import (QLattice, QuantumFan, fan_from_max_cones,
+                                gamma_contains)
 from qtoric.linalg import Matrix
 from qtoric.morphism import (CalMorphism, check_cal_iso, check_cal_morphism,
                              check_fan_iso, check_fan_morphism, compose,
@@ -370,3 +371,37 @@ def test_cone_coefficients_match_the_field_chart(seed, d, kind):
             want = "Singular" if A is None else \
                 decided(coefficients_by_chart, A, len(cone), p, W)
             assert decided(cone_coefficients, fan, cone, p, W) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["complete", "misplaced", "parametric"]),
+       how=st.sampled_from(["iso", "double", "half", "singular", "a"]))
+def test_check_fan_iso_lattice_steps_match_the_reference_inverse(
+        seed, d, kind, how):
+    # L^-1 Gamma' read off one in_basis of [L | Gamma'] decides as the
+    # field inverse of L applied to each generator of Gamma' does
+    rng = random.Random(seed)
+    fan = _fan_variant(rng, d, kind)
+    M = Matrix.identity(d)
+    for _ in range(4):
+        i, j = rng.sample(range(d), 2)
+        E = [[int(r == c) + (r == i and c == j) * rng.randint(-2, 2)
+              for c in range(d)] for r in range(d)]
+        M = M * Matrix(E)
+    dst = QuantumFan(QLattice(d, [M.apply(g) for g in fan.gamma.generators]),
+                     [M.apply(v) for v in fan.rays], fan.cones)
+    L = {"iso": M, "double": M.scale(2), "half": M.scale(Q(1, 2)),
+         "singular": Matrix([M.rows[0]] * d), "a": M.scale(SA)}[how]
+    inv = ref_inverse(L)
+    ref = ("singular" if inv is None else "lattice_forward" if any(
+        gamma_contains(dst.gamma, L.apply(g)) is None
+        for g in fan.gamma.generators) else "lattice_backward" if any(
+        gamma_contains(fan.gamma, inv.apply(g)) is None
+        for g in dst.gamma.generators) else None)
+    reason = check_fan_iso(L, fan, dst, W).reason
+    if ref is None:
+        assert reason not in ("singular", "lattice_forward",
+                              "lattice_backward")
+    else:
+        assert reason == ref
