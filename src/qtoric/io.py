@@ -82,18 +82,18 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, params):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, text, params):
+        self.text, self.toks, self.pos = text, _tokenize(text), 0
         self.params = params
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def next(self):
-        tok = self.toks[self.pos]
+        if self.pos == len(self.toks):
+            raise InputError(f"unexpected end of scalar {self.text!r}")
         self.pos += 1
-        return tok
+        return self.toks[self.pos - 1]
 
     def expr(self):
         out = self.term()
@@ -165,15 +165,14 @@ def parse_scalar(text, params: dict) -> Scalar:
         n, d = int(num), int(den or 1)
         if d:
             return Scalar.from_fraction(Fraction(-n if sign == "-" else n, d))
-    toks = _tokenize(text)
-    if not toks:
+    p = _Parser(text, params)
+    if not p.toks:
         raise InputError("empty scalar")
-    p = _Parser(toks, params)
     try:
         out = p.expr()
     except RecursionError as e:
         raise InputError("scalar nested too deeply") from e
-    if p.pos != len(toks):
+    if p.pos != len(p.toks):
         raise InputError(f"trailing input in scalar {text!r}")
     return out
 

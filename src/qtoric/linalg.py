@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import Indeterminate, Singular
-from .scalars import (_ONE, _ONE_POLY, _ZERO, Poly, Scalar, _const,
-                      poly_divexact, poly_gcd)
+from .scalars import (_ONE, _ONE_POLY, _ZERO, Poly, Scalar, _const, _mul,
+                      _Root, poly_divexact, poly_gcd)
 
 _Q0, _Q1 = Fraction(0), Fraction(1)
 
@@ -137,9 +137,9 @@ def pivot(rows, r, c):
     scaled to 1 at c, and column c is cleared from every other row.  The
     entries are field elements (Scalars, Fractions or Surds, never ints).
     The pivot is inverted once, and only the columns where row r is nonzero
-    change; row r may have nonzero entries left of c.  The step for Surd
-    rows, the Surd simplex and det; rational rows take int_pivot and
-    transcendental ones _bareiss."""
+    change; row r may have nonzero entries left of c.  Only Surd rows in
+    _reduce and det take it: rational rows take int_pivot, transcendental
+    ones _bareiss, and the simplex int_pivot or root_pivot."""
     prow = rows[r]
     inv = 1 / prow[c]
     nz = [j for j, v in enumerate(prow) if v]
@@ -169,6 +169,26 @@ def int_pivot(T, r, c):
             new = [p * v - f * w for v, w in zip(row, prow)]
             g = gcd(*new)
             T[i] = [v // g for v in new] if g > 1 else new
+
+
+def root_pivot(T, r, c):
+    """int_pivot's step on rows of _Roots (the Surd simplex): at p = T[r][c]
+    > 0 a row with f = T[i][c] != 0 becomes p*T[i] - f*T[r] over the gcd of
+    all its ints, so it stays a positive multiple of the field row."""
+    prow = T[r]
+    p = prow[c]
+    nz = [(j, w) for j, w in enumerate(prow) if w]
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            new = [_mul(p, v) if v else {} for v in row]
+            for j, w in nz:
+                d = new[j]
+                for m, x in _mul(f, w).items():
+                    d[m] = d.get(m, 0) - x
+            g = gcd(*(x for d in new for x in d.values())) or 1
+            T[i] = [_Root({m: x // g for m, x in d.items() if x})
+                    for d in new]
 
 
 def _bareiss(rows, r, c):

@@ -9,12 +9,12 @@ that share interior points are decided on the Gale-dual cones
 (gale_lvmb.check_lvmb).  The data are exact elements of K = Q(sqrt(D_1),
 ..., sqrt(D_k)), witness values or positive multiples of them: the fans'
 LPs get rational rays as primitive int rows (QuantumFan.witness_values),
-and Surds stay.  A rational tableau is kept as rows of ints, each a
-positive multiple of the field tableau's row, under linalg.int_pivot, the
-division-free step that rational row reduction (linalg._rref) also takes;
-a tableau with a Surd takes the field step, linalg.pivot, on Fractions.
-The ratio test is cross-multiplied, so both give the same signs and ratio
-order, Bland's rule makes the same choices, and every answer is exact.
+and Surds stay.  A tableau row is a positive multiple of the field
+tableau's row, cleared of denominators once: ints under linalg.int_pivot,
+the division-free step of rational row reduction, or with a Surd, int
+coefficients over the root subsets (scalars._Root) under the same step,
+linalg.root_pivot.  Signs are exact and the ratio test is cross-multiplied,
+so Bland's rule makes the field simplex's choices; x is formed in K last.
 """
 
 from __future__ import annotations
@@ -22,15 +22,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .linalg import int_pivot, pivot
+from .linalg import int_pivot, root_pivot
+from .scalars import Surd, _Root, _surd
 
 Q = Fraction
 
 
+def _cleared(row, rational):
+    """A row of values in K times the lcm of their denominators: ints, or
+    _Roots when the tableau has a Surd."""
+    s = lcm(*(v.den if type(v) is Surd else v.denominator for v in row))
+    if rational:
+        return [v.numerator * (s // v.denominator) for v in row]
+    return [_Root({m: x * (s // v.den) for m, x in v.c.items()})
+            if type(v) is Surd else
+            _Root({0: v.numerator * (s // v.denominator)} if v else {})
+            for v in row]
+
+
 def _simplex_core(T, basis, ncols, step):
     """Minimize the objective in the last row of tableau T (Bland's rule),
-    pivoting with step: linalg.pivot on field entries, int_pivot on ints.
-    A row may be any positive multiple of the field tableau's row."""
+    pivoting with step: int_pivot on ints, root_pivot on _Roots.  A row
+    may be any positive multiple of the field tableau's row."""
     m = len(T) - 1
     while True:
         obj = T[-1]
@@ -65,36 +78,24 @@ def solve_lp(A, b):
         return []
     n = len(A[0])
     rows = [[*A[i], b[i]] for i in range(m)]
-    rational = all(isinstance(v, (int, Q)) for row in rows for v in row)
-    if rational:
-        scales = [lcm(*(v.denominator for v in row)) for row in rows]
-        rows = [[v.numerator * (s // v.denominator) for v in row]
-                for row, s in zip(rows, scales)]
-    else:
-        rows = [[Q(v) if isinstance(v, int) else v for v in row]
-                for row in rows]
     rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
-    # the artificials' cost row, reduced against the artificial basis; on
-    # ints -sum(row_i / s_i) times lcm(s_i), since each artificial stands
-    # for s_i times the field one: the objective is the same
-    cols = zip(*rows)
-    if rational:
-        L = lcm(*scales)
-        cols = zip(*([L // s * v for v in row]
-                     for row, s in zip(rows, scales)))
-    cost = [-sum(col) for col in cols]
-    zero, one = (0, 1) if rational else (Q(0), Q(1))
+    # the artificials' cost row, reduced against their basis; clearing row
+    # i by s_i scales its artificial by s_i, which keeps the reduced costs
+    rows.append([-sum(col) for col in zip(*rows)])
+    rational = all(isinstance(v, (int, Q)) for row in rows for v in row)
+    zero, one, step = (0, 1, int_pivot) if rational else \
+        (_Root(), _Root({0: 1}), root_pivot)
     T = [row[:-1] + [one if j == i else zero for j in range(m)] + row[-1:]
-         for i, row in enumerate(rows)]
-    T.append(cost[:-1] + [zero] * m + cost[-1:])
+         for i, row in enumerate(_cleared(row, rational) for row in rows)]
     basis = [n + i for i in range(m)]
-    _simplex_core(T, basis, n + m, int_pivot if rational else pivot)
-    if T[-1][-1] != 0:
+    _simplex_core(T, basis, n + m, step)
+    if T[-1][-1]:
         return None
     x = [Q(0)] * n
     for i, j in enumerate(basis):
-        if j < n:
-            x[j] = Q(T[i][-1], T[i][j]) if rational else T[i][-1]
+        if j < n and T[i][-1]:
+            x[j] = Q(T[i][-1], T[i][j]) if rational else \
+                _surd(T[i][-1], 1) / _surd(T[i][j], 1)
     return x
 
 

@@ -243,6 +243,27 @@ def _sign(c: dict) -> int:
     return sa * _sign(d)
 
 
+class _Root(dict):
+    """An element of Z[sqrt(D_1), ..., sqrt(D_k)], a row entry of the
+    simplex's Surd tableaux: nonzero ints over the root subsets (as
+    Surd.c), with the products, differences and signs its loop takes."""
+
+    def __mul__(self, other):
+        return _Root({m: x for m, x in _mul(self, other).items() if x})
+
+    def __sub__(self, other):
+        out = dict(self)
+        for m, x in other.items():
+            out[m] = out.get(m, 0) - x
+        return _Root({m: x for m, x in out.items() if x})
+
+    def __lt__(self, zero):
+        return _sign(self) < 0
+
+    def __gt__(self, zero):
+        return _sign(self) > 0
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 #
@@ -429,10 +450,16 @@ def _udeg(u):
 
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
-    """gcd of two nonzero polynomials with rational coefficients."""
+    """gcd of two nonzero polynomials with rational coefficients, monic:
+    in one variable _int_gcd, in more the primitive PRS over Poly
+    coefficients in the least variable, with gcds in the others as
+    contents."""
     if a.is_const() or b.is_const():
         return _ONE_POLY
-    v = min(a.variables() | b.variables())
+    names = a.variables() | b.variables()
+    if len(names) == 1:
+        return _int_gcd(_int_coeffs(a), _int_coeffs(b), names.pop())
+    v = min(names)
     A = _to_univariate(a, v)
     B = _to_univariate(b, v)
     ca = _content([c for c in A if not c.is_zero()]) or _ONE_POLY
@@ -485,8 +512,48 @@ def _pseudo_rem(A, B):
     return R
 
 
+def _dense(p: Poly) -> list:
+    """The coefficients of p in its one variable, low degree first."""
+    degs = {mono[0][1] if mono else 0: x for mono, x in p.terms.items()}
+    return [degs.get(e, 0) for e in range(max(degs, default=0) + 1)]
+
+
+def _int_coeffs(p: Poly) -> list:
+    """A one-variable p with rational coefficients as coprime ints, high
+    degree first: p times the positive rational that clears it."""
+    u = _dense(p)[::-1]
+    L = lcm(*(x.denominator for x in u))
+    u = [x.numerator * (L // x.denominator) for x in u]
+    g = gcd(*u)
+    return [x // g for x in u]
+
+
+def _int_gcd(A: list, B: list, v: str) -> Poly:
+    """The monic gcd in Q[v] of int coefficient lists, high degree first:
+    the primitive PRS (Geddes, Czapor, Labahn, Algorithms for Computer
+    Algebra, 1992, ch. 7), each pseudo-remainder over its ints' gcd."""
+    if len(A) < len(B):
+        A, B = B, A
+    while len(B) > 1:
+        lb, n, R = B[0], len(B), A
+        while len(R) >= n:
+            # R <- (lb*R - lr*v^k*B)/gcd(lb, lr): the top term cancels
+            g = gcd(lb, R[0])
+            f, h = lb // g, R[0] // g
+            R = [f * x - h * y for x, y in zip(R[1:n], B[1:])] + \
+                [f * x for x in R[n:]]
+            R = R[next((i for i, x in enumerate(R) if x), len(R)):]
+        if not R:
+            lc, top = B[0], n - 1
+            return Poly({((v, top - i),) if i < top else _ONE_MONO: Q(x, lc)
+                         for i, x in enumerate(B) if x})
+        g = gcd(*R)
+        A, B = B, [x // g for x in R]
+    return _ONE_POLY
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd of two polynomials with rational coefficients, monic."""
+    """gcd of two polynomials with rational coefficients, monic; 1 for 0, 0."""
     if a.is_zero():
         return _monic(b) if not b.is_zero() else _ONE_POLY
     if b.is_zero():
@@ -495,26 +562,39 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b in K[params]; b must divide a.  Its
-    coefficients may lie anywhere in K: each quotient term is the leading
-    coefficient of the remainder over b's, a division in K."""
+    """Exact division a / b in K[params]; b must divide a, else
+    ArithmeticError.  Long division in the least variable v: on lists of
+    coefficients in K when v is the only one (b's may lie anywhere in K,
+    its leading one is inverted once), else on lists of Polys in the
+    others, each quotient coefficient an exact division of its own."""
     if b.is_const():
         return a.scale(Q(1) / b.const_value())
-    vorder = sorted(a.variables() | b.variables())
-    rem = a
-    bmono, bc = b.leading(vorder)
-    bdict = dict(bmono)
-    out: dict = {}
-    while not rem.is_zero():
-        rmono, rc = rem.leading(vorder)
-        rdict = dict(rmono)
-        if any(rdict.get(name, 0) < e for name, e in bdict.items()):
-            raise ArithmeticError("poly_divexact: not divisible")
-        qmono = tuple((name, e - bdict.get(name, 0)) for name, e in rmono
-                      if e != bdict.get(name, 0))
-        out[qmono] = qc = rc / bc     # the quotient's terms in lex order
-        rem = rem - Poly({qmono: qc}) * b
-    return Poly(out)
+    names = a.variables() | b.variables()
+    v = min(names)
+    if len(names) > 1:
+        return _from_univariate(_divexact_dense(
+            _to_univariate(a, v), _to_univariate(b, v), poly_divexact), v)
+    B = _dense(b)
+    inv = 1 / B[-1]
+    q = _divexact_dense(_dense(a), B, lambda x, _: x * inv)
+    return Poly({((v, k),) if k else _ONE_MONO: x
+                 for k, x in enumerate(q) if x})
+
+
+def _divexact_dense(A: list, B: list, div) -> list:
+    """The quotient of coefficient lists, low degree first (B's top entry
+    nonzero), with div the exact division of coefficients; ArithmeticError
+    on a remainder."""
+    n = len(B) - 1
+    out = A[n:]
+    for k in range(len(out) - 1, -1, -1):
+        x = out[k] = A[k + n] and div(A[k + n], B[n])
+        if x:
+            for i in range(n):
+                A[k + i] = A[k + i] - x * B[i]
+    if any(A[:n]):
+        raise ArithmeticError("poly_divexact: not divisible")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -20,8 +20,10 @@ from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
 from qtoric.linalg import (Matrix, hnf, int_solve, pivot, rank,
                            solve_right)
-from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Witness,
-                            poly_divexact, poly_gcd, sign_at)
+from qtoric.scalars import (_ONE_POLY, Parameter, Poly, Scalar, Sign,
+                            Witness, _from_univariate, _monic,
+                            _to_univariate, _udeg, poly_divexact, poly_gcd,
+                            sign_at)
 
 Q = Fraction
 
@@ -421,6 +423,112 @@ def is_polytopal_primal(fan: QuantumFan, w: Witness) -> bool:
                                     for kk in range(m)]
          for k, row in enumerate(rows)]
     return not rows or lp.feasible(A, [Q(1)] * m)
+
+
+# -- references for poly_gcd and poly_divexact: the recursive primitive PRS
+# over Poly coefficients and the lex long division, in any number of
+# variables, with no one-variable kernel
+
+def _ref_content(polys):
+    """gcd of a list of nonzero polynomials with rational coefficients."""
+    g = None
+    for p in polys:
+        g = p if g is None else _ref_gcd2(g, p)
+        if g.is_const():
+            break
+    if g is None:
+        return None
+    return _monic(g)
+
+
+def _ref_gcd2(a: Poly, b: Poly) -> Poly:
+    """gcd of two nonzero polynomials with rational coefficients."""
+    if a.is_const() or b.is_const():
+        return _ONE_POLY
+    v = min(a.variables() | b.variables())
+    A = _to_univariate(a, v)
+    B = _to_univariate(b, v)
+    ca = _ref_content([c for c in A if not c.is_zero()]) or _ONE_POLY
+    cb = _ref_content([c for c in B if not c.is_zero()]) or _ONE_POLY
+    A = [ref_poly_divexact(c, ca) for c in A]
+    B = [ref_poly_divexact(c, cb) for c in B]
+    cont = _ref_gcd2(ca, cb)
+    # primitive PRS
+    while True:
+        da, db = _udeg(A), _udeg(B)
+        if db < 0:
+            break
+        if da < db:
+            A, B = B, A
+            continue
+        A, B = B, _ref_pseudo_rem(A, B)
+        dr = _udeg(B)
+        if dr >= 0:
+            cr = _ref_content([c for c in B[: dr + 1] if not c.is_zero()])
+            if cr is not None and not cr.is_const():
+                B = [ref_poly_divexact(c, cr) if not c.is_zero() else c
+                     for c in B]
+            # the rational content too, or the coefficients grow
+            # exponentially along the sequence
+            coeffs = [x for c in B for x in c.terms.values()]
+            k = Q(gcd(*(x.numerator for x in coeffs)),
+                  lcm(*(x.denominator for x in coeffs)))
+            B = [c.scale(1 / k) for c in B]
+    da = _udeg(A)
+    prim = _from_univariate(A[: da + 1], v) if da >= 0 else _ONE_POLY
+    cg = _ref_content([c for c in A[: da + 1] if not c.is_zero()])
+    if cg is not None and not cg.is_const():
+        prim = ref_poly_divexact(prim, cg)
+    return _monic(cont * prim)
+
+
+def _ref_pseudo_rem(A, B):
+    """Pseudo-remainder of univariate polynomial lists (Poly coefficients)."""
+    da, db = _udeg(A), _udeg(B)
+    lb = B[db]
+    R = list(A[: da + 1])
+    while True:
+        dr = _udeg(R)
+        if dr < db:
+            break
+        lr = R[dr]
+        R = [c * lb for c in R]
+        shift = dr - db
+        for i in range(db + 1):
+            R[i + shift] = R[i + shift] - lr * B[i]
+    return R
+
+
+def ref_poly_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd of two polynomials with rational coefficients, monic."""
+    if a.is_zero():
+        return _monic(b) if not b.is_zero() else _ONE_POLY
+    if b.is_zero():
+        return _monic(a)
+    return _ref_gcd2(a, b)
+
+
+def ref_poly_divexact(a: Poly, b: Poly) -> Poly:
+    """Exact division a / b in K[params]; b must divide a.  Its
+    coefficients may lie anywhere in K: each quotient term is the leading
+    coefficient of the remainder over b's, a division in K."""
+    if b.is_const():
+        return a.scale(Q(1) / b.const_value())
+    vorder = sorted(a.variables() | b.variables())
+    rem = a
+    bmono, bc = b.leading(vorder)
+    bdict = dict(bmono)
+    out: dict = {}
+    while not rem.is_zero():
+        rmono, rc = rem.leading(vorder)
+        rdict = dict(rmono)
+        if any(rdict.get(name, 0) < e for name, e in bdict.items()):
+            raise ArithmeticError("poly_divexact: not divisible")
+        qmono = tuple((name, e - bdict.get(name, 0)) for name, e in rmono
+                      if e != bdict.get(name, 0))
+        out[qmono] = qc = rc / bc     # the quotient's terms in lex order
+        rem = rem - Poly({qmono: qc}) * b
+    return Poly(out)
 
 
 def ref_solve_lp(A, b, steps=None):

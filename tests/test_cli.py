@@ -557,6 +557,19 @@ def test_input_nested_too_deeply_is_an_input_error(tmp_path, capsys):
     assert payload[1]["error"]["code"] == "InputError"
 
 
+@pytest.mark.parametrize("text", ["1+", "a^", "a^-", "(", "-", "3/"])
+def test_truncated_scalar_is_an_input_error(text, tmp_path, capsys):
+    fan = dict(P2STD, rays=[[text, "0"], ["0", "1"], ["-1", "-1"]],
+               params=[{"name": "a"}], witness={"a": "3"})
+    arg = text.replace("a", "2")      # no parameter is declared there
+    for argv, bad in ((["validate", _write(tmp_path, "t.json", fan)], text),
+                      (["moduli-equiv-2d", "--a", arg, "--b", "2"], arg)):
+        code, payload = run(capsys, argv)
+        assert code == 2 and payload["error"]["code"] == "InputError", argv
+        assert payload["error"]["message"] == \
+            f"unexpected end of scalar {bad!r}"
+
+
 def test_defect_in_a_batch_fails_its_own_file_only(tmp_path, capsys,
                                                    monkeypatch):
     real = qtoric.lattice_fan.validate_fan

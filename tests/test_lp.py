@@ -33,13 +33,15 @@ def _recording(real, steps, limit=100):
 
 
 def _solve_recording_pivots(A, b):
-    """solve_lp(A, b), and the pivots of the field step (linalg.pivot) and
-    of the integer step (linalg.int_pivot), whichever the LP uses."""
-    field, ints = [], []
-    with mock.patch.object(lp, "pivot", _recording(lp.pivot, field)), \
+    """solve_lp(A, b), and the pivots of the step on Surd rows
+    (linalg.root_pivot) and of the integer step (linalg.int_pivot),
+    whichever the LP uses."""
+    roots, ints = [], []
+    with mock.patch.object(lp, "root_pivot",
+                           _recording(lp.root_pivot, roots)), \
             mock.patch.object(lp, "int_pivot",
                               _recording(lp.int_pivot, ints)):
-        return solve_lp(A, b), field, ints
+        return solve_lp(A, b), roots, ints
 
 
 def _solves(A, b, x):
@@ -48,9 +50,9 @@ def _solves(A, b, x):
 
 
 def test_beale_terminates_at_a_feasible_point():
-    x, field, ints = _solve_recording_pivots(BEALE_A, BEALE_B)
+    x, roots, ints = _solve_recording_pivots(BEALE_A, BEALE_B)
     assert x is not None and _solves(BEALE_A, BEALE_B, x)
-    assert ints and not field
+    assert ints and not roots
 
 
 def test_beale_from_degenerate_slack_basis():
@@ -65,7 +67,7 @@ def test_beale_from_degenerate_slack_basis():
          for row in F]
     field, ints = [], []
     assert lp._simplex_core(F, [0, 1, 2], 7,
-                            _recording(lp.pivot, field)) == "optimal"
+                            _recording(pivot, field)) == "optimal"
     assert lp._simplex_core(T, [0, 1, 2], 7,
                             _recording(lp.int_pivot, ints)) == "optimal"
     assert -F[-1][-1] == -Q(T[-1][-1], T[-1][7]) == Q(-5, 4)
@@ -153,27 +155,70 @@ def small_systems(draw):
 def test_solve_lp_matches_basic_solution_enumeration(data):
     A, b = data
     found = next(_basic_feasible_solutions(A, b), None) is not None
-    x, field, ints = _solve_recording_pivots(A, b)
+    x, roots, ints = _solve_recording_pivots(A, b)
     assert (x is not None) == found
     if found:
         assert len(x) == len(A[0]) and _solves(A, b, x)
     ref_steps = []
     ref = ref_solve_lp(A, b, ref_steps)
-    assert field + ints == ref_steps
+    assert roots + ints == ref_steps
     assert x == ref and [type(v) for v in x or []] == \
         [type(v) for v in ref or []]
 
 
-def test_surd_tableau_takes_the_field_step():
+def test_surd_tableau_takes_the_root_step():
     s2, s3 = SQRT2, W.value(SU)
     # the first ratio test compares sqrt(2)/sqrt(3) with 1/sqrt(2) and
     # picks the second row
     A = [[s3, 0, 1, 0], [s2, 1, 0, 0], [1, 1, 1, 1]]
     b = [s2, 1, 2]
-    x, field, ints = _solve_recording_pivots(A, b)
+    x, roots, ints = _solve_recording_pivots(A, b)
     ref_steps = []
     assert x == ref_solve_lp(A, b, ref_steps) and _solves(A, b, x)
-    assert field == ref_steps and field[0] == (1, 0) and not ints
+    assert roots == ref_steps and roots[0] == (1, 0) and not ints
+
+
+# -- Surd rows against the field simplex they replace ------------------------
+
+K_VALUE = st.tuples(*[st.integers(-3, 3)] * 4).map(lambda c: sum(
+    (Q(x) * r for x, r in zip(c, (1, SQRT2, W.value(SU), W.value(ST * SU)))),
+    Q(0)))
+
+
+@st.composite
+def surd_systems(draw):
+    """Systems with entries in Q(sqrt 2, sqrt 3), at least one a Surd, many
+    degenerate (b_i = 0) or with b_i < 0, with rows repeated up to a factor
+    in K."""
+    entry = st.one_of(st.just(0), st.just(0), ENTRY.map(Q), K_VALUE, K_ENTRY)
+    rhs = st.one_of(st.just(0), st.integers(-3, 3), K_VALUE)
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(rhs) for _ in range(m)]
+    A[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = \
+        draw(K_ENTRY)
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(A) - 1))
+        f = draw(st.sampled_from([1, -1, SQRT2, 1 - SQRT2 * W.value(SU)]))
+        A.append([f * v for v in A[k]])
+        b.append(f * b[k])
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(surd_systems())
+@example(([[SQRT2, -1], [1, 1]], [0, -SQRT2]))
+def test_surd_rows_match_the_field_simplex(data):
+    A, b = data
+    x, roots, ints = _solve_recording_pivots(A, b)
+    ref_steps = []
+    ref = ref_solve_lp(A, b, ref_steps)
+    assert roots == ref_steps and not ints
+    assert (x is None) == (ref is None)
+    if x is not None:
+        assert x == ref and _solves(A, b, x)
+        assert [type(v) for v in x] == [type(v) for v in ref]
 
 
 # -- rows of ints against the field simplex they replace ---------------------
@@ -209,10 +254,10 @@ def sparse_rational_systems(draw):
 @example(([row + [0] for row in BEALE_A] + [[0] * 8], [0, 0, 1, 0]))
 def test_integer_rows_match_the_field_simplex(data):
     A, b = data
-    x, field, ints = _solve_recording_pivots(A, b)
+    x, roots, ints = _solve_recording_pivots(A, b)
     ref_steps = []
     ref = ref_solve_lp(A, b, ref_steps)
-    assert ints == ref_steps and not field
+    assert ints == ref_steps and not roots
     assert (x is None) == (ref is None)
     if x is not None:
         assert all(type(v) is Q for v in x) and x == ref

@@ -10,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (RefScalar, affine_coefficients, approx, interval_sign,
-                      ref_quadratic_surd, ref_value)
+                      ref_poly_divexact, ref_poly_gcd, ref_quadratic_surd,
+                      ref_value)
 from qtoric.calibration import Calibration, kernel_rank
 from qtoric.errors import Indeterminate, UnsupportedEntries, UnsupportedField
 from qtoric.lattice_fan import QLattice, gamma_rank
 from qtoric.moduli import quadratic_surd
 from qtoric.scalars import (Parameter, Poly, Scalar, Sign, Surd, Witness,
-                            poly_divexact, sign_at, square_class)
+                            _int_coeffs, poly_divexact, poly_gcd, sign_at,
+                            square_class)
 
 A = Parameter("a")
 B = Parameter("b")
@@ -441,11 +443,12 @@ MONOS = [(), (("a", 1),), (("b", 1),), (("a", 1), ("b", 1)), (("a", 2),)]
 
 
 @st.composite
-def surd_polys(draw):
-    """A nonzero polynomial in a and b with up to three terms, each
-    coefficient c0 + c1 sqrt2 + c2 sqrt3 + c3 sqrt6 in K."""
+def surd_polys(draw, monos=MONOS):
+    """A nonzero polynomial over the monomials (by default in a and b) with
+    up to three terms, each coefficient c0 + c1 sqrt2 + c2 sqrt3 + c3 sqrt6
+    in K."""
     terms = {}
-    for mono in draw(st.lists(st.sampled_from(MONOS), min_size=1,
+    for mono in draw(st.lists(st.sampled_from(monos), min_size=1,
                               max_size=3, unique=True)):
         c = sum((Q(draw(st.integers(-3, 3))) * r
                  for r in (1, SQRT2, SQRT3, SQRT2 * SQRT3)), Q(0))
@@ -460,6 +463,73 @@ def surd_polys(draw):
          Poly({(("a", 1),): SQRT2, (): Q(1)}))      # a t + 1, t^2 = 2
 def test_poly_divexact_undoes_a_product_over_K(p, q):
     assert poly_divexact(p * q, q) == p
+
+
+# -- the one-variable kernels against the recursive PRS and lex division ----
+
+A_MONOS = [(("a", e),) if e else () for e in range(4)]
+AB_MONOS = MONOS + [(("b", 2),)]
+BIG = st.integers(2 ** 64, 2 ** 70)
+COEFF = st.builds(Q, st.one_of(st.integers(-4, 4), BIG,
+                               BIG.map(operator.neg)), st.integers(1, 5))
+
+
+@st.composite
+def rational_polys(draw, monos):
+    """A polynomial over the monomials with rational coefficients, some
+    above 2^64; zero or constant at times."""
+    return Poly({m: c for m in draw(st.lists(st.sampled_from(monos),
+                                             max_size=4, unique=True))
+                 if (c := draw(COEFF))})
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(g f1, g f2) in a (degree up to 6) or in a and b, so that the gcd is
+    g up to a unit when f1 and f2 are coprime."""
+    monos = draw(st.sampled_from([A_MONOS, AB_MONOS]))
+    g, f1, f2 = (draw(rational_polys(monos)) for _ in range(3))
+    return g * f1, g * f2
+
+
+AX = Poly({(("a", 1),): Q(1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcd_pairs())
+@example((Poly({}), Poly({})))
+@example((Poly({}), Poly.const(3) * AX))
+@example((Poly.const(Q(2, 3)), AX))
+@example(((AX + Poly.const(2 ** 65)) * (AX * AX - Poly.const(Q(1, 3))),
+          (AX + Poly.const(2 ** 65)) * AX))
+def test_poly_gcd_matches_the_recursive_prs(pair):
+    p, q = pair
+    g = poly_gcd(p, q)
+    assert g == ref_poly_gcd(p, q)
+    assert g.leading_coeff() == 1
+    if p and p.variables() <= {"a"}:
+        # the kernel's int list, reversed: coprime and a multiple of p
+        u = _int_coeffs(p)[::-1]
+        back = Poly({(("a", d),) if d else (): Q(x)
+                     for d, x in enumerate(u) if x})
+        assert gcd(*u) == 1 and back.scale(p.leading_coeff() / u[-1]) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([A_MONOS, MONOS]).flatmap(
+    lambda monos: st.tuples(surd_polys(monos), surd_polys(monos))))
+@example((Poly({(("a", 1),): Q(1), (): SQRT3}),
+          Poly({(("a", 1),): SQRT2, (): Q(1)})))
+@example((Poly({(("a", 3),): SQRT3 - 1}), Poly({(("b", 1),): SQRT2})))
+def test_poly_divexact_matches_the_lex_division(pair):
+    p, q = pair
+    assert poly_divexact(p * q, q) == ref_poly_divexact(p * q, q) == p
+    assert poly_divexact(Poly({}), q) == Poly({})
+    if not q.is_const():
+        # q divides p q, hence not p q + sqrt 2
+        for divexact in (poly_divexact, ref_poly_divexact):
+            with pytest.raises(ArithmeticError):
+                divexact(p * q + Poly.const(SQRT2), q)
 
 
 def test_affine_coefficients():
