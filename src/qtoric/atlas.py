@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .calibration import CalibratedFan
 from .errors import EmptyIntersection
 from .lattice_fan import QuantumFan, _ordered
-from .linalg import Matrix, apply_rows, ratio
+from .linalg import Matrix, ratio
 
 
 @dataclass
@@ -52,9 +52,11 @@ def gluing_exponents(fan: QuantumFan, cone_from, cone_to) -> Matrix:
 
     Row t of M is A_to applied to the t-th column of A_from^-1: for a ray
     both cones share, the unit row of its position in the target chart;
-    for any other ray, A_to applied to it; for a completion vector e_j,
-    column j of A_to, each entry formed once from A_to = N/D (chart_rows).
-    Requires two maximal cones with nonempty intersection."""
+    for any other ray, A_to applied to it (QuantumFan.chart_image, keyed
+    by the ray's index, so each (chart, ray) pair is formed once per fan);
+    for a completion vector e_j, column j of A_to, each entry formed once
+    from A_to = N/D (chart_rows).  Requires two maximal cones with nonempty
+    intersection."""
     if not frozenset(cone_from) & frozenset(cone_to):
         raise EmptyIntersection(
             f"{_ordered(cone_from)} and {_ordered(cone_to)} are disjoint")
@@ -62,22 +64,17 @@ def gluing_exponents(fan: QuantumFan, cone_from, cone_to) -> Matrix:
     _, _, completion = fan.chart_rows(cone_from)
     to = _ordered(cone_to)
     eye = Matrix.identity(fan.dim).rows
-    return Matrix([eye[to.index(i)] if i in to else _applied(N, D, fan.ray(i))
+    return Matrix([eye[to.index(i)] if i in to
+                   else fan.chart_image(to, fan.ray(i), i).entries()
                    for i in _ordered(cone_from)]
                   + [[ratio(r[j - 1], D) for r in N] for j in completion])
-
-
-def _applied(N, D, v) -> list:
-    """The canonical entries of (N/D) v."""
-    y, E = apply_rows(N, D, v)
-    return [ratio(x, E) for x in y]
 
 
 def chart_calibration(cf: CalibratedFan, cone) -> tuple:
     """(H_I, hbar_I): the permutation aligning the cone's calibration
     indices with the leading coordinates, and the chart calibration making
     h_I = A_I h H_I^{-1} standard (h_I = [Id | hbar_I]): column k of h_I is
-    A_I h(e_order[k]), each entry formed once from A_I = N/D."""
+    A_I h(e_order[k]) (QuantumFan.chart_image)."""
     cal = cf.cal
     n, d = cal.n, cal.d
     # calibration indices of the cone's rays, in cone order
@@ -88,8 +85,8 @@ def chart_calibration(cf: CalibratedFan, cone) -> tuple:
     eye = Matrix.identity(n)
     H_I = Matrix.from_columns([eye.column(pos[src] - 1)
                                for src in range(1, n + 1)])
-    N, D, _ = cf.fan.chart_rows(cone)
-    cols = [_applied(N, D, cal.image(src)) for src in order[d:]]
+    cols = [cf.fan.chart_image(cone, cal.image(src)).entries()
+            for src in order[d:]]
     return H_I, Matrix([[c[r] for c in cols] for r in range(d)])
 
 

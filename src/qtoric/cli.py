@@ -50,8 +50,9 @@ def _read(path: str) -> str:
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    """Write the payload as indented JSON and a newline, in one write:
+    json.dump would write each of its many small chunks on its own."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     sys.stdout.flush()
 
 

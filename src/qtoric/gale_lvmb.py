@@ -132,6 +132,7 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     the complements (Bosio, Ann. Inst. Fourier 51, 2001), which holds for
     all pairs with no LP when _certified_walls certifies those cones, on
     primitive int multiples of rational v_i (QuantumFan.witness_values).
+    Otherwise each pair is tried on the cones' value charts before its LP.
 
     Replacement fails exactly when a ridge A - {k} of those cones lies in A
     only, A = [N] - e: e - {k'} + {k} for k' in e is A - {k} + {k'}."""
@@ -150,7 +151,7 @@ def check_lvmb(datum: LVMBDatum, w: Witness) -> CheckResult:
     ridges = _ridge_map(charts)
     walls = _certified_walls(dual, charts, _ridges(list(charts), ridges))
     if walls is None and not all(
-            _meet_in_common_face(dual, A, B)
+            _meet_in_common_face(dual, A, B, charts)
             for A, B in itertools.combinations(charts, 2)):
         return CheckResult.invalid("interiors")
     if any(len(cones) == 1 for cones in ridges.values()):

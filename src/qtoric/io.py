@@ -249,6 +249,11 @@ def _json(data):
 
 @reading("fan file")
 def load_fan_file(data) -> FanFile:
+    """The FanFile of a JSON text or of its parsed object.  Each distinct
+    str or int scalar of gamma, the rays, the calibration images and Lambda
+    is parsed once per file, keyed by its type and value (so a bool is
+    never read as the int it equals), and shared; any other entry goes to
+    parse_scalar as it stands, for its error."""
     data = _json(data)
     _require(isinstance(data, dict), "fan file must be a JSON object")
     params = {}
@@ -278,9 +283,18 @@ def load_fan_file(data) -> FanFile:
         _require(name in (data.get("witness") or {}),
                  f"parameter {name!r} has no witness value")
     witness = Witness(wvals)
+    scalars = {}
+
+    def scalar(x):
+        if type(x) not in (str, int):
+            return parse_scalar(x, params)
+        key = type(x), x
+        if key not in scalars:
+            scalars[key] = parse_scalar(x, params)
+        return scalars[key]
 
     def vec(v):
-        return [parse_scalar(x, params) for x in v]
+        return [scalar(x) for x in v]
 
     gamma = fan = cal = lvmb = None
     if "dim" in data and "gamma" in data:
@@ -301,7 +315,7 @@ def load_fan_file(data) -> FanFile:
                  "calibration I size differs from ray count")
     if "lvmb" in data:
         l = data["lvmb"]
-        pts = [[parse_scalar(x, params) for x in p] for p in l["Lambda"]]
+        pts = [vec(p) for p in l["Lambda"]]
         lvmb = LVMBDatum(int(l["m"]), pts, _indices(l["E"]))
     return FanFile(params, witness, gamma, fan, cal, lvmb, raw=data)
 

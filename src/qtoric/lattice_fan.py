@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from . import lp
 from .errors import Indeterminate, Singular
-from .linalg import (Matrix, cleared, hnf_solve, in_basis, inverse_rows,
-                     monomial_coordinates, primitive, rank, ratio,
-                     stacked_hnf)
+from .linalg import (Matrix, apply_rows, cleared, hnf_solve, in_basis,
+                     inverse_rows, monomial_coordinates, primitive, rank,
+                     ratio, stacked_hnf)
 from .scalars import Scalar, Witness
 
 
@@ -126,6 +126,7 @@ class QuantumFan:
         if any(len(set(c)) < len(c) for c in cones):
             raise ValueError("cone lists a ray twice")
         self._charts = {}
+        self._images = {}
         self._values = {}
         self._witness_charts = {}
         self._maximal = None
@@ -165,6 +166,19 @@ class QuantumFan:
         """(A_I, completion), A_I formed from chart_rows' N/D."""
         N, D, completion = self.chart_rows(cone)
         return Matrix([[ratio(x, D) for x in r] for r in N]), completion
+
+    def chart_image(self, cone, v, key=None) -> "ChartImage":
+        """A_I v in the cone's chart (chart_rows), formed once per fan, cone
+        order and vector.  key names v: i when v is the fan's own ray i,
+        else None, which keys v by its value (a Scalar's first hash forms
+        its flat terms, so a caller holding an index passes it)."""
+        order = tuple(_ordered(cone))
+        k = order, tuple(v) if key is None else key
+        image = self._images.get(k)
+        if image is None:
+            N, D, _ = self.chart_rows(order)
+            image = self._images[k] = ChartImage(*apply_rows(N, D, v))
+        return image
 
     def witness_values(self, w: Witness) -> list:
         """Each ray's values at the witness, rational ones as their primitive
@@ -217,6 +231,21 @@ class QuantumFan:
         return f"QuantumFan(d={self.dim}, p={self.nrays}, cones={cs})"
 
 
+class ChartImage:
+    """A_I v = y/E, as linalg.apply_rows forms it with no gcd, and its
+    canonical entries (linalg.ratio), formed on first use."""
+
+    __slots__ = ("y", "E", "_entries")
+
+    def __init__(self, y, E):
+        self.y, self.E, self._entries = y, E, None
+
+    def entries(self) -> tuple:
+        if self._entries is None:
+            self._entries = tuple(ratio(x, self.E) for x in self.y)
+        return self._entries
+
+
 def _value_chart(cols, k: int) -> tuple | None:
     """(N, D) of inverse_rows(cols) when its first k columns are picked and
     the picks span, else None."""
@@ -254,12 +283,30 @@ class ValidationReport:
         return {"valid": self.valid, "violations": self.violations}
 
 
-def _meet_in_common_face(coords, A, B) -> bool:
+def _meet_in_common_face(coords, A, B, charts=None) -> bool:
     """Is cone(A) & cone(B) = cone(F), F = A & B, at the witness?  True iff
     sum_{A-F} l_i u_i - sum_{B-F} m_j w_j + sum_F n_f v_f = 0 has no
     solution with l, m >= 0, sum l + sum m = 1 and n free: a common point
-    with weight off F would, normalised, be one."""
+    with weight off F would, normalised, be one.
+
+    charts maps cones to their value charts (N, D) on coords, or None.
+    Before the LP, A's chart, then B's with the roles swapped, may certify
+    True.  Let h be the sum of the rows of N for the rays of A - F: the
+    first |A| rows belong to A's rays in sorted order, and the completion
+    rows are never taken.  Then h.v_a = D > 0 on A - F and h.v_f = 0 on F.
+    If h.v_b < 0 for every b in B - F, h applied to a solution gives
+    D sum l - sum m_b h.v_b = 0, a sum of terms >= 0, so l = m = 0, which
+    sum l + sum m = 1 forbids: the LP is infeasible.  Otherwise the LP
+    decides."""
     F = A & B
+    for X, Y in ((A, B), (B, A)):
+        chart = (charts or {}).get(X)
+        if chart is not None:
+            rows = [r for i, r in zip(sorted(X), chart[0]) if i not in F]
+            h = [sum(col) for col in zip(*rows)]
+            if all(sum(a * y for a, y in zip(h, coords[j])) < 0
+                   for j in Y - F):
+                return True
     cols = ([coords[i] for i in sorted(A - F)]
             + [[-x for x in coords[j]] for j in sorted(B - F)])
     off = len(cols)
@@ -346,14 +393,16 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
     have value charts is then certified with no LP by ridge signs and one
     covered point (_certified_walls).  Otherwise each maximal cone A
     with a value chart certifies the pairs of its own faces, whose relative
-    interiors have distinct supports.  Each pair A, B of them takes one
-    exact LP for the separation lemma (Cox-Little-Schenck, Toric
-    Varieties, Lemma 1.2.13): when cone(A) & cone(B) = cone(A & B), a point
-    of it has one support in A and the same one in B, so no face of A meets
-    a different face of B in their relative interiors.  A maximal cone
-    dependent at the witness certifies nothing.  Only pairs of cones under
-    no certified pair get their own relative interior LP, so every overlap,
-    duplicated ray directions included, is still reported pair by pair."""
+    interiors have distinct supports.  Each pair A, B of them is decided
+    for the separation lemma (Cox-Little-Schenck, Toric Varieties, Lemma
+    1.2.13) by _meet_in_common_face: a certificate read off A's or B's
+    value chart, else one exact LP.  When cone(A) & cone(B) = cone(A & B),
+    a point of it has one support in A and the same one in B, so no face of
+    A meets a different face of B in their relative interiors.  A maximal
+    cone dependent at the witness certifies nothing.  Only pairs of cones
+    under no certified pair get their own relative interior LP, so every
+    overlap, duplicated ray directions included, is still reported pair by
+    pair."""
     report = ValidationReport(True)
     for i in range(1, fan.nrays + 1):
         if all(x.is_zero() for x in fan.ray(i)):
@@ -391,7 +440,7 @@ def validate_fan(fan: QuantumFan, w: Witness) -> ValidationReport:
         return report
     certified = {(A, A) for A in independent}
     for A, B in itertools.combinations(independent, 2):
-        if _meet_in_common_face(coords, A, B):
+        if _meet_in_common_face(coords, A, B, charts):
             certified |= {(A, B), (B, A)}
     cones = sorted(fan.cones, key=lambda c: (len(c), sorted(c)))
     for a, b in itertools.combinations(cones, 2):

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from .calibration import CalibratedFan, induced_fan, kernel_rank
 from .errors import DomainMismatch, Indeterminate, SearchBoundExceeded
 from .lattice_fan import QLattice, QuantumFan, gamma_contains
-from .linalg import (Matrix, apply_rows, in_basis, int_det, int_solve, rank,
-                     ratio, solve_right)
+from .linalg import (Matrix, in_basis, int_det, int_solve, rank, ratio,
+                     solve_right)
 from .scalars import Scalar, Witness, sign_at
 
 
@@ -54,21 +54,24 @@ class CalMorphism:
 def cone_coefficients(fan: QuantumFan, cone, point, w: Witness):
     """Coefficients of point on the cone's generators, in sorted ray order,
     when the point lies in the cone, else None: its chart coordinates y/E
-    (chart_rows, apply_rows) must be zero on the completion and none may
-    be certified negative; Indeterminate when one is undecided.  A sign is
-    sign(y_i)*sign(E) at the witness, and where either vanishes the
-    canonical coefficient decides (sign_at) and is named.  Only returned
-    coefficients are made canonical.  Singular for dependent generators."""
-    N, D, _ = fan.chart_rows(frozenset(cone))
-    y, E = apply_rows(N, D, point)
-    k, sE = len(cone), w.sign(E)
+    (QuantumFan.chart_image, formed once per fan, cone and point) must be
+    zero on the completion and none may be certified negative;
+    Indeterminate when one is undecided.  A sign is sign(y_i)*sign(E) at
+    the witness, and where either vanishes the canonical coefficient
+    decides (sign_at) and is named.  The signs are read on every call, so
+    an undecided one raises each time, in the same order.  Only returned
+    coefficients are made canonical.  Singular for dependent
+    generators."""
+    image = fan.chart_image(frozenset(cone), point)
+    y, E, k = image.y, image.E, len(cone)
+    sE = w.sign(E)
 
-    def negative(yi):
-        return (w.sign(yi) * sE or sign_at(ratio(yi, E), w).value) < 0
+    def negative(i):
+        return (w.sign(y[i]) * sE or sign_at(ratio(y[i], E), w).value) < 0
 
-    if any(y[k:]) or _first(negative, y[:k]) is not None:
+    if any(y[k:]) or _first(negative, range(k)) is not None:
         return None
-    return tuple(ratio(yi, E) for yi in y[:k])
+    return image.entries()[:k]
 
 
 def _first(test, items):

@@ -369,11 +369,11 @@ class Poly:
         d = dict(mono)
         return tuple(d.get(v, 0) for v in vorder)
 
-    def leading(self, vorder=None):
+    def leading(self):
         """Leading (monomial, coefficient) under lex order."""
         if not self.terms:
             return _ONE_MONO, Q(0)
-        vorder = vorder or sorted(self.variables())
+        vorder = sorted(self.variables())
         mono = max(self.terms, key=lambda m: self._key(m, vorder))
         return mono, self.terms[mono]
 
@@ -614,7 +614,7 @@ class Scalar:
     with a constant k in K keeps ``den`` and is canonical as it stands
     (see ``_scaled``), so only two transcendental operands canonicalise."""
 
-    __slots__ = ("q", "_num", "_den")
+    __slots__ = ("q", "_num", "_den", "_hash")
 
     def __init__(self, num: Poly, den: Poly, _canonical=False):
         if den.is_zero():
@@ -793,9 +793,13 @@ class Scalar:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        if self.q is not None:
-            return hash(self.q)
-        return hash((self._num, self._den))
+        # formed on first use: a transcendental scalar hashes its flat terms
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.q if self.q is not None
+                              else (self._num, self._den))
+            return self._hash
 
     # -- display -------------------------------------------------------------
 

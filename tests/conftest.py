@@ -20,8 +20,8 @@ from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
                                 _is_complete, fan_from_max_cones)
 from qtoric.linalg import (Matrix, hnf, int_solve, pivot, rank,
                            solve_right)
-from qtoric.scalars import (_ONE_POLY, Parameter, Poly, Scalar, Sign,
-                            Witness, _from_univariate, _monic,
+from qtoric.scalars import (_ONE_MONO, _ONE_POLY, Parameter, Poly, Scalar,
+                            Sign, Witness, _from_univariate, _monic,
                             _to_univariate, _udeg, poly_divexact, poly_gcd,
                             sign_at)
 
@@ -508,6 +508,15 @@ def ref_poly_gcd(a: Poly, b: Poly) -> Poly:
     return _ref_gcd2(a, b)
 
 
+def _ref_leading(p: Poly, vorder=None):
+    """Leading (monomial, coefficient) under lex order."""
+    if not p.terms:
+        return _ONE_MONO, Q(0)
+    vorder = vorder or sorted(p.variables())
+    mono = max(p.terms, key=lambda m: p._key(m, vorder))
+    return mono, p.terms[mono]
+
+
 def ref_poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact division a / b in K[params]; b must divide a.  Its
     coefficients may lie anywhere in K: each quotient term is the leading
@@ -516,11 +525,11 @@ def ref_poly_divexact(a: Poly, b: Poly) -> Poly:
         return a.scale(Q(1) / b.const_value())
     vorder = sorted(a.variables() | b.variables())
     rem = a
-    bmono, bc = b.leading(vorder)
+    bmono, bc = _ref_leading(b, vorder)
     bdict = dict(bmono)
     out: dict = {}
     while not rem.is_zero():
-        rmono, rc = rem.leading(vorder)
+        rmono, rc = _ref_leading(rem, vorder)
         rdict = dict(rmono)
         if any(rdict.get(name, 0) < e for name, e in bdict.items()):
             raise ArithmeticError("poly_divexact: not divisible")

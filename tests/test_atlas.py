@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ from conftest import (cocycle_check, cocycle_holds, fan_gluings,
                       random_even_calibrated_fan, shared_rows_are_identity)
 
 import qtoric.atlas as atlas_mod
+import qtoric.lattice_fan as lattice_fan_mod
 from qtoric.atlas import (atlas_report, build_irrelevant, chart_calibration,
                           chart_matrix, gluing_exponents)
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
@@ -268,6 +270,29 @@ def test_atlas_report_charts_each_maximal_cone_once(monkeypatch, case):
     monkeypatch.setattr(atlas_mod, "chart_matrix", counting)
     atlas_report(target, cone_orders=orders)
     assert sorted(calls, key=sorted) == sorted(fan.maximal_cones(), key=sorted)
+
+
+@pytest.mark.parametrize("case", [0, 3])
+def test_atlas_report_applies_each_chart_to_each_ray_once(monkeypatch, case):
+    # a ray outside the target chart recurs in the gluings from every cone
+    # that holds it; QuantumFan.chart_image forms A_to v_i once per (chart,
+    # ray)
+    target, orders = _report_cases()[case]
+    calls = []
+    apply_rows = lattice_fan_mod.apply_rows
+
+    def counting(N, D, v):
+        calls.append((id(N), tuple(v)))
+        return apply_rows(N, D, v)
+
+    monkeypatch.setattr(lattice_fan_mod, "apply_rows", counting)
+    rep = atlas_report(target, cone_orders=orders)
+    cones = [tuple(c["I"]) for c in rep["charts"]]
+    wanted = {(t, i) for s, t in itertools.permutations(cones, 2)
+              if set(s) & set(t) for i in s if i not in t}
+    assert len(set(calls)) == len(calls) == len(wanted)
+    assert len(wanted) < sum(len(set(g["from"]) - set(g["to"]))
+                             for g in rep["gluings"])
 
 
 @pytest.mark.parametrize("case", range(4))

@@ -901,3 +901,63 @@ def test_reader_closing_the_pipe_early(args):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert b"Traceback" not in err and b"Error" not in err
+
+
+def test_load_fan_file_parses_each_scalar_text_once(monkeypatch):
+    # gamma, rays, calibration images and Lambda share one table per file,
+    # keyed by type and text: "1" and 1 are two entries, each read once
+    calls = []
+    real = io.parse_scalar
+    monkeypatch.setattr(io, "parse_scalar",
+                        lambda x, params: calls.append(x) or real(x, params))
+    data = dict(P2DEF, lvmb={"m": 1, "E": [[1, 2, 3]],
+                             "Lambda": [["a", "0"], ["0", 1], ["1", "b"]]})
+    data["rays"] = [[1, "0"], ["0", "1"], ["a", "b"]]
+    ff = load_fan_file(json.dumps(data))
+    texts = [x for field in (data["gamma"], data["rays"],
+                             data["calibration"]["images"],
+                             data["lvmb"]["Lambda"]) for v in field for x in v]
+    assert len(calls) == len(set(map(repr, calls))) == \
+        len(set(map(repr, texts))) < len(texts)
+    a = ff.gamma.generators[2][0]
+    assert a is ff.fan.ray(3)[0] is ff.cal.images[2][0] is ff.lvmb.point(1)[0]
+    assert ff.fan.ray(1)[0] is ff.lvmb.point(2)[1]
+    assert ff.fan.ray(2)[1] is ff.lvmb.point(3)[0] is not ff.fan.ray(1)[0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "numbers must be exact strings, not floats/bools"),
+    (1.5, "numbers must be exact strings, not floats/bools"),
+    (["1"], "unexpected character '[' in scalar")])
+def test_load_fan_file_rejects_a_non_text_scalar_as_before(bad, message):
+    # a bool after the int 1 is not read as 1
+    data = dict(P2STD, rays=[[1, "0"], ["0", bad], ["-1", "-1"]])
+    with pytest.raises(InputError) as e:
+        load_fan_file(json.dumps(data))
+    assert str(e.value) == message
+
+
+def test_main_prints_the_report_in_one_write(tmp_path, monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    good = _write(tmp_path, "p2.json", P2DEF)
+    missing = str(tmp_path / 'no "such\\ fïle.json')
+    for argv, code in ((["atlas", good], 0), (["validate", missing], 2)):
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == code
+        (text,) = out.writes
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    # the message names the path: a quote, a backslash and a non-ASCII
+    # character, escaped
+    assert json.loads(text)["error"]["message"].endswith(f"{missing!r}")
+    assert all(c in text for c in ('\\"', "\\\\", "\\u00ef"))

@@ -13,6 +13,7 @@ from conftest import (EMPTY_WITNESS, condition_KH_affine,
                       twisted_prism_fan, validate_fan_all_pairs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_gale_lvmb import random_lvmb
 
 import qtoric.lattice_fan as lattice_fan_mod
 from qtoric import lp
@@ -24,8 +25,8 @@ from qtoric.lattice_fan import (CombType, QLattice, QuantumFan,
                                 fan_from_max_cones, fan_properties,
                                 gamma_contains, gamma_rank, standardize_fan,
                                 validate_fan, _complete_ridges, _is_complete,
-                                _is_polytopal)
-from qtoric.linalg import Matrix
+                                _is_polytopal, _meet_in_common_face)
+from qtoric.linalg import Matrix, gale_rows, primitive
 from qtoric.morphism import check_fan_iso
 from qtoric.scalars import Parameter, Scalar, Witness
 
@@ -620,6 +621,90 @@ def test_validate_fan_sends_a_doubly_wound_pentagon_to_the_lps():
     rep = validate_fan(fan, EMPTY_WITNESS)
     assert [v["kind"] for v in rep.violations] == ["overlap"] * 10
     assert rep.to_json() == validate_fan_all_pairs(fan, EMPTY_WITNESS).to_json()
+
+
+def test_value_charts_certify_common_faces_before_the_lp(monkeypatch):
+    # without the value-chart certificate, validate_fan ran lp.feasible 20
+    # times on the doubly wound pentagon and 10 times on the fan of
+    # test_quadratic_overlap_matches_all_pairs_reference
+    calls = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible",
+                        lambda *args: calls.append(1) or feasible(*args))
+    wound = fan_from_max_cones(
+        QLattice.standard(2), [[1, 0], [1, 3], [-2, 1], [-2, -1], [1, -3]],
+        [[1, 3], [3, 5], [5, 2], [2, 4], [4, 1]])
+    quadratic = fan_from_max_cones(
+        QLattice(2, [[1, 0], [0, 1], [ST, 0], [0, ST]]),
+        [[1, 0], [ST, 1], [2, ST], [0, 1], [-1, -1]],
+        [[1, 2], [3, 4], [4, 5], [5, 1]])
+    for fan, before in ((wound, 20), (quadratic, 10)):
+        calls.clear()
+        rep = validate_fan(fan, W)
+        assert len(calls) < before
+        assert rep.to_json() == validate_fan_all_pairs(fan, W).to_json()
+
+
+def _certificate_matches_the_lp(coords, charts):
+    """On every pair A, B of the charts' cones, _meet_in_common_face with
+    the charts equals the LP's answer alone, and skips the LP exactly when
+    in A's value chart, or else in B's, each ray of B - F (F = A & B) has
+    coordinates on the rays of A - F with a negative sum."""
+    def certifies(A, B):
+        if charts[A] is None:
+            return False
+        rows = dict(zip(sorted(A), charts[A][0]))
+        return all(sum(sum(a * y for a, y in zip(rows[i], coords[j]))
+                       for i in A - B) < 0 for j in B - A)
+
+    for A, B in itertools.combinations(sorted(charts, key=sorted), 2):
+        lp_only = _meet_in_common_face(coords, A, B)
+        with mock.patch.object(lp, "feasible",
+                               side_effect=lp.feasible) as feasible:
+            assert _meet_in_common_face(coords, A, B, charts) == lp_only, \
+                (A, B)
+        assert feasible.called != (certifies(A, B) or certifies(B, A))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["complete", "duplicate", "misplaced",
+                             "parametric", "folded", "wound"]),
+       surd=st.booleans())
+def test_common_face_certificate_matches_the_lp(seed, d, kind, surd):
+    # the maximal cones, and the ridges as maximal cones, whose charts
+    # carry a completion row; with surd, one ray is scaled by t = sqrt 2 or
+    # moved along t z
+    rng = random.Random(seed)
+    fan = _fan_variant(rng, d, kind)
+    rays = [list(v) for v in fan.rays]
+    if surd:
+        i = rng.randrange(len(rays))
+        z = [rng.randint(-2, 2) for _ in range(d)]
+        rays[i] = rng.choice([[ST * x for x in rays[i]],
+                              [x + ST * y / 4 for x, y in zip(rays[i], z)]])
+    maxc = fan.maximal_cones()
+    for cones in (maxc, {A - {i} for A in maxc for i in A}):
+        sub = QuantumFan(QLattice(d, rays), rays, cones)
+        try:
+            coords = lattice_fan_mod._witness_coords(sub, W)
+        except Indeterminate:
+            continue
+        _certificate_matches_the_lp(coords, {
+            A: sub.value_chart(A, W) for A in cones if A})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_common_face_certificate_matches_the_lp_on_lvmb_data(rng):
+    # the Gale-dual cones over the complements of E, as check_lvmb forms them
+    datum = random_lvmb(rng)
+    pts = W.values_of(datum.points)
+    dual = {i: primitive(v) for i, v in enumerate(
+        gale_rows([*zip(*pts), [Q(1)] * len(pts)]), 1)}
+    _certificate_matches_the_lp(dual, {
+        A: lattice_fan_mod._value_chart([dual[i] for i in sorted(A)], len(A))
+        for A in (frozenset(dual) - e for e in datum.E)})
 
 
 def test_validate_fan_folded_ray_fails_a_ridge_sign():

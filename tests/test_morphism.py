@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lattice_fan import _fan_variant
 
+import qtoric.lattice_fan as lattice_fan_mod
 from qtoric.calibration import CalibratedFan, Calibration, trivial_calibration
 from qtoric.errors import DomainMismatch, Indeterminate, Singular
 from qtoric.lattice_fan import (QLattice, QuantumFan, fan_from_max_cones,
@@ -310,6 +311,39 @@ def test_a_point_certified_outside_a_cone_is_not_indeterminate():
         frozenset({1, 3}): (SA + Q(1, 2), Scalar.one())}
     with pytest.raises(Indeterminate, match=r"^a-1/2 vanishes at the"):
         cone_coefficients(fan, [1, 2], [SA - Q(1, 2), 1], w)
+
+
+def test_check_fan_morphism_applies_each_chart_to_each_image_once(
+        monkeypatch):
+    # the cone and the ray containment ask for the same (target cone,
+    # image) pairs; QuantumFan.chart_image forms each once per fan
+    calls = []
+    apply_rows = lattice_fan_mod.apply_rows
+
+    def counting(N, D, v):
+        calls.append((id(N), tuple(v)))
+        return apply_rows(N, D, v)
+
+    monkeypatch.setattr(lattice_fan_mod, "apply_rows", counting)
+    rays = [[1, 0], [SA, 1 - SA], [-1, SA]]
+    pf = fan_from_max_cones(QLattice(2, [[1, 0], [0, 1], [SA, 0]]), rays,
+                            [[1, 2], [2, 3], [3, 1]])
+    cube = random_complete_fan(random.Random(3), 3)
+    double = Matrix([[2 * (i == j) for j in range(3)] for i in range(3)])
+    for fan, L in ((pf, Matrix.identity(2)), (cube, double)):
+        calls.clear()
+        assert check_fan_morphism(L, fan, fan, W).ok
+        assert calls and len(set(calls)) == len(calls)
+        assert len(calls) <= len(fan.maximal_cones()) * fan.nrays
+    # an undecided sign is read again, and raises again, on a cached image
+    w = Witness({A: Q(1, 2)})
+    fan = fan_from_max_cones(QLattice.standard(2), [[1, 0], [0, 1], [-1, -1]],
+                             [[1, 2], [2, 3], [3, 1]])
+    p = [SA - Q(1, 2), 1]
+    assert decided(cone_coefficients, fan, [1, 2], p, w) == \
+        decided(cone_coefficients, fan, [1, 2], p, w) == \
+        ("Indeterminate", "a-1/2 vanishes at the witness but is not "
+         "symbolically zero")
 
 
 def decided(f, *args):
