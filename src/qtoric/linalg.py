@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import Indeterminate, Singular
-from .scalars import (_ONE, _ONE_POLY, _ZERO, Poly, Scalar, _const, _mul,
-                      _Root, poly_divexact, poly_gcd)
+from .scalars import (_ONE, _ONE_POLY, _ZERO, Poly, Scalar, _const,
+                      poly_divexact, poly_gcd)
 
 _Q0, _Q1 = Fraction(0), Fraction(1)
 
@@ -138,8 +138,7 @@ def pivot(rows, r, c):
     entries are field elements (Scalars, Fractions or Surds, never ints).
     The pivot is inverted once, and only the columns where row r is nonzero
     change; row r may have nonzero entries left of c.  Only Surd rows in
-    _reduce and det take it: rational rows take int_pivot, transcendental
-    ones _bareiss, and the simplex int_pivot or root_pivot."""
+    _reduce take it: there the division-free steps measured slower."""
     prow = rows[r]
     inv = 1 / prow[c]
     nz = [j for j, v in enumerate(prow) if v]
@@ -153,9 +152,10 @@ def pivot(rows, r, c):
 
 
 def int_pivot(T, r, c):
-    """The division-free step on rows of ints at p = T[r][c] != 0 (Bareiss,
-    Math. Comp. 22, 1968): row r stays, and every other row with
-    f = T[i][c] != 0 becomes p*T[i] - f*T[r] over the gcd g of its entries.
+    """The division-free step of both simplex tableaux, on rows of ints or
+    of scalars._Roots (elements of Z[sqrt(D_1), ...]) at p = T[r][c] != 0:
+    row r stays, and every other row with f = T[i][c] != 0 becomes
+    p*T[i] - f*T[r] over its content g, the gcd of the ints it holds.
     Row r is then p times the row the field step (pivot) leaves, and a row
     that was l times the field row becomes p*l/g times it.  So each row
     stays a nonzero multiple of the field row, and a positive one when
@@ -163,53 +163,37 @@ def int_pivot(T, r, c):
     rows, needs."""
     prow = T[r]
     p = prow[c]
+    ints = type(p) is int
     for i, row in enumerate(T):
         f = row[c]
         if f and i != r:
-            new = [p * v - f * w for v, w in zip(row, prow)]
-            g = gcd(*new)
+            new = [p * v - f * w if w else p * v if v else v
+                   for v, w in zip(row, prow)]
+            g = gcd(*new) if ints else \
+                gcd(*(x for v in new for x in v.values()))
             T[i] = [v // g for v in new] if g > 1 else new
 
 
-def root_pivot(T, r, c):
-    """int_pivot's step on rows of _Roots (the Surd simplex): at p = T[r][c]
-    > 0 a row with f = T[i][c] != 0 becomes p*T[i] - f*T[r] over the gcd of
-    all its ints, so it stays a positive multiple of the field row."""
-    prow = T[r]
-    p = prow[c]
-    nz = [(j, w) for j, w in enumerate(prow) if w]
-    for i, row in enumerate(T):
-        f = row[c]
-        if f and i != r:
-            new = [_mul(p, v) if v else {} for v in row]
-            for j, w in nz:
-                d = new[j]
-                for m, x in _mul(f, w).items():
-                    d[m] = d.get(m, 0) - x
-            g = gcd(*(x for d in new for x in d.values())) or 1
-            T[i] = [_Root({m: x // g for m, x in d.items() if x})
-                    for d in new]
-
-
 def _bareiss(rows, r, c):
-    """Bareiss's step on rows of Polys at p = rows[r][c] != 0: with prev the
-    pivot of the step before, the leftmost nonzero entry of row r - 1 (1 at
-    the first step), every other row becomes (p*row - row[c]*rows[r]) / prev,
-    an exact division (poly_divexact).  Every entry stays a minor of the
-    input, and the earlier pivot rows end with p at their pivots
-    (fraction-free Gauss-Jordan: Nakos, Turner, Williams, ACM SIGSAM Bull.
-    31(3), 1997)."""
+    """Bareiss's step (Math. Comp. 22, 1968) on rows of ints or of Polys at
+    p = rows[r][c] != 0: with prev the pivot of the step before, the
+    leftmost nonzero entry of row r - 1 (1 at the first step), every other
+    row becomes (p*row - row[c]*rows[r]) / prev, an exact division (// of
+    ints, poly_divexact of Polys).  Every entry stays a minor of the input,
+    and the earlier pivot rows end with p at their pivots (fraction-free
+    Gauss-Jordan: Nakos, Turner, Williams, ACM SIGSAM Bull. 31(3), 1997)."""
     prow = rows[r]
     p = prow[c]
-    prev = next(x for x in rows[r - 1] if x) if r else _ONE_POLY
+    prev = next(x for x in rows[r - 1] if x) if r else \
+        _ONE_POLY if type(p) is Poly else 1
+    unit = prev in (1, _ONE_POLY)
     for i, row in enumerate(rows):
         f = row[c]
         if i == r or not f and p == prev:
             continue
         new = [p * x - f * y if f and y else p * x if x else x
                for x, y in zip(row, prow)]
-        rows[i] = new if prev == _ONE_POLY else \
-            [poly_divexact(v, prev) if v else v for v in new]
+        rows[i] = new if unit else [v // prev if v else v for v in new]
 
 
 def _integer_row(row):
@@ -247,12 +231,12 @@ def _cleared(row) -> tuple:
 def _reduce(rows):
     """(N, pivots, D): the reduced row echelon form with leftmost pivots of
     rows of Scalars or of witness values (ints, Fractions, Surds) is N/D,
-    in the ring the rows are reduced in.  Rational rows (_integer_row) take
-    int_pivot, and each is scaled to the lcm D > 0 of the pivots.  Rows
-    that hold a transcendental Scalar are cleared into Polys (_cleared) and
-    take _bareiss, which leaves the last pivot D on every pivot row.  Other
-    rows take pivot on their values in K, ints as Fractions, and D = 1."""
-    red, step = [_integer_row(r) for r in rows], int_pivot
+    in the ring the rows are reduced in.  Rational rows become int rows
+    (_integer_row), and rows that hold a transcendental Scalar are cleared
+    into Polys (_cleared); both take _bareiss, which leaves the last pivot
+    D on every pivot row, made positive on ints.  Other rows take pivot on
+    their values in K, ints as Fractions, and D = 1."""
+    red, step = [_integer_row(r) for r in rows], _bareiss
     if None in red:
         transcendental = any(type(x) is Scalar and x.q is None
                              for r in rows for x in r)
@@ -274,14 +258,12 @@ def _reduce(rows):
         r += 1
         if r == nrows:
             break
-    ps = [row[c] for row, c in zip(red, pivots)]
     if step is pivot:
         return red, pivots, 1
-    if step is _bareiss:
-        return red, pivots, ps[-1] if ps else _ONE_POLY
-    D = lcm(*ps)
-    return [[x * (D // p) for x in row] for row, p in zip(red, ps)] + \
-        red[r:], pivots, D
+    D = red[r - 1][pivots[-1]] if pivots else 1
+    if type(D) is int and D < 0:
+        red, D = [[-x for x in row] for row in red], -D
+    return red, pivots, D
 
 
 def ratio(y, D) -> Scalar:
@@ -383,21 +365,30 @@ def apply_rows(N, D, vec) -> tuple:
         prod(dens, start=D if type(D) is Poly else Poly.const(D))
 
 
+def _det(rows, one=1):
+    """The determinant of a square matrix of ints, or of Polys with one =
+    _ONE_POLY: the last pivot of _bareiss, with the sign of the row swaps
+    on the way."""
+    n, sign = len(rows), 1
+    for c in range(n):
+        sel = next((i for i in range(c, n) if rows[i][c]), None)
+        if sel is None:
+            return 0
+        if sel != c:
+            rows[c], rows[sel], sign = rows[sel], rows[c], -sign
+        _bareiss(rows, c, c)
+    return one if not n else rows[-1][-1] if sign > 0 else -rows[-1][-1]
+
+
 def det(M: Matrix) -> Scalar:
-    """The product of the pivots of Gauss-Jordan elimination on M, with
-    the sign of its row swaps."""
+    """_det of M's rows cleared into Polys (_cleared), over the product of
+    their denominators."""
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows, out = [list(r) for r in M.rows], Scalar.one()
-    for c in range(M.nrows):
-        sel = next((i for i in range(c, M.nrows) if rows[i][c]), None)
-        if sel is None:
-            return Scalar.zero()
-        if sel != c:
-            rows[c], rows[sel], out = rows[sel], rows[c], -out
-        out = out * rows[c][c]
-        pivot(rows, c, c)
-    return out
+    cleared = [_cleared(r) for r in M.rows]
+    return ratio(_det([nums for nums, _ in cleared], _ONE_POLY),
+                 prod((d for _, dens in cleared for d in dens),
+                      start=_ONE_POLY))
 
 
 def mat_inverse(M: Matrix) -> Matrix:
@@ -490,28 +481,12 @@ def hnf(M) -> tuple:
 
 
 def int_det(M) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every intermediate entry is an integer minor."""
+    """Determinant of a square integer matrix by _det: every intermediate
+    entry is an integer minor."""
     A = [list(map(int, r)) for r in M]
-    n = len(A)
-    if any(len(r) != n for r in A):
+    if any(len(r) != len(A) for r in A):
         raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            sel = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if sel is None:
-                return 0
-            A[k], A[sel] = A[sel], A[k]
-            sign = -sign
-        akk, rk = A[k][k], A[k]
-        for i in range(k + 1, n):
-            ri = A[i]
-            aik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * akk - aik * rk[j]) // prev
-        prev = akk
-    return sign * A[-1][-1] if n else 1
+    return _det(A)
 
 
 def int_solve(M, b) -> tuple | None:

@@ -10,10 +10,10 @@ that share interior points are decided on the Gale-dual cones
 ..., sqrt(D_k)), witness values or positive multiples of them: the fans'
 LPs get rational rays as primitive int rows (QuantumFan.witness_values),
 and Surds stay.  A tableau row is a positive multiple of the field
-tableau's row, cleared of denominators once: ints under linalg.int_pivot,
-the division-free step of rational row reduction, or with a Surd, int
-coefficients over the root subsets (scalars._Root) under the same step,
-linalg.root_pivot.  Signs are exact and the ratio test is cross-multiplied,
+tableau's row, cleared of denominators once: ints (linalg._integer_row),
+or with a Surd, int coefficients over the root subsets (scalars._Root).
+Both take linalg.int_pivot, the division-free step p*row - f*prow over the
+row's content.  Signs are exact and the ratio test is cross-multiplied,
 so Bland's rule makes the field simplex's choices; x is formed in K last.
 """
 
@@ -22,18 +22,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .linalg import int_pivot, root_pivot
+from .linalg import _integer_row, int_pivot
 from .scalars import Surd, _Root, _surd
 
 Q = Fraction
 
 
-def _cleared(row, rational):
-    """A row of values in K times the lcm of their denominators: ints, or
-    _Roots when the tableau has a Surd."""
+def _cleared(row):
+    """A row of values in K with a Surd times the lcm of their
+    denominators, as _Roots."""
     s = lcm(*(v.den if type(v) is Surd else v.denominator for v in row))
-    if rational:
-        return [v.numerator * (s // v.denominator) for v in row]
     return [_Root({m: x * (s // v.den) for m, x in v.c.items()})
             if type(v) is Surd else
             _Root({0: v.numerator * (s // v.denominator)} if v else {})
@@ -42,8 +40,8 @@ def _cleared(row, rational):
 
 def _simplex_core(T, basis, ncols, step):
     """Minimize the objective in the last row of tableau T (Bland's rule),
-    pivoting with step: int_pivot on ints, root_pivot on _Roots.  A row
-    may be any positive multiple of the field tableau's row."""
+    pivoting with step, int_pivot on ints and _Roots.  A row may be any
+    positive multiple of the field tableau's row."""
     m = len(T) - 1
     while True:
         obj = T[-1]
@@ -82,13 +80,13 @@ def solve_lp(A, b):
     # the artificials' cost row, reduced against their basis; clearing row
     # i by s_i scales its artificial by s_i, which keeps the reduced costs
     rows.append([-sum(col) for col in zip(*rows)])
-    rational = all(isinstance(v, (int, Q)) for row in rows for v in row)
-    zero, one, step = (0, 1, int_pivot) if rational else \
-        (_Root(), _Root({0: 1}), root_pivot)
+    ints = [_integer_row(row) for row in rows]
+    rational = None not in ints
+    zero, one = (0, 1) if rational else (_Root(), _Root({0: 1}))
     T = [row[:-1] + [one if j == i else zero for j in range(m)] + row[-1:]
-         for i, row in enumerate(_cleared(row, rational) for row in rows)]
+         for i, row in enumerate(ints if rational else map(_cleared, rows))]
     basis = [n + i for i in range(m)]
-    _simplex_core(T, basis, n + m, step)
+    _simplex_core(T, basis, n + m, int_pivot)
     if T[-1][-1]:
         return None
     x = [Q(0)] * n

@@ -246,7 +246,8 @@ def _sign(c: dict) -> int:
 class _Root(dict):
     """An element of Z[sqrt(D_1), ..., sqrt(D_k)], a row entry of the
     simplex's Surd tableaux: nonzero ints over the root subsets (as
-    Surd.c), with the products, differences and signs its loop takes."""
+    Surd.c), with the products, differences, exact divisions by an int
+    and signs its loop takes."""
 
     def __mul__(self, other):
         return _Root({m: x for m, x in _mul(self, other).items() if x})
@@ -256,6 +257,9 @@ class _Root(dict):
         for m, x in other.items():
             out[m] = out.get(m, 0) - x
         return _Root({m: x for m, x in out.items() if x})
+
+    def __floordiv__(self, g: int):
+        return _Root({m: x // g for m, x in self.items()})
 
     def __lt__(self, zero):
         return _sign(self) < 0
@@ -361,6 +365,9 @@ class Poly:
         if c == 0:
             return Poly({})
         return Poly({m: c * v for m, v in self.terms.items()})
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        return poly_divexact(self, other)
 
     # -- lex order helpers --------------------------------------------------
 

@@ -928,7 +928,8 @@ def test_load_fan_file_parses_each_scalar_text_once(monkeypatch):
 @pytest.mark.parametrize("bad, message", [
     (True, "numbers must be exact strings, not floats/bools"),
     (1.5, "numbers must be exact strings, not floats/bools"),
-    (["1"], "unexpected character '[' in scalar")])
+    (["1"], "unexpected character '[' in scalar"),
+    ("1²", "unexpected character '²' in scalar")])
 def test_load_fan_file_rejects_a_non_text_scalar_as_before(bad, message):
     # a bool after the int 1 is not read as 1
     data = dict(P2STD, rays=[[1, "0"], ["0", bad], ["-1", "-1"]])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qtoric.errors import Singular
 from qtoric.linalg import (Matrix, _rref, det, dot, gale_rows, hnf,
-                           in_basis, int_det, int_solve, kernel_basis,
-                           mat_inverse, rank, solve_right)
+                           in_basis, int_det, int_solve, inverse_rows,
+                           kernel_basis, mat_inverse, rank, solve_right)
 from qtoric.scalars import Parameter, Scalar, Surd
 
 A = Parameter("a")
@@ -202,6 +202,29 @@ def test_int_det_matches_scalar_det():
     assert int_det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):
         int_det([[1, 2]])
+    assert det(Matrix([])) == ONE
+    assert det(Matrix([[ST, ONE], [2 * ONE, ST]])) == ZERO     # t^2 = 2
+
+
+DET_ENTRIES = {
+    "transcendental": st.sampled_from([ZERO, ONE, -2 * ONE, SA, SB, SA + 1,
+                                       SA * SB - 2, ONE / (SA + 1),
+                                       SB / (SA - SB)]),
+    "surd": st.sampled_from([ZERO, ONE, -2 * ONE, ST, -ST, ST + 1, SU,
+                             ST * SU, SU / 2 - 1]),
+}
+DET_ENTRIES["mixed"] = st.one_of(*DET_ENTRIES.values(), st.sampled_from(
+    [SA * ST, ST / (SB + 1), SA + SU]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(DET_ENTRIES)), st.integers(1, 4), st.data())
+def test_scalar_det_matches_leibniz(kind, n, data):
+    M = [[data.draw(DET_ENTRIES[kind]) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()) and n > 1:    # a dependent row
+        s, t = data.draw(DET_ENTRIES[kind]), data.draw(DET_ENTRIES[kind])
+        M[-1] = [s * x + t * y for x, y in zip(M[0], M[1 % (n - 1)])]
+    assert det(Matrix(M)) == leibniz_det(M)
 
 
 # -- sparse elimination against the dense reference --------------------------
@@ -561,6 +584,30 @@ def test_pivot_columns_is_the_greedy_basis(case):
         if inv is not None:
             B = Matrix.from_columns([cols[j] for j in piv])
             assert Matrix(inv) * B == B * Matrix(inv) == Matrix.identity(d)
+
+
+@st.composite
+def int_columns(draw):
+    """1 to d columns in Z^d, d <= 3: the witness values of a cone's rays,
+    dependent ones included."""
+    d = draw(st.integers(1, 3))
+    return [[draw(st.integers(-5, 5)) for _ in range(d)]
+            for _ in range(draw(st.integers(1, d)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_columns())
+@example([[1, 0], [0, -1]])     # the last Bareiss pivot is -1
+def test_inverse_rows_of_int_columns_are_ints_over_a_positive_D(cols):
+    # the value chart's shape: the columns, then the canonical vectors
+    d = len(cols[0])
+    cols = cols + [[int(i == j) for i in range(d)] for j in range(d)]
+    picks, N, D = inverse_rows(cols)
+    assert type(D) is int and D > 0
+    assert all(type(x) is int for r in N for x in r)
+    ref = ref_inverse(Matrix.from_columns([cols[j] for j in picks]))
+    assert [[Q(x, D) for x in r] for r in N] == \
+        [[x.as_fraction() for x in r] for r in ref.rows]
 
 
 # -- gale_rows and in_basis against the field reference ----------------------

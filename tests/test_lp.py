@@ -12,7 +12,7 @@ from qtoric import lp
 from qtoric.lattice_fan import _meet_in_common_face
 from qtoric.linalg import gale_rows, pivot
 from qtoric.lp import solve_lp
-from qtoric.scalars import Parameter, Scalar, Witness
+from qtoric.scalars import Parameter, Scalar, Witness, _Root
 
 # Beale's example: the textbook rule (most negative reduced cost, first
 # minimal-ratio row) cycles from the slack basis; Bland's rule must not.
@@ -33,14 +33,21 @@ def _recording(real, steps, limit=100):
 
 
 def _solve_recording_pivots(A, b):
-    """solve_lp(A, b), and the pivots of the step on Surd rows
-    (linalg.root_pivot) and of the integer step (linalg.int_pivot),
-    whichever the LP uses."""
+    """solve_lp(A, b), and the pivots of its one step, linalg.int_pivot,
+    split by the ring of the rows it was passed: scalars._Root rows (a
+    tableau with a Surd) and int rows.  Every entry of one tableau lies in
+    one of the two rings."""
     roots, ints = [], []
-    with mock.patch.object(lp, "root_pivot",
-                           _recording(lp.root_pivot, roots)), \
-            mock.patch.object(lp, "int_pivot",
-                              _recording(lp.int_pivot, ints)):
+    real = lp.int_pivot
+
+    def step(rows, r, c):
+        kinds = {type(v) for row in rows for v in row}
+        assert kinds in ({int}, {_Root}), kinds
+        (roots if kinds == {_Root} else ints).append((r, c))
+        assert len(roots) + len(ints) <= 100, "simplex does not terminate"
+        real(rows, r, c)
+
+    with mock.patch.object(lp, "int_pivot", step):
         return solve_lp(A, b), roots, ints
 
 
