@@ -13,10 +13,10 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import traceback
 from fractions import Fraction
+from math import prod
 
 from . import atlas as atlas_mod
 from . import gale_lvmb as gl
@@ -56,9 +56,6 @@ def _emit(payload) -> None:
     sys.stdout.flush()
 
 
-_SQRT_RE = re.compile(r"sqrt:(\d+(?:/\d+)?)")
-
-
 def _cli_scalar(text, params: dict, witness_vals: dict) -> Scalar:
     """Parse a command-line scalar, or a JSON number inside an argument
     as in fan files.  sqrt:D is r*sqrt(D_1)*...*sqrt(D_j) when
@@ -66,20 +63,20 @@ def _cli_scalar(text, params: dict, witness_vals: dict) -> Scalar:
     (j = 0 when D is a square), else it declares a new quadratic parameter
     (positive root at the witness), so the declared ones stay
     multiplicatively independent."""
-    def sub(mt):
-        d = Q(mt.group(1))
-        known = square_class(d, params.values())
+    def root(D):
+        d = Q(D)
+        name = f"sqrt{d.numerator}_{d.denominator}"
+        known = (1, [params[name]]) if name in params else \
+            square_class(d, params.values())   # a declared D is its own class
         if known is not None:
             r, S = known
-            return "(" + "*".join([f"({r})"] + [p.name for p in S]) + ")"
-        p = Parameter(f"sqrt{d.numerator}_{d.denominator}", "quadratic", d)
+            return prod(map(Scalar.of_param, S), start=Scalar.from_fraction(r))
+        p = Parameter(name, "quadratic", d)
         params[p.name] = p
         witness_vals[p] = Q(1)
-        return p.name
+        return Scalar.of_param(p)
 
-    if isinstance(text, str):
-        text = _SQRT_RE.sub(sub, text)
-    return parse_scalar(text, params)
+    return parse_scalar(text, params, root)
 
 
 def _need(ff: FanFile, attr, what):
@@ -301,7 +298,9 @@ def cmd_p2_orbit(args):
 
 
 def cmd_wps_weights(args):
-    alpha, beta, gamma = moduli.wps_weights(Q(args.a), Q(args.b))
+    params, wvals = {}, {}
+    alpha, beta, gamma = moduli.wps_weights(
+        _cli_scalar(args.a, params, wvals), _cli_scalar(args.b, params, wvals))
     return {"weights": [alpha, beta, gamma]}, EXIT_TRUE
 
 
@@ -394,12 +393,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hopf-equiv")
     sp.add_argument("--pair1", required=True)
     sp.add_argument("--pair2", required=True)
+    ap.commands = sub.choices      # each command's subparser, by name
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sp = ap.commands.get(argv[0]) if argv else None
+    if sp is None:
+        args = ap.parse_args(argv)
+    else:
+        # what parse_args does for a command, without the top-level walk
+        args, extra = sp.parse_known_args(
+            argv[1:], argparse.Namespace(schema=False, command=argv[0]))
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
     if not args.schema and not args.command:
         ap.print_help()
         return EXIT_INPUT

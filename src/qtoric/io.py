@@ -54,36 +54,37 @@ SCHEMA = {
 # scalar expressions
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str):
+_TOKEN = re.compile(
+    r"\s+|sqrt:([0-9]+(?:/[0-9]+)?)|([0-9]+)|(\w+)|([-+*/^()])|(.)", re.S)
+
+
+def _tokenize(text: str, resolve=None):
+    """The tokens of a scalar expression, one per match of _TOKEN: an ASCII
+    numeral, a name (a word that starts with a letter or "_") or an operator;
+    white space is skipped, and any other character is an error.  With a
+    resolver, sqrt:D (D an ASCII numeral or n/d) is one ("scalar",
+    resolve(D)) token; without one it is the name sqrt before a stray ':'."""
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            out.append(("num", int(text[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            out.append((ch, ch))
-            i += 1
-        else:
-            raise InputError(f"unexpected character {ch!r} in scalar")
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        val = m[kind] if kind else None
+        if kind == 1 and resolve is not None:
+            out.append(("scalar", resolve(val)))
+        elif kind == 2:
+            out.append(("num", int(val)))
+        elif kind == 3 and (val[0].isalpha() or val[0] == "_"):
+            out.append(("name", val))
+        elif kind == 4:
+            out.append((val, val))
+        elif kind:
+            bad = ":" if kind == 1 else val[0]
+            raise InputError(f"unexpected character {bad!r} in scalar")
     return out
 
 
 class _Parser:
-    def __init__(self, text, params):
-        self.text, self.toks, self.pos = text, _tokenize(text), 0
+    def __init__(self, text, params, resolve=None):
+        self.text, self.toks, self.pos = text, _tokenize(text, resolve), 0
         self.params = params
 
     def peek(self):
@@ -112,12 +113,10 @@ class _Parser:
         return out
 
     def factor(self):
-        if self.peek() == "-":
+        sign = self.peek()
+        if sign in ("-", "+"):
             self.next()
-            return -self.factor()
-        if self.peek() == "+":
-            self.next()
-            return self.factor()
+            return -self.factor() if sign == "-" else self.factor()
         atom = self.atom()
         if self.peek() == "^":
             self.next()
@@ -133,8 +132,8 @@ class _Parser:
 
     def atom(self):
         kind, val = self.next()
-        if kind == "num":
-            return Scalar.from_fraction(val)
+        if kind in ("num", "scalar"):
+            return Scalar.coerce(val)
         if kind == "name":
             if val not in self.params:
                 raise InputError(f"undeclared parameter {val!r}")
@@ -153,7 +152,9 @@ class _Parser:
 _LITERAL = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
 
 
-def parse_scalar(text, params: dict) -> Scalar:
+def parse_scalar(text, params: dict, resolve=None) -> Scalar:
+    """The Scalar of an expression over the parameters in params; resolve,
+    when given, reads each sqrt:D token (see _tokenize)."""
     if isinstance(text, bool) or isinstance(text, float):
         raise InputError("numbers must be exact strings, not floats/bools")
     if isinstance(text, int):
@@ -165,7 +166,7 @@ def parse_scalar(text, params: dict) -> Scalar:
         n, d = int(num), int(den or 1)
         if d:
             return Scalar.from_fraction(Fraction(-n if sign == "-" else n, d))
-    p = _Parser(text, params)
+    p = _Parser(text, params, resolve)
     if not p.toks:
         raise InputError("empty scalar")
     try:

@@ -13,7 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qtoric import lattice_fan, lp
 from qtoric.atlas import gluing_exponents
-from qtoric.errors import Indeterminate, UnsupportedEntries, UnsupportedField
+from qtoric.errors import (Indeterminate, InputError, UnsupportedEntries,
+                           UnsupportedField)
 from qtoric.calibration import CalibratedFan, Calibration
 from qtoric.gale_lvmb import GaleData
 from qtoric.lattice_fan import (QLattice, QuantumFan, ValidationReport,
@@ -1050,3 +1051,34 @@ def wps_weights_chart_oracle(a, b) -> tuple:
     fb = Scalar.coerce(b).as_fraction()
     charts = [(fa, fb), (-fb / fa, 1 / fa), (1 / fb, -fa / fb)]
     return tuple(math.lcm(u.denominator, v.denominator) for u, v in charts)
+
+
+def ref_tokenize(text: str):
+    """Reference scalar tokenizer, one character at a time: white space
+    (str.isspace) is skipped, a run of ASCII digits is a number, a letter or
+    "_" starts a name that runs over str.isalnum and "_", an operator is a
+    token of its own, and any other character is an InputError."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif "0" <= ch <= "9":
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            out.append(("num", int(text[i:j])))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("name", text[i:j]))
+            i = j
+        elif ch in "+-*/^()":
+            out.append((ch, ch))
+            i += 1
+        else:
+            raise InputError(f"unexpected character {ch!r} in scalar")
+    return out

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtoric
+from conftest import ref_tokenize
 from qtoric.cli import _cli_scalar, build_parser, main
 from qtoric.errors import InputError
-from qtoric import io
+from qtoric import cli, io, scalars
 from qtoric.io import load_fan_file, parse_scalar
 from qtoric.scalars import Scalar
 
@@ -494,6 +495,29 @@ def test_rational_literals_parse_as_by_the_grammar(text):
     assert parse_outcome(text) == want
 
 
+SCALAR_TEXT = st.lists(st.sampled_from(
+    ["0", "7", "12", "\u0663", "\u00b2", "\u00bd", "\u00e9", "_", " ", "\t",
+     "+", "-", "*", "/", "^", "(", ")", ":", ".", "a", "b1", "s", "q", "rt",
+     "sqrt", "sqrt:", "sqrt:2", "sqrt:8/9", ":\u0663"]),
+    max_size=10).map("".join)
+
+
+def token_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except InputError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(SCALAR_TEXT)
+def test_tokenizer_matches_the_character_loop(text):
+    """Without a resolver the regex scan gives the character loop's tokens,
+    or its InputError message."""
+    assert token_outcome(io._tokenize, text) == \
+        token_outcome(ref_tokenize, text)
+
+
 def test_type_error_in_a_decider_is_not_an_input_error(tmp_path, capsys,
                                                        monkeypatch):
     def broken(fan, w):
@@ -683,6 +707,80 @@ def test_dependent_sqrt_literal_reuses_declared_roots(capsys):
     assert code == 0 and rep["orbit"][0] == ["-sqrt2_1", "-1/2*sqrt2_1"]
 
 
+def test_sqrt_literal_takes_ascii_digits_only(capsys):
+    # sqrt:D is one token only when D is ASCII digits, as for any numeral
+    for a, bad in (("sqrt:\u0663", ":"), ("sqrt:2\u0663", "\u0663"),
+                   ("sqrt:2/\u0663", "\u0663"), ("xsqrt:2", ":")):
+        code, rep = run(capsys, ["moduli-equiv-2d", f"--a={a}", "--b=sqrt:2"])
+        assert code == 2 and rep["error"] == {
+            "code": "InputError",
+            "message": f"unexpected character {bad!r} in scalar"}, a
+
+
+def test_scalar_errors_quote_the_text_as_given(capsys):
+    for a, message in (("2sqrt:2", "trailing input in scalar '2sqrt:2'"),
+                       ("sqrt:2sqrt:3",
+                        "trailing input in scalar 'sqrt:2sqrt:3'"),
+                       ("1+sqrt:2*", "unexpected end of scalar '1+sqrt:2*'")):
+        code, rep = run(capsys, ["moduli-equiv-2d", f"--a={a}", "--b=1"])
+        assert code == 2 and rep["error"] == {"code": "InputError",
+                                              "message": message}, a
+
+
+def test_sqrt_token_and_resolver():
+    seen = []
+
+    def resolve(D):
+        seen.append(D)
+        return Scalar.from_fraction(7)
+
+    assert io._tokenize("2*sqrt:8/9-sqrt:3 x", resolve) == [
+        ("num", 2), ("*", "*"), ("scalar", 7), ("-", "-"), ("scalar", 7),
+        ("name", "x")]
+    assert seen == ["8/9", "3"]
+    # without a resolver sqrt: is the name sqrt and a stray ':'
+    with pytest.raises(InputError, match="unexpected character ':'"):
+        io._tokenize("2*sqrt:8/9")
+    assert parse_scalar("sqrt:2^2-1", {}, resolve) == 48
+
+
+def test_repeated_request_declares_no_new_roots(capsys):
+    # each quadratic (name, D) keeps one root bit for the process
+    for argv in (["moduli-equiv-2d", "--a=sqrt:1000003",
+                  "--b=(1/2)*sqrt:1000003+sqrt:8"],
+                 ["p2-orbit", "--a=sqrt:6-sqrt:2*sqrt:3-1", "--b=-1"]):
+        first = run(capsys, argv)
+        roots = len(scalars._ROOTS)
+        assert run(capsys, argv) == first
+        assert len(scalars._ROOTS) == roots
+
+
+def test_wps_weights_reads_scalar_expressions(capsys):
+    code, rep = run(capsys, ["wps-weights", "--a=-(1/2)", "--b=-1/2"])
+    assert code == 0 and rep == {"weights": [2, 1, 1]}
+    assert run(capsys, ["wps-weights", "--a=-(1/2)", "--b=-3"]) == \
+        run(capsys, ["wps-weights", "--a=-1/2", "--b=-3"])
+    assert run(capsys, ["wps-weights", "--a=-sqrt:4/9", "--b=-3"]) == \
+        run(capsys, ["wps-weights", "--a=-2/3", "--b=-3"])
+    for a, error in (("-\u0663", "InputError"), ("-2.5", "InputError"),
+                     ("sqrt:2", "NotRational"), ("-sqrt:2", "NotRational"),
+                     ("1/2", "OutOfDomain")):
+        code, rep = run(capsys, ["wps-weights", f"--a={a}", "--b=-1"])
+        assert code == 2 and rep["error"]["code"] == error, a
+
+
+def test_a_declared_root_is_not_classed_again(monkeypatch):
+    classed = []
+    real = cli.square_class
+    monkeypatch.setattr(cli, "square_class",
+                        lambda D, quads: classed.append(D) or real(D, quads))
+    params, wvals = {}, {}
+    s3 = _cli_scalar("sqrt:3", params, wvals)
+    x = _cli_scalar("(1/2)*sqrt:3+sqrt:12-sqrt:3", params, wvals)
+    assert x == s3 * Fraction(3, 2) and classed == [3, 12]
+    assert list(params) == ["sqrt3_1"]
+
+
 def test_dependent_quadratic_parameters_rejected(tmp_path, capsys):
     def with_roots(*Ds):
         names = [f"t{i}" for i in range(len(Ds))]
@@ -808,6 +906,70 @@ import qtoric.cli
 print(len(built))
 """)
     assert proc.returncode == 0 and proc.stdout.split() == ["0"]
+
+
+# argv for main; upper-case words name input files
+ARGV_TABLE = [
+    *([c, "P2"] for c in (
+        "validate", "properties", "comb-type", "standardize", "atlas",
+        "irrelevant", "gale")),
+    ["gale", "--affine", "--tail", "P2"], ["lvmb-build", "P2V"],
+    *([c, "TORUS"] for c in ("lvmb-check", "lvm-check", "polytope",
+                              "kh-check", "lvmb-to-fan")),
+    ["comb-equiv", "BLOWUP", "P2"],
+    ["morphism-check", "--morphism", "ID", "BLOWUP", "P2"],
+    ["cal-morphism-check", "--search", "P2", "P2"],
+    ["moduli-act", "--hbar", '[["1/2"]]', "--H", "[[2,1],[1,1]]"],
+    ["moduli-equiv-2d", "--a", "sqrt:2", "--b=1+sqrt:2"],
+    ["p2-orbit", "--a=-2", "--b", "-3"],
+    ["wps-weights", "--a=-2", "--b=-3"],
+    ["hopf-equiv", "--pair1", '["1/3","2","1/7","3"]',
+     "--pair2", '["1/3","2","1/7","3"]'],
+    ["validate", "P2", "BLOWUP", "--jobs", "2"],
+    # help, usage errors and split values
+    ["moduli-equiv-2d", "-h"], ["validate", "--help"], ["-h"],
+    ["p2-orbit", "--a", "-2"], ["morphism-check", "BLOWUP", "P2"],
+    ["wps-weights", "--a=-2", "--b=-3", "--c=1"], ["validate", "--x", "P2"],
+    ["comb-equiv", "P2"], ["comb-equiv", "P2", "P2", "P2"],
+    ["hopf-equiv", "--pair", "[]"], ["validate", "--jobs", "two", "P2"],
+    ["moduli-equiv-2d", "--a=", "-1/2", "--b=1"],
+    ["moduli-equiv-2d", "--a", "-1/2", "--b=1"],
+    ["moduli-equiv-2d", "--a", " -1/2", "--b=1"],
+    ["moduli-equiv-2d", "--a= -1/2", "--b=1"],
+    # "--", the top-level option and parser, no command, an unknown one
+    ["wps-weights", "--", "--a=-2", "--b=-3"], ["validate", "--", "P2"],
+    ["--", "validate", "P2"], ["--schema"], ["--schema", "validate", "P2"],
+    ["validate", "--schema", "P2"], ["wps-weights", "--a=-2", "--b=-3", "x"],
+    [], ["frobnicate"], ["Validate", "P2"], ["--sch"],
+]
+
+
+def argv_outcome(capsys, argv):
+    """main's exit code (or SystemExit code), stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=repr)
+def test_one_parser_walk_matches_parse_args(argv, tmp_path, capsys):
+    """main hands a command's arguments straight to its subparser: every
+    output byte and exit code is the one of the top-level parse_args, which
+    main uses when it knows no subparser by name."""
+    files = {"BLOWUP": _write(tmp_path, "blowup.json", BLOWUP),
+             "P2": _write(tmp_path, "p2.json", P2DEF),
+             "TORUS": _write(tmp_path, "torus.json", TORUS_LVMB),
+             "ID": _write(tmp_path, "id.json", {"L": [["1", "0"], ["0", "1"]]}),
+             "P2V": _write(tmp_path, "p2v.json", dict(P2DEF, calibration={
+                 "n": 4, "J": [4], "I": [1, 2, 3],
+                 "images": [["1", "0"], ["0", "1"], ["a", "b"], ["1", "1"]]}))}
+    argv = [files.get(a, a) for a in argv]
+    new = argv_outcome(capsys, argv)
+    with mock.patch.object(build_parser(), "commands", {}):
+        assert argv_outcome(capsys, argv) == new
 
 
 # first call, its exit code, second call; upper-case words name input files
